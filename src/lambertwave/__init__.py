@@ -13,15 +13,11 @@ from .bell import (
     CumulativeProfile,
     LatticeSynthesis,
     WaveletBuild,
-    WaveletIndex,
     bell,
     build_wavelet,
     eval_psi_point,
-    psi_derivative_spectrum,
-    psi_hat,
     synthesize_psi_lattice,
     theta,
-    wavelet_member_spectrum,
 )
 from .errors import (
     ConvergenceError,
@@ -34,7 +30,6 @@ from .errors import (
 from .gevrey import (
     AssocFnReport,
     BoundFitReport,
-    LogSequence,
     SeqAuditReport,
     SequenceParams,
     assoc_t_asym,
@@ -45,7 +40,7 @@ from .gevrey import (
     moritoh_l,
     seq_property_audit,
 )
-from .grids import GridFunction, GridSpec, SpectralFunction
+from .grids import GridFunction, GridSpec
 from .lambert import (
     DEFAULT_W_CONFIG,
     WBoundsReport,

@@ -23,18 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError
-from .grids import GridFunction, GridSpec, SpectralFunction
+from .grids import GridFunction, GridSpec
 from .mollifier import MollifierBuild, build_mollifier, dilate_normalize
 
 HALF_PI = np.pi / 2.0
-
-
-@dataclass(frozen=True)
-class WaveletIndex:
-    """Dyadic scale m and integer translation n."""
-
-    m: int
-    n: int
 
 
 class CumulativeProfile:
@@ -97,7 +89,8 @@ def theta(phi_a: GridFunction) -> GridFunction:
 
 
 class BellEvaluator:
-    """Point evaluator for the bell and the wavelet transform.
+    """The wavelet: point evaluator for the bell and for the transforms of
+    the wavelet's members and their derivatives.
 
     Bundles the two cumulative profiles with the half-width a; carries the
     knot spacing of the underlying sampled cutoff so that oscillatory
@@ -119,18 +112,32 @@ class BellEvaluator:
         out = np.sin(self.prof_a(u - np.pi)) * np.cos(self.prof_2a(u - 2.0 * np.pi))
         return np.where((u <= self.band[0]) | (u >= self.band[1]), 0.0, out)
 
-    def psi_hat_at(self, xi):
+    def psi_hat_at(self, xi, q: int = 0, m: int = 0, n: int = 0):
+        """Transform of the q-th derivative of the member 2^{m/2} psi(2^m x - n):
+
+            xi -> (-i xi)^q 2^{-m/2} e^{i 2^{-m} n xi} psi_hat(2^{-m} xi),
+
+        with psi_hat(u) = e^{i u/2} b(u).  Exact for the band-limited
+        spectrum; |m| > 30 (overflow guard) and q outside [0, 40] are rejected.
+        """
+        if abs(m) > 30:
+            raise DomainError(f"scale |m| > 30 rejected (overflow guard), got {m}")
+        if q < 0 or q > 40:
+            raise DomainError(f"derivative order must be in [0, 40], got {q}")
         xi = np.asarray(xi, dtype=float)
-        return np.exp(0.5j * xi) * self.bell_at(xi)
+        u = 2.0 ** (-m) * xi if m else xi
+        out = np.exp(0.5j * u) * self.bell_at(u)
+        # the factors skipped below are exactly 1, but a complex product with
+        # them can flip the signed zeros off the band that psi_hat.csv records
+        if m or n:
+            out = 2.0 ** (-m / 2.0) * np.exp(1j * n * u) * out
+        if q:
+            out = (-1j * xi) ** q * out
+        return out
 
 
-def bell(
-    a: float,
-    phi_a: GridFunction,
-    phi_2a: GridFunction,
-    freq_spec: GridSpec,
-) -> SpectralFunction:
-    """Evaluate the bell on a frequency grid (real values, even extension).
+def bell(a: float, phi_a: GridFunction, phi_2a: GridFunction) -> BellEvaluator:
+    """The bell (real, even) and wavelet transform evaluator for half-width a.
 
     ``phi_a`` and ``phi_2a`` are the mass-pi/2 cutoffs of half-widths a and
     2a; build the second as the exact dilation of the first so the dyadic
@@ -143,34 +150,7 @@ def bell(
             raise InputError(f"{name} mass deviates from pi/2 by more than 1e-6")
         if gf.support[0] < -width - 1e-12 or gf.support[1] > width + 1e-12:
             raise InputError(f"{name} support exceeds [-{width}, {width}]")
-    ev = BellEvaluator(a, CumulativeProfile(phi_a, HALF_PI), CumulativeProfile(phi_2a, HALF_PI))
-    vals = ev.bell_at(freq_spec.points()).astype(complex)
-    return SpectralFunction(
-        xi0=freq_spec.x0,
-        dxi=freq_spec.dx,
-        values=vals,
-        support=(-2.0 * (np.pi + a), 2.0 * (np.pi + a)),
-        hermitian_real=True,
-        eval_fn=lambda xi: ev.bell_at(xi).astype(complex),
-        source=ev,
-    )
-
-
-def psi_hat(b: SpectralFunction) -> SpectralFunction:
-    """Attach the half-shift phase: psi_hat(xi) = e^{i xi/2} b(xi)."""
-    xi = b.xi()
-    vals = np.exp(0.5j * xi) * b.values
-    ev = b.source
-    fn = ev.psi_hat_at if isinstance(ev, BellEvaluator) else None
-    return SpectralFunction(
-        xi0=b.xi0,
-        dxi=b.dxi,
-        values=vals,
-        support=b.support,
-        hermitian_real=True,
-        eval_fn=fn,
-        source=ev,
-    )
+    return BellEvaluator(a, CumulativeProfile(phi_a, HALF_PI), CumulativeProfile(phi_2a, HALF_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +167,26 @@ class LatticeSynthesis:
     l2_norm: float
 
 
-def _lattice_values(spectrum_at, band: float, L: float, N: int) -> np.ndarray:
+def _lattice_values(ph: BellEvaluator, q: int, L: float, N: int) -> np.ndarray:
     dxi = 2.0 * np.pi / L
-    M = int(np.ceil(band / dxi)) + 2
+    M = int(np.ceil(ph.band[1] / dxi)) + 2
     if 2 * M + 1 >= N:
         raise ResolutionError("lattice too small for the spectral bandwidth")
     j = np.arange(-M, M + 1)
     spec = np.zeros(N, dtype=complex)
-    spec[j % N] = spectrum_at(j * dxi)
+    spec[j % N] = ph.psi_hat_at(j * dxi, q)
     return np.fft.fft(spec) * (dxi / (2.0 * np.pi))
 
 
 def synthesize_psi_lattice(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
     check_periodization: bool = True,
+    q: int = 0,
 ) -> LatticeSynthesis:
-    """Inverse transform onto the lattice {j L / N} via a zero-padded DFT.
+    """Inverse transform of psi^(q) onto the lattice {j L / N} via a
+    zero-padded DFT.
 
     Sampling the spectrum at 2 pi / L computes the L-periodization of the
     wavelet.  The wraparound on the reporting range |x| <= L/4 is certified
@@ -213,33 +195,11 @@ def synthesize_psi_lattice(
     The Hermitian spectrum must synthesize real: the imaginary residue is
     checked against 1e-12.
     """
-    band = max(abs(ph.support[0]), abs(ph.support[1]))
-    if ph.eval_fn is not None:
-        spectrum_at = ph.eval_fn
-    else:
-        # fall back to the sampled grid; the synthesis frequencies must hit it
-        ratio = (2.0 * np.pi / L) / ph.dxi
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise InputError(
-                "synthesis frequencies do not align with the sampled spectrum"
-            )
-        xi_grid = ph.xi()
-        sampled = ph.values
-
-        def spectrum_at(q):
-            q = np.asarray(q, dtype=float)
-            out = np.zeros(len(q), dtype=complex)
-            idx = np.round((q - ph.xi0) / ph.dxi).astype(int)
-            ok = (idx >= 0) & (idx < len(sampled))
-            ok[ok] &= np.abs(xi_grid[idx[ok]] - q[ok]) < 1e-9
-            out[ok] = sampled[idx[ok]]
-            return out
-
     # resolve the bell across its support: at least 2^12 samples
-    if (2.0 * band) / (2.0 * np.pi / L) < 2 ** 12:
+    if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
         raise ResolutionError("frequency sampling too coarse across the band")
 
-    vals = _lattice_values(spectrum_at, band, L, N)
+    vals = _lattice_values(ph, q, L, N)
     imag_max = float(np.max(np.abs(vals.imag)))
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if imag_max > 1e-12 * scale:
@@ -251,7 +211,7 @@ def synthesize_psi_lattice(
 
     per_diff = 0.0
     if check_periodization:
-        dbl = _lattice_values(spectrum_at, band, 2.0 * L, 2 * N)
+        dbl = _lattice_values(ph, q, 2.0 * L, 2 * N)
         x_dbl = np.fft.fftfreq(2 * N, d=0.5 / L)
         keep = np.abs(x_dbl) <= L / 4.0
         idx = np.round(x_dbl[keep] / (L / N)).astype(int) % N
@@ -274,7 +234,7 @@ def synthesize_psi_lattice(
     )
 
 
-def eval_psi_point(ph: SpectralFunction, x: float, nodes_per_panel: int = 8) -> float:
+def eval_psi_point(ph: BellEvaluator, x: float, nodes_per_panel: int = 8) -> float:
     """Direct oscillatory quadrature of one wavelet value,
 
         psi(x) = (1/pi) Int_{band} b(xi) cos((x - 1/2) xi) d xi.
@@ -286,78 +246,17 @@ def eval_psi_point(ph: SpectralFunction, x: float, nodes_per_panel: int = 8) -> 
     """
     if not np.isfinite(x):
         raise DomainError("evaluation point must be finite")
-    ev = ph.source
-    if not isinstance(ev, BellEvaluator):
-        raise InputError("point evaluation requires the bell evaluation context")
     u = x - 0.5
-    lo, hi = ev.band
-    n_panels = int(np.ceil((hi - lo) / ev.knot_h))
+    lo, hi = ph.band
+    n_panels = int(np.ceil((hi - lo) / ph.knot_h))
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     haf = 0.5 * (edges[1:] - edges[:-1])
     xi = (mid[:, None] + haf[:, None] * gl_x[None, :]).ravel()
     wts = (haf[:, None] * gl_w[None, :]).ravel()
-    vals = ev.bell_at(xi).real
+    vals = ph.bell_at(xi).real
     return float(np.sum(vals * np.cos(u * xi) * wts) / np.pi)
-
-
-def wavelet_member_spectrum(ph: SpectralFunction, idx: WaveletIndex) -> SpectralFunction:
-    """Transform of the dilated/translated member 2^{m/2} psi(2^m x - n):
-
-        xi -> 2^{-m/2} e^{i 2^{-m} n xi} psi_hat(2^{-m} xi),
-
-    on the source grid scaled by 2^m (so the base samples are reused
-    exactly).  |m| > 30 is rejected as an overflow guard.
-    """
-    if abs(idx.m) > 30:
-        raise DomainError(f"scale |m| > 30 rejected (overflow guard), got {idx.m}")
-    s = 2.0 ** idx.m
-    u = ph.xi()  # member value at xi = s * u uses the base sample at u
-    vals = 2.0 ** (-idx.m / 2.0) * np.exp(1j * idx.n * u) * ph.values
-    base_fn = ph.eval_fn
-
-    fn = None
-    if base_fn is not None:
-        def fn(xi, _m=idx.m, _n=idx.n, _f=base_fn):
-            xi = np.asarray(xi, dtype=float)
-            us = 2.0 ** (-_m) * xi
-            return 2.0 ** (-_m / 2.0) * np.exp(1j * _n * us) * _f(us)
-
-    return SpectralFunction(
-        xi0=ph.xi0 * s,
-        dxi=ph.dxi * s,
-        values=vals,
-        support=(ph.support[0] * s, ph.support[1] * s),
-        hermitian_real=True,
-        eval_fn=fn,
-        source=ph.source,
-    )
-
-
-def psi_derivative_spectrum(ph: SpectralFunction, q: int) -> SpectralFunction:
-    """Multiply by (-i xi)^q: the transform of the q-th derivative.  Exact
-    for band-limited spectra; q is capped at 40."""
-    if q < 0 or q > 40:
-        raise DomainError(f"derivative order must be in [0, 40], got {q}")
-    xi = ph.xi()
-    vals = (-1j * xi) ** q * ph.values
-    base_fn = ph.eval_fn
-    fn = None
-    if base_fn is not None:
-        def fn(z, _q=q, _f=base_fn):
-            z = np.asarray(z, dtype=float)
-            return (-1j * z) ** _q * _f(z)
-
-    return SpectralFunction(
-        xi0=ph.xi0,
-        dxi=ph.dxi,
-        values=vals,
-        support=ph.support,
-        hermitian_real=ph.hermitian_real,
-        eval_fn=fn,
-        source=ph.source,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +272,8 @@ class WaveletBuild:
     master: MollifierBuild
     phi_a: GridFunction
     phi_2a: GridFunction
-    b: SpectralFunction
-    ph: SpectralFunction
+    freq: GridSpec  # frequency grid of the psi_hat.csv artifact
+    ph: BellEvaluator
     synthesis: LatticeSynthesis
     L: float
     N: int
@@ -392,7 +291,7 @@ def build_wavelet(
     N: int = 2 ** 22,
     check_periodization: bool = True,
 ) -> WaveletBuild:
-    """Build cutoff -> bell -> transform -> lattice synthesis.
+    """Build cutoff -> bell evaluator -> lattice synthesis.
 
     The spectral profile keeps only the widest cascade factors
     (``profile_cutoff``): deeper factors steepen the decay beyond what
@@ -407,9 +306,8 @@ def build_wavelet(
     phi_2a = dilate_normalize(master.phi, 2.0 * a, HALF_PI)
     band = 2.0 * (np.pi + a) + 1.0
     nfreq = 2 ** freq_pow
-    fspec = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
-    b = bell(a, phi_a, phi_2a, fspec)
-    ph = psi_hat(b)
+    freq = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
+    ph = bell(a, phi_a, phi_2a)
     synth = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=check_periodization)
     return WaveletBuild(
         sigma=sigma,
@@ -417,7 +315,7 @@ def build_wavelet(
         master=master,
         phi_a=phi_a,
         phi_2a=phi_2a,
-        b=b,
+        freq=freq,
         ph=ph,
         synthesis=synth,
         L=L,

@@ -139,6 +139,7 @@ def _validate(cfg: RunConfig) -> None:
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
+    _parse_orders(cfg.deriv_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,10 @@ def _build(cfg: RunConfig):
 
 
 def stage_wavelet_artifacts(cfg: RunConfig, wb, out: Path, report: dict) -> list:
-    xi = wb.ph.xi()
+    xi = wb.freq.points()
+    ph = wb.ph.psi_hat_at(xi)
     ph_path = out / "psi_hat.csv"
-    write_csv(
-        ph_path, ["xi", "re", "im"], zip(xi, wb.ph.values.real, wb.ph.values.imag)
-    )
+    write_csv(ph_path, ["xi", "re", "im"], zip(xi, ph.real, ph.imag))
     grid = wb.synthesis.grid
     x = grid.x()
     keep = np.abs(x) <= cfg.psi_xmax
@@ -295,9 +295,9 @@ def stage_wavelet_artifacts(cfg: RunConfig, wb, out: Path, report: dict) -> list
     man = {
         "sigma": wb.sigma,
         "a": wb.a,
-        "freq_grid": {"xi0": wb.ph.xi0, "dxi": wb.ph.dxi, "n": wb.ph.n},
+        "freq_grid": {"xi0": wb.freq.x0, "dxi": wb.freq.dx, "n": wb.freq.n},
         "lattice": {"period": wb.L, "samples": wb.N, "dx": wb.L / wb.N},
-        "support": [wb.ph.support[0], wb.ph.support[1]],
+        "support": [-wb.ph.band[1], wb.ph.band[1]],
         "l2_norm": wb.synthesis.l2_norm,
         "imag_max": wb.synthesis.imag_max,
         "periodization_diff": wb.synthesis.periodization_diff,
@@ -348,9 +348,8 @@ def stage_verify_onw(cfg: RunConfig, wb, out: Path, report: dict) -> list:
 
 def stage_decay_fit(cfg: RunConfig, wb, out: Path, report: dict) -> list:
     xg = np.logspace(math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax), cfg.fit_points)
-    ev = wb.ph.source
     table = decay_envelope(
-        wb.synthesis.grid, xg, floor=cfg.env_floor, evaluator=ev
+        wb.synthesis.grid, xg, floor=cfg.env_floor, evaluator=wb.ph
     )
     fit = fit_decay(table, cfg.sigma, comparators=True, r2_min=cfg.r2_min)
     env_path = out / "envelope.csv"
@@ -485,7 +484,9 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         if "wavelet" in stages:
             current_stage = "build_wavelet"
             wb = timed("build_wavelet", _build, cfg)
-            artifacts.extend(stage_wavelet_artifacts(cfg, wb, out, report))
+            artifacts.extend(
+                timed("wavelet_artifacts", stage_wavelet_artifacts, cfg, wb, out, report)
+            )
         if "verify" in stages:
             current_stage = "verify_onw"
             artifacts.extend(timed("verify_onw", stage_verify_onw, cfg, wb, out, report))
@@ -543,6 +544,24 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string",
+               "bool": "true or false"}
+
+
+def _typed(name: str, val):
+    """``val`` as config field ``name``'s type: an integral float is taken
+    for an int and an int for a float; anything else is an InputError."""
+    kind = _FIELD_TYPES[name]
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind == "int" and number and (isinstance(val, int) or val.is_integer()):
+        return int(val)
+    if kind == "float" and number and abs(val) <= sys.float_info.max:  # finite
+        return val
+    if kind == "str" and isinstance(val, str) or kind == "bool" and isinstance(val, bool):
+        return val
+    raise InputError(f"config field '{name}': expected {_TYPE_NAMES[kind]}; got {val!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -645,7 +664,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = arg_val
     if not values["out_dir"]:
         values["out_dir"] = os.environ.get(ENV_OUT_DIR, "lambertwave-out")
-    return RunConfig(**values)
+    return RunConfig(**{key: _typed(key, val) for key, val in values.items()})
 
 
 def main(argv=None) -> int:

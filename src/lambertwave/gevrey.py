@@ -51,23 +51,6 @@ def log_m(p, params: SequenceParams):
     return float(out) if np.isscalar(p) else out
 
 
-@dataclass
-class LogSequence:
-    """Tabulated log-entries for p = 0..p_max; entry 0 is exactly 0."""
-
-    params: SequenceParams
-    log_values: np.ndarray
-
-    def __post_init__(self):
-        self.log_values = np.asarray(self.log_values, dtype=float)
-        if self.log_values[0] != 0.0:
-            raise InputError("log sequence must start at 0 (unit zeroth entry)")
-
-    @staticmethod
-    def build(params: SequenceParams, p_max: int) -> "LogSequence":
-        return LogSequence(params, log_m(np.arange(p_max + 1), params))
-
-
 @dataclass(frozen=True)
 class SeqAuditReport:
     """Outcome of the sequence property audit."""

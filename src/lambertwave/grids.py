@@ -1,9 +1,8 @@
-"""Sampled-function containers: uniform space grids and frequency grids."""
+"""Sampled-function containers: uniform grids and real samples on them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,43 +76,3 @@ class GridFunction:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass
-class SpectralFunction:
-    """Complex samples of a compactly supported frequency-domain function.
-
-    ``support`` is the closed interval outside which the function vanishes;
-    ``hermitian_real`` marks F(-xi) = conj(F(xi)), i.e. a real time-domain
-    counterpart.  ``eval_fn`` (optional) evaluates the underlying function at
-    arbitrary frequencies; ``source`` (optional) carries the evaluation
-    context it was built from.
-    """
-
-    xi0: float
-    dxi: float
-    values: np.ndarray
-    support: tuple
-    hermitian_real: bool = False
-    eval_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    source: object = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def xi_end(self) -> float:
-        return self.xi0 + self.dxi * (self.n - 1)
-
-    def xi(self) -> np.ndarray:
-        return self.xi0 + self.dxi * np.arange(self.n)
-
-    def at(self, xi: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary frequencies (requires eval_fn)."""
-        if self.eval_fn is None:
-            raise InputError("this spectral function has no point evaluator")
-        return self.eval_fn(np.asarray(xi, dtype=float))

@@ -15,12 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .bell import (
-    BellEvaluator,
-    SpectralFunction,
-    psi_derivative_spectrum,
-    synthesize_psi_lattice,
-)
+from .bell import BellEvaluator, synthesize_psi_lattice
 from .errors import DomainError, InputError, VerificationError
 from .gevrey import comparison_envelopes
 from .grids import GridFunction
@@ -31,42 +26,20 @@ from .lambert import lambert_w0
 # Inner products and the Gram matrix
 # ---------------------------------------------------------------------------
 
-def inner_product(F: SpectralFunction, G: SpectralFunction, n_quad: int = 2 ** 14 + 1) -> complex:
-    """(1/2pi) Int F conj(G) over the support intersection.
-
-    Identical grids integrate directly; otherwise both sides need point
-    evaluators (fresh common grid) or an integer grid refinement
-    relationship.  Disjoint supports return exactly 0.
-    """
-    lo = max(F.support[0], G.support[0])
-    hi = min(F.support[1], G.support[1])
-    if lo >= hi:
-        return 0.0 + 0.0j
-    same_grid = (
-        abs(F.xi0 - G.xi0) < 1e-12 and abs(F.dxi - G.dxi) < 1e-15 and F.n == G.n
-    )
-    if same_grid:
-        integrand = F.values * np.conj(G.values)
-        return complex(np.trapezoid(integrand, dx=F.dxi) / (2.0 * np.pi))
-    if F.eval_fn is not None and G.eval_fn is not None:
-        u = np.linspace(lo, hi, n_quad)
-        integrand = F.at(u) * np.conj(G.at(u))
-        return complex(np.trapezoid(integrand, dx=u[1] - u[0]) / (2.0 * np.pi))
-    ratio = G.dxi / F.dxi
-    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
-        fine, coarse = F, G
-    elif abs(1.0 / ratio - round(1.0 / ratio)) < 1e-9:
-        fine, coarse = G, F
-    else:
-        raise InputError("incommensurate grids and no point evaluators")
-    u = fine.xi()
-    inside = (u >= coarse.xi0 - 1e-12) & (u <= coarse.xi_end + 1e-12)
-    cu = np.interp(u[inside], coarse.xi(), coarse.values.real) + 1j * np.interp(
-        u[inside], coarse.xi(), coarse.values.imag
-    )
-    fv = fine.values[inside]
-    integrand = (fv * np.conj(cu)) if fine is F else (cu * np.conj(fv))
-    return complex(np.trapezoid(integrand, dx=fine.dxi) / (2.0 * np.pi))
+def inner_product(
+    ph: BellEvaluator,
+    idx1: Tuple[int, int],
+    idx2: Tuple[int, int],
+    n_quad: int = 2 ** 14 + 1,
+) -> complex:
+    """(1/2pi) Int F conj(G) for the members F, G of dyadic index (m, n),
+    by the trapezoid rule over the smaller member's support.  Members two or
+    more octaves apart have disjoint bands and give exactly 0."""
+    (m1, n1), (m2, n2) = idx1, idx2
+    hi = ph.band[1] * 2.0 ** min(m1, m2)
+    u = np.linspace(-hi, hi, n_quad)
+    integrand = ph.psi_hat_at(u, m=m1, n=n1) * np.conj(ph.psi_hat_at(u, m=m2, n=n2))
+    return complex(np.trapezoid(integrand, dx=u[1] - u[0]) / (2.0 * np.pi))
 
 
 @dataclass
@@ -80,12 +53,8 @@ class GramReport:
     worst_pair: Tuple
 
 
-def _band_grid(ev: BellEvaluator, lo: float, hi: float, n_quad: int) -> np.ndarray:
-    return np.linspace(lo, hi, n_quad)
-
-
 def gram_matrix(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     m_range: Tuple[int, int] = (-2, 2),
     n_range: Tuple[int, int] = (-8, 8),
     tol: float = 1e-7,
@@ -99,16 +68,13 @@ def gram_matrix(
     under the scale-free substitution), so each distinct value is computed
     once.  Breaching ``tol`` raises VerificationError naming the worst pair.
     """
-    ev = ph.source
-    if not isinstance(ev, BellEvaluator):
-        raise InputError("gram_matrix requires the bell evaluation context")
-    a = ev.a
+    a = ph.a
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
 
     # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du, d = n1 - n2
-    band = _band_grid(ev, np.pi - a, 2.0 * (np.pi + a), n_quad)
-    b2 = ev.bell_at(band) ** 2
+    band = np.linspace(np.pi - a, 2.0 * (np.pi + a), n_quad)
+    b2 = ph.bell_at(band) ** 2
     du = band[1] - band[0]
     same: Dict[int, complex] = {}
     for d in range(0, n_hi - n_lo + 1):
@@ -118,8 +84,8 @@ def gram_matrix(
 
     # adjacent scales: (2^{-1/2}/pi) Re Int_+ b(u) b(u/2) e^{i(mu + 1/4)u} du,
     # mu = n1 - n2/2; u runs over the upper band where both bells live
-    band2 = _band_grid(ev, 2.0 * (np.pi - a), 2.0 * (np.pi + a), n_quad)
-    bb = ev.bell_at(band2) * ev.bell_at(band2 / 2.0)
+    band2 = np.linspace(2.0 * (np.pi - a), 2.0 * (np.pi + a), n_quad)
+    bb = ph.bell_at(band2) * ph.bell_at(band2 / 2.0)
     du2 = band2[1] - band2[0]
     adj: Dict[int, complex] = {}
     for key in range(2 * n_lo - n_hi, 2 * n_hi - n_lo + 1):  # key = 2 n1 - n2
@@ -181,17 +147,14 @@ class DyadicReport:
 
 
 def dyadic_sum_check(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     xi_grid: Optional[np.ndarray] = None,
     m_window: int = 6,
     tol: float = 1e-9,
 ) -> DyadicReport:
     """s(xi) = sum_{|m| <= window} |psi_hat(2^m xi)|^2 must equal 1 on the
     covered dyadic range (xi = 0 is excluded: the sum vanishes there)."""
-    ev = ph.source
-    if not isinstance(ev, BellEvaluator):
-        raise InputError("dyadic check requires the bell evaluation context")
-    a = ev.a
+    a = ph.a
     if xi_grid is None:
         base = np.linspace(np.pi - a + 1e-3, 2.0 * (np.pi + a) - 1e-3, 601)
         xi_grid = np.concatenate([base * 2.0 ** j for j in range(-5, 6)])
@@ -200,7 +163,7 @@ def dyadic_sum_check(
         raise InputError("dyadic grid must avoid xi = 0")
     s = np.zeros_like(xi_grid)
     for m in range(-m_window, m_window + 1):
-        s += ev.bell_at(2.0 ** m * xi_grid) ** 2
+        s += ph.bell_at(2.0 ** m * xi_grid) ** 2
     max_dev = float(np.max(np.abs(s - 1.0)))
     if max_dev > tol:
         i = int(np.argmax(np.abs(s - 1.0)))
@@ -234,7 +197,7 @@ class CompletenessReport:
 
 
 def completeness_check(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     f_hat: Optional[Callable] = None,
     m_window: Tuple[int, int] = (-4, 4),
     stop_tol: float = 1e-5,
@@ -249,12 +212,9 @@ def completeness_check(
     "inconclusive" status rather than a failure.  A converged ratio outside
     the target band raises VerificationError.
     """
-    ev = ph.source
-    if not isinstance(ev, BellEvaluator):
-        raise InputError("completeness check requires the bell evaluation context")
     if f_hat is None:
         f_hat = gaussian_spectrum()
-    a = ev.a
+    a = ph.a
     band_hi = getattr(f_hat, "band", (0.0, 12.0))[1]
     ug = np.linspace(-band_hi - 1.0, band_hi + 1.0, 2 ** 16 + 1)
     f_energy = float(
@@ -263,8 +223,8 @@ def completeness_check(
 
     u_pos = np.linspace(np.pi - a, 2.0 * (np.pi + a), n_quad)
     du = u_pos[1] - u_pos[0]
-    psihat_pos = ev.psi_hat_at(u_pos)
-    psihat_neg = ev.psi_hat_at(-u_pos)
+    psihat_pos = ph.psi_hat_at(u_pos)
+    psihat_neg = ph.psi_hat_at(-u_pos)
 
     total = 0.0
     n_used: Dict[int, int] = {}
@@ -503,7 +463,7 @@ class DerivativeDecayRow:
 
 
 def derivative_decay_check(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     n: int,
     x_grid: np.ndarray,
     L: float,
@@ -520,8 +480,7 @@ def derivative_decay_check(
     matches the synthesis accuracy.
     """
     if lattice is None:
-        dph = psi_derivative_spectrum(ph, n)
-        lattice = synthesize_psi_lattice(dph, L=L, N=N, check_periodization=False).grid
+        lattice = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False, q=n).grid
     sup = lattice.sup()
     table = decay_envelope(
         lattice, x_grid, window=window, floor=floor * max(1.0, sup)
@@ -596,7 +555,7 @@ class MixedBoundReport:
 
 
 def mixed_bound_audit(
-    ph: SpectralFunction,
+    ph: BellEvaluator,
     k_max: int,
     q_max: int,
     s: float,
@@ -625,8 +584,7 @@ def mixed_bound_audit(
         if lattice_cache is not None and q in lattice_cache:
             grid = lattice_cache[q]
         else:
-            dph = psi_derivative_spectrum(ph, q)
-            grid = synthesize_psi_lattice(dph, L=L, N=N, check_periodization=False).grid
+            grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False, q=q).grid
             if lattice_cache is not None:
                 lattice_cache[q] = grid
         absv = np.abs(grid.values)

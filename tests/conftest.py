@@ -8,7 +8,6 @@ from lambertwave import (
     GridSpec,
     build_mollifier,
     build_wavelet,
-    psi_derivative_spectrum,
     synthesize_psi_lattice,
 )
 
@@ -16,7 +15,7 @@ from lambertwave import (
 @pytest.fixture(scope="session")
 def wavelet():
     """Default pipeline wavelet: sigma=2, a=pi/6, single-factor cone profile,
-    full 2^21-sample synthesis."""
+    full 2^22-sample synthesis."""
     return build_wavelet()
 
 
@@ -37,8 +36,7 @@ def lattice_cache(wavelet):
     audits (order 0 is the base synthesis)."""
     cache = {0: wavelet.synthesis.grid}
     for q in range(1, 9):
-        dph = psi_derivative_spectrum(wavelet.ph, q)
         cache[q] = synthesize_psi_lattice(
-            dph, L=wavelet.L, N=wavelet.N, check_periodization=False
+            wavelet.ph, L=wavelet.L, N=wavelet.N, check_periodization=False, q=q
         ).grid
     return cache

@@ -112,18 +112,18 @@ def test_criterion_3_mollifier_certificates():
 
 
 def test_criterion_4_bell_structure(wavelet):
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     flat = np.linspace(math.pi + A, 2.0 * (math.pi - A), 2001)
-    assert np.all(ev.bell_at(flat) == 1.0)
+    assert np.all(ph.bell_at(flat) == 1.0)
     outside = np.concatenate(
         [np.linspace(0, math.pi - A, 500),
          np.linspace(2 * (math.pi + A), 30.0, 500)]
     )
-    assert np.all(ev.bell_at(outside) == 0.0)
+    assert np.all(ph.bell_at(outside) == 0.0)
 
     rng = np.random.RandomState(7)
     xs = rng.uniform(-A, A, 500)
-    compl = np.max(np.abs(ev.prof_a(xs) + ev.prof_a(-xs) - math.pi / 2.0))
+    compl = np.max(np.abs(ph.prof_a(xs) + ph.prof_a(-xs) - math.pi / 2.0))
     assert compl <= 1e-9
 
     syn = wavelet.synthesis
@@ -173,9 +173,8 @@ def test_criterion_6_completeness(wavelet):
 
 
 def test_criterion_7_decay_law(wavelet, fit_grid):
-    ev = wavelet.ph.source
     table = decay_envelope(wavelet.synthesis.grid, fit_grid,
-                           floor=1e-15, evaluator=ev)
+                           floor=1e-15, evaluator=wavelet.ph)
     fit = fit_decay(table, wavelet.sigma, r2_min=0.9)
     assert fit.h_fit > 0
     assert fit.r_squared >= 0.9
@@ -187,9 +186,8 @@ def test_criterion_7_decay_law(wavelet, fit_grid):
 
 
 def test_criterion_8_derivative_decay(wavelet, fit_grid, lattice_cache):
-    ev = wavelet.ph.source
     window = decay_envelope(
-        wavelet.synthesis.grid, fit_grid, evaluator=ev
+        wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph
     ).window
     rows = []
     for n in (0, 1, 2, 4, 8):

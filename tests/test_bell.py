@@ -7,17 +7,14 @@ import pytest
 
 from lambertwave import (
     DomainError,
-    GridSpec,
     InputError,
-    WaveletIndex,
+    ResolutionError,
     bell,
     dilate_normalize,
     eval_psi_point,
     inner_product,
-    psi_derivative_spectrum,
     synthesize_psi_lattice,
     theta,
-    wavelet_member_spectrum,
 )
 
 A = math.pi / 6.0
@@ -42,10 +39,10 @@ def test_theta_clamps_and_center(profiles):
 
 
 def test_theta_complementarity(wavelet):
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     rng = np.random.RandomState(0)
     xs = rng.uniform(-A, A, 100)
-    vals = ev.prof_a(xs) + ev.prof_a(-xs)
+    vals = ph.prof_a(xs) + ph.prof_a(-xs)
     assert np.max(np.abs(vals - HALF_PI)) <= 1e-9
 
 
@@ -57,59 +54,59 @@ def test_theta_mass_guard(profiles):
 
 
 def test_bell_flat_region_exact(wavelet):
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     xi = np.linspace(math.pi + A, 2.0 * (math.pi - A), 1001)
-    assert np.all(ev.bell_at(xi) == 1.0)
-    assert np.all(ev.bell_at(-xi) == 1.0)
+    assert np.all(ph.bell_at(xi) == 1.0)
+    assert np.all(ph.bell_at(-xi) == 1.0)
 
 
 def test_bell_zero_outside(wavelet):
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     xi = np.concatenate(
         [
             np.linspace(0.0, math.pi - A, 300),
             np.linspace(2.0 * (math.pi + A), 20.0, 300),
         ]
     )
-    assert np.all(ev.bell_at(xi) == 0.0)
-    assert np.all(ev.bell_at(-xi) == 0.0)
+    assert np.all(ph.bell_at(xi) == 0.0)
+    assert np.all(ph.bell_at(-xi) == 0.0)
 
 
 def test_bell_range_and_midpoint(wavelet):
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     xi = np.linspace(-10.0, 10.0, 4001)
-    vals = ev.bell_at(xi)
+    vals = ph.bell_at(xi)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert ev.bell_at(np.array([math.pi]))[0] == pytest.approx(
+    assert ph.bell_at(np.array([math.pi]))[0] == pytest.approx(
         math.sqrt(2.0) / 2.0, abs=1e-9
     )
 
 
 def test_bell_partition_identity(wavelet):
     # sin^2 + cos^2 of the same profile value: exact to one ulp
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     xs = np.linspace(-A, A, 501)
-    t = ev.prof_a(xs)
+    t = ph.prof_a(xs)
     assert np.max(np.abs(np.sin(t) ** 2 + np.cos(t) ** 2 - 1.0)) <= 4e-16
 
 
 def test_bell_domain_errors(wavelet):
-    fspec = GridSpec.symmetric(9.0, 12)
     with pytest.raises(DomainError):
-        bell(1.2, wavelet.phi_a, wavelet.phi_2a, fspec)
+        bell(1.2, wavelet.phi_a, wavelet.phi_2a)
     with pytest.raises(DomainError):
-        bell(0.0, wavelet.phi_a, wavelet.phi_2a, fspec)
+        bell(0.0, wavelet.phi_a, wavelet.phi_2a)
     too_wide = dilate_normalize(wavelet.master.phi, 5.0 * A, HALF_PI)
     with pytest.raises(InputError):
-        bell(A, too_wide, wavelet.phi_2a, fspec)  # support exceeds [-a, a]
+        bell(A, too_wide, wavelet.phi_2a)  # support exceeds [-a, a]
 
 
 def test_psi_hat_modulus_and_zero(wavelet):
-    b_abs = np.abs(wavelet.b.values)
-    assert np.max(np.abs(np.abs(wavelet.ph.values) - b_abs)) <= 1e-15
-    assert wavelet.ph.at(np.array([0.0]))[0] == 0.0
+    xi = wavelet.freq.points()
+    b_abs = np.abs(wavelet.ph.bell_at(xi))
+    assert np.max(np.abs(np.abs(wavelet.ph.psi_hat_at(xi)) - b_abs)) <= 1e-15
+    assert wavelet.ph.psi_hat_at(np.array([0.0]))[0] == 0.0
     # phase at pi: e^{i pi/2} b(pi) = i b(pi)
-    val = wavelet.ph.at(np.array([math.pi]))[0]
+    val = wavelet.ph.psi_hat_at(np.array([math.pi]))[0]
     assert val.real == pytest.approx(0.0, abs=1e-12)
     assert val.imag == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-9)
 
@@ -160,49 +157,53 @@ def test_point_eval_symmetry_and_errors(wavelet):
 
 
 def test_member_spectrum_identity_and_support(wavelet):
-    m00 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 0))
-    assert np.array_equal(m00.values, wavelet.ph.values)
-    m23 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(2, 3))
-    lo, hi = m23.support
-    assert hi == pytest.approx(4.0 * 2.0 * (math.pi + A), rel=1e-15)
-    # nonzero samples only inside the dyadic band
-    xi = m23.xi()
-    band = (np.abs(xi) >= 4.0 * (math.pi - A)) & (np.abs(xi) <= 8.0 * (math.pi + A))
-    assert np.all(m23.values[~band] == 0.0)
+    ph = wavelet.ph
+    xi = wavelet.freq.points()
+    assert np.array_equal(ph.psi_hat_at(xi, m=0, n=0), ph.psi_hat_at(xi))
+    # member (2, 3) on the base grid scaled by 4 is 2^{-1} e^{3 i xi} psi_hat(xi)
+    # (the scaling by 4 is exact), nonzero only inside the dyadic band
+    m23 = ph.psi_hat_at(4.0 * xi, m=2, n=3)
+    assert np.array_equal(m23, 0.5 * np.exp(3j * xi) * ph.psi_hat_at(xi))
+    ax = 4.0 * np.abs(xi)
+    band = (ax > 4.0 * (math.pi - A)) & (ax < 8.0 * (math.pi + A))
+    assert np.all(m23[~band] == 0.0)
+    assert np.all(m23[band & (np.abs(xi) >= math.pi)] != 0.0)
     with pytest.raises(DomainError):
-        wavelet_member_spectrum(wavelet.ph, WaveletIndex(31, 0))
+        ph.psi_hat_at(xi, m=31)
 
 
 def test_member_norm_preserved(wavelet):
-    m13 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(1, 3))
-    val = inner_product(m13, m13)
+    val = inner_product(wavelet.ph, (1, 3), (1, 3))
     assert abs(val - 1.0) <= 1e-8
 
 
 def test_derivative_spectrum(wavelet):
-    d0 = psi_derivative_spectrum(wavelet.ph, 0)
-    assert np.array_equal(d0.values, wavelet.ph.values)
-    d1 = psi_derivative_spectrum(wavelet.ph, 1)
-    at_pi = d1.at(np.array([math.pi]))[0]
-    expect = -1j * math.pi * wavelet.ph.at(np.array([math.pi]))[0]
+    ph = wavelet.ph
+    xi = wavelet.freq.points()
+    assert np.array_equal(ph.psi_hat_at(xi, q=0), ph.psi_hat_at(xi))
+    at_pi = ph.psi_hat_at(np.array([math.pi]), q=1)[0]
+    expect = -1j * math.pi * ph.psi_hat_at(np.array([math.pi]))[0]
     assert abs(at_pi - expect) <= 1e-12
     with pytest.raises(DomainError):
-        psi_derivative_spectrum(wavelet.ph, 41)
+        ph.psi_hat_at(xi, q=41)
+    with pytest.raises(DomainError):
+        ph.psi_hat_at(xi, q=-1)
 
 
 def test_derivative_sup_bandwidth_bound(wavelet, lattice_cache):
     # sup |psi^(q)| <= max|xi|^q * (1/2pi) Int b  (band-limited growth)
     band = 2.0 * (math.pi + A)
-    xi = wavelet.b.xi()
-    b_l1 = np.trapezoid(np.abs(wavelet.b.values), dx=wavelet.b.dxi).real
+    b = wavelet.ph.bell_at(wavelet.freq.points())
+    b_l1 = np.trapezoid(np.abs(b), dx=wavelet.freq.dx)
     cap = b_l1 / (2.0 * math.pi)
     for q in (1, 2, 4, 8):
         sup = lattice_cache[q].sup()
         assert sup <= band ** q * cap * 1.0001
 
 
-def test_synthesis_alignment_guard(wavelet):
-    with pytest.raises(Exception):
+def test_synthesis_coarse_sampling_guard(wavelet):
+    # 2 pi / 100 frequency spacing leaves ~230 samples across the band
+    with pytest.raises(ResolutionError, match="too coarse"):
         synthesize_psi_lattice(wavelet.ph, L=100.0, N=2 ** 10)
 
 
@@ -219,9 +220,9 @@ def test_psi_at_half_fixture(wavelet):
     # lattice peak sits exactly there
     val = eval_psi_point(wavelet.ph, 0.5)
     assert val == pytest.approx(1.0238174991247, abs=1e-9)
-    ev = wavelet.ph.source
+    ph = wavelet.ph
     u = np.linspace(math.pi - A, 2 * (math.pi + A), 2 ** 20 + 1)
-    oracle = np.trapezoid(ev.bell_at(u), dx=u[1] - u[0]) / math.pi
+    oracle = np.trapezoid(ph.bell_at(u), dx=u[1] - u[0]) / math.pi
     assert val == pytest.approx(oracle, abs=1e-9)
     grid = wavelet.synthesis.grid
     assert grid.x()[int(np.argmax(np.abs(grid.values)))] == 0.5

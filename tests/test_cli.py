@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lambertwave.cli import main
 
@@ -87,6 +88,8 @@ def test_build_wavelet(tmp_path):
     assert header == ["x", "psi"]
     xs = [float(r[0]) for r in rows]
     assert max(abs(x) for x in xs) <= 64.0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert "wavelet_artifacts" in timings
 
 
 def test_verify_onw(tmp_path):
@@ -155,6 +158,24 @@ def test_bad_config_file_exits_2(tmp_path):
     cfg.write_text('{"no_such_key": 1}')
     rc = main(["lambert-table", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_pow", "17"),        # string for an int
+    ("points", 7.5),           # non-integral float for an int
+    ("sigma", True),           # bool for a float
+    ("sigma", float("inf")),   # non-finite float
+    ("deriv_orders", 5),       # number for a string
+    ("deriv_orders", "1,x"),   # unparsable order list
+])
+def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    rc = main(["decay-fit", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (out / "psi.csv").exists()
 
 
 def test_config_precedence(tmp_path):

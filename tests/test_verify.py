@@ -10,8 +10,8 @@ from lambertwave import (
     DomainError,
     InputError,
     VerificationError,
-    WaveletIndex,
     completeness_check,
+    comparison_envelopes,
     decay_envelope,
     derivative_decay_check,
     dyadic_sum_check,
@@ -21,35 +21,28 @@ from lambertwave import (
     inner_product,
     intercept_growth_fit,
     mixed_bound_audit,
-    wavelet_member_spectrum,
 )
 
 A = math.pi / 6.0
 
 
 def test_self_inner_product(wavelet):
-    val = inner_product(wavelet.ph, wavelet.ph)
+    val = inner_product(wavelet.ph, (0, 0), (0, 0))
     assert abs(val - 1.0) <= 1e-8
     assert abs(val.imag) <= 1e-12
 
 
 def test_disjoint_scales_exactly_zero(wavelet):
-    m0 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 2))
-    m3 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(3, -5))
-    assert inner_product(m0, m3) == 0.0
+    assert inner_product(wavelet.ph, (0, 2), (3, -5)) == 0.0
 
 
 def test_translate_orthogonality(wavelet):
-    m0 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 0))
-    m1 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 1))
-    assert abs(inner_product(m0, m1)) <= 1e-8
+    assert abs(inner_product(wavelet.ph, (0, 0), (0, 1))) <= 1e-8
 
 
 def test_inner_product_refinement_stability(wavelet):
-    m0 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 3))
-    m1 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(1, -2))
-    coarse = inner_product(m0, m1, n_quad=2 ** 14 + 1)
-    fine = inner_product(m0, m1, n_quad=2 ** 15 + 1)
+    coarse = inner_product(wavelet.ph, (0, 3), (1, -2), n_quad=2 ** 14 + 1)
+    fine = inner_product(wavelet.ph, (0, 3), (1, -2), n_quad=2 ** 15 + 1)
     assert abs(coarse - fine) <= 1e-9
 
 
@@ -92,10 +85,8 @@ def test_dyadic_rejects_zero(wavelet):
 
 
 def test_completeness_on_psi_itself(wavelet):
-    ev = wavelet.ph.source
-
     def fhat(xi):
-        return ev.psi_hat_at(xi)
+        return wavelet.ph.psi_hat_at(xi)
 
     fhat.band = (0.0, 2.0 * (math.pi + A))
     rep = completeness_check(wavelet.ph, f_hat=fhat)
@@ -104,10 +95,8 @@ def test_completeness_on_psi_itself(wavelet):
 
 
 def test_completeness_on_member(wavelet):
-    member = wavelet_member_spectrum(wavelet.ph, WaveletIndex(1, 5))
-
     def fhat(xi):
-        return member.at(xi)
+        return wavelet.ph.psi_hat_at(xi, m=1, n=5)
 
     fhat.band = (0.0, 4.0 * (math.pi + A))
     rep = completeness_check(wavelet.ph, f_hat=fhat)
@@ -123,9 +112,8 @@ def test_completeness_gaussian(wavelet):
 
 def test_envelope_shape(wavelet):
     grid = wavelet.synthesis.grid
-    ev = wavelet.ph.source
     xg = np.logspace(np.log10(50.0), 4.0, 60)
-    table = decay_envelope(grid, xg, evaluator=ev)
+    table = decay_envelope(grid, xg, evaluator=wavelet.ph)
     assert np.all(table.env[table.usable] <= grid.sup())
     assert np.all(np.diff(table.env) <= 0.0)  # nonincreasing on [50, 1e4]
     assert table.dropped == 0
@@ -133,16 +121,14 @@ def test_envelope_shape(wavelet):
 
 def test_envelope_floor_flagging(wavelet):
     grid = wavelet.synthesis.grid
-    ev = wavelet.ph.source
     xg = np.logspace(2.0, np.log10(3e4), 20)
-    table = decay_envelope(grid, xg, floor=1e-6, evaluator=ev)
+    table = decay_envelope(grid, xg, floor=1e-6, evaluator=wavelet.ph)
     assert table.dropped > 0
     assert np.sum(table.usable) + table.dropped == len(xg)
 
 
 def test_fit_decay_gates_and_shapes(wavelet, fit_grid):
-    ev = wavelet.ph.source
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=ev)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph)
     fit = fit_decay(table, wavelet.sigma)
     assert fit.h_fit > 0
     assert fit.r_squared >= 0.9
@@ -152,25 +138,23 @@ def test_fit_decay_gates_and_shapes(wavelet, fit_grid):
     assert np.isfinite(fit.crossovers["gevrey2"])
     assert fit.comparator_table is not None
     assert fit.comparator_columns[0] == "x"
-    # regressor anchor: T_2(e^e) = e^2
-    lk = math.e
-    assert lk ** 2 / 1.0 == pytest.approx(math.e ** 2)
+    # regressor anchor: T_2(e^e) = log^2(e^e) / W(e) = e^2, as W(e) = 1
+    anchor = comparison_envelopes(np.array([math.e ** math.e]), 2.0)["lambert"]
+    assert anchor[0] == pytest.approx(math.e ** 2)
 
 
 def test_fit_decay_input_gates(wavelet, fit_grid):
-    ev = wavelet.ph.source
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid[:10], evaluator=ev)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid[:10], evaluator=wavelet.ph)
     with pytest.raises(InputError):
         fit_decay(table, wavelet.sigma)
     narrow = np.logspace(2, 2.5, 40)
-    table2 = decay_envelope(wavelet.synthesis.grid, narrow, evaluator=ev)
+    table2 = decay_envelope(wavelet.synthesis.grid, narrow, evaluator=wavelet.ph)
     with pytest.raises(InputError):
         fit_decay(table2, wavelet.sigma)
 
 
 def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
-    ev = wavelet.ph.source
-    window = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=ev).window
+    window = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph).window
     rows = []
     for n in (0, 1, 2, 4, 8):
         rows.append(
@@ -223,8 +207,7 @@ def test_large_x_below_fitted_envelope(wavelet, fit_grid):
     # the fitted decay model (with an order-of-magnitude allowance)
     from lambertwave import eval_psi_point, lambert_w0
 
-    ev = wavelet.ph.source
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=ev)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph)
     fit = fit_decay(table, wavelet.sigma)
     for x in (4.0e4, 5.5e4):
         t = math.log(x) ** 2 / lambert_w0(math.log(x))
@@ -238,6 +221,5 @@ def test_completeness_inconclusive_on_tiny_cap(wavelet):
 
 
 def test_inner_product_hermitian_swap(wavelet):
-    m0 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(0, 3))
-    m1 = wavelet_member_spectrum(wavelet.ph, WaveletIndex(1, -2))
-    assert inner_product(m1, m0) == np.conj(inner_product(m0, m1))
+    swapped = inner_product(wavelet.ph, (1, -2), (0, 3))
+    assert swapped == np.conj(inner_product(wavelet.ph, (0, 3), (1, -2)))
