@@ -234,13 +234,13 @@ def synthesize_psi_lattice(
     )
 
 
-def eval_psi_point(ph: BellEvaluator, x: float, nodes_per_panel: int = 8) -> float:
+def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     """Direct oscillatory quadrature of one wavelet value,
 
         psi(x) = (1/pi) Int_{band} b(xi) cos((x - 1/2) xi) d xi.
 
     Panels align with the knots of the sampled bell profile, where its
-    piecewise polynomial changes; Gauss-Legendre nodes per panel then give
+    piecewise polynomial changes; 8 Gauss-Legendre nodes per panel then give
     well over the minimum 8 nodes per oscillation period for |x| up to the
     synthesis range.
     """
@@ -249,7 +249,7 @@ def eval_psi_point(ph: BellEvaluator, x: float, nodes_per_panel: int = 8) -> flo
     u = x - 0.5
     lo, hi = ph.band
     n_panels = int(np.ceil((hi - lo) / ph.knot_h))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     haf = 0.5 * (edges[1:] - edges[:-1])
@@ -265,7 +265,8 @@ def eval_psi_point(ph: BellEvaluator, x: float, nodes_per_panel: int = 8) -> flo
 
 @dataclass
 class WaveletBuild:
-    """Everything the verification stages need, built in one shot."""
+    """Everything the verification stages need, built in one shot; the
+    owner of the wavelet's derivative lattices (``lattice``)."""
 
     sigma: float
     a: float
@@ -278,6 +279,16 @@ class WaveletBuild:
     L: float
     N: int
 
+    def lattice(self, q: int = 0) -> GridFunction:
+        """Samples of psi^(q) on the synthesis lattice {j L / N}: the
+        certified synthesis at q = 0, and above it a fresh synthesis with
+        no periodization check."""
+        if q == 0:
+            return self.synthesis.grid
+        return synthesize_psi_lattice(
+            self.ph, L=self.L, N=self.N, check_periodization=False, q=q
+        ).grid
+
 
 def build_wavelet(
     sigma: float = 2.0,
@@ -289,7 +300,6 @@ def build_wavelet(
     base_width: float = 1.0,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
-    check_periodization: bool = True,
 ) -> WaveletBuild:
     """Build cutoff -> bell evaluator -> lattice synthesis.
 
@@ -308,7 +318,7 @@ def build_wavelet(
     nfreq = 2 ** freq_pow
     freq = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
     ph = bell(a, phi_a, phi_2a)
-    synth = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=check_periodization)
+    synth = synthesize_psi_lattice(ph, L=L, N=N)
     return WaveletBuild(
         sigma=sigma,
         a=a,

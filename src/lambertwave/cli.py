@@ -1,9 +1,12 @@
 """Pipeline orchestration and artifact emission.
 
-Single binary with subcommands; configuration precedence is CLI flags over
-a JSON config file over built-in defaults.  Artifacts are CSV (17
-significant digits, LF line endings, header row) plus a JSON manifest with
-the complete resolved configuration, checksums, and timings.  Exit codes:
+Single binary with subcommands.  The ``STAGES`` and ``COMMANDS`` tables
+declare every stage and subcommand once: a subcommand runs its stages in
+order, and its flags are named and typed by the ``RunConfig`` fields they
+set.  Configuration precedence is CLI flags over a JSON config file over
+built-in defaults.  Artifacts are CSV (17 significant digits, LF line
+endings, header row) plus a JSON manifest with the complete resolved
+configuration, checksums, and timings.  Exit codes:
 0 success, 1 verification failure, 2 usage/config error, 3 numeric or
 resolution error.
 """
@@ -18,14 +21,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .bell import build_wavelet
+from .bell import WaveletBuild, build_wavelet
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -118,6 +122,10 @@ def _validate(cfg: RunConfig) -> None:
         ("profile_cutoff", cfg.profile_cutoff > 0, "must be positive"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
         ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
+        ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
+        ("gram_m", cfg.gram_m >= 0, "must be nonnegative"),
+        ("gram_n", cfg.gram_n >= 0, "must be nonnegative"),
+        ("dyadic_window", cfg.dyadic_window >= 1, "must be at least 1"),
         ("r2_min", 0.0 < cfg.r2_min <= 1.0, "must lie in (0, 1]"),
         ("env_floor", cfg.env_floor > 0, "must be positive"),
         ("audit_n_max", 0 <= cfg.audit_n_max <= 12, "must lie in [0, 12]"),
@@ -183,7 +191,21 @@ def _json_default(o):
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_lambert_table(cfg: RunConfig, out: Path) -> Path:
+@dataclass
+class Run:
+    """What the stages of one run share.  Each stage reads ``cfg``, writes
+    its artifacts under ``out`` and its assertions into ``report``, and
+    returns the artifact paths; the wavelet build is left in ``wb`` for the
+    stages after it."""
+
+    cfg: RunConfig
+    out: Path
+    report: dict = field(default_factory=dict)
+    wb: Optional[WaveletBuild] = None
+
+
+def stage_lambert_table(run: Run) -> list:
+    cfg = run.cfg
     if cfg.log:
         if cfg.xmin <= 0:
             raise InputError("config field 'xmin': log spacing needs xmin > 0")
@@ -199,28 +221,30 @@ def stage_lambert_table(cfg: RunConfig, out: Path) -> Path:
         rep = w_bounds_check(xs[mask])
         lo[mask] = rep.lower
         hi[mask] = rep.upper
-    path = out / "lambert_table.csv"
+    path = run.out / "lambert_table.csv"
     write_csv(
         path,
         ["x", "w", "residual", "lower_bound", "upper_bound"],
         zip(xs, w, resid, lo, hi),
     )
-    return path
+    return [path]
 
 
-def stage_assoc_func(cfg: RunConfig, out: Path) -> Path:
+def stage_assoc_func(run: Run) -> list:
+    cfg = run.cfg
     params = SequenceParams(cfg.tau, cfg.sigma)
     ks = np.logspace(math.log10(cfg.kmin), math.log10(cfg.kmax), cfg.kpoints)
     rows = []
     for k in ks:
         rep = assoc_t_exact(float(k), params)
         rows.append((rep.k, rep.t_exact, rep.argmax_p, rep.t_asym, rep.ratio))
-    path = out / "assoc_func.csv"
+    path = run.out / "assoc_func.csv"
     write_csv(path, ["k", "t_exact", "argmax_p", "t_asym", "ratio"], rows)
-    return path
+    return [path]
 
 
-def stage_build_mollifier(cfg: RunConfig, out: Path, report: dict) -> list:
+def stage_build_mollifier(run: Run) -> list:
+    cfg, out = run.cfg, run.out
     spec = GridSpec.symmetric(1.5, cfg.grid_pow)
     cutoff = cfg.moll_cutoff if cfg.moll_cutoff > 0 else spec.dx
     build = build_mollifier(
@@ -258,7 +282,7 @@ def stage_build_mollifier(cfg: RunConfig, out: Path, report: dict) -> list:
     }
     prov_path = out / (Path(cfg.moll_out).stem + ".provenance.json")
     write_json(prov_path, prov)
-    report["mollifier"] = {
+    run.report["mollifier"] = {
         "mass": build.phi.integral(),
         "evenness": build.evenness,
         "trunc_index": build.trunc_index,
@@ -268,8 +292,9 @@ def stage_build_mollifier(cfg: RunConfig, out: Path, report: dict) -> list:
     return [phi_path, prov_path]
 
 
-def _build(cfg: RunConfig):
-    return build_wavelet(
+def stage_build_wavelet(run: Run) -> list:
+    cfg = run.cfg
+    run.wb = build_wavelet(
         sigma=cfg.sigma,
         a=cfg.a,
         grid_pow=cfg.grid_pow,
@@ -280,9 +305,11 @@ def _build(cfg: RunConfig):
         L=cfg.period,
         N=cfg.samples,
     )
+    return []
 
 
-def stage_wavelet_artifacts(cfg: RunConfig, wb, out: Path, report: dict) -> list:
+def stage_wavelet_artifacts(run: Run) -> list:
+    cfg, wb, out = run.cfg, run.wb, run.out
     xi = wb.freq.points()
     ph = wb.ph.psi_hat_at(xi)
     ph_path = out / "psi_hat.csv"
@@ -307,7 +334,7 @@ def stage_wavelet_artifacts(cfg: RunConfig, wb, out: Path, report: dict) -> list
     }
     man_path = out / "wavelet_manifest.json"
     write_json(man_path, man)
-    report["wavelet"] = {
+    run.report["wavelet"] = {
         "l2_norm": wb.synthesis.l2_norm,
         "imag_max": wb.synthesis.imag_max,
         "periodization_diff": wb.synthesis.periodization_diff,
@@ -315,7 +342,8 @@ def stage_wavelet_artifacts(cfg: RunConfig, wb, out: Path, report: dict) -> list
     return [ph_path, psi_path, man_path]
 
 
-def stage_verify_onw(cfg: RunConfig, wb, out: Path, report: dict) -> list:
+def stage_verify_onw(run: Run) -> list:
+    cfg, wb, out = run.cfg, run.wb, run.out
     gram = gram_matrix(
         wb.ph,
         m_range=(-cfg.gram_m, cfg.gram_m),
@@ -335,7 +363,7 @@ def stage_verify_onw(cfg: RunConfig, wb, out: Path, report: dict) -> list:
     dy_path = out / "dyadic.csv"
     write_csv(dy_path, ["xi", "s"], zip(dy.xi, dy.s))
     comp = completeness_check(wb.ph, target_tol=cfg.completeness_tol)
-    report["verify_onw"] = {
+    run.report["verify_onw"] = {
         "max_offdiag": gram.max_offdiag,
         "max_diag_dev": gram.max_diag_dev,
         "dyadic_max_dev": dy.max_dev,
@@ -346,29 +374,24 @@ def stage_verify_onw(cfg: RunConfig, wb, out: Path, report: dict) -> list:
     return [gram_path, dy_path]
 
 
-def stage_decay_fit(cfg: RunConfig, wb, out: Path, report: dict) -> list:
+def stage_decay_fit(run: Run) -> list:
+    cfg, wb = run.cfg, run.wb
     xg = np.logspace(math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax), cfg.fit_points)
     table = decay_envelope(
         wb.synthesis.grid, xg, floor=cfg.env_floor, evaluator=wb.ph
     )
-    fit = fit_decay(table, cfg.sigma, comparators=True, r2_min=cfg.r2_min)
-    env_path = out / "envelope.csv"
+    fit = fit_decay(table, cfg.sigma, r2_min=cfg.r2_min)
+    env_path = run.out / "envelope.csv"
     write_csv(env_path, fit.comparator_columns, fit.comparator_table)
     rows = [
         derivative_decay_check(
-            wb.ph, 0, xg, cfg.period, cfg.samples, table.window, cfg.sigma,
-            floor=cfg.env_floor, r2_min=cfg.r2_min, lattice=wb.synthesis.grid,
+            wb.lattice(n), n, xg, table.window, cfg.sigma,
+            floor=cfg.env_floor, r2_min=cfg.r2_min,
         )
+        for n in [0, *_parse_orders(cfg.deriv_orders)]
     ]
-    for n in _parse_orders(cfg.deriv_orders):
-        rows.append(
-            derivative_decay_check(
-                wb.ph, n, xg, cfg.period, cfg.samples, table.window, cfg.sigma,
-                floor=cfg.env_floor, r2_min=cfg.r2_min,
-            )
-        )
     growth = intercept_growth_fit(rows)
-    report["decay_fit"] = {
+    run.report["decay_fit"] = {
         "h_fit": fit.h_fit,
         "h_stderr": fit.h_stderr,
         "intercept": fit.intercept,
@@ -397,25 +420,24 @@ def stage_decay_fit(cfg: RunConfig, wb, out: Path, report: dict) -> list:
     return [env_path]
 
 
-def stage_mixed_audit(cfg: RunConfig, wb, out: Path, report: dict) -> list:
+def stage_mixed_audit(run: Run) -> list:
+    cfg, wb = run.cfg, run.wb
     rep = mixed_bound_audit(
-        wb.ph,
+        (wb.lattice(q) for q in range(cfg.mixed_q_max + 1)),
         k_max=cfg.mixed_k_max,
         q_max=cfg.mixed_q_max,
         s=cfg.mixed_s,
         tau=cfg.mixed_tau,
         sigma=cfg.sigma,
-        L=cfg.period,
-        N=cfg.samples,
     )
-    path = out / "mixed.csv"
+    path = run.out / "mixed.csv"
     rows = [
         (k, q, rep.sup_table[k, q])
         for k in range(cfg.mixed_k_max + 1)
         for q in range(cfg.mixed_q_max + 1)
     ]
     write_csv(path, ["k", "q", "sup"], rows)
-    report["mixed_audit"] = {
+    run.report["mixed_audit"] = {
         "feasible": rep.feasible,
         "log_c": rep.log_c,
         "log_a": rep.log_a,
@@ -440,15 +462,79 @@ def _parse_orders(spec: str) -> list:
 # Orchestration
 # ---------------------------------------------------------------------------
 
-STAGES_BY_COMMAND = {
-    "lambert-table": ("lambert",),
-    "assoc-func": ("assoc",),
-    "build-mollifier": ("mollifier",),
-    "build-wavelet": ("wavelet",),
-    "verify-onw": ("wavelet", "verify"),
-    "decay-fit": ("wavelet", "decay"),
-    "mixed-audit": ("wavelet", "mixed"),
-    "all": ("lambert", "assoc", "mollifier", "wavelet", "verify", "decay", "mixed"),
+STAGES: Dict[str, Callable[[Run], list]] = {
+    # the name is also the stage's manifest timing key and its failing.stage
+    "lambert_table": stage_lambert_table,
+    "assoc_func": stage_assoc_func,
+    "build_mollifier": stage_build_mollifier,
+    "build_wavelet": stage_build_wavelet,
+    "wavelet_artifacts": stage_wavelet_artifacts,
+    "verify_onw": stage_verify_onw,
+    "decay_fit": stage_decay_fit,
+    "mixed_audit": stage_mixed_audit,
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its stages in run order, the config
+    fields it takes as ``--field-name`` flags of the field's type, and the
+    flags spelled otherwise, as (option, field, argparse settings)."""
+
+    help: str
+    stages: Tuple[str, ...]
+    flags: Tuple[str, ...]
+    aliases: Tuple[Tuple[str, str, dict], ...] = ()
+
+
+_WAVELET = ("build_wavelet", "wavelet_artifacts")
+_LATTICE = ("sigma", "a", "grid_pow", "freq_pow", "samples", "period")
+
+COMMANDS: Dict[str, Command] = {
+    "lambert-table": Command(
+        "table of W values, residuals, bounds",
+        ("lambert_table",),
+        ("xmin", "xmax", "points"),
+        (("--log", "log", {"action": "store_true"}),
+         ("--linear", "log", {"action": "store_false"})),
+    ),
+    "assoc-func": Command(
+        "associated function exact/asymptotic table",
+        ("assoc_func",),
+        ("tau", "sigma", "kmin", "kmax", "kpoints"),
+        (("--points", "kpoints", {"help": "alias for --kpoints"}),),
+    ),
+    "build-mollifier": Command(
+        "convolution-cascade cutoff + provenance",
+        ("build_mollifier",),
+        ("sigma", "grid_pow"),
+        (("--cutoff", "moll_cutoff", {}),
+         ("--base", "moll_base", {}),
+         ("--out", "moll_out", {"help": "cutoff CSV filename"})),
+    ),
+    "build-wavelet": Command(
+        "bell, transform, and lattice synthesis",
+        _WAVELET,
+        _LATTICE + ("profile_cutoff", "psi_xmax"),
+    ),
+    "verify-onw": Command(
+        "Gram matrix, dyadic sum, completeness",
+        _WAVELET + ("verify_onw",),
+        _LATTICE + ("gram_tol", "dyadic_tol", "completeness_tol", "gram_m",
+                    "gram_n", "dyadic_window"),
+    ),
+    "decay-fit": Command(
+        "envelope extraction and Lambert-form regression",
+        _WAVELET + ("decay_fit",),
+        _LATTICE + ("fit_xmin", "fit_xmax", "env_floor", "r2_min", "fit_points",
+                    "deriv_orders"),
+    ),
+    "mixed-audit": Command(
+        "moment-derivative bound feasibility",
+        _WAVELET + ("mixed_audit",),
+        _LATTICE + ("mixed_s", "mixed_tau", "mixed_k_max", "mixed_q_max"),
+    ),
+    "all": Command("run every stage", tuple(STAGES), _LATTICE),
 }
 
 
@@ -457,54 +543,25 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     _validate(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = STAGES_BY_COMMAND[command]
+    run = Run(cfg, out)
     artifacts: list = []
     timings: dict = {}
-    report: dict = {}
-    wb = None
-
-    def timed(name, fn, *args):
-        t0 = time.perf_counter()
-        res = fn(*args)
-        timings[name] = time.perf_counter() - t0
-        return res
-
     failing = None
-    current_stage = None
-    try:
-        if "lambert" in stages:
-            current_stage = "lambert_table"
-            artifacts.append(timed("lambert_table", stage_lambert_table, cfg, out))
-        if "assoc" in stages:
-            current_stage = "assoc_func"
-            artifacts.append(timed("assoc_func", stage_assoc_func, cfg, out))
-        if "mollifier" in stages:
-            current_stage = "build_mollifier"
-            artifacts.extend(timed("build_mollifier", stage_build_mollifier, cfg, out, report))
-        if "wavelet" in stages:
-            current_stage = "build_wavelet"
-            wb = timed("build_wavelet", _build, cfg)
-            artifacts.extend(
-                timed("wavelet_artifacts", stage_wavelet_artifacts, cfg, wb, out, report)
-            )
-        if "verify" in stages:
-            current_stage = "verify_onw"
-            artifacts.extend(timed("verify_onw", stage_verify_onw, cfg, wb, out, report))
-        if "decay" in stages:
-            current_stage = "decay_fit"
-            artifacts.extend(timed("decay_fit", stage_decay_fit, cfg, wb, out, report))
-        if "mixed" in stages:
-            current_stage = "mixed_audit"
-            artifacts.extend(timed("mixed_audit", stage_mixed_audit, cfg, wb, out, report))
-    except VerificationError as exc:
-        failing = {"stage": current_stage, "assertion": str(exc)}
+    for name in COMMANDS[command].stages:
+        t0 = time.perf_counter()
+        try:
+            artifacts.extend(STAGES[name](run))
+        except VerificationError as exc:
+            failing = {"stage": name, "assertion": str(exc)}
+            break
+        timings[name] = time.perf_counter() - t0
 
     report_path = out / "report.json"
     write_json(
         report_path,
         {
             "command": command,
-            "assertions": report,
+            "assertions": run.report,
             "status": "pass" if failing is None else "fail",
             "failing": failing,
             "versions": {
@@ -552,25 +609,28 @@ _TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string
 
 def _typed(name: str, val):
     """``val`` as config field ``name``'s type: an integral float is taken
-    for an int and an int for a float; anything else is an InputError."""
+    for an int and an int for a float, converted to the field's type;
+    anything else is an InputError."""
     kind = _FIELD_TYPES[name]
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if kind == "int" and number and (isinstance(val, int) or val.is_integer()):
         return int(val)
     if kind == "float" and number and abs(val) <= sys.float_info.max:  # finite
-        return val
+        return float(val)
     if kind == "str" and isinstance(val, str) or kind == "bool" and isinstance(val, bool):
         return val
     raise InputError(f"config field '{name}': expected {_TYPE_NAMES[kind]}; got {val!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of config key/value pairs")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+_ARG_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _arg(p, name, **kw):
-    p.add_argument(f"--{name.replace('_', '-')}", dest=name, **kw)
+def _add_flag(p: argparse.ArgumentParser, option: str, name: str, **kw) -> None:
+    """``option`` sets config field ``name``; a value is parsed as the
+    field's type unless ``kw`` names an argparse action."""
+    if "action" not in kw:
+        kw["type"] = _ARG_TYPES[_FIELD_TYPES[name]]
+    p.add_argument(option, dest=name, default=None, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,68 +639,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Band-limited wavelets with Lambert-form decay: build and certify.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lambert-table", help="table of W values, residuals, bounds")
-    for nm in ("xmin", "xmax"):
-        _arg(p, nm, type=float)
-    _arg(p, "points", type=int)
-    p.add_argument("--log", dest="log", action="store_true", default=None)
-    p.add_argument("--linear", dest="log", action="store_false", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("assoc-func", help="associated function exact/asymptotic table")
-    for nm in ("tau", "sigma", "kmin", "kmax"):
-        _arg(p, nm, type=float)
-    _arg(p, "kpoints", type=int)
-    p.add_argument("--points", dest="kpoints", type=int, help="alias for --kpoints")
-    _add_common(p)
-
-    p = sub.add_parser("build-mollifier", help="convolution-cascade cutoff + provenance")
-    _arg(p, "sigma", type=float)
-    _arg(p, "grid_pow", type=int)
-    p.add_argument("--cutoff", dest="moll_cutoff", type=float)
-    p.add_argument("--base", dest="moll_base")
-    p.add_argument("--out", dest="moll_out", help="cutoff CSV filename")
-    _add_common(p)
-
-    p = sub.add_parser("build-wavelet", help="bell, transform, and lattice synthesis")
-    for nm in ("sigma", "a", "profile_cutoff", "psi_xmax", "period"):
-        _arg(p, nm, type=float)
-    for nm in ("grid_pow", "freq_pow", "samples"):
-        _arg(p, nm, type=int)
-    _add_common(p)
-
-    p = sub.add_parser("verify-onw", help="Gram matrix, dyadic sum, completeness")
-    for nm in ("sigma", "a", "gram_tol", "dyadic_tol", "completeness_tol", "period"):
-        _arg(p, nm, type=float)
-    for nm in ("gram_m", "gram_n", "dyadic_window", "grid_pow", "freq_pow", "samples"):
-        _arg(p, nm, type=int)
-    _add_common(p)
-
-    p = sub.add_parser("decay-fit", help="envelope extraction and Lambert-form regression")
-    for nm in ("sigma", "a", "fit_xmin", "fit_xmax", "env_floor", "r2_min", "period"):
-        _arg(p, nm, type=float)
-    for nm in ("fit_points", "grid_pow", "freq_pow", "samples"):
-        _arg(p, nm, type=int)
-    _arg(p, "deriv_orders", type=str)
-    _add_common(p)
-
-    p = sub.add_parser("mixed-audit", help="moment-derivative bound feasibility")
-    for nm in ("sigma", "a", "mixed_s", "mixed_tau", "period"):
-        _arg(p, nm, type=float)
-    for nm in ("mixed_k_max", "mixed_q_max", "grid_pow", "freq_pow", "samples"):
-        _arg(p, nm, type=int)
-    _add_common(p)
-
-    p = sub.add_parser("all", help="run every stage")
-    for nm in ("sigma", "a"):
-        _arg(p, nm, type=float)
-    for nm in ("grid_pow", "freq_pow"):
-        _arg(p, nm, type=int)
-    _arg(p, "samples", type=int)
-    _arg(p, "period", type=float)
-    _add_common(p)
-
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in spec.flags:
+            _add_flag(p, f"--{name.replace('_', '-')}", name)
+        for option, name, kw in spec.aliases:
+            _add_flag(p, option, name, **kw)
+        p.add_argument("--config", help="JSON file of config key/value pairs")
+        _add_flag(p, "--out-dir", "out_dir", help="output directory")
     return ap
 
 

@@ -182,15 +182,20 @@ def assoc_t_exact(k: float, params: SequenceParams, p_cap: int = 200000) -> Asso
     return AssocFnReport(k=float(k), t_exact=best, argmax_p=best_p, t_asym=ta, ratio=ratio)
 
 
+def lambert_regressor(x, sigma: float):
+    """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1."""
+    lk = np.log(np.asarray(x, dtype=float))
+    return lk ** (sigma / (sigma - 1.0)) / lambert_w0(lk) ** (1.0 / (sigma - 1.0))
+
+
 def assoc_t_asym(k, sigma: float):
-    """Lambert-form asymptote log^(s/(s-1))(k) / W^(1/(s-1))(log k), k > e."""
+    """Lambert-form asymptote T_sigma(k) of the associated function, k > e."""
     if sigma <= 1.0:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
     ka = np.asarray(k, dtype=float)
     if np.any(~np.isfinite(ka)) or np.any(ka <= _E):
         raise DomainError("asymptotic form requires k > e")
-    lk = np.log(ka)
-    out = lk ** (sigma / (sigma - 1.0)) / lambert_w0(lk) ** (1.0 / (sigma - 1.0))
+    out = lambert_regressor(ka, sigma)
     return float(out) if np.isscalar(k) else out
 
 
@@ -266,12 +271,10 @@ def comparison_envelopes(x, sigma: float) -> dict:
     x / l_{1,sigma}(x), and the Lambert regressor itself.
     """
     xa = np.asarray(x, dtype=float)
-    lk = np.log(xa)
     return {
         "exp": xa,
         "gevrey2": xa ** 0.5,
         "gevrey3": xa ** (1.0 / 3.0),
         "moritoh": xa / moritoh_l(xa, 1, sigma),
-        "lambert": lk ** (sigma / (sigma - 1.0))
-        / lambert_w0(lk) ** (1.0 / (sigma - 1.0)),
+        "lambert": lambert_regressor(xa, sigma),
     }

@@ -50,6 +50,17 @@ def _cone_vals(t: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(t) / width) / width
 
 
+def _base_profile(kind: str, base_width: float):
+    """The unit-scale base bump of ``kind`` as (t -> samples, half-width)."""
+    if kind == "analytic":
+        return _analytic_vals, 1.0
+    if kind == "cone":
+        if not (0.0 < base_width <= 1.0):
+            raise InputError(f"base_width must be in (0, 1], got {base_width}")
+        return (lambda t: _cone_vals(t, base_width)), base_width
+    raise InputError(f"unknown base bump kind {kind!r}")
+
+
 def base_bump(spec: GridSpec, kind: str = "analytic", base_width: float = 1.0) -> GridFunction:
     """Sample the unit-scale base bump: even, nonnegative, support in [-1, 1],
     unit mass (normalized against its own trapezoid sum).
@@ -63,19 +74,10 @@ def base_bump(spec: GridSpec, kind: str = "analytic", base_width: float = 1.0) -
         raise InputError(
             f"grid too coarse: {2.0 / spec.dx:.0f} points across the support, need >= 64"
         )
-    x = spec.points()
-    if kind == "analytic":
-        raw = _analytic_vals(x)
-        supp = (-1.0, 1.0)
-    elif kind == "cone":
-        if not (0.0 < base_width <= 1.0):
-            raise InputError(f"base_width must be in (0, 1], got {base_width}")
-        raw = _cone_vals(x, base_width)
-        supp = (-base_width, base_width)
-    else:
-        raise InputError(f"unknown base bump kind {kind!r}")
+    base_vals, width = _base_profile(kind, base_width)
+    raw = base_vals(spec.points())
     mass = np.trapezoid(raw, dx=spec.dx)
-    return GridFunction(spec.x0, spec.dx, raw / mass, supp)
+    return GridFunction(spec.x0, spec.dx, raw / mass, (-width, width))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +243,7 @@ def build_mollifier(
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
 
-    if base == "analytic":
-        base_vals = _analytic_vals
-        width = 1.0
-    elif base == "cone":
-        if not (0.0 < base_width <= 1.0):
-            raise InputError(f"base_width must be in (0, 1], got {base_width}")
-        width = base_width
-        base_vals = lambda t: _cone_vals(t, width)  # noqa: E731
-    else:
-        raise InputError(f"unknown base bump kind {base!r}")
+    base_vals, width = _base_profile(base, base_width)
 
     thresholds = block_thresholds(sigma, m_max)
     seq = scale_sequence(sigma, thresholds, cutoff)
@@ -429,39 +422,18 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
 # Dilation
 # ---------------------------------------------------------------------------
 
-def dilate_normalize(
-    phi: GridFunction,
-    a: float,
-    mass: float,
-    out_spec: GridSpec | None = None,
-) -> GridFunction:
+def dilate_normalize(phi: GridFunction, a: float, mass: float) -> GridFunction:
     """Return x -> (mass / a) * phi(x / a).
 
-    With ``out_spec`` omitted the source grid is scaled exactly (no
-    resampling): node k of the result sits at a * x_k with value
-    (mass / a) * phi(x_k), which preserves trapezoid mass bit-for-bit.  An
-    explicit target grid resamples linearly and renormalizes, rejecting
-    grids coarser than a/32.
+    The source grid is scaled exactly (no resampling): node k of the result
+    sits at a * x_k with value (mass / a) * phi(x_k), which preserves
+    trapezoid mass bit-for-bit.
     """
     if not (np.isfinite(a) and a > 0):
         raise DomainError(f"half-width must be positive, got {a}")
     if not (np.isfinite(mass) and mass > 0):
         raise DomainError(f"mass must be positive, got {mass}")
     lo, hi = phi.support
-    if out_spec is None:
-        return GridFunction(
-            phi.x0 * a, phi.dx * a, phi.values * (mass / a), (lo * a, hi * a)
-        )
-    if out_spec.dx > a / 32.0:
-        raise ResolutionError(
-            f"target spacing {out_spec.dx:.3e} is coarser than a/32 = {a / 32:.3e}"
-        )
-    xt = out_spec.points()
-    vals = np.interp(xt / a, phi.x(), phi.values, left=0.0, right=0.0) * (mass / a)
-    got = np.trapezoid(vals, dx=out_spec.dx)
-    if abs(got - mass) > 1e-8 * max(1.0, mass):
-        raise ResolutionError(
-            f"resampled mass drift {abs(got - mass):.3e} exceeds 1e-8"
-        )
-    vals = vals * (mass / got)
-    return GridFunction(out_spec.x0, out_spec.dx, vals, (lo * a, hi * a))
+    return GridFunction(
+        phi.x0 * a, phi.dx * a, phi.values * (mass / a), (lo * a, hi * a)
+    )

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .bell import BellEvaluator, synthesize_psi_lattice
+from .bell import BellEvaluator
 from .errors import DomainError, InputError, VerificationError
-from .gevrey import comparison_envelopes
+from .gevrey import comparison_envelopes, lambert_regressor
 from .grids import GridFunction
-from .lambert import lambert_w0
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +333,12 @@ class DecayFitReport:
     n_points: int
     shape_checks: Dict[str, bool]
     crossovers: Dict[str, float]
-    comparator_table: Optional[np.ndarray]  # columns per comparator_columns
-    comparator_columns: Tuple[str, ...] = ()
+    comparator_table: np.ndarray  # columns per comparator_columns
+    comparator_columns: Tuple[str, ...]
 
 
 def _regress_on_t(x: np.ndarray, y: np.ndarray, sigma: float):
-    T = np.log(x) ** (sigma / (sigma - 1.0)) / lambert_w0(np.log(x)) ** (
-        1.0 / (sigma - 1.0)
-    )
+    T = lambert_regressor(x, sigma)
     if np.any(np.diff(T) <= 0):
         raise InputError("decay regressor is not strictly increasing on the range")
     A = np.vstack([T, np.ones_like(T)]).T
@@ -358,7 +355,6 @@ def _regress_on_t(x: np.ndarray, y: np.ndarray, sigma: float):
 def fit_decay(
     table: EnvelopeTable,
     sigma: float,
-    comparators: bool = True,
     r2_min: float = 0.9,
 ) -> DecayFitReport:
     """Regress -log env on the Lambert-form regressor and audit the shape.
@@ -411,32 +407,30 @@ def fit_decay(
                 break
         crossovers[name] = float(xs_d[dec_from]) if len(ratio) else float("nan")
 
-    tab, cols = None, ()
-    if comparators:
-        envs = comparison_envelopes(xs, sigma)
-        with np.errstate(under="ignore"):
-            tab = np.column_stack(
-                [
-                    xs,
-                    env,
-                    envs["lambert"],
-                    np.exp(-(h * T + icpt)),
-                    np.exp(-envs["gevrey2"]),
-                    np.exp(-envs["gevrey3"]),
-                    np.exp(-envs["moritoh"]),
-                    np.exp(-envs["exp"]),
-                ]
-            )
-        cols = (
-            "x",
-            "env",
-            "T_sigma",
-            "lambert_bound",
-            "gevrey2",
-            "gevrey3",
-            "moritoh",
-            "exp",
+    envs = comparison_envelopes(xs, sigma)
+    with np.errstate(under="ignore"):
+        tab = np.column_stack(
+            [
+                xs,
+                env,
+                envs["lambert"],
+                np.exp(-(h * T + icpt)),
+                np.exp(-envs["gevrey2"]),
+                np.exp(-envs["gevrey3"]),
+                np.exp(-envs["moritoh"]),
+                np.exp(-envs["exp"]),
+            ]
         )
+    cols = (
+        "x",
+        "env",
+        "T_sigma",
+        "lambert_bound",
+        "gevrey2",
+        "gevrey3",
+        "moritoh",
+        "exp",
+    )
     return DecayFitReport(
         sigma=sigma,
         h_fit=h,
@@ -463,24 +457,20 @@ class DerivativeDecayRow:
 
 
 def derivative_decay_check(
-    ph: BellEvaluator,
+    lattice: GridFunction,
     n: int,
     x_grid: np.ndarray,
-    L: float,
-    N: int,
     window: float,
     sigma: float,
     floor: float = 1e-15,
     r2_min: float = 0.9,
-    lattice: Optional[GridFunction] = None,
 ) -> DerivativeDecayRow:
-    """Envelope regression for the n-th derivative; slope must be positive.
+    """Envelope regression for the n-th derivative, sampled on ``lattice``;
+    slope must be positive.
 
     The floor scales with the derivative's sup so the relative noise floor
     matches the synthesis accuracy.
     """
-    if lattice is None:
-        lattice = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False, q=n).grid
     sup = lattice.sup()
     table = decay_envelope(
         lattice, x_grid, window=window, floor=floor * max(1.0, sup)
@@ -555,42 +545,40 @@ class MixedBoundReport:
 
 
 def mixed_bound_audit(
-    ph: BellEvaluator,
+    lattices: Iterable[GridFunction],
     k_max: int,
     q_max: int,
     s: float,
     tau: float,
     sigma: float,
-    L: float,
-    N: int,
     box: float = 40.0,
-    lattice_cache: Optional[Dict[int, GridFunction]] = None,
 ) -> MixedBoundReport:
     """Solve for constants (log C, log A, log B) with
 
         log S(k, q) <= log C + k log A + q log B + s log k! + tau q^sigma log q
 
     over all k <= k_max, q <= q_max, where S(k, q) = sup over the synthesis
-    lattice of |x^k psi^(q)(x)|.  The LP minimizes log C with log A, log B
-    confined to [-box, box]; infeasibility (non-finite sups or no solution
-    in the box) raises VerificationError listing the offending pairs.
+    lattice of |x^k psi^(q)(x)|.  ``lattices`` yields the samples of
+    psi^(0), ..., psi^(q_max) in order and is consumed one lattice at a time,
+    after the arguments are checked.  The LP minimizes log C with log A,
+    log B confined to [-box, box]; infeasibility (non-finite sups or no
+    solution in the box) raises VerificationError listing the offending
+    pairs.
     """
     if not (0.0 < s <= 1.0):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     if k_max > 10 or q_max > 10:
         raise InputError("k_max and q_max are capped at 10")
     sup_table = np.empty((k_max + 1, q_max + 1))
-    for q in range(q_max + 1):
-        if lattice_cache is not None and q in lattice_cache:
-            grid = lattice_cache[q]
-        else:
-            grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False, q=q).grid
-            if lattice_cache is not None:
-                lattice_cache[q] = grid
+    done = 0
+    for q, grid in zip(range(q_max + 1), lattices):
         absv = np.abs(grid.values)
         ax = np.abs(grid.x())
         for k in range(k_max + 1):
             sup_table[k, q] = float(np.max(ax ** k * absv))
+        done += 1
+    if done != q_max + 1:
+        raise InputError(f"need {q_max + 1} lattices (q = 0..{q_max}), got {done}")
 
     violations = [
         (k, q)

@@ -4,12 +4,7 @@ expensive, so they are session-scoped and reused across test modules."""
 import numpy as np
 import pytest
 
-from lambertwave import (
-    GridSpec,
-    build_mollifier,
-    build_wavelet,
-    synthesize_psi_lattice,
-)
+from lambertwave import GridSpec, build_mollifier, build_wavelet
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +29,4 @@ def fit_grid():
 def lattice_cache(wavelet):
     """Derivative-order -> synthesized lattice, shared by decay and moment
     audits (order 0 is the base synthesis)."""
-    cache = {0: wavelet.synthesis.grid}
-    for q in range(1, 9):
-        cache[q] = synthesize_psi_lattice(
-            wavelet.ph, L=wavelet.L, N=wavelet.N, check_periodization=False, q=q
-        ).grid
-    return cache
+    return {q: wavelet.lattice(q) for q in range(9)}

@@ -192,8 +192,7 @@ def test_criterion_8_derivative_decay(wavelet, fit_grid, lattice_cache):
     rows = []
     for n in (0, 1, 2, 4, 8):
         row = derivative_decay_check(
-            wavelet.ph, n, fit_grid, wavelet.L, wavelet.N, window,
-            wavelet.sigma, lattice=lattice_cache[n],
+            lattice_cache[n], n, fit_grid, window, wavelet.sigma
         )
         if n in (1, 2, 4, 8):
             assert row.h_fit > 0
@@ -209,8 +208,7 @@ def test_criterion_8_derivative_decay(wavelet, fit_grid, lattice_cache):
 
 def test_criterion_9_mixed_bound(wavelet, lattice_cache):
     rep = mixed_bound_audit(
-        wavelet.ph, 8, 8, 1.0, 1.0, 2.0, wavelet.L, wavelet.N,
-        lattice_cache=lattice_cache,
+        (lattice_cache[q] for q in range(9)), 8, 8, 1.0, 1.0, 2.0
     )
     assert rep.feasible
     # direct substitution of the reported constants into all 81 constraints

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, config precedence, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lambertwave.cli import main
+from lambertwave.cli import RunConfig, build_parser, main
 
 FAST = [
     "--freq-pow", "13",
@@ -153,6 +155,69 @@ def test_invalid_a_exits_2(tmp_path, capsys):
     assert "pi/3" in err and "'a'" in err
 
 
+LATTICE = {
+    "--sigma": "sigma", "--a": "a", "--grid-pow": "grid_pow",
+    "--freq-pow": "freq_pow", "--samples": "samples", "--period": "period",
+}
+COMMON = {"--config": "config", "--out-dir": "out_dir"}
+OPTIONS = {
+    "lambert-table": {
+        "--xmin": "xmin", "--xmax": "xmax", "--points": "points",
+        "--log": "log", "--linear": "log", **COMMON,
+    },
+    "assoc-func": {
+        "--tau": "tau", "--sigma": "sigma", "--kmin": "kmin", "--kmax": "kmax",
+        "--kpoints": "kpoints", "--points": "kpoints", **COMMON,
+    },
+    "build-mollifier": {
+        "--sigma": "sigma", "--grid-pow": "grid_pow", "--cutoff": "moll_cutoff",
+        "--base": "moll_base", "--out": "moll_out", **COMMON,
+    },
+    "build-wavelet": {
+        **LATTICE, "--profile-cutoff": "profile_cutoff", "--psi-xmax": "psi_xmax",
+        **COMMON,
+    },
+    "verify-onw": {
+        **LATTICE, "--gram-tol": "gram_tol", "--dyadic-tol": "dyadic_tol",
+        "--completeness-tol": "completeness_tol", "--gram-m": "gram_m",
+        "--gram-n": "gram_n", "--dyadic-window": "dyadic_window", **COMMON,
+    },
+    "decay-fit": {
+        **LATTICE, "--fit-xmin": "fit_xmin", "--fit-xmax": "fit_xmax",
+        "--env-floor": "env_floor", "--r2-min": "r2_min",
+        "--fit-points": "fit_points", "--deriv-orders": "deriv_orders", **COMMON,
+    },
+    "mixed-audit": {
+        **LATTICE, "--mixed-s": "mixed_s", "--mixed-tau": "mixed_tau",
+        "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max", **COMMON,
+    },
+    "all": {**LATTICE, **COMMON},
+}
+
+
+def test_subcommand_options_and_fields():
+    ap = build_parser()
+    subs = next(
+        a for a in ap._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert sorted(subs) == sorted(OPTIONS)
+    field_types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for cmd, expected in OPTIONS.items():
+        actions = {
+            opt: act for act in subs[cmd]._actions
+            for opt in act.option_strings if opt not in ("-h", "--help")
+        }
+        assert {opt: act.dest for opt, act in actions.items()} == expected, cmd
+        for opt, field in expected.items():
+            ns = ap.parse_args([cmd, opt] + ([] if actions[opt].nargs == 0 else ["3"]))
+            if field != "config":
+                # the flag sets its field, parsed as the field's type
+                assert type(getattr(ns, field)).__name__ == field_types[field], opt
+    ns = ap.parse_args(["lambert-table", "--linear"])
+    assert ns.log is False
+    assert ap.parse_args(["lambert-table"]).log is None
+
+
 def test_bad_config_file_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}')
@@ -167,6 +232,10 @@ def test_bad_config_file_exits_2(tmp_path):
     ("sigma", float("inf")),   # non-finite float
     ("deriv_orders", 5),       # number for a string
     ("deriv_orders", "1,x"),   # unparsable order list
+    ("gram_m", -1),            # empty Gram window
+    ("gram_n", -1),
+    ("dyadic_window", 0),      # no dyadic terms
+    ("completeness_tol", -1),  # no energy ratio can pass
 ])
 def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
@@ -176,6 +245,21 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (out / "psi.csv").exists()
+
+
+def test_int_for_float_field_matches_flag_spelling(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mixed_s": 1, "sigma": 2}))
+    args = [
+        "mixed-audit", *FAST, *FAST_SYNTH,
+        "--mixed-k-max", "1", "--mixed-q-max", "1",
+    ]
+    out1, out2 = tmp_path / "file", tmp_path / "flags"
+    assert main(args + ["--config", str(cfg), "--out-dir", str(out1)]) == 0
+    assert main(args + ["--mixed-s", "1", "--sigma", "2", "--out-dir", str(out2)]) == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    man = json.loads((out1 / "manifest.json").read_text())
+    assert isinstance(man["config"]["sigma"], float)
 
 
 def test_config_precedence(tmp_path):

@@ -207,13 +207,8 @@ def test_dilate_identity_and_scaling():
     assert abs(bell_mass.integral() - math.pi / 2.0) <= 1e-8
 
 
-def test_dilate_resample_path():
+def test_dilate_domain_errors():
     build = build_mollifier(2.0, SPEC_13, base="analytic")
-    out = GridSpec.symmetric(0.6, 12)
-    res = dilate_normalize(build.phi, 0.5, 1.0, out_spec=out)
-    assert abs(res.integral() - 1.0) <= 1e-8
-    with pytest.raises(ResolutionError):
-        dilate_normalize(build.phi, 0.5, 1.0, out_spec=GridSpec.symmetric(0.6, 4))
     with pytest.raises(DomainError):
         dilate_normalize(build.phi, -0.5, 1.0)
     with pytest.raises(DomainError):

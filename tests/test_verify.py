@@ -8,6 +8,7 @@ import pytest
 
 from lambertwave import (
     DomainError,
+    GridFunction,
     InputError,
     VerificationError,
     completeness_check,
@@ -159,8 +160,7 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
     for n in (0, 1, 2, 4, 8):
         rows.append(
             derivative_decay_check(
-                wavelet.ph, n, fit_grid, wavelet.L, wavelet.N, window,
-                wavelet.sigma, lattice=lattice_cache[n],
+                lattice_cache[n], n, fit_grid, window, wavelet.sigma
             )
         )
         assert rows[-1].h_fit > 0
@@ -174,8 +174,7 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
 
 def test_mixed_audit_feasible(wavelet, lattice_cache):
     rep = mixed_bound_audit(
-        wavelet.ph, 4, 4, 1.0, 1.0, 2.0, wavelet.L, wavelet.N,
-        lattice_cache=lattice_cache,
+        (lattice_cache[q] for q in range(5)), 4, 4, 1.0, 1.0, 2.0
     )
     assert rep.feasible
     assert rep.sup_table[0, 0] == pytest.approx(
@@ -195,11 +194,18 @@ def test_mixed_audit_feasible(wavelet, lattice_cache):
             assert lhs <= rhs + 1e-9
 
 
-def test_mixed_audit_domain(wavelet):
+def test_mixed_audit_domain():
+    def unread():
+        raise AssertionError("a lattice was read before the argument checks")
+        yield
+
     with pytest.raises(DomainError):
-        mixed_bound_audit(wavelet.ph, 2, 2, 1.5, 1.0, 2.0, wavelet.L, wavelet.N)
+        mixed_bound_audit(unread(), 2, 2, 1.5, 1.0, 2.0)
     with pytest.raises(InputError):
-        mixed_bound_audit(wavelet.ph, 11, 2, 1.0, 1.0, 2.0, wavelet.L, wavelet.N)
+        mixed_bound_audit(unread(), 11, 2, 1.0, 1.0, 2.0)
+    tiny = GridFunction(-1.0, 0.5, np.ones(4), (-1.0, 0.5))
+    with pytest.raises(InputError, match="need 3 lattices"):
+        mixed_bound_audit(iter([tiny, tiny]), 2, 2, 1.0, 1.0, 2.0)
 
 
 def test_large_x_below_fitted_envelope(wavelet, fit_grid):
