@@ -17,7 +17,6 @@ from .bell import (
     build_wavelet,
     eval_psi_point,
     synthesize_psi_lattice,
-    theta,
 )
 from .errors import (
     ConvergenceError,
@@ -72,6 +71,7 @@ from .verify import (
     decay_envelope,
     derivative_decay_check,
     dyadic_sum_check,
+    envelope_window,
     fit_decay,
     gaussian_spectrum,
     gram_matrix,

@@ -72,22 +72,6 @@ class CumulativeProfile:
         return out
 
 
-def theta(phi_a: GridFunction) -> GridFunction:
-    """Running integral of a mass-pi/2 cutoff, sampled on its own grid.
-
-    Nondecreasing, exactly 0 left of the support and exactly pi/2 right of
-    it; an input mass off pi/2 by more than 1e-6 is rejected.
-    """
-    mass = phi_a.integral()
-    if abs(mass - HALF_PI) > 1e-6:
-        raise InputError(
-            f"cutoff mass {mass:.9f} deviates from pi/2 by more than 1e-6"
-        )
-    prof = CumulativeProfile(phi_a, HALF_PI)
-    vals = prof(phi_a.x())
-    return GridFunction(phi_a.x0, phi_a.dx, vals, (phi_a.x0, phi_a.x_end))
-
-
 class BellEvaluator:
     """The wavelet: point evaluator for the bell and for the transforms of
     the wavelet's members and their derivatives.
@@ -296,22 +280,19 @@ def build_wavelet(
     grid_pow: int = 17,
     freq_pow: int = 16,
     profile_cutoff: float = 0.2,
-    base: str = "cone",
-    base_width: float = 1.0,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
 ) -> WaveletBuild:
     """Build cutoff -> bell evaluator -> lattice synthesis.
 
     The spectral profile keeps only the widest cascade factors
-    (``profile_cutoff``): deeper factors steepen the decay beyond what
-    double precision can exhibit across the verification window, while the
-    orthonormality structure is exact at any truncation depth.
+    (``profile_cutoff``) of a cone-based cascade: deeper factors, or the
+    analytic bump, steepen the decay beyond what double precision can
+    exhibit across the verification window, while the orthonormality
+    structure is exact at any truncation depth.
     """
     spec = GridSpec.symmetric(1.5, grid_pow)
-    master = build_mollifier(
-        sigma, spec, cutoff=profile_cutoff, base=base, base_width=base_width
-    )
+    master = build_mollifier(sigma, spec, cutoff=profile_cutoff, base="cone")
     phi_a = dilate_normalize(master.phi, a, HALF_PI)
     phi_2a = dilate_normalize(master.phi, 2.0 * a, HALF_PI)
     band = 2.0 * (np.pi + a) + 1.0

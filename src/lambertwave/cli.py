@@ -8,7 +8,8 @@ built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
 configuration, checksums, and timings.  Exit codes:
 0 success, 1 verification failure, 2 usage/config error, 3 numeric or
-resolution error.
+resolution error.  Config errors exit before any stage runs and write
+nothing; once the stages start, each of these exits leaves both JSON files.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ from .grids import GridSpec
 from .lambert import WEvalConfig, lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
+    DerivativeDecayRow,
     completeness_check,
     decay_envelope,
     derivative_decay_check,
     dyadic_sum_check,
+    envelope_window,
     fit_decay,
     gram_matrix,
     intercept_growth_fit,
@@ -54,6 +57,7 @@ from .verify import (
 )
 
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
+AUDIT_N_MAX = 8  # highest derivative order of the mollifier bound audit
 
 
 @dataclass
@@ -66,11 +70,7 @@ class RunConfig:
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
     moll_base: str = "analytic"
-    moll_base_width: float = 1.0
     moll_cutoff: float = 0.0       # 0 -> one grid cell
-    m_max: int = 8
-    profile_base: str = "cone"
-    profile_base_width: float = 1.0
     profile_cutoff: float = 0.2
     # verification
     gram_tol: float = 1e-7
@@ -78,7 +78,6 @@ class RunConfig:
     r2_min: float = 0.9
     completeness_tol: float = 1e-3
     env_floor: float = 1e-15
-    audit_n_max: int = 8
     gram_m: int = 2
     gram_n: int = 8
     dyadic_window: int = 6
@@ -116,8 +115,6 @@ def _validate(cfg: RunConfig) -> None:
         ("samples", cfg.samples >= 2 ** 12, "must be at least 2^12"),
         ("moll_base", cfg.moll_base in ("analytic", "cone"),
          "must be 'analytic' or 'cone'"),
-        ("profile_base", cfg.profile_base in ("analytic", "cone"),
-         "must be 'analytic' or 'cone'"),
         ("moll_cutoff", cfg.moll_cutoff >= 0, "must be nonnegative"),
         ("profile_cutoff", cfg.profile_cutoff > 0, "must be positive"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
@@ -128,7 +125,6 @@ def _validate(cfg: RunConfig) -> None:
         ("dyadic_window", cfg.dyadic_window >= 1, "must be at least 1"),
         ("r2_min", 0.0 < cfg.r2_min <= 1.0, "must lie in (0, 1]"),
         ("env_floor", cfg.env_floor > 0, "must be positive"),
-        ("audit_n_max", 0 <= cfg.audit_n_max <= 12, "must lie in [0, 12]"),
         ("mixed_s", 0.0 < cfg.mixed_s <= 1.0, "must lie in (0, 1]"),
         ("mixed_tau", cfg.mixed_tau > 0, "must be positive"),
         ("mixed_k_max", 0 <= cfg.mixed_k_max <= 10, "must lie in [0, 10]"),
@@ -247,17 +243,10 @@ def stage_build_mollifier(run: Run) -> list:
     cfg, out = run.cfg, run.out
     spec = GridSpec.symmetric(1.5, cfg.grid_pow)
     cutoff = cfg.moll_cutoff if cfg.moll_cutoff > 0 else spec.dx
-    build = build_mollifier(
-        cfg.sigma,
-        spec,
-        cutoff=cutoff,
-        base=cfg.moll_base,
-        base_width=cfg.moll_base_width,
-        m_max=cfg.m_max,
-    )
+    build = build_mollifier(cfg.sigma, spec, cutoff=cutoff, base=cfg.moll_base)
     phi_path = out / cfg.moll_out
     write_csv(phi_path, ["x", "phi"], zip(build.phi.x(), build.phi.values))
-    n_audit = min(cfg.audit_n_max, len(build.scales) - 2)
+    n_audit = min(AUDIT_N_MAX, len(build.scales) - 2)
     audit = derivative_bound_audit(build, n_audit) if n_audit >= 1 else None
     prov = {
         "sigma": cfg.sigma,
@@ -300,8 +289,6 @@ def stage_build_wavelet(run: Run) -> list:
         grid_pow=cfg.grid_pow,
         freq_pow=cfg.freq_pow,
         profile_cutoff=cfg.profile_cutoff,
-        base=cfg.profile_base,
-        base_width=cfg.profile_base_width,
         L=cfg.period,
         N=cfg.samples,
     )
@@ -377,18 +364,20 @@ def stage_verify_onw(run: Run) -> list:
 def stage_decay_fit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
     xg = np.logspace(math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax), cfg.fit_points)
-    table = decay_envelope(
-        wb.synthesis.grid, xg, floor=cfg.env_floor, evaluator=wb.ph
-    )
+    grid = wb.synthesis.grid
+    table = decay_envelope(grid, xg, envelope_window(wb.ph), floor=cfg.env_floor)
     fit = fit_decay(table, cfg.sigma, r2_min=cfg.r2_min)
     env_path = run.out / "envelope.csv"
     write_csv(env_path, fit.comparator_columns, fit.comparator_table)
-    rows = [
+    # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
+    # gates as derivative_decay_check, on at least as many points
+    rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
+    rows += [
         derivative_decay_check(
             wb.lattice(n), n, xg, table.window, cfg.sigma,
             floor=cfg.env_floor, r2_min=cfg.r2_min,
         )
-        for n in [0, *_parse_orders(cfg.deriv_orders)]
+        for n in _parse_orders(cfg.deriv_orders)
     ]
     growth = intercept_growth_fit(rows)
     run.report["decay_fit"] = {
@@ -438,12 +427,12 @@ def stage_mixed_audit(run: Run) -> list:
     ]
     write_csv(path, ["k", "q", "sup"], rows)
     run.report["mixed_audit"] = {
-        "feasible": rep.feasible,
+        "feasible": True,  # the audit raises on every other outcome
         "log_c": rep.log_c,
         "log_a": rep.log_a,
         "log_b": rep.log_b,
-        "s": rep.s,
-        "tau": rep.tau,
+        "s": cfg.mixed_s,
+        "tau": cfg.mixed_tau,
     }
     return [path]
 
@@ -539,20 +528,32 @@ COMMANDS: Dict[str, Command] = {
 
 
 def run_pipeline(command: str, cfg: RunConfig) -> dict:
-    """Execute the stages of one subcommand; returns the manifest."""
+    """Execute the stages of one subcommand; returns the manifest.
+
+    A stage that raises a LambertwaveError ends the run: the report and the
+    manifest record the stage (status "fail" for a VerificationError,
+    "error" for any other), and the exception propagates.
+    """
     _validate(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = Run(cfg, out)
     artifacts: list = []
     timings: dict = {}
-    failing = None
+    failing = raised = None
+    status = "pass"
     for name in COMMANDS[command].stages:
         t0 = time.perf_counter()
         try:
             artifacts.extend(STAGES[name](run))
         except VerificationError as exc:
             failing = {"stage": name, "assertion": str(exc)}
+            status = "fail"
+            break
+        except LambertwaveError as exc:
+            failing = {"stage": name, "exception": type(exc).__name__,
+                       "message": str(exc)}
+            status, raised = "error", exc
             break
         timings[name] = time.perf_counter() - t0
 
@@ -562,7 +563,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         {
             "command": command,
             "assertions": run.report,
-            "status": "pass" if failing is None else "fail",
+            "status": status,
             "failing": failing,
             "versions": {
                 "lambertwave": __version__,
@@ -589,6 +590,8 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     write_json(out / "manifest.json", manifest)
+    if raised is not None:
+        raise raised
     if failing is not None:
         raise VerificationError(
             f"{failing['stage']}: {failing['assertion']}", detail=failing

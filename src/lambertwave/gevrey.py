@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, VerificationError
+from .errors import ConvergenceError, DomainError, InputError, VerificationError
 from .lambert import lambert_w0
 
 _E = float(np.e)
+_P_CAP = 200000  # last p the associated-function scan may reach
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,9 @@ def log_m(p, params: SequenceParams):
 class SeqAuditReport:
     """Outcome of the sequence property audit."""
 
-    params: SequenceParams
-    p_max: int
     log_convex_ok: bool
     ratio_bound_ok: bool
     min_log_c: float          # minimal feasible log C in the split-index bound
-    sum_ratio_partial: float  # partial sum of M_{p-1}/M_p
     quasianalytic: bool       # sigma == 1 and tau <= 1: the ratio sum diverges
     notes: str = ""
 
@@ -120,16 +118,12 @@ def seq_property_audit(params: SequenceParams, p_max: int) -> SeqAuditReport:
             need = (lm_ext[p + q] - lm2[p] - lm2[q]) / denom
             min_log_c = max(min_log_c, need)
 
-    partial = float(np.sum(np.exp(lm[:-1] - lm[1:])))
     quasi = abs(sig - 1.0) < 1e-12 and tau <= 1.0
     notes = "quasianalytic regime: ratio sum diverges" if quasi else ""
     return SeqAuditReport(
-        params=params,
-        p_max=p_max,
         log_convex_ok=conv_ok,
         ratio_bound_ok=ratio_ok,
         min_log_c=min_log_c,
-        sum_ratio_partial=partial,
         quasianalytic=quasi,
         notes=notes,
     )
@@ -147,12 +141,14 @@ class AssocFnReport:
     ratio: float
 
 
-def assoc_t_exact(k: float, params: SequenceParams, p_cap: int = 200000) -> AssocFnReport:
+def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     """Exact associated-function value sup_p max(0, p log k - log M_p).
 
     The scan terminates once the term has decreased on three consecutive p
     past the running maximum: for sigma > 1 the term is eventually strictly
-    decreasing, and the margin guards short plateaus.
+    decreasing, and the margin guards short plateaus.  A scan that reaches
+    p = 200000 without terminating raises ConvergenceError: its running
+    maximum need not be the sup.
     """
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"k must be positive, got {k}")
@@ -161,15 +157,18 @@ def assoc_t_exact(k: float, params: SequenceParams, p_cap: int = 200000) -> Asso
     prev = 0.0  # term at p = 0
     drops = 0
     p = 1
-    while p <= p_cap:
+    while drops < 3:
+        if p > _P_CAP:
+            raise ConvergenceError(
+                f"associated-function scan at k = {k:.6g} reached the cap "
+                f"p = {_P_CAP} before passing its maximum (best p = {best_p})"
+            )
         term = p * lk - float(log_m(p, params))
         if term > best:
             best, best_p = term, p
             drops = 0
         elif term < prev:
             drops += 1
-            if drops >= 3:
-                break
         prev = term
         p += 1
 
@@ -267,8 +266,8 @@ def comparison_envelopes(x, sigma: float) -> dict:
     """Negated log-envelopes of the literature decay classes, tabulated.
 
     Returns -log of each comparator bound (up to constants): exponential |x|,
-    factorial-scale |x|^(1/s') for s' in {2, 3}, the iterated-log form
-    x / l_{1,sigma}(x), and the Lambert regressor itself.
+    factorial-scale |x|^(1/s') for s' in {2, 3} and the iterated-log form
+    x / l_{1,sigma}(x).  The Lambert regressor itself is ``lambert_regressor``.
     """
     xa = np.asarray(x, dtype=float)
     return {
@@ -276,5 +275,4 @@ def comparison_envelopes(x, sigma: float) -> dict:
         "gevrey2": xa ** 0.5,
         "gevrey3": xa ** (1.0 / 3.0),
         "moritoh": xa / moritoh_l(xa, 1, sigma),
-        "lambert": lambert_regressor(xa, sigma),
     }

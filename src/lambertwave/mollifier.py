@@ -33,6 +33,7 @@ from .errors import DomainError, InputError, ResolutionError, VerificationError
 from .grids import GridFunction, GridSpec
 
 _TAIL_FLOOR = 1e-30
+_M_MAX = 8  # blocks whose thresholds fix the cascade scales
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def _cone_vals(t: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(t) / width) / width
 
 
-def _base_profile(kind: str, base_width: float):
+def _base_profile(kind: str, base_width: float = 1.0):
     """The unit-scale base bump of ``kind`` as (t -> samples, half-width)."""
     if kind == "analytic":
         return _analytic_vals, 1.0
@@ -191,7 +192,6 @@ class MollifierBuild:
     base_norm_c: float          # L1 norm of the unit-scale base bump derivative
     base_sup: float             # sup of the unit-scale base bump
     base_kind: str
-    base_width: float
     phi: GridFunction
     stage_sups: np.ndarray      # sup of each partial cascade
     stage_gaps: np.ndarray      # sup-norm gap between consecutive stages
@@ -221,8 +221,6 @@ def build_mollifier(
     spec: GridSpec,
     cutoff: float | None = None,
     base: str = "analytic",
-    base_width: float = 1.0,
-    m_max: int = 8,
 ) -> MollifierBuild:
     """Run the truncated convolution cascade on ``spec``.
 
@@ -243,9 +241,9 @@ def build_mollifier(
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
 
-    base_vals, width = _base_profile(base, base_width)
+    base_vals, _ = _base_profile(base)
 
-    thresholds = block_thresholds(sigma, m_max)
+    thresholds = block_thresholds(sigma, _M_MAX)
     seq = scale_sequence(sigma, thresholds, cutoff)
     n = spec.n
     dx = spec.dx
@@ -259,7 +257,7 @@ def build_mollifier(
     gaps: List[float] = []
     drift = 0.0
     for a in seq.scales:
-        ker, K = _sampled_kernel(base_vals, a * width, dx)
+        ker, K = _sampled_kernel(base_vals, a, dx)
         if phi is None:
             phi = np.zeros(n)
             phi[center - K:center + K + 1] = ker
@@ -282,8 +280,8 @@ def build_mollifier(
             gaps.append(float(np.max(np.abs(phi - prev))))
         sups.append(float(np.max(phi)))
 
-    # Support is inside +/- width * sum(a_p); clear roundoff dust beyond it.
-    half_supp = width * float(np.sum(seq.scales))
+    # Support is inside +/- sum(a_p); clear roundoff dust beyond it.
+    half_supp = float(np.sum(seq.scales))
     outside = np.abs(x) > half_supp + dx
     phi[outside] = 0.0
     mass = np.trapezoid(phi, dx=dx)
@@ -296,13 +294,13 @@ def build_mollifier(
 
     # Convergence at the truncation point: extend by the first discarded
     # factor and measure the sup change (sub-cell kernels are the identity).
-    ker_next, Kn = _sampled_kernel(base_vals, seq.next_scale * width, dx)
+    ker_next, Kn = _sampled_kernel(base_vals, seq.next_scale, dx)
     ext = fftconvolve(phi, ker_next) * dx
     ext = np.maximum(ext[Kn:Kn + n], 0.0)
     m_ext = np.trapezoid(ext, dx=dx)
     final_gap = float(np.max(np.abs(ext / m_ext - phi)))
 
-    base_gf = base_bump(spec, kind=base, base_width=width)
+    base_gf = base_bump(spec, kind=base)
     base_sup = float(np.max(base_gf.values))
     base_norm_c = 2.0 * base_sup  # even unimodal bump: L1 of derivative = 2 sup
 
@@ -315,7 +313,6 @@ def build_mollifier(
         base_norm_c=base_norm_c,
         base_sup=base_sup,
         base_kind=base,
-        base_width=width,
         phi=gf,
         stage_sups=np.array(sups),
         stage_gaps=np.array(gaps),
@@ -344,7 +341,6 @@ class DerivativeAuditReport:
     rows: tuple
     log_c_fit: float     # envelope constant of the growth-shape fit
     tau_eff: float       # fitted effective tau over the audited n range
-    kept_modes: int
 
 
 def _spectral_derivative_sups(phi: GridFunction, n_max: int):
@@ -364,7 +360,7 @@ def _spectral_derivative_sups(phi: GridFunction, n_max: int):
     for q in range(n_max + 1):
         Fq = np.where(mask, F * (1j * omega) ** q, 0.0)
         sups.append(float(np.max(np.abs(np.fft.ifft(Fq).real))))
-    return sups, int(mask.sum())
+    return sups
 
 
 def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAuditReport:
@@ -388,7 +384,7 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
             f"need more than {n_max} factors after the first; retained "
             f"{len(build.scales)} total"
         )
-    sups, kept = _spectral_derivative_sups(build.phi, n_max)
+    sups = _spectral_derivative_sups(build.phi, n_max)
 
     rows = []
     anchor = build.base_sup / build.scales[0]
@@ -413,9 +409,7 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
     # shift log C so the fitted form is a true envelope over the audited range
     resid = y - basis @ coef
     log_c += float(np.max(resid / ns ** build.sigma))
-    return DerivativeAuditReport(
-        rows=tuple(rows), log_c_fit=log_c, tau_eff=tau_eff, kept_modes=kept
-    )
+    return DerivativeAuditReport(rows=tuple(rows), log_c_fit=log_c, tau_eff=tau_eff)
 
 
 # ---------------------------------------------------------------------------

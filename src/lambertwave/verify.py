@@ -20,6 +20,8 @@ from .errors import DomainError, InputError, VerificationError
 from .gevrey import comparison_envelopes, lambert_regressor
 from .grids import GridFunction
 
+_BAND_QUAD = 2 ** 13 + 1  # trapezoid nodes across the positive band
+
 
 # ---------------------------------------------------------------------------
 # Inner products and the Gram matrix
@@ -45,11 +47,9 @@ def inner_product(
 class GramReport:
     """Pairwise inner products over a dyadic index window."""
 
-    index_range: Tuple[int, int, int, int]
     max_offdiag: float
     max_diag_dev: float
     entries: List[Tuple[Tuple[int, int], Tuple[int, int], complex]]
-    worst_pair: Tuple
 
 
 def gram_matrix(
@@ -57,7 +57,6 @@ def gram_matrix(
     m_range: Tuple[int, int] = (-2, 2),
     n_range: Tuple[int, int] = (-8, 8),
     tol: float = 1e-7,
-    n_quad: int = 2 ** 13 + 1,
 ) -> GramReport:
     """All pairwise member inner products over the index window.
 
@@ -72,7 +71,7 @@ def gram_matrix(
     n_lo, n_hi = n_range
 
     # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du, d = n1 - n2
-    band = np.linspace(np.pi - a, 2.0 * (np.pi + a), n_quad)
+    band = np.linspace(np.pi - a, 2.0 * (np.pi + a), _BAND_QUAD)
     b2 = ph.bell_at(band) ** 2
     du = band[1] - band[0]
     same: Dict[int, complex] = {}
@@ -83,7 +82,7 @@ def gram_matrix(
 
     # adjacent scales: (2^{-1/2}/pi) Re Int_+ b(u) b(u/2) e^{i(mu + 1/4)u} du,
     # mu = n1 - n2/2; u runs over the upper band where both bells live
-    band2 = np.linspace(2.0 * (np.pi - a), 2.0 * (np.pi + a), n_quad)
+    band2 = np.linspace(2.0 * (np.pi - a), 2.0 * (np.pi + a), _BAND_QUAD)
     bb = ph.bell_at(band2) * ph.bell_at(band2 / 2.0)
     du2 = band2[1] - band2[0]
     adj: Dict[int, complex] = {}
@@ -125,13 +124,7 @@ def gram_matrix(
             f"at {worst[2]:.3e}",
             detail=worst,
         )
-    return GramReport(
-        index_range=(m_lo, m_hi, n_lo, n_hi),
-        max_offdiag=max_off,
-        max_diag_dev=max_diag,
-        entries=entries,
-        worst_pair=worst,
-    )
+    return GramReport(max_offdiag=max_off, max_diag_dev=max_diag, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +182,23 @@ def gaussian_spectrum(center: float = 4.0, width: float = 1.0,
 @dataclass
 class CompletenessReport:
     ratio: float
-    m_window: Tuple[int, int]
     n_used: Dict[int, int]
     status: str  # "pass" or "inconclusive"
-    f_energy: float
 
 
 def completeness_check(
     ph: BellEvaluator,
     f_hat: Optional[Callable] = None,
-    m_window: Tuple[int, int] = (-4, 4),
-    stop_tol: float = 1e-5,
     target_tol: float = 1e-3,
     n_cap: int = 256,
-    n_quad: int = 2 ** 13 + 1,
 ) -> CompletenessReport:
-    """Recovered energy fraction sum |<f, member>|^2 / ||f||^2.
+    """Recovered energy fraction sum |<f, member>|^2 / ||f||^2 over the
+    scales |m| <= 4.
 
     Translations are added symmetrically until the partial sums move by less
-    than ``stop_tol`` (relative); hitting the cap first yields an
-    "inconclusive" status rather than a failure.  A converged ratio outside
-    the target band raises VerificationError.
+    than 1e-5 (relative); hitting the cap first yields an "inconclusive"
+    status rather than a failure.  A converged ratio outside the target band
+    raises VerificationError.
     """
     if f_hat is None:
         f_hat = gaussian_spectrum()
@@ -220,7 +209,7 @@ def completeness_check(
         np.trapezoid(np.abs(f_hat(ug)) ** 2, dx=ug[1] - ug[0]) / (2.0 * np.pi)
     )
 
-    u_pos = np.linspace(np.pi - a, 2.0 * (np.pi + a), n_quad)
+    u_pos = np.linspace(np.pi - a, 2.0 * (np.pi + a), _BAND_QUAD)
     du = u_pos[1] - u_pos[0]
     psihat_pos = ph.psi_hat_at(u_pos)
     psihat_neg = ph.psi_hat_at(-u_pos)
@@ -228,7 +217,7 @@ def completeness_check(
     total = 0.0
     n_used: Dict[int, int] = {}
     converged = True
-    for m in range(m_window[0], m_window[1] + 1):
+    for m in range(-4, 5):
         gp = f_hat(2.0 ** m * u_pos) * np.conj(psihat_pos)
         gn = f_hat(-(2.0 ** m) * u_pos) * np.conj(psihat_neg)
         pref = 2.0 ** (m / 2.0) / (2.0 * np.pi)
@@ -241,7 +230,7 @@ def completeness_check(
                 cn = np.trapezoid(gn * np.exp(1j * nn * u_pos), dx=du)
                 inc += abs(pref * (cp + cn)) ** 2
             ssum += inc
-            if n > 8 and inc < stop_tol * f_energy:
+            if n > 8 and inc < 1e-5 * f_energy:
                 break
             n += 1
             if n > n_cap:
@@ -256,10 +245,7 @@ def completeness_check(
         raise VerificationError(
             f"energy ratio {ratio:.6f} outside 1 +/- {target_tol}", detail=ratio
         )
-    return CompletenessReport(
-        ratio=ratio, m_window=m_window, n_used=n_used, status=status,
-        f_energy=f_energy,
-    )
+    return CompletenessReport(ratio=ratio, n_used=n_used, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +259,32 @@ class EnvelopeTable:
     usable: np.ndarray
     window: float
     dropped: int
-    floor: float
 
 
-def decay_envelope(
-    lattice: GridFunction,
-    x_grid: np.ndarray,
-    window: Optional[float] = None,
-    floor: float = 1e-15,
-    evaluator: Optional[BellEvaluator] = None,
-) -> EnvelopeTable:
-    """Windowed max of |psi| around each grid point.
+def envelope_window(ph: BellEvaluator) -> float:
+    """Envelope window for the wavelet of ``ph``.
 
     The wavelet oscillates under its envelope, and the band-edge components
     of the bell beat against each other; the window therefore covers both
     one carrier period (2 pi / omega_c, omega_c ~ 3 pi/2) and one full beat
     of the closest edge pair (2 pi / ramp half-width) so the windowed max
-    tracks the amplitude, not the beat phase.  Points whose max sits at or
-    below ``floor`` are dropped and counted.
+    tracks the amplitude, not the beat phase.
+    """
+    carrier = 2.0 * np.pi / (1.5 * np.pi)
+    return max(carrier, 2.0 * np.pi / ph.ramp_half_width)
+
+
+def decay_envelope(
+    lattice: GridFunction,
+    x_grid: np.ndarray,
+    window: float,
+    floor: float = 1e-15,
+) -> EnvelopeTable:
+    """Max of |psi| over the ``window`` centred at each grid point (see
+    ``envelope_window``).  Points whose max sits at or below ``floor`` are
+    dropped and counted.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    if window is None:
-        carrier = 2.0 * np.pi / (1.5 * np.pi)
-        beat = (
-            2.0 * np.pi / evaluator.ramp_half_width
-            if evaluator is not None
-            else carrier
-        )
-        window = max(carrier, beat)
     vals = lattice.values
     n = len(vals)
     dxl = lattice.dx
@@ -318,13 +302,11 @@ def decay_envelope(
         usable=usable,
         window=float(window),
         dropped=int(np.sum(~usable)),
-        floor=floor,
     )
 
 
 @dataclass
 class DecayFitReport:
-    sigma: float
     h_fit: float
     h_stderr: float
     intercept: float
@@ -413,7 +395,7 @@ def fit_decay(
             [
                 xs,
                 env,
-                envs["lambert"],
+                T,
                 np.exp(-(h * T + icpt)),
                 np.exp(-envs["gevrey2"]),
                 np.exp(-envs["gevrey3"]),
@@ -432,7 +414,6 @@ def fit_decay(
         "exp",
     )
     return DecayFitReport(
-        sigma=sigma,
         h_fit=h,
         h_stderr=se,
         intercept=icpt,
@@ -452,7 +433,6 @@ class DerivativeDecayRow:
     h_fit: float
     intercept: float
     r_squared: float
-    usable: int
     sup: float
 
 
@@ -484,9 +464,7 @@ def derivative_decay_check(
         raise VerificationError(f"derivative n={n}: slope {h:.4f} not positive")
     if r2 < r2_min:
         raise VerificationError(f"derivative n={n}: r^2 = {r2:.4f} below {r2_min}")
-    return DerivativeDecayRow(
-        n=n, h_fit=h, intercept=icpt, r_squared=r2, usable=len(xs), sup=sup
-    )
+    return DerivativeDecayRow(n=n, h_fit=h, intercept=icpt, r_squared=r2, sup=sup)
 
 
 @dataclass
@@ -531,17 +509,10 @@ def intercept_growth_fit(rows: List[DerivativeDecayRow]) -> InterceptGrowthFit:
 
 @dataclass
 class MixedBoundReport:
-    s: float
-    tau: float
-    sigma: float
-    k_max: int
-    q_max: int
     sup_table: np.ndarray  # sup_x |x^k psi^(q)(x)|, indexed [k, q]
     log_c: float
     log_a: float
     log_b: float
-    feasible: bool
-    violations: List[Tuple[int, int]]
 
 
 def mixed_bound_audit(
@@ -551,7 +522,6 @@ def mixed_bound_audit(
     s: float,
     tau: float,
     sigma: float,
-    box: float = 40.0,
 ) -> MixedBoundReport:
     """Solve for constants (log C, log A, log B) with
 
@@ -561,7 +531,7 @@ def mixed_bound_audit(
     lattice of |x^k psi^(q)(x)|.  ``lattices`` yields the samples of
     psi^(0), ..., psi^(q_max) in order and is consumed one lattice at a time,
     after the arguments are checked.  The LP minimizes log C with log A,
-    log B confined to [-box, box]; infeasibility (non-finite sups or no
+    log B confined to [-40, 40]; infeasibility (non-finite sups or no
     solution in the box) raises VerificationError listing the offending
     pairs.
     """
@@ -603,7 +573,7 @@ def mixed_bound_audit(
         c=[1.0, 0.0, 0.0],
         A_ub=rows,
         b_ub=rhs,
-        bounds=[(None, None), (-box, box), (-box, box)],
+        bounds=[(None, None), (-40.0, 40.0), (-40.0, 40.0)],
         method="highs",
     )
     if res.status != 0:
@@ -615,15 +585,8 @@ def mixed_bound_audit(
             detail=pairs,
         )
     return MixedBoundReport(
-        s=s,
-        tau=tau,
-        sigma=sigma,
-        k_max=k_max,
-        q_max=q_max,
         sup_table=sup_table,
         log_c=float(res.x[0]),
         log_a=float(res.x[1]),
         log_b=float(res.x[2]),
-        feasible=True,
-        violations=[],
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lambertwave import (
+    CumulativeProfile,
     DomainError,
     InputError,
     ResolutionError,
@@ -14,7 +15,6 @@ from lambertwave import (
     eval_psi_point,
     inner_product,
     synthesize_psi_lattice,
-    theta,
 )
 
 A = math.pi / 6.0
@@ -27,15 +27,16 @@ def profiles(wavelet):
 
 
 def test_theta_clamps_and_center(profiles):
+    # theta_a is the running integral of the mass-pi/2 cutoff phi_a
     phi_a, _ = profiles
-    th = theta(phi_a)
-    x = th.x()
+    x = phi_a.x()
+    th = CumulativeProfile(phi_a, HALF_PI)(x)
     supp_hi = phi_a.support[1]
-    assert np.all(th.values[x <= -supp_hi] == 0.0)
-    assert np.all(th.values[x >= supp_hi] == HALF_PI)
-    center = int(round(-th.x0 / th.dx))
-    assert th.values[center] == pytest.approx(math.pi / 4.0, abs=1e-9)
-    assert np.all(np.diff(th.values) >= 0.0)
+    assert np.all(th[x <= -supp_hi] == 0.0)
+    assert np.all(th[x >= supp_hi] == HALF_PI)
+    center = int(round(-phi_a.x0 / phi_a.dx))
+    assert th[center] == pytest.approx(math.pi / 4.0, abs=1e-9)
+    assert np.all(np.diff(th) >= 0.0)
 
 
 def test_theta_complementarity(wavelet):
@@ -47,10 +48,10 @@ def test_theta_complementarity(wavelet):
 
 
 def test_theta_mass_guard(profiles):
-    phi_a, _ = profiles
+    phi_a, phi_2a = profiles
     bad = dilate_normalize(phi_a, 1.0, HALF_PI * 1.001)
-    with pytest.raises(InputError):
-        theta(bad)
+    with pytest.raises(InputError, match="phi_a mass"):
+        bell(A, bad, phi_2a)
 
 
 def test_bell_flat_region_exact(wavelet):

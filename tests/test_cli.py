@@ -127,6 +127,12 @@ def test_decay_fit(tmp_path):
     fit = report["assertions"]["decay_fit"]
     assert fit["h_fit"] > 0
     assert fit["r_squared"] >= 0.9
+    # the n = 0 derivative row is the envelope fit itself
+    row0 = fit["derivatives"][0]
+    assert row0["n"] == 0
+    assert [row0[k] for k in ("h_fit", "intercept", "r_squared")] == [
+        fit["h_fit"], fit["intercept"], fit["r_squared"]]
+    assert [r["n"] for r in fit["derivatives"]] == [0, 1, 2]
     header, rows = read_csv(tmp_path / "envelope.csv")
     assert header == [
         "x", "env", "T_sigma", "lambert_bound", "gevrey2", "gevrey3",
@@ -216,13 +222,24 @@ def test_subcommand_options_and_fields():
     ns = ap.parse_args(["lambert-table", "--linear"])
     assert ns.log is False
     assert ap.parse_args(["lambert-table"]).log is None
+    # every config field is settable by some subcommand's flag
+    flagged = {f for opts in OPTIONS.values() for f in opts.values()} - {"config"}
+    assert flagged == set(field_types)
 
 
-def test_bad_config_file_exits_2(tmp_path):
+# the last five were config-file-only fields, now constants
+@pytest.mark.parametrize("key", [
+    "no_such_key", "moll_base_width", "m_max", "profile_base",
+    "profile_base_width", "audit_n_max",
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"no_such_key": 1}')
-    rc = main(["lambert-table", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    cfg.write_text(json.dumps({key: 1}))
+    out = tmp_path / "out"
+    rc = main(["lambert-table", "--config", str(cfg), "--out-dir", str(out)])
     assert rc == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()  # config errors write nothing
 
 
 @pytest.mark.parametrize("field, value", [
@@ -366,3 +383,25 @@ def test_resolution_failure_exits_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert "periodization" in capsys.readouterr().err
+    # the stage error is recorded before it propagates
+    failing = json.loads((tmp_path / "manifest.json").read_text())["failing"]
+    assert failing["stage"] == "build_wavelet"
+    assert failing["exception"] == "ResolutionError"
+    assert "periodization" in failing["message"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "error"
+    assert report["failing"] == failing
+
+
+def test_assoc_scan_at_cap_exits_3(tmp_path, capsys):
+    # at sigma = 1.05 the sup over p for k = 1e12 sits near p = 389626,
+    # beyond the scan's cap: the run must not report a truncated sup
+    rc = main([
+        "assoc-func", "--sigma", "1.05", "--kmin", "1e11", "--kmax", "1e12",
+        "--kpoints", "20", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 3
+    assert "cap" in capsys.readouterr().err
+    failing = json.loads((tmp_path / "manifest.json").read_text())["failing"]
+    assert (failing["stage"], failing["exception"]) == ("assoc_func", "ConvergenceError")
+    assert not (tmp_path / "assoc_func.csv").exists()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertwave import (
+    ConvergenceError,
     DomainError,
     InputError,
     SequenceParams,
@@ -114,6 +115,14 @@ def test_assoc_exact_anchor_cases():
     assert rep.t_exact == pytest.approx(oracle_val, rel=1e-14)
     assert rep.argmax_p == oracle_p == 4
     assert rep.t_exact == pytest.approx(33.08133245393884, rel=1e-13)  # frozen
+
+
+def test_assoc_scan_cap_raises():
+    # at sigma = 1.05 the sup for k = 1e12 lies past the scan's p cap
+    val, argp = enum_oracle(1e12, 1.0, 1.05, p_max=800000)
+    assert argp == 389626 and val == pytest.approx(1218956.89, rel=1e-8)
+    with pytest.raises(ConvergenceError, match="cap"):
+        assoc_t_exact(1e12, SequenceParams(1.0, 1.05))
 
 
 def test_assoc_domain_error():
@@ -234,5 +243,5 @@ def test_moritoh_and_envelopes():
     with pytest.raises(DomainError):
         moritoh_l(1.5, 2, 2.0)
     env = comparison_envelopes(np.array([math.exp(math.e)]), 2.0)
-    assert env["lambert"][0] == pytest.approx(math.e ** 2, rel=1e-10)
+    assert sorted(env) == ["exp", "gevrey2", "gevrey3", "moritoh"]
     assert env["gevrey2"][0] == pytest.approx(math.exp(math.e / 2.0), rel=1e-12)

@@ -12,10 +12,10 @@ from lambertwave import (
     InputError,
     VerificationError,
     completeness_check,
-    comparison_envelopes,
     decay_envelope,
     derivative_decay_check,
     dyadic_sum_check,
+    envelope_window,
     fit_decay,
     gaussian_spectrum,
     gram_matrix,
@@ -23,6 +23,7 @@ from lambertwave import (
     intercept_growth_fit,
     mixed_bound_audit,
 )
+from lambertwave.gevrey import lambert_regressor
 
 A = math.pi / 6.0
 
@@ -114,7 +115,7 @@ def test_completeness_gaussian(wavelet):
 def test_envelope_shape(wavelet):
     grid = wavelet.synthesis.grid
     xg = np.logspace(np.log10(50.0), 4.0, 60)
-    table = decay_envelope(grid, xg, evaluator=wavelet.ph)
+    table = decay_envelope(grid, xg, envelope_window(wavelet.ph))
     assert np.all(table.env[table.usable] <= grid.sup())
     assert np.all(np.diff(table.env) <= 0.0)  # nonincreasing on [50, 1e4]
     assert table.dropped == 0
@@ -123,13 +124,13 @@ def test_envelope_shape(wavelet):
 def test_envelope_floor_flagging(wavelet):
     grid = wavelet.synthesis.grid
     xg = np.logspace(2.0, np.log10(3e4), 20)
-    table = decay_envelope(grid, xg, floor=1e-6, evaluator=wavelet.ph)
+    table = decay_envelope(grid, xg, envelope_window(wavelet.ph), floor=1e-6)
     assert table.dropped > 0
     assert np.sum(table.usable) + table.dropped == len(xg)
 
 
 def test_fit_decay_gates_and_shapes(wavelet, fit_grid):
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid, envelope_window(wavelet.ph))
     fit = fit_decay(table, wavelet.sigma)
     assert fit.h_fit > 0
     assert fit.r_squared >= 0.9
@@ -138,24 +139,29 @@ def test_fit_decay_gates_and_shapes(wavelet, fit_grid):
     assert fit.shape_checks["sublinear"]
     assert np.isfinite(fit.crossovers["gevrey2"])
     assert fit.comparator_table is not None
-    assert fit.comparator_columns[0] == "x"
+    assert fit.comparator_columns[:3] == ("x", "env", "T_sigma")
+    # the T_sigma column is the regressor on the usable points
+    xs = fit.comparator_table[:, 0]
+    assert np.array_equal(xs, table.x[table.usable])
+    assert np.array_equal(fit.comparator_table[:, 2], lambert_regressor(xs, 2.0))
     # regressor anchor: T_2(e^e) = log^2(e^e) / W(e) = e^2, as W(e) = 1
-    anchor = comparison_envelopes(np.array([math.e ** math.e]), 2.0)["lambert"]
+    anchor = lambert_regressor(np.array([math.e ** math.e]), 2.0)
     assert anchor[0] == pytest.approx(math.e ** 2)
 
 
 def test_fit_decay_input_gates(wavelet, fit_grid):
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid[:10], evaluator=wavelet.ph)
+    window = envelope_window(wavelet.ph)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid[:10], window)
     with pytest.raises(InputError):
         fit_decay(table, wavelet.sigma)
     narrow = np.logspace(2, 2.5, 40)
-    table2 = decay_envelope(wavelet.synthesis.grid, narrow, evaluator=wavelet.ph)
+    table2 = decay_envelope(wavelet.synthesis.grid, narrow, window)
     with pytest.raises(InputError):
         fit_decay(table2, wavelet.sigma)
 
 
 def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
-    window = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph).window
+    window = envelope_window(wavelet.ph)
     rows = []
     for n in (0, 1, 2, 4, 8):
         rows.append(
@@ -173,10 +179,10 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
 
 
 def test_mixed_audit_feasible(wavelet, lattice_cache):
+    s, tau, sigma = 1.0, 1.0, 2.0
     rep = mixed_bound_audit(
-        (lattice_cache[q] for q in range(5)), 4, 4, 1.0, 1.0, 2.0
+        (lattice_cache[q] for q in range(5)), 4, 4, s, tau, sigma
     )
-    assert rep.feasible
     assert rep.sup_table[0, 0] == pytest.approx(
         lattice_cache[0].sup(), rel=1e-15
     )
@@ -188,8 +194,8 @@ def test_mixed_audit_feasible(wavelet, lattice_cache):
                 rep.log_c
                 + k * rep.log_a
                 + q * rep.log_b
-                + rep.s * math.lgamma(k + 1.0)
-                + rep.tau * q ** rep.sigma * (math.log(q) if q >= 1 else 0.0)
+                + s * math.lgamma(k + 1.0)
+                + tau * q ** sigma * (math.log(q) if q >= 1 else 0.0)
             )
             assert lhs <= rhs + 1e-9
 
@@ -213,7 +219,7 @@ def test_large_x_below_fitted_envelope(wavelet, fit_grid):
     # the fitted decay model (with an order-of-magnitude allowance)
     from lambertwave import eval_psi_point, lambert_w0
 
-    table = decay_envelope(wavelet.synthesis.grid, fit_grid, evaluator=wavelet.ph)
+    table = decay_envelope(wavelet.synthesis.grid, fit_grid, envelope_window(wavelet.ph))
     fit = fit_decay(table, wavelet.sigma)
     for x in (4.0e4, 5.5e4):
         t = math.log(x) ** 2 / lambert_w0(math.log(x))
