@@ -18,7 +18,8 @@ psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -90,6 +91,7 @@ class BellEvaluator:
         # minimal separation of ramp knot frequencies: half-width of the
         # actual (possibly narrower) cutoff support; governs beat periods
         self.ramp_half_width = prof_a.hi_x
+        self._lattice_band = None  # (L, psi_hat at the frequencies of L)
 
     def bell_at(self, xi):
         u = np.abs(np.asarray(xi, dtype=float))
@@ -118,6 +120,16 @@ class BellEvaluator:
         if q:
             out = (-1j * xi) ** q * out
         return out
+
+    def lattice_band(self, L: float) -> np.ndarray:
+        """psi_hat at the frequencies j 2 pi / L, j = -M..M, with M two
+        steps past the band edge.  Sampled once per period: the samples of
+        the last L asked for are kept."""
+        if self._lattice_band is None or self._lattice_band[0] != L:
+            dxi = 2.0 * np.pi / L
+            M = int(np.ceil(self.band[1] / dxi)) + 2
+            self._lattice_band = (L, self.psi_hat_at(np.arange(-M, M + 1) * dxi))
+        return self._lattice_band[1]
 
 
 def bell(a: float, phi_a: GridFunction, phi_2a: GridFunction) -> BellEvaluator:
@@ -151,15 +163,15 @@ class LatticeSynthesis:
     l2_norm: float
 
 
-def _lattice_values(ph: BellEvaluator, q: int, L: float, N: int) -> np.ndarray:
-    dxi = 2.0 * np.pi / L
-    M = int(np.ceil(ph.band[1] / dxi)) + 2
-    if 2 * M + 1 >= N:
-        raise ResolutionError("lattice too small for the spectral bandwidth")
-    j = np.arange(-M, M + 1)
+def _lattice_fft(band: np.ndarray, N: int) -> np.ndarray:
+    """N-point DFT sum_j band[j] e^{-2 pi i j k / N} of samples at the
+    centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
+    (2M entries), for k = 0..N-1."""
+    M = len(band) // 2
     spec = np.zeros(N, dtype=complex)
-    spec[j % N] = ph.psi_hat_at(j * dxi, q)
-    return np.fft.fft(spec) * (dxi / (2.0 * np.pi))
+    spec[:len(band) - M] = band[M:]
+    spec[N - M:] = band[:M]
+    return np.fft.fft(spec, out=spec)
 
 
 def synthesize_psi_lattice(
@@ -172,10 +184,14 @@ def synthesize_psi_lattice(
     """Inverse transform of psi^(q) onto the lattice {j L / N} via a
     zero-padded DFT.
 
-    Sampling the spectrum at 2 pi / L computes the L-periodization of the
-    wavelet.  The wraparound on the reporting range |x| <= L/4 is certified
-    below 1e-13 by re-synthesizing at twice the period and comparing there
-    (a half-period reference would be dirtier than the synthesis itself).
+    Sampling the spectrum at 2 pi / L computes the L-periodization psi_L of
+    the wavelet.  The wraparound on the reporting range |x| <= L/4 is
+    certified below 1e-13 against the 2L-periodization (a half-period
+    reference would be dirtier than the synthesis itself).  Its samples at
+    the same lattice points split by frequency parity into psi_L / 2 and
+    an odd-frequency part: one N-point DFT of psi_hat^(q) at
+    (j + 1/2) 2 pi / L, twiddled by e^{-i pi k / N}.  psi_2L - psi_L is
+    therefore that part minus psi_L / 2, and no 2N-point synthesis is made.
     The Hermitian spectrum must synthesize real: the imaginary residue is
     checked against 1e-12.
     """
@@ -183,7 +199,17 @@ def synthesize_psi_lattice(
     if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
         raise ResolutionError("frequency sampling too coarse across the band")
 
-    vals = _lattice_values(ph, q, L, N)
+    dxi = 2.0 * np.pi / L
+    band = ph.lattice_band(L)
+    if len(band) >= N:
+        raise ResolutionError("lattice too small for the spectral bandwidth")
+    M = len(band) // 2
+    if q:
+        # psi_hat_at's factor on the same samples: the FFT input is
+        # bit-identical to sampling psi_hat^(q) directly
+        band = (-1j * (np.arange(-M, M + 1) * dxi)) ** q * band
+    vals = _lattice_fft(band, N)
+    vals *= dxi / (2.0 * np.pi)
     imag_max = float(np.max(np.abs(vals.imag)))
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if imag_max > 1e-12 * scale:
@@ -191,26 +217,29 @@ def synthesize_psi_lattice(
             f"imaginary residue {imag_max:.3e} exceeds 1e-12 relative to "
             f"the synthesis scale {scale:.3e}"
         )
-    psi = vals.real
+    dxl = L / N
+    l2 = float(np.sqrt(np.sum(vals.real ** 2) * dxl))
+    # centred: x = 0 at index N // 2
+    psi = np.fft.fftshift(vals.real)
+    del vals
 
     per_diff = 0.0
     if check_periodization:
-        dbl = _lattice_values(ph, q, 2.0 * L, 2 * N)
-        x_dbl = np.fft.fftfreq(2 * N, d=0.5 / L)
-        keep = np.abs(x_dbl) <= L / 4.0
-        idx = np.round(x_dbl[keep] / (L / N)).astype(int) % N
-        per_diff = float(np.max(np.abs(dbl.real[keep] - psi[idx])))
+        k = np.arange(-(N // 4), N // 4 + 1)
+        odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)[k]
+        odd *= np.exp(-1j * np.pi * k / N)
+        per_diff = float(np.max(np.abs(
+            odd.real * (dxi / (4.0 * np.pi)) - 0.5 * psi[k + N // 2]
+        )))
         if per_diff > 1e-13:
             raise ResolutionError(
                 f"periodization residual {per_diff:.3e} exceeds 1e-13"
             )
 
-    dxl = L / N
-    l2 = float(np.sqrt(np.sum(psi ** 2) * dxl))
     grid = GridFunction(
         x0=-L / 2.0,
         dx=dxl,
-        values=np.fft.fftshift(psi),
+        values=psi,
         support=(-L / 2.0, L / 2.0 - dxl),
     )
     return LatticeSynthesis(
@@ -250,7 +279,8 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 @dataclass
 class WaveletBuild:
     """Everything the verification stages need, built in one shot; the
-    owner of the wavelet's derivative lattices (``lattice``)."""
+    owner of the wavelet's derivative lattices (``lattice``) and of their
+    moment fronts (``front``)."""
 
     sigma: float
     a: float
@@ -262,16 +292,32 @@ class WaveletBuild:
     synthesis: LatticeSynthesis
     L: float
     N: int
+    # q -> moment front of the psi^(q) lattice; whole lattices (N samples
+    # each) are not kept
+    fronts: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def lattice(self, q: int = 0) -> GridFunction:
         """Samples of psi^(q) on the synthesis lattice {j L / N}: the
         certified synthesis at q = 0, and above it a fresh synthesis with
-        no periodization check."""
+        no periodization check.  The moment front of each is kept."""
         if q == 0:
-            return self.synthesis.grid
-        return synthesize_psi_lattice(
-            self.ph, L=self.L, N=self.N, check_periodization=False, q=q
-        ).grid
+            grid = self.synthesis.grid
+        else:
+            grid = synthesize_psi_lattice(
+                self.ph, L=self.L, N=self.N, check_periodization=False, q=q
+            ).grid
+        if q not in self.fronts:
+            self.fronts[q] = grid.moment_front()
+        return grid
+
+    def front(self, q: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """``moment_front()`` of the psi^(q) lattice, synthesizing it only
+        if ``lattice(q)`` has not made it yet."""
+        if q not in self.fronts:
+            self.lattice(q)
+        return self.fronts[q]
 
 
 def build_wavelet(

@@ -246,8 +246,9 @@ def stage_build_mollifier(run: Run) -> list:
     build = build_mollifier(cfg.sigma, spec, cutoff=cutoff, base=cfg.moll_base)
     phi_path = out / cfg.moll_out
     write_csv(phi_path, ["x", "phi"], zip(build.phi.x(), build.phi.values))
-    n_audit = min(AUDIT_N_MAX, len(build.scales) - 2)
-    audit = derivative_bound_audit(build, n_audit) if n_audit >= 1 else None
+    # the audit needs three factors; with fewer kept it is skipped
+    n_audit = max(0, min(AUDIT_N_MAX, len(build.scales) - 2))
+    audit = derivative_bound_audit(build, n_audit) if n_audit else None
     prov = {
         "sigma": cfg.sigma,
         "thresholds": build.thresholds,
@@ -276,7 +277,7 @@ def stage_build_mollifier(run: Run) -> list:
         "evenness": build.evenness,
         "trunc_index": build.trunc_index,
         "audit_n_max": n_audit,
-        "audit_pass": audit is not None,
+        "audit_pass": True if audit else None,  # the audit raises on failure
     }
     return [phi_path, prov_path]
 
@@ -412,7 +413,7 @@ def stage_decay_fit(run: Run) -> list:
 def stage_mixed_audit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
     rep = mixed_bound_audit(
-        (wb.lattice(q) for q in range(cfg.mixed_q_max + 1)),
+        (wb.front(q) for q in range(cfg.mixed_q_max + 1)),
         k_max=cfg.mixed_k_max,
         q_max=cfg.mixed_q_max,
         s=cfg.mixed_s,

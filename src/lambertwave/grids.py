@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -76,3 +77,35 @@ class GridFunction:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    def moment_front(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The Pareto front of the points (|x|, |value|): the samples that no
+        other sample matches or beats in both coordinates, as (|x|, |value|)
+        with |x| ascending (and |value| strictly descending).
+
+        Every function nondecreasing in both coordinates, such as the moment
+        |x|^k |value|, takes its sup over the samples on the front.  Each
+        half-lattice is ordered by |x| already, so its front is one reverse
+        running max; the two half-fronts are merged by sorting the few
+        points left.
+        """
+        x = self.x()
+        av = np.abs(self.values)
+        split = int(np.searchsorted(x, 0.0))  # x < 0 before, x >= 0 from here
+        idx = np.concatenate([
+            split - 1 - np.flatnonzero(_front_mask(av[:split][::-1])),
+            split + np.flatnonzero(_front_mask(av[split:])),
+        ])
+        ax, av = np.abs(x[idx]), av[idx]
+        order = np.lexsort((av, ax))
+        ax, av = ax[order], av[order]
+        keep = _front_mask(av)
+        return ax[keep], av[keep]
+
+
+def _front_mask(v: np.ndarray) -> np.ndarray:
+    """Mask of the entries strictly above every later entry."""
+    later = np.empty_like(v)
+    later[-1:] = -np.inf
+    later[:-1] = np.maximum.accumulate(v[:0:-1])[::-1]
+    return v > later

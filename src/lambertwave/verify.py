@@ -516,7 +516,7 @@ class MixedBoundReport:
 
 
 def mixed_bound_audit(
-    lattices: Iterable[GridFunction],
+    fronts: Iterable[Tuple[np.ndarray, np.ndarray]],
     k_max: int,
     q_max: int,
     s: float,
@@ -528,9 +528,11 @@ def mixed_bound_audit(
         log S(k, q) <= log C + k log A + q log B + s log k! + tau q^sigma log q
 
     over all k <= k_max, q <= q_max, where S(k, q) = sup over the synthesis
-    lattice of |x^k psi^(q)(x)|.  ``lattices`` yields the samples of
-    psi^(0), ..., psi^(q_max) in order and is consumed one lattice at a time,
-    after the arguments are checked.  The LP minimizes log C with log A,
+    lattice of |x^k psi^(q)(x)|.  ``fronts`` yields the moment fronts
+    (``GridFunction.moment_front``) of the lattices of psi^(0), ...,
+    psi^(q_max) in order, and is consumed after the arguments are checked;
+    the sup of |x|^k |psi^(q)| over a front is its sup over the whole
+    lattice.  The LP minimizes log C with log A,
     log B confined to [-40, 40]; infeasibility (non-finite sups or no
     solution in the box) raises VerificationError listing the offending
     pairs.
@@ -541,14 +543,12 @@ def mixed_bound_audit(
         raise InputError("k_max and q_max are capped at 10")
     sup_table = np.empty((k_max + 1, q_max + 1))
     done = 0
-    for q, grid in zip(range(q_max + 1), lattices):
-        absv = np.abs(grid.values)
-        ax = np.abs(grid.x())
+    for q, (ax, av) in zip(range(q_max + 1), fronts):
         for k in range(k_max + 1):
-            sup_table[k, q] = float(np.max(ax ** k * absv))
+            sup_table[k, q] = float(np.max(ax ** k * av))
         done += 1
     if done != q_max + 1:
-        raise InputError(f"need {q_max + 1} lattices (q = 0..{q_max}), got {done}")
+        raise InputError(f"need {q_max + 1} fronts (q = 0..{q_max}), got {done}")
 
     violations = [
         (k, q)

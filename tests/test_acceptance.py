@@ -205,9 +205,9 @@ def test_criterion_8_derivative_decay(wavelet, fit_grid, lattice_cache):
                  f"s={growth.s_ls:.3f}")
 
 
-def test_criterion_9_mixed_bound(wavelet, lattice_cache):
+def test_criterion_9_mixed_bound(wavelet):
     rep = mixed_bound_audit(
-        (lattice_cache[q] for q in range(9)), 8, 8, 1.0, 1.0, 2.0
+        (wavelet.front(q) for q in range(9)), 8, 8, 1.0, 1.0, 2.0
     )
     # direct substitution of the reported constants into all 81 constraints
     for k in range(9):

@@ -119,6 +119,34 @@ def test_synthesis_certificates(wavelet):
     assert syn.periodization_diff <= 1e-13
 
 
+def _doubled_period_residual(ph, grid, L, N):
+    """max |psi_2L - psi_L| on |x| <= L/4, psi_2L from an explicit 2N-point
+    synthesis at period 2L, psi_L the samples of ``grid``."""
+    dxi = math.pi / L
+    M = int(np.ceil(ph.band[1] / dxi)) + 2
+    j = np.arange(-M, M + 1)
+    spec = np.zeros(2 * N, dtype=complex)
+    spec[j % (2 * N)] = ph.psi_hat_at(j * dxi)
+    k = np.arange(-(N // 4), N // 4 + 1)
+    dbl = np.fft.fft(spec)[k % (2 * N)].real * (dxi / (2.0 * math.pi))
+    return float(np.max(np.abs(dbl - grid.values[k + N // 2])))
+
+
+def test_periodization_identity_matches_doubled_period(wavelet):
+    syn = wavelet.synthesis
+    oracle = _doubled_period_residual(wavelet.ph, syn.grid, wavelet.L, wavelet.N)
+    assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
+    # a smaller lattice, at a half-width whose residual clears the 1e-13 bar
+    a = 0.9
+    ph = bell(a, dilate_normalize(wavelet.master.phi, a, HALF_PI),
+              dilate_normalize(wavelet.master.phi, 2.0 * a, HALF_PI))
+    L, N = 2.0 ** 17, 2 ** 19
+    syn = synthesize_psi_lattice(ph, L=L, N=N)
+    oracle = _doubled_period_residual(ph, syn.grid, L, N)
+    assert 0.0 < syn.periodization_diff <= 1e-13
+    assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
+
+
 def test_synthesis_symmetry_about_half(wavelet):
     grid = wavelet.synthesis.grid
     x = grid.x()

@@ -2,6 +2,8 @@
 
 import argparse
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -73,6 +75,23 @@ def test_build_mollifier(tmp_path):
         dx=float(rows[1][0]) - float(rows[0][0]),
     )
     assert abs(mass - 1.0) <= 1e-8
+
+
+def test_build_mollifier_skipped_audit(tmp_path):
+    # a shallow cutoff keeps fewer than three factors: no audit can run
+    rc = main([
+        "build-mollifier", "--grid-pow", "12", "--cutoff", "0.2",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "pass"
+    moll = report["assertions"]["mollifier"]
+    assert moll["audit_n_max"] == 0
+    assert moll["audit_pass"] is None
+    prov = json.loads((tmp_path / "phi.provenance.json").read_text())
+    assert len(prov["scales"]) < 3
+    assert prov["bounds_table"] == []
 
 
 def test_build_wavelet(tmp_path):
@@ -152,6 +171,29 @@ def test_mixed_audit(tmp_path):
     header, rows = read_csv(tmp_path / "mixed.csv")
     assert header == ["k", "q", "sup"]
     assert len(rows) == 16
+
+
+@pytest.mark.parametrize("command, orders", [
+    ("all", range(9)),
+    ("decay-fit", (0, 1, 2, 4, 8)),
+    ("mixed-audit", range(9)),
+])
+def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
+    bell_mod = importlib.import_module("lambertwave.bell")
+    synthesize = bell_mod.synthesize_psi_lattice
+    calls = []
+
+    def counting(*args, **kwargs):
+        bound = inspect.signature(synthesize).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["q"], bound.arguments["check_periodization"]))
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counting)
+    rc = main([command, *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert sorted(q for q, _ in calls) == list(orders)
+    assert [q for q, check in calls if check] == [0]
 
 
 def test_invalid_a_exits_2(tmp_path, capsys):

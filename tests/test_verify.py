@@ -181,7 +181,7 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
 def test_mixed_audit_feasible(wavelet, lattice_cache):
     s, tau, sigma = 1.0, 1.0, 2.0
     rep = mixed_bound_audit(
-        (lattice_cache[q] for q in range(5)), 4, 4, s, tau, sigma
+        (wavelet.front(q) for q in range(5)), 4, 4, s, tau, sigma
     )
     assert rep.sup_table[0, 0] == pytest.approx(
         lattice_cache[0].sup(), rel=1e-15
@@ -202,16 +202,56 @@ def test_mixed_audit_feasible(wavelet, lattice_cache):
 
 def test_mixed_audit_domain():
     def unread():
-        raise AssertionError("a lattice was read before the argument checks")
+        raise AssertionError("a front was read before the argument checks")
         yield
 
     with pytest.raises(DomainError):
         mixed_bound_audit(unread(), 2, 2, 1.5, 1.0, 2.0)
     with pytest.raises(InputError):
         mixed_bound_audit(unread(), 11, 2, 1.0, 1.0, 2.0)
-    tiny = GridFunction(-1.0, 0.5, np.ones(4), (-1.0, 0.5))
-    with pytest.raises(InputError, match="need 3 lattices"):
+    tiny = GridFunction(-1.0, 0.5, np.ones(4), (-1.0, 0.5)).moment_front()
+    with pytest.raises(InputError, match="need 3 fronts"):
         mixed_bound_audit(iter([tiny, tiny]), 2, 2, 1.0, 1.0, 2.0)
+
+
+def _assert_front_sups_exact(grid):
+    """Sups of |x|^k |value| over the front equal, bitwise, the brute-force
+    sups over every sample."""
+    ax, av = grid.moment_front()
+    for k in range(11):
+        brute = np.max(np.abs(grid.x()) ** k * np.abs(grid.values))
+        assert np.max(ax ** k * av) == brute, k
+
+
+@pytest.mark.parametrize("q", [0, 1, 8])
+def test_moment_front_sups_equal_lattice_sups(wavelet, lattice_cache, q):
+    grid = lattice_cache[q]
+    _assert_front_sups_exact(grid)
+    ax, av = wavelet.front(q)
+    assert len(ax) < grid.n // 100
+    assert np.all(np.diff(ax) > 0) and np.all(np.diff(av) < 0)
+
+
+@pytest.mark.parametrize("x0, dx, values", [
+    # ties within and across the halves, exact zeros, the x = 0 node
+    (-2.0, 0.5, [0.0, 3.0, -1.0, 2.0, 2.0, -2.0, 1.0, -3.0, 0.0]),
+    # all-zero x < 0 half, the peak on the x = 0 node
+    (-2.0, 0.5, [0.0, 0.0, 0.0, 0.0, 5.0, 1.0, -1.0, 0.5, 0.0]),
+    # all-zero x > 0 half
+    (-2.0, 0.5, [1.0, -2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    (-2.0, 0.5, [0.0] * 9),
+    # off-centre lattice with many repeated values
+    (-3.0, 0.25, np.random.default_rng(7).integers(-3, 4, 41).astype(float)),
+])
+def test_moment_front_hand_made(x0, dx, values):
+    values = np.asarray(values)
+    grid = GridFunction(x0, dx, values, (x0, x0 + dx * (len(values) - 1)))
+    _assert_front_sups_exact(grid)
+    # the front is exactly the set of samples no other sample dominates
+    pts = sorted(set(zip(np.abs(grid.x()), np.abs(grid.values))))
+    front = [p for p in pts
+             if not any(o != p and o[0] >= p[0] and o[1] >= p[1] for o in pts)]
+    assert list(zip(*grid.moment_front())) == front
 
 
 def test_large_x_below_fitted_envelope(wavelet, fit_grid):
