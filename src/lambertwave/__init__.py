@@ -10,7 +10,6 @@ artifacts.
 
 from .bell import (
     BellEvaluator,
-    CumulativeProfile,
     LatticeSynthesis,
     WaveletBuild,
     bell,
@@ -55,7 +54,6 @@ from .mollifier import (
     block_thresholds,
     build_mollifier,
     derivative_bound_audit,
-    dilate_normalize,
     scale_sequence,
 )
 from .verify import (

@@ -1,15 +1,20 @@
-"""Frequency-domain bell, the wavelet transform profile, and synthesis.
+"""Frequency-domain bell, the wavelet transform, and synthesis.
 
 The bell is
 
     b(xi) = sin(theta_a(|xi| - pi)) * cos(theta_2a(|xi| - 2 pi)),
 
-vanishing for |xi| <= pi - a and |xi| >= 2 (pi + a), identically 1 on
-[pi + a, 2 (pi - a)] (the admissible range 0 < a < pi/3 makes those regions
-meet properly).  theta_a is the running integral of a mass-pi/2 cutoff of
-half-width a, clamped bit-exactly to 0 and pi/2 outside its support; the
-width-2a profile is the exact dyadic dilation of the same cutoff, which is
-what makes the quadrature-free dyadic identities hold to rounding error.
+with ramps theta_a and theta_2a running from 0 to pi/2.  theta_a is the
+running integral of the mass-pi/2 cone of half-width w = a/4 (the cone
+cascade's first factor, a_1 = 1/4, dilated by a), in closed form:
+theta_a(v) = (pi/2) C(v / w), with C the CDF of the unit triangle, so it is
+0 and pi/2 bit-exactly outside [-w, w].  theta_2a is the same ramp at
+half-width 2w, so theta_2a(2v) = theta_a(v) bitwise, which is what makes
+the quadrature-free dyadic identities hold to rounding error.  b vanishes
+for |xi| <= pi - w and |xi| >= 2 (pi + w) and is identically 1 on
+[pi + w, 2 (pi - w)]; the admissible range 0 < a < pi/3 keeps the two
+ramps apart even at half-width a (pi + a < 2 (pi - a)).  Nothing here
+depends on sigma, so neither does the wavelet.
 
 exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
@@ -23,80 +28,48 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .grids import GridFunction, GridSpec
-from .mollifier import MollifierBuild, build_mollifier, dilate_normalize
 
 HALF_PI = np.pi / 2.0
 
 
-class CumulativeProfile:
-    """Exact running integral of the linear interpolant of a sampled bump.
-
-    Evaluation anywhere is the piecewise-quadratic antiderivative; outside
-    the sampled support it clamps bit-exactly to 0 on the left and to
-    ``total`` on the right.  Samples are rescaled so the full integral is
-    exactly ``total``.
-    """
-
-    def __init__(self, phi: GridFunction, total: float):
-        v = np.asarray(phi.values, dtype=float)
-        h = phi.dx
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * h)])
-        if cum[-1] <= 0:
-            raise InputError("profile has no mass")
-        scale = total / cum[-1]
-        self.values = v * scale
-        self.cum = cum * scale
-        self.x0 = phi.x0
-        self.h = h
-        self.total = total
-        nz = np.nonzero(self.values)[0]
-        if len(nz) == 0:
-            raise InputError("profile has no nonzero samples")
-        self.lo_x = phi.x0 + nz[0] * h
-        self.hi_x = phi.x0 + nz[-1] * h
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        j = np.clip(
-            np.floor((x - self.x0) / self.h).astype(int), 0, len(self.values) - 2
-        )
-        frac = x - (self.x0 + j * self.h)
-        out = (
-            self.cum[j]
-            + self.values[j] * frac
-            + (self.values[j + 1] - self.values[j]) * frac * frac / (2.0 * self.h)
-        )
-        out = np.where(x <= self.lo_x, 0.0, out)
-        out = np.where(x >= self.hi_x, self.total, out)
-        return out
+def _ramp(v, w: float) -> np.ndarray:
+    """(pi/2) C(v / w), C the CDF of the unit triangle: (1 + t)^2 / 2 for
+    t <= 0 and 1 - (1 - t)^2 / 2 above, with t clamped to [-1, 1].  Both
+    halves share h = (1 - |t|)^2 / 2, so ramp(v) + ramp(-v) is pi/2 up to
+    one rounding."""
+    t = np.clip(np.asarray(v, dtype=float) / w, -1.0, 1.0)
+    h = 0.5 * (1.0 - np.abs(t)) ** 2
+    return HALF_PI * np.where(t > 0.0, 1.0 - h, h)
 
 
 class BellEvaluator:
     """The wavelet: point evaluator for the bell and for the transforms of
     the wavelet's members and their derivatives.
 
-    Bundles the two cumulative profiles with the half-width a; carries the
-    knot spacing of the underlying sampled cutoff so that oscillatory
-    quadratures can align their panels with it.
+    ``ramp_half_width`` (w = a/4) is the half-width of theta_a's cutoff:
+    the bell's knots sit at pi +- w, pi, 2 pi +- 2w and 2 pi, and w is the
+    closest separation of its ramp frequencies, which sets the beat period.
     """
 
-    def __init__(self, a: float, prof_a: CumulativeProfile, prof_2a: CumulativeProfile):
+    def __init__(self, a: float):
         self.a = a
-        self.prof_a = prof_a
-        self.prof_2a = prof_2a
-        self.knot_h = prof_a.h
         self.band = (np.pi - a, 2.0 * (np.pi + a))
-        # minimal separation of ramp knot frequencies: half-width of the
-        # actual (possibly narrower) cutoff support; governs beat periods
-        self.ramp_half_width = prof_a.hi_x
+        self.ramp_half_width = a / 4.0
         self._lattice_band = None  # (L, psi_hat at the frequencies of L)
 
+    def theta_a(self, v):
+        return _ramp(v, self.ramp_half_width)
+
+    def theta_2a(self, v):
+        return _ramp(v, 2.0 * self.ramp_half_width)
+
     def bell_at(self, xi):
+        # cos(theta_2a(v)) = sin(theta_2a(-v)): exactly 0 above 2 (pi + w)
+        # and exactly 1 on the flat part, like the sine ramp below it
         u = np.abs(np.asarray(xi, dtype=float))
-        out = np.sin(self.prof_a(u - np.pi)) * np.cos(self.prof_2a(u - 2.0 * np.pi))
-        return np.where((u <= self.band[0]) | (u >= self.band[1]), 0.0, out)
+        return np.sin(self.theta_a(u - np.pi)) * np.sin(self.theta_2a(2.0 * np.pi - u))
 
     def psi_hat_at(self, xi, q: int = 0, m: int = 0, n: int = 0):
         """Transform of the q-th derivative of the member 2^{m/2} psi(2^m x - n):
@@ -132,21 +105,12 @@ class BellEvaluator:
         return self._lattice_band[1]
 
 
-def bell(a: float, phi_a: GridFunction, phi_2a: GridFunction) -> BellEvaluator:
-    """The bell (real, even) and wavelet transform evaluator for half-width a.
-
-    ``phi_a`` and ``phi_2a`` are the mass-pi/2 cutoffs of half-widths a and
-    2a; build the second as the exact dilation of the first so the dyadic
-    identity theta_2a(2v) = theta_a(v) holds to rounding error.
-    """
+def bell(a: float) -> BellEvaluator:
+    """The bell (real, even) and wavelet transform evaluator for half-width
+    a, which must lie in (0, pi/3)."""
     if not (0.0 < a < np.pi / 3.0):
         raise DomainError(f"half-width a must lie in (0, pi/3), got {a}")
-    for name, gf, width in (("phi_a", phi_a, a), ("phi_2a", phi_2a, 2 * a)):
-        if abs(gf.integral() - HALF_PI) > 1e-6:
-            raise InputError(f"{name} mass deviates from pi/2 by more than 1e-6")
-        if gf.support[0] < -width - 1e-12 or gf.support[1] > width + 1e-12:
-            raise InputError(f"{name} support exceeds [-{width}, {width}]")
-    return BellEvaluator(a, CumulativeProfile(phi_a, HALF_PI), CumulativeProfile(phi_2a, HALF_PI))
+    return BellEvaluator(a)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +214,29 @@ def synthesize_psi_lattice(
 def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     """Direct oscillatory quadrature of one wavelet value,
 
-        psi(x) = (1/pi) Int_{band} b(xi) cos((x - 1/2) xi) d xi.
+        psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi.
 
-    Panels align with the knots of the sampled bell profile, where its
-    piecewise polynomial changes; 8 Gauss-Legendre nodes per panel then give
-    well over the minimum 8 nodes per oscillation period for |x| up to the
-    synthesis range.
+    The bell is smooth between its six knots (pi -+ w, pi, 2 pi -+ 2w,
+    2 pi, w the ramp half-width), so the pieces between them are split into
+    panels no wider than a quarter period of the cosine,
+    pi / (2 max(|x - 1/2|, 1)), with 8 Gauss-Legendre nodes each.
     """
     if not np.isfinite(x):
         raise DomainError("evaluation point must be finite")
     u = x - 0.5
-    lo, hi = ph.band
-    n_panels = int(np.ceil((hi - lo) / ph.knot_h))
+    w = ph.ramp_half_width
+    knots = np.array([np.pi - w, np.pi, np.pi + w,
+                      2.0 * (np.pi - w), 2.0 * np.pi, 2.0 * (np.pi + w)])
+    n_panels = np.ceil(np.diff(knots) * (2.0 * max(abs(u), 1.0) / np.pi)).astype(int)
+    edges = np.concatenate([
+        np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in zip(knots, knots[1:], n_panels)
+    ] + [knots[-1:]])
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     haf = 0.5 * (edges[1:] - edges[:-1])
     xi = (mid[:, None] + haf[:, None] * gl_x[None, :]).ravel()
     wts = (haf[:, None] * gl_w[None, :]).ravel()
-    vals = ph.bell_at(xi).real
-    return float(np.sum(vals * np.cos(u * xi) * wts) / np.pi)
+    return float(np.sum(ph.bell_at(xi) * np.cos(u * xi) * wts) / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +251,6 @@ class WaveletBuild:
 
     sigma: float
     a: float
-    master: MollifierBuild
-    phi_a: GridFunction
-    phi_2a: GridFunction
     freq: GridSpec  # frequency grid of the psi_hat.csv artifact
     ph: BellEvaluator
     synthesis: LatticeSynthesis
@@ -323,38 +287,28 @@ class WaveletBuild:
 def build_wavelet(
     sigma: float = 2.0,
     a: float = np.pi / 6.0,
-    grid_pow: int = 17,
     freq_pow: int = 16,
-    profile_cutoff: float = 0.2,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
 ) -> WaveletBuild:
-    """Build cutoff -> bell evaluator -> lattice synthesis.
+    """Build the bell evaluator and its certified lattice synthesis.
 
-    The spectral profile keeps only the widest cascade factors
-    (``profile_cutoff``) of a cone-based cascade: deeper factors, or the
-    analytic bump, steepen the decay beyond what double precision can
-    exhibit across the verification window, while the orthonormality
-    structure is exact at any truncation depth.
+    The ramps are those of the cone cascade's widest factor alone: deeper
+    factors, or the analytic bump, steepen the decay beyond what double
+    precision can exhibit across the verification window, while the
+    orthonormality structure is exact at any depth.  ``sigma`` is carried
+    for the stages that read it; the wavelet does not depend on it.
     """
-    spec = GridSpec.symmetric(1.5, grid_pow)
-    master = build_mollifier(sigma, spec, cutoff=profile_cutoff, base="cone")
-    phi_a = dilate_normalize(master.phi, a, HALF_PI)
-    phi_2a = dilate_normalize(master.phi, 2.0 * a, HALF_PI)
     band = 2.0 * (np.pi + a) + 1.0
     nfreq = 2 ** freq_pow
     freq = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
-    ph = bell(a, phi_a, phi_2a)
-    synth = synthesize_psi_lattice(ph, L=L, N=N)
+    ph = bell(a)
     return WaveletBuild(
         sigma=sigma,
         a=a,
-        master=master,
-        phi_a=phi_a,
-        phi_2a=phi_2a,
         freq=freq,
         ph=ph,
-        synthesis=synth,
+        synthesis=synthesize_psi_lattice(ph, L=L, N=N),
         L=L,
         N=N,
     )

@@ -71,7 +71,6 @@ class RunConfig:
     samples: int = 2 ** 22
     moll_base: str = "analytic"
     moll_cutoff: float = 0.0       # 0 -> one grid cell
-    profile_cutoff: float = 0.2
     # verification
     gram_tol: float = 1e-7
     dyadic_tol: float = 1e-9
@@ -116,7 +115,6 @@ def _validate(cfg: RunConfig) -> None:
         ("moll_base", cfg.moll_base in ("analytic", "cone"),
          "must be 'analytic' or 'cone'"),
         ("moll_cutoff", cfg.moll_cutoff >= 0, "must be nonnegative"),
-        ("profile_cutoff", cfg.profile_cutoff > 0, "must be positive"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
         ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
         ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
@@ -287,9 +285,7 @@ def stage_build_wavelet(run: Run) -> list:
     run.wb = build_wavelet(
         sigma=cfg.sigma,
         a=cfg.a,
-        grid_pow=cfg.grid_pow,
         freq_pow=cfg.freq_pow,
-        profile_cutoff=cfg.profile_cutoff,
         L=cfg.period,
         N=cfg.samples,
     )
@@ -316,8 +312,7 @@ def stage_wavelet_artifacts(run: Run) -> list:
         "l2_norm": wb.synthesis.l2_norm,
         "imag_max": wb.synthesis.imag_max,
         "periodization_diff": wb.synthesis.periodization_diff,
-        "profile_scales": wb.master.scales,
-        "profile_degenerate": wb.master.degenerate,
+        "ramp_half_width": wb.ph.ramp_half_width,
         "psi_csv_xmax": cfg.psi_xmax,
     }
     man_path = out / "wavelet_manifest.json"
@@ -478,7 +473,7 @@ class Command:
 
 
 _WAVELET = ("build_wavelet", "wavelet_artifacts")
-_LATTICE = ("sigma", "a", "grid_pow", "freq_pow", "samples", "period")
+_LATTICE = ("sigma", "a", "freq_pow", "samples", "period")
 
 COMMANDS: Dict[str, Command] = {
     "lambert-table": Command(
@@ -505,7 +500,7 @@ COMMANDS: Dict[str, Command] = {
     "build-wavelet": Command(
         "bell, transform, and lattice synthesis",
         _WAVELET,
-        _LATTICE + ("profile_cutoff", "psi_xmax"),
+        _LATTICE + ("psi_xmax",),
     ),
     "verify-onw": Command(
         "Gram matrix, dyadic sum, completeness",
@@ -524,7 +519,7 @@ COMMANDS: Dict[str, Command] = {
         _WAVELET + ("mixed_audit",),
         _LATTICE + ("mixed_s", "mixed_tau", "mixed_k_max", "mixed_q_max"),
     ),
-    "all": Command("run every stage", tuple(STAGES), _LATTICE),
+    "all": Command("run every stage", tuple(STAGES), _LATTICE + ("grid_pow",)),
 }
 
 

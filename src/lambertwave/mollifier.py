@@ -15,10 +15,12 @@ Two base bumps are available:
 * ``analytic``  -- c * exp(-1 / (1 - x^2)); the classical choice.
 * ``cone``      -- a triangle of half-width ``base_width`` (its arbitrarily
   narrow smoothing is below any practical grid, so samples coincide with
-  the triangle's).  Its slow spectral falloff keeps the downstream decay
-  fits measurable in double precision; the analytic bump's own spectrum
-  sinks under the roundoff floor within a few hundred frequency units, far
-  inside the verification window.
+  the triangle's).
+
+This module is what ``build-mollifier`` builds and certifies.  The
+wavelet's ramps use only the cone cascade's first factor, a_1 = 1/4, whose
+running integral ``bell`` evaluates in closed form, so the wavelet path
+builds no cascade.
 """
 
 from __future__ import annotations
@@ -410,24 +412,3 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
     resid = y - basis @ coef
     log_c += float(np.max(resid / ns ** build.sigma))
     return DerivativeAuditReport(rows=tuple(rows), log_c_fit=log_c, tau_eff=tau_eff)
-
-
-# ---------------------------------------------------------------------------
-# Dilation
-# ---------------------------------------------------------------------------
-
-def dilate_normalize(phi: GridFunction, a: float, mass: float) -> GridFunction:
-    """Return x -> (mass / a) * phi(x / a).
-
-    The source grid is scaled exactly (no resampling): node k of the result
-    sits at a * x_k with value (mass / a) * phi(x_k), which preserves
-    trapezoid mass bit-for-bit.
-    """
-    if not (np.isfinite(a) and a > 0):
-        raise DomainError(f"half-width must be positive, got {a}")
-    if not (np.isfinite(mass) and mass > 0):
-        raise DomainError(f"mass must be positive, got {mass}")
-    lo, hi = phi.support
-    return GridFunction(
-        phi.x0 * a, phi.dx * a, phi.values * (mass / a), (lo * a, hi * a)
-    )

@@ -35,12 +35,17 @@ def inner_product(
 ) -> complex:
     """(1/2pi) Int F conj(G) for the members F, G of dyadic index (m, n),
     by the trapezoid rule over the smaller member's support.  Members two or
-    more octaves apart have disjoint bands and give exactly 0."""
+    more octaves apart have disjoint bands and give exactly 0.  Only the
+    ordered pair idx1 <= idx2 is integrated; the swapped pair is its exact
+    conjugate, as in ``gram_matrix``, and a member's square norm is real."""
+    if idx2 < idx1:
+        return inner_product(ph, idx2, idx1, n_quad).conjugate()
     (m1, n1), (m2, n2) = idx1, idx2
     hi = ph.band[1] * 2.0 ** min(m1, m2)
     u = np.linspace(-hi, hi, n_quad)
     integrand = ph.psi_hat_at(u, m=m1, n=n1) * np.conj(ph.psi_hat_at(u, m=m2, n=n2))
-    return complex(np.trapezoid(integrand, dx=u[1] - u[0]) / (2.0 * np.pi))
+    val = complex(np.trapezoid(integrand, dx=u[1] - u[0]) / (2.0 * np.pi))
+    return complex(val.real) if idx1 == idx2 else val
 
 
 @dataclass

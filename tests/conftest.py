@@ -9,8 +9,9 @@ from lambertwave import GridSpec, build_mollifier, build_wavelet
 
 @pytest.fixture(scope="session")
 def wavelet():
-    """Default pipeline wavelet: sigma=2, a=pi/6, single-factor cone profile,
-    full 2^22-sample synthesis."""
+    """Default pipeline wavelet: sigma=2, a=pi/6, closed-form ramps of
+    half-width a/4 (the cone cascade's first factor), full 2^22-sample
+    synthesis."""
     return build_wavelet()
 
 

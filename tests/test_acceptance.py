@@ -124,7 +124,7 @@ def test_criterion_4_bell_structure(wavelet):
 
     rng = np.random.RandomState(7)
     xs = rng.uniform(-A, A, 500)
-    compl = np.max(np.abs(ph.prof_a(xs) + ph.prof_a(-xs) - math.pi / 2.0))
+    compl = np.max(np.abs(ph.theta_a(xs) + ph.theta_a(-xs) - math.pi / 2.0))
     assert compl <= 1e-9
 
     syn = wavelet.synthesis

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from lambertwave import (
-    CumulativeProfile,
     DomainError,
-    InputError,
     ResolutionError,
     bell,
-    dilate_normalize,
     eval_psi_point,
     inner_product,
     synthesize_psi_lattice,
@@ -19,39 +16,52 @@ from lambertwave import (
 
 A = math.pi / 6.0
 HALF_PI = math.pi / 2.0
+W = A / 4.0  # half-width of theta_a's cone: the cascade's a_1 = 1/4, dilated by A
 
 
-@pytest.fixture(scope="module")
-def profiles(wavelet):
-    return wavelet.phi_a, wavelet.phi_2a
-
-
-def test_theta_clamps_and_center(profiles):
-    # theta_a is the running integral of the mass-pi/2 cutoff phi_a
-    phi_a, _ = profiles
-    x = phi_a.x()
-    th = CumulativeProfile(phi_a, HALF_PI)(x)
-    supp_hi = phi_a.support[1]
-    assert np.all(th[x <= -supp_hi] == 0.0)
-    assert np.all(th[x >= supp_hi] == HALF_PI)
-    center = int(round(-phi_a.x0 / phi_a.dx))
-    assert th[center] == pytest.approx(math.pi / 4.0, abs=1e-9)
-    assert np.all(np.diff(th) >= 0.0)
+def test_theta_clamps_and_center(wavelet):
+    # theta_a is the running integral of the mass-pi/2 cone of half-width W
+    th = wavelet.ph.theta_a
+    v = np.linspace(-2.0 * W, 2.0 * W, 4001)
+    t = th(v)
+    assert np.all(t[v <= -W] == 0.0)
+    assert np.all(t[v >= W] == HALF_PI)
+    assert th(0.0) == math.pi / 4.0
+    assert np.all(np.diff(t) >= 0.0)
+    # continuous at the support ends: the quadratic tip is (pi/4)(eps/W)^2,
+    # 7.9e-13 at eps = 1e-6 W; a clamp at the last sampled knot of a cutoff
+    # on a 2^17 grid would jump by 4.4e-9
+    eps = 1e-6 * W
+    for end, val in ((-W, 0.0), (W, HALF_PI)):
+        assert th(end) == val
+        assert abs(th(end - math.copysign(eps, end)) - val) <= 1e-12
 
 
 def test_theta_complementarity(wavelet):
     ph = wavelet.ph
     rng = np.random.RandomState(0)
     xs = rng.uniform(-A, A, 100)
-    vals = ph.prof_a(xs) + ph.prof_a(-xs)
-    assert np.max(np.abs(vals - HALF_PI)) <= 1e-9
+    for th in (ph.theta_a, ph.theta_2a):
+        assert np.max(np.abs(th(xs) + th(-xs) - HALF_PI)) <= 1e-15
 
 
-def test_theta_mass_guard(profiles):
-    phi_a, phi_2a = profiles
-    bad = dilate_normalize(phi_a, 1.0, HALF_PI * 1.001)
-    with pytest.raises(InputError, match="phi_a mass"):
-        bell(A, bad, phi_2a)
+def test_theta_dyadic_dilation_bitwise(wavelet):
+    # theta_2a is theta_a dilated by 2, bit for bit
+    ph = wavelet.ph
+    v = np.concatenate([np.linspace(-A, A, 2001), np.random.RandomState(3).uniform(-W, W, 500)])
+    assert np.array_equal(ph.theta_2a(2.0 * v), ph.theta_a(v))
+
+
+def test_theta_mass_guard(wavelet):
+    # theta_a' is the cone of mass pi/2 on [-W, W]: the difference quotients
+    # of the ramp are its cell means, which sum to the mass
+    v = np.linspace(-W, W, 2 ** 12 + 1)
+    t = wavelet.ph.theta_a(v)
+    assert t[-1] - t[0] == HALF_PI
+    h = v[1] - v[0]
+    mid = 0.5 * (v[1:] + v[:-1])
+    cone = HALF_PI / W * (1.0 - np.abs(mid) / W)
+    assert np.max(np.abs(np.diff(t) / h - cone)) <= 1e-9 * HALF_PI / W
 
 
 def test_bell_flat_region_exact(wavelet):
@@ -87,18 +97,15 @@ def test_bell_partition_identity(wavelet):
     # sin^2 + cos^2 of the same profile value: exact to one ulp
     ph = wavelet.ph
     xs = np.linspace(-A, A, 501)
-    t = ph.prof_a(xs)
+    t = ph.theta_a(xs)
     assert np.max(np.abs(np.sin(t) ** 2 + np.cos(t) ** 2 - 1.0)) <= 4e-16
 
 
-def test_bell_domain_errors(wavelet):
+def test_bell_domain_errors():
     with pytest.raises(DomainError):
-        bell(1.2, wavelet.phi_a, wavelet.phi_2a)
+        bell(1.2)
     with pytest.raises(DomainError):
-        bell(0.0, wavelet.phi_a, wavelet.phi_2a)
-    too_wide = dilate_normalize(wavelet.master.phi, 5.0 * A, HALF_PI)
-    with pytest.raises(InputError):
-        bell(A, too_wide, wavelet.phi_2a)  # support exceeds [-a, a]
+        bell(0.0)
 
 
 def test_psi_hat_modulus_and_zero(wavelet):
@@ -138,8 +145,7 @@ def test_periodization_identity_matches_doubled_period(wavelet):
     assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
     # a smaller lattice, at a half-width whose residual clears the 1e-13 bar
     a = 0.9
-    ph = bell(a, dilate_normalize(wavelet.master.phi, a, HALF_PI),
-              dilate_normalize(wavelet.master.phi, 2.0 * a, HALF_PI))
+    ph = bell(a)
     L, N = 2.0 ** 17, 2 ** 19
     syn = synthesize_psi_lattice(ph, L=L, N=N)
     oracle = _doubled_period_residual(ph, syn.grid, L, N)
@@ -174,6 +180,12 @@ def test_point_eval_matches_lattice(wavelet):
     for i in sel:
         pv = eval_psi_point(wavelet.ph, float(x[i]))
         assert abs(pv - grid.values[i]) <= 1e-8 * abs(grid.values[i])
+    # ten tail nodes out to |x| = 3e4, inside the certified |x| <= L/4
+    for xt in np.concatenate([-np.logspace(2, math.log10(3e4), 5),
+                              np.logspace(2.3, math.log10(3e4), 5)]):
+        i = int(round((xt - grid.x0) / grid.dx))
+        pv = eval_psi_point(wavelet.ph, float(x[i]))
+        assert abs(pv - grid.values[i]) <= 1e-12 * sup
 
 
 def test_point_eval_symmetry_and_errors(wavelet):
@@ -196,7 +208,10 @@ def test_member_spectrum_identity_and_support(wavelet):
     ax = 4.0 * np.abs(xi)
     band = (ax > 4.0 * (math.pi - A)) & (ax < 8.0 * (math.pi + A))
     assert np.all(m23[~band] == 0.0)
-    assert np.all(m23[band & (np.abs(xi) >= math.pi)] != 0.0)
+    # the bell itself ends at 2 (pi + W): exactly zero above, nonzero below
+    top = 2.0 * (math.pi + W)
+    assert np.all(m23[band & (np.abs(xi) >= math.pi) & (np.abs(xi) < top)] != 0.0)
+    assert np.all(m23[np.abs(xi) >= top] == 0.0)
     with pytest.raises(DomainError):
         ph.psi_hat_at(xi, m=31)
 
@@ -237,11 +252,13 @@ def test_synthesis_coarse_sampling_guard(wavelet):
 
 
 def test_build_wavelet_profile_flags(wavelet):
-    # default profile truncates after the first cascade factor
-    assert not wavelet.master.degenerate  # a_1 = 0.25 clears the 0.2 cutoff
-    assert len(wavelet.master.scales) == 1
-    assert wavelet.phi_a.support[1] <= A
-    assert wavelet.phi_2a.support[1] <= 2 * A
+    # the ramps are the closed form of the cascade's first cone factor
+    # a_1 = 1/4 dilated by a: no sampled cutoff is built or kept, and the
+    # wavelet does not depend on sigma
+    assert wavelet.ph.ramp_half_width == A / 4.0
+    assert not hasattr(wavelet, "master")
+    xi = wavelet.freq.points()
+    assert np.array_equal(bell(A).psi_hat_at(xi), wavelet.ph.psi_hat_at(xi))
 
 
 def test_psi_at_half_fixture(wavelet):

@@ -204,8 +204,8 @@ def test_invalid_a_exits_2(tmp_path, capsys):
 
 
 LATTICE = {
-    "--sigma": "sigma", "--a": "a", "--grid-pow": "grid_pow",
-    "--freq-pow": "freq_pow", "--samples": "samples", "--period": "period",
+    "--sigma": "sigma", "--a": "a", "--freq-pow": "freq_pow",
+    "--samples": "samples", "--period": "period",
 }
 COMMON = {"--config": "config", "--out-dir": "out_dir"}
 OPTIONS = {
@@ -222,8 +222,7 @@ OPTIONS = {
         "--base": "moll_base", "--out": "moll_out", **COMMON,
     },
     "build-wavelet": {
-        **LATTICE, "--profile-cutoff": "profile_cutoff", "--psi-xmax": "psi_xmax",
-        **COMMON,
+        **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
     },
     "verify-onw": {
         **LATTICE, "--gram-tol": "gram_tol", "--dyadic-tol": "dyadic_tol",
@@ -239,7 +238,7 @@ OPTIONS = {
         **LATTICE, "--mixed-s": "mixed_s", "--mixed-tau": "mixed_tau",
         "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max", **COMMON,
     },
-    "all": {**LATTICE, **COMMON},
+    "all": {**LATTICE, "--grid-pow": "grid_pow", **COMMON},
 }
 
 
@@ -269,10 +268,11 @@ def test_subcommand_options_and_fields():
     assert flagged == set(field_types)
 
 
-# the last five were config-file-only fields, now constants
+# five were config-file-only fields, now constants; the last went with the
+# sampled ramp profile
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
-    "profile_base_width", "audit_n_max",
+    "profile_base_width", "audit_n_max", "profile_cutoff",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -433,6 +433,18 @@ def test_resolution_failure_exits_3(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "error"
     assert report["failing"] == failing
+
+
+def test_default_a_passes_periodization_on_small_lattice(tmp_path):
+    # 2^19 samples at period 2^17: the residual at a = pi/6 is 7.5e-14; a
+    # jump of theta at a ramp end adds a 1/|x| tail that breaks the 1e-13 bar
+    rc = main([
+        "all", "--samples", str(2 ** 19), "--period", str(2.0 ** 17),
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["assertions"]["wavelet"]["periodization_diff"] < 1e-13
 
 
 def test_assoc_scan_at_cap_exits_3(tmp_path, capsys):

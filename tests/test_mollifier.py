@@ -13,10 +13,10 @@ from lambertwave import (
     InputError,
     ResolutionError,
     base_bump,
+    bell,
     block_thresholds,
     build_mollifier,
     derivative_bound_audit,
-    dilate_normalize,
     scale_sequence,
 )
 
@@ -197,19 +197,22 @@ def test_derivative_audit_preconditions():
 
 
 def test_dilate_identity_and_scaling():
-    build = build_mollifier(2.0, SPEC_13, base="analytic")
-    same = dilate_normalize(build.phi, 1.0, 1.0)
-    assert np.array_equal(same.values, build.phi.values)
-    half = dilate_normalize(build.phi, 0.5, 1.0)
-    assert np.max(half.values) == pytest.approx(2.0 * np.max(build.phi.values), rel=1e-14)
-    assert abs(half.integral() - 1.0) <= 1e-12
-    bell_mass = dilate_normalize(build.phi, 0.5, math.pi / 2.0)
-    assert abs(bell_mass.integral() - math.pi / 2.0) <= 1e-8
+    # the bell's ramps are the running integrals of the cone cascade's first
+    # factor, a_1 = 1/4, dilated by a and by 2a to mass pi/2: trapezoid sums
+    # of the dilated samples meet the closed forms to the sampling error
+    build = build_mollifier(2.0, SPEC_13, cutoff=0.2, base="cone")
+    assert build.scales.tolist() == [0.25]
+    a = math.pi / 6.0
+    ph = bell(a)
+    for width, theta in ((a, ph.theta_a), (2.0 * a, ph.theta_2a)):
+        x = build.phi.x() * width
+        dens = build.phi.values * (math.pi / 2.0 / width)
+        run = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
+        assert np.max(np.abs(run - theta(x))) <= 1e-6
 
 
 def test_dilate_domain_errors():
-    build = build_mollifier(2.0, SPEC_13, base="analytic")
-    with pytest.raises(DomainError):
-        dilate_normalize(build.phi, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        dilate_normalize(build.phi, 0.5, 0.0)
+    # the dilation width must be a finite positive number
+    for a in (-0.5, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            bell(a)

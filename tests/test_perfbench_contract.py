@@ -1,19 +1,20 @@
 """The names the benchmark's tracer (perfbench/tracing.py) binds in
-lambertwave: a rename or a dropped parameter fails here before it breaks a
-traced benchmark run.  The tracer module is read, never installed."""
+lambertwave, and the build_wavelet calls of its scripts: a rename or a
+dropped parameter fails here before it breaks a benchmark run.  The
+tracer module is loaded, never installed; the scripts are only parsed."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import math
 from pathlib import Path
 
-from lambertwave import GridSpec, bell, build_mollifier, dilate_normalize
-from lambertwave.bell import synthesize_psi_lattice
+from lambertwave import bell
+from lambertwave.bell import build_wavelet, synthesize_psi_lattice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 A = math.pi / 6.0
-HALF_PI = math.pi / 2.0
 
 
 def _load_tracing():
@@ -39,11 +40,26 @@ def test_traced_names_resolve():
 def test_synthesis_result_feeds_the_recorder():
     # the synthesis recorder hashes result.grid.values; a period this short
     # cannot meet the periodization bar, so the check is off
-    master = build_mollifier(2.0, GridSpec.symmetric(1.5, 10), cutoff=0.2, base="cone")
-    ph = bell(A, dilate_normalize(master.phi, A, HALF_PI),
-              dilate_normalize(master.phi, 2.0 * A, HALF_PI))
+    ph = bell(A)
     args, kwargs = (ph, 2.0 ** 11, 2 ** 14), {"check_periodization": False, "q": 2}
     result = synthesize_psi_lattice(*args, **kwargs)
     assert result.grid.values.shape == (2 ** 14,)
     attrs = _load_tracing()._synth_attrs(synthesize_psi_lattice, args, kwargs, result)
     assert attrs["points"] == 2 ** 14
+
+
+def test_build_wavelet_call_shapes():
+    # every build_wavelet call in the benchmark's scripts still binds:
+    # child.py's build_wavelet() and selftest.py's (sigma=, a=, L=, N=)
+    sig = inspect.signature(build_wavelet)
+    shapes = []
+    for script in ("child.py", "selftest.py"):
+        tree = ast.parse((TRACING.parent / script).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "build_wavelet" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                shapes.append((len(node.args), tuple(k.arg for k in node.keywords)))
+    assert sorted(shapes) == [(0, ()), (0, ("sigma", "a", "L", "N"))]
+    for n_args, keywords in shapes:
+        sig.bind(*[0] * n_args, **dict.fromkeys(keywords, 0))
