@@ -111,7 +111,8 @@ def _validate(cfg: RunConfig) -> None:
         ("grid_pow", 8 <= cfg.grid_pow <= 24, "must lie in [8, 24]"),
         ("freq_pow", 10 <= cfg.freq_pow <= 24, "must lie in [10, 24]"),
         ("period", cfg.period > 0, "must be positive"),
-        ("samples", cfg.samples >= 2 ** 12, "must be at least 2^12"),
+        ("samples", cfg.samples >= 2 ** 12 and cfg.samples % 2 == 0,
+         "must be even and at least 2^12"),
         ("moll_base", cfg.moll_base in ("analytic", "cone"),
          "must be 'analytic' or 'cone'"),
         ("moll_cutoff", cfg.moll_cutoff >= 0, "must be nonnegative"),
@@ -148,17 +149,16 @@ def _validate(cfg: RunConfig) -> None:
 # Deterministic artifact writing
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, header, columns) -> None:
+    """One row per entry of the equal-length ``columns``: integer columns
+    as integers, every other column at 17 significant digits."""
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join(
+        "{:d}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}" for c in columns
+    ) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join(map(row_fmt.format, *(c.tolist() for c in columns))))
 
 
 def _sha256(path: Path) -> str:
@@ -216,11 +216,7 @@ def stage_lambert_table(run: Run) -> list:
         lo[mask] = rep.lower
         hi[mask] = rep.upper
     path = run.out / "lambert_table.csv"
-    write_csv(
-        path,
-        ["x", "w", "residual", "lower_bound", "upper_bound"],
-        zip(xs, w, resid, lo, hi),
-    )
+    write_csv(path, ["x", "w", "residual", "lower_bound", "upper_bound"], [xs, w, resid, lo, hi])
     return [path]
 
 
@@ -228,12 +224,10 @@ def stage_assoc_func(run: Run) -> list:
     cfg = run.cfg
     params = SequenceParams(cfg.tau, cfg.sigma)
     ks = np.logspace(math.log10(cfg.kmin), math.log10(cfg.kmax), cfg.kpoints)
-    rows = []
-    for k in ks:
-        rep = assoc_t_exact(float(k), params)
-        rows.append((rep.k, rep.t_exact, rep.argmax_p, rep.t_asym, rep.ratio))
+    reps = [assoc_t_exact(float(k), params) for k in ks]
     path = run.out / "assoc_func.csv"
-    write_csv(path, ["k", "t_exact", "argmax_p", "t_asym", "ratio"], rows)
+    cols = ["k", "t_exact", "argmax_p", "t_asym", "ratio"]
+    write_csv(path, cols, [[getattr(rep, c) for rep in reps] for c in cols])
     return [path]
 
 
@@ -243,7 +237,7 @@ def stage_build_mollifier(run: Run) -> list:
     cutoff = cfg.moll_cutoff if cfg.moll_cutoff > 0 else spec.dx
     build = build_mollifier(cfg.sigma, spec, cutoff=cutoff, base=cfg.moll_base)
     phi_path = out / cfg.moll_out
-    write_csv(phi_path, ["x", "phi"], zip(build.phi.x(), build.phi.values))
+    write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
     # the audit needs three factors; with fewer kept it is skipped
     n_audit = max(0, min(AUDIT_N_MAX, len(build.scales) - 2))
     audit = derivative_bound_audit(build, n_audit) if n_audit else None
@@ -297,12 +291,12 @@ def stage_wavelet_artifacts(run: Run) -> list:
     xi = wb.freq.points()
     ph = wb.ph.psi_hat_at(xi)
     ph_path = out / "psi_hat.csv"
-    write_csv(ph_path, ["xi", "re", "im"], zip(xi, ph.real, ph.imag))
+    write_csv(ph_path, ["xi", "re", "im"], [xi, ph.real, ph.imag])
     grid = wb.synthesis.grid
     x = grid.x()
     keep = np.abs(x) <= cfg.psi_xmax
     psi_path = out / "psi.csv"
-    write_csv(psi_path, ["x", "psi"], zip(x[keep], grid.values[keep]))
+    write_csv(psi_path, ["x", "psi"], [x[keep], grid.values[keep]])
     man = {
         "sigma": wb.sigma,
         "a": wb.a,
@@ -334,17 +328,13 @@ def stage_verify_onw(run: Run) -> list:
         tol=cfg.gram_tol,
     )
     gram_path = out / "gram.csv"
-    write_csv(
-        gram_path,
-        ["m1", "n1", "m2", "n2", "re", "im"],
-        (
-            (i1[0], i1[1], i2[0], i2[1], v.real, v.imag)
-            for i1, i2, v in gram.entries
-        ),
-    )
+    pairs = np.array([(*i1, *i2) for i1, i2, _ in gram.entries])
+    vals = np.array([v for _, _, v in gram.entries])
+    write_csv(gram_path, ["m1", "n1", "m2", "n2", "re", "im"],
+              [*pairs.T, vals.real, vals.imag])
     dy = dyadic_sum_check(wb.ph, m_window=cfg.dyadic_window, tol=cfg.dyadic_tol)
     dy_path = out / "dyadic.csv"
-    write_csv(dy_path, ["xi", "s"], zip(dy.xi, dy.s))
+    write_csv(dy_path, ["xi", "s"], [dy.xi, dy.s])
     comp = completeness_check(wb.ph, target_tol=cfg.completeness_tol)
     run.report["verify_onw"] = {
         "max_offdiag": gram.max_offdiag,
@@ -364,7 +354,7 @@ def stage_decay_fit(run: Run) -> list:
     table = decay_envelope(grid, xg, envelope_window(wb.ph), floor=cfg.env_floor)
     fit = fit_decay(table, cfg.sigma, r2_min=cfg.r2_min)
     env_path = run.out / "envelope.csv"
-    write_csv(env_path, fit.comparator_columns, fit.comparator_table)
+    write_csv(env_path, fit.comparator_columns, fit.comparator_table.T)
     # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
     # gates as derivative_decay_check, on at least as many points
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
@@ -416,12 +406,8 @@ def stage_mixed_audit(run: Run) -> list:
         sigma=cfg.sigma,
     )
     path = run.out / "mixed.csv"
-    rows = [
-        (k, q, rep.sup_table[k, q])
-        for k in range(cfg.mixed_k_max + 1)
-        for q in range(cfg.mixed_q_max + 1)
-    ]
-    write_csv(path, ["k", "q", "sup"], rows)
+    k, q = np.indices(rep.sup_table.shape)
+    write_csv(path, ["k", "q", "sup"], [k.ravel(), q.ravel(), rep.sup_table.ravel()])
     run.report["mixed_audit"] = {
         "feasible": True,  # the audit raises on every other outcome
         "log_c": rep.log_c,
@@ -568,7 +554,9 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
                 "python": sys.version.split()[0],
             },
             "grids": {
-                "grid_pow": cfg.grid_pow,
+                # only the cutoff build samples a grid of 2^grid_pow cells
+                **({"grid_pow": cfg.grid_pow}
+                   if "build_mollifier" in COMMANDS[command].stages else {}),
                 "freq_pow": cfg.freq_pow,
                 "period": cfg.period,
                 "samples": cfg.samples,

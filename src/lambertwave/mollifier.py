@@ -10,6 +10,9 @@ where N_m is the smallest index whose block tail sums below 2^-m.  The
 retained-scale product of first-derivative L1 norms yields certified sup
 bounds on each derivative of the result.
 
+A cascade's transform is the product of its factors' transforms, so the
+cascade is built as one spectral product on the grid's period.
+
 Two base bumps are available:
 
 * ``analytic``  -- c * exp(-1 / (1 - x^2)); the classical choice.
@@ -29,13 +32,13 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, InputError, ResolutionError, VerificationError
 from .grids import GridFunction, GridSpec
 
 _TAIL_FLOOR = 1e-30
 _M_MAX = 8  # blocks whose thresholds fix the cascade scales
+_CHUNK = 2 ** 16  # block terms summed per numpy call
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +90,32 @@ def base_bump(spec: GridSpec, kind: str = "analytic", base_width: float = 1.0) -
 # Block thresholds and scales
 # ---------------------------------------------------------------------------
 
-def _block_tail(sigma: float, m: int, start: int) -> float:
-    """Sum_{p >= start} (2(p+1))^(-(1/m) p^(sigma-1)) by direct summation.
+def _block_terms(sigma: float, m: int, p):
+    """The block-m terms (2(p+1))^(-(1/m) p^(sigma-1)); they fall strictly
+    in p >= 1 (from 1 at p = 0)."""
+    return (2.0 * (p + 1)) ** (-(1.0 / m) * p ** (sigma - 1.0))
 
-    Terms are eventually dominated by a geometric sequence for sigma > 1, so
-    stopping once a term drops below 1e-30 is sound.
-    """
-    s, p = 0.0, start
-    while True:
-        t = (2.0 * (p + 1)) ** (-(1.0 / m) * p ** (sigma - 1.0))
-        s += t
-        if t < _TAIL_FLOOR:
-            return s
-        p += 1
+
+def _last_index(sigma: float, m: int) -> int:
+    """The first index whose block-m term is below 1e-30, by bisection on the
+    falling terms.  Terms are eventually dominated by a geometric sequence
+    for sigma > 1, so a tail summed up to there is sound."""
+    lo, hi = 0, 1
+    while _block_terms(sigma, m, hi) >= _TAIL_FLOOR:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _block_terms(sigma, m, mid) >= _TAIL_FLOOR else (lo, mid)
+    return hi
 
 
 def block_thresholds(sigma: float, m_max: int) -> List[int]:
-    """Smallest N >= 1 per block with the block tail below 2^-m; nondecreasing."""
+    """Smallest N >= 1 per block with the block tail below 2^-m; nondecreasing.
+
+    Each block's terms are computed once, in chunks from its last index
+    down, and N_m is read off their running suffix sums: the first index
+    (from above) whose tail reaches 2^-m is N_m - 1.
+    """
     if sigma <= 1.0:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
     if m_max < 1:
@@ -111,8 +123,16 @@ def block_thresholds(sigma: float, m_max: int) -> List[int]:
     out: List[int] = []
     N = 1
     for m in range(1, m_max + 1):
-        while not (_block_tail(sigma, m, N) < 2.0 ** (-m)):
-            N += 1
+        hi, tail = max(_last_index(sigma, m), N) + 1, 0.0
+        while hi > N:
+            lo = max(N, hi - _CHUNK)
+            p = np.arange(hi - 1, lo - 1, -1, dtype=float)
+            suffix = tail + np.cumsum(_block_terms(sigma, m, p))
+            reached = np.flatnonzero(suffix >= 2.0 ** (-m))
+            if reached.size:
+                N = hi - int(reached[0])
+                break
+            hi, tail = lo, float(suffix[-1])
         out.append(N)
     return out
 
@@ -130,11 +150,8 @@ class ScaleSequence:
 
 
 def _scale_at(p: int, sigma: float, thresholds: List[int]) -> float:
-    m = 1
-    for i, N in enumerate(thresholds):
-        if p >= N:
-            m = i + 1
-    return (2.0 * (p + 1)) ** (-(1.0 / m) * p ** (sigma - 1.0))
+    # p lies in block m: the thresholds are nondecreasing
+    return _block_terms(sigma, max(1, sum(N <= p for N in thresholds)), p)
 
 
 def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleSequence:
@@ -185,7 +202,7 @@ def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleS
 @dataclass
 class MollifierBuild:
     """Constructed cutoff with provenance: thresholds, scales, truncation
-    index, per-factor norm data, and stagewise convergence diagnostics."""
+    index, per-factor norm data, and convergence diagnostics."""
 
     sigma: float
     thresholds: List[int]
@@ -195,10 +212,8 @@ class MollifierBuild:
     base_sup: float             # sup of the unit-scale base bump
     base_kind: str
     phi: GridFunction
-    stage_sups: np.ndarray      # sup of each partial cascade
-    stage_gaps: np.ndarray      # sup-norm gap between consecutive stages
     final_gap: float            # sup-norm change from the first discarded factor
-    mass_drift: float           # worst |mass - 1| before renormalization
+    mass_drift: float           # |mass - 1| before renormalization
     evenness: float             # sup |phi(x) - phi(-x)| on the grid
     discarded_tail_mass: float
     degenerate: bool
@@ -218,6 +233,11 @@ def _sampled_kernel(base_vals, a: float, dx: float) -> Tuple[np.ndarray, int]:
     return ker / mass, K
 
 
+def _kernel_spectrum(ker: np.ndarray, K: int, period: int) -> np.ndarray:
+    """rfft of a 2K+1-sample kernel wrapped, centred at index 0, onto ``period``."""
+    return np.fft.rfft(np.roll(np.pad(ker, (0, period - 2 * K - 1)), -K))
+
+
 def build_mollifier(
     sigma: float,
     spec: GridSpec,
@@ -228,9 +248,12 @@ def build_mollifier(
 
     ``cutoff`` defaults to one grid cell: a kernel narrower than a cell is
     numerically the identity, so deeper factors cannot change the samples.
-    Each convolution is a trapezoid-weighted fast convolution with zero
-    padding; stage masses are renormalized to 1 and a drift beyond 1e-8
-    aborts rather than being silently absorbed.
+    The grid ends lie outside the support, so the grid is one period of
+    P = n - 1 samples: the sampled factors are wrapped onto it, their FFTs
+    multiplied (trapezoid weight dx per convolution) and the product
+    inverted once.  Kernels whose half-widths sum to P/2 or more would wrap
+    (ResolutionError); values below -1e-12 and a mass drift beyond 1e-8
+    abort rather than being silently absorbed.
     """
     if sigma <= 1.0:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
@@ -247,60 +270,49 @@ def build_mollifier(
 
     thresholds = block_thresholds(sigma, _M_MAX)
     seq = scale_sequence(sigma, thresholds, cutoff)
-    n = spec.n
     dx = spec.dx
     x = spec.points()
     center = int(round(-spec.x0 / dx))
     if abs(spec.x0 + center * dx) > 1e-12 * max(1.0, abs(spec.x0)):
         raise InputError("grid must contain the origin as a sample point")
 
-    phi = None
-    sups: List[float] = []
-    gaps: List[float] = []
-    drift = 0.0
-    for a in seq.scales:
-        ker, K = _sampled_kernel(base_vals, a, dx)
-        if phi is None:
-            phi = np.zeros(n)
-            phi[center - K:center + K + 1] = ker
-        else:
-            prev = phi
-            full = fftconvolve(phi, ker) * dx
-            phi = full[K:K + n]
-            if np.min(phi) < -1e-12:
-                raise ResolutionError(
-                    f"convolution produced values below -1e-12 ({np.min(phi):.3e})"
-                )
-            phi = np.maximum(phi, 0.0)
-            mass = np.trapezoid(phi, dx=dx)
-            drift = max(drift, abs(mass - 1.0))
-            if abs(mass - 1.0) > 1e-8:
-                raise ResolutionError(
-                    f"stage mass drift {abs(mass - 1.0):.3e} exceeds 1e-8"
-                )
-            phi = phi / mass
-            gaps.append(float(np.max(np.abs(phi - prev))))
-        sups.append(float(np.max(phi)))
+    period = spec.n - 1
+    kernels = [_sampled_kernel(base_vals, a, dx) for a in seq.scales]
+    ker_next = _sampled_kernel(base_vals, seq.next_scale, dx)
+    reach = sum(K for _, K in kernels) + ker_next[1]
+    if 2 * reach >= period:
+        raise ResolutionError(
+            f"cascade kernels reach {reach} samples, at least half the "
+            f"{period}-sample period: the circular product would wrap"
+        )
+    spectrum = _kernel_spectrum(*kernels[0], period)
+    for ker, K in kernels[1:]:
+        spectrum *= _kernel_spectrum(ker, K, period) * dx
 
+    def to_grid(product: np.ndarray) -> np.ndarray:  # the last sample is the first
+        return np.resize(np.roll(np.fft.irfft(product, period), center), spec.n)
+
+    phi = to_grid(spectrum)
+    if np.min(phi) < -1e-12:
+        raise ResolutionError(
+            f"convolution produced values below -1e-12 ({np.min(phi):.3e})"
+        )
+    phi = np.maximum(phi, 0.0)
     # Support is inside +/- sum(a_p); clear roundoff dust beyond it.
     half_supp = float(np.sum(seq.scales))
-    outside = np.abs(x) > half_supp + dx
-    phi[outside] = 0.0
+    phi[np.abs(x) > half_supp + dx] = 0.0
     mass = np.trapezoid(phi, dx=dx)
-    drift = max(drift, abs(mass - 1.0))
-    if abs(mass - 1.0) > 1e-8:
-        raise ResolutionError(f"final mass drift {abs(mass - 1.0):.3e} exceeds 1e-8")
+    drift = abs(mass - 1.0)
+    if drift > 1e-8:
+        raise ResolutionError(f"mass drift {drift:.3e} exceeds 1e-8")
     phi = phi / mass
 
     evenness = float(np.max(np.abs(phi - phi[::-1])))
 
     # Convergence at the truncation point: extend by the first discarded
     # factor and measure the sup change (sub-cell kernels are the identity).
-    ker_next, Kn = _sampled_kernel(base_vals, seq.next_scale, dx)
-    ext = fftconvolve(phi, ker_next) * dx
-    ext = np.maximum(ext[Kn:Kn + n], 0.0)
-    m_ext = np.trapezoid(ext, dx=dx)
-    final_gap = float(np.max(np.abs(ext / m_ext - phi)))
+    ext = np.maximum(to_grid(spectrum * _kernel_spectrum(*ker_next, period) * dx), 0.0)
+    final_gap = float(np.max(np.abs(ext / np.trapezoid(ext, dx=dx) - phi)))
 
     base_gf = base_bump(spec, kind=base)
     base_sup = float(np.max(base_gf.values))
@@ -316,8 +328,6 @@ def build_mollifier(
         base_sup=base_sup,
         base_kind=base,
         phi=gf,
-        stage_sups=np.array(sups),
-        stage_gaps=np.array(gaps),
         final_gap=final_gap,
         mass_drift=drift,
         evenness=evenness,

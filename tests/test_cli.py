@@ -6,12 +6,15 @@ import importlib
 import inspect
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lambertwave.cli import RunConfig, build_parser, main
+import lambertwave
+from lambertwave.cli import RunConfig, build_parser, main, write_csv
 
 FAST = [
     "--freq-pow", "13",
@@ -111,6 +114,9 @@ def test_build_wavelet(tmp_path):
     assert max(abs(x) for x in xs) <= 64.0
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
     assert "wavelet_artifacts" in timings
+    # no cutoff grid is built, so none is recorded
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "grid_pow" not in report["grids"]
 
 
 def test_verify_onw(tmp_path):
@@ -201,6 +207,42 @@ def test_invalid_a_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "pi/3" in err and "'a'" in err
+
+
+def test_odd_samples_exits_2(tmp_path, capsys):
+    # an odd lattice has no node at x = 0: every sample would be mislabelled
+    rc = main(["build-wavelet", *FAST, "--samples", str(2 ** 14 + 1),
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "'samples'" in capsys.readouterr().err
+    assert not (tmp_path / "psi.csv").exists()
+
+
+def _fmt(v) -> str:
+    """Per-value CSV formatting: integers as such, floats at 17 digits."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    ints = np.array([0, -3, 7, 2 ** 40])
+    floats = np.array([math.pi, float("nan"), -0.0, 1e-300])
+    more = [1.0, float("inf"), -2.5e17, 5e-324]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "f", "g"], [ints, floats, more])
+    expected = "i,f,g\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(ints, floats, more))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = str(Path(lambertwave.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lambertwave.cli; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 LATTICE = {
@@ -374,6 +416,7 @@ def test_all_reruns_byte_identical(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1 == r2
+    assert r1["grids"]["grid_pow"] == 17  # the cutoff build's grid
 
 
 def _fast_all_config(tmp_path):
