@@ -50,7 +50,6 @@ from .mollifier import (
     DerivativeAuditReport,
     MollifierBuild,
     ScaleSequence,
-    base_bump,
     block_thresholds,
     build_mollifier,
     derivative_bound_audit,

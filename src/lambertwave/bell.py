@@ -200,12 +200,7 @@ def synthesize_psi_lattice(
                 f"periodization residual {per_diff:.3e} exceeds 1e-13"
             )
 
-    grid = GridFunction(
-        x0=-L / 2.0,
-        dx=dxl,
-        values=psi,
-        support=(-L / 2.0, L / 2.0 - dxl),
-    )
+    grid = GridFunction(x0=-L / 2.0, dx=dxl, values=psi)
     return LatticeSynthesis(
         grid=grid, imag_max=imag_max, periodization_diff=per_diff, l2_norm=l2
     )
@@ -293,11 +288,12 @@ def build_wavelet(
 ) -> WaveletBuild:
     """Build the bell evaluator and its certified lattice synthesis.
 
-    The ramps are those of the cone cascade's widest factor alone: deeper
-    factors, or the analytic bump, steepen the decay beyond what double
-    precision can exhibit across the verification window, while the
-    orthonormality structure is exact at any depth.  ``sigma`` is carried
-    for the stages that read it; the wavelet does not depend on it.
+    The ramps are those of one cone of the cutoff cascade, its widest
+    factor a_1 = 1/4 (for sigma > 1.297, where N_1 = 1): deeper factors
+    steepen the decay beyond what double precision can exhibit across the
+    verification window, while the orthonormality structure is exact at
+    any depth.  ``sigma`` is carried for the stages that read it; the
+    wavelet does not depend on it.
     """
     band = 2.0 * (np.pi + a) + 1.0
     nfreq = 2 ** freq_pow

@@ -69,7 +69,6 @@ class RunConfig:
     freq_pow: int = 16
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
-    moll_base: str = "analytic"
     moll_cutoff: float = 0.0       # 0 -> one grid cell
     # verification
     gram_tol: float = 1e-7
@@ -113,8 +112,6 @@ def _validate(cfg: RunConfig) -> None:
         ("period", cfg.period > 0, "must be positive"),
         ("samples", cfg.samples >= 2 ** 12 and cfg.samples % 2 == 0,
          "must be even and at least 2^12"),
-        ("moll_base", cfg.moll_base in ("analytic", "cone"),
-         "must be 'analytic' or 'cone'"),
         ("moll_cutoff", cfg.moll_cutoff >= 0, "must be nonnegative"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
         ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
@@ -235,7 +232,7 @@ def stage_build_mollifier(run: Run) -> list:
     cfg, out = run.cfg, run.out
     spec = GridSpec.symmetric(1.5, cfg.grid_pow)
     cutoff = cfg.moll_cutoff if cfg.moll_cutoff > 0 else spec.dx
-    build = build_mollifier(cfg.sigma, spec, cutoff=cutoff, base=cfg.moll_base)
+    build = build_mollifier(cfg.sigma, spec, cutoff=cutoff)
     phi_path = out / cfg.moll_out
     write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
     # the audit needs three factors; with fewer kept it is skipped
@@ -246,9 +243,6 @@ def stage_build_mollifier(run: Run) -> list:
         "thresholds": build.thresholds,
         "scales": build.scales,
         "trunc_index": build.trunc_index,
-        "base_kind": build.base_kind,
-        "base_norm_c": build.base_norm_c,
-        "base_sup": build.base_sup,
         "mass": build.phi.integral(),
         "evenness": build.evenness,
         "mass_drift": build.mass_drift,
@@ -480,7 +474,6 @@ COMMANDS: Dict[str, Command] = {
         ("build_mollifier",),
         ("sigma", "grid_pow"),
         (("--cutoff", "moll_cutoff", {}),
-         ("--base", "moll_base", {}),
          ("--out", "moll_out", {"help": "cutoff CSV filename"})),
     ),
     "build-wavelet": Command(

@@ -42,24 +42,17 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Real samples on a uniform grid, with explicit support bounds.
-
-    Samples are exactly zero outside ``support``; treat instances as
-    immutable after construction.
-    """
+    """Real samples on a uniform grid; treat instances as immutable after
+    construction."""
 
     x0: float
     dx: float
     values: np.ndarray
-    support: tuple
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise InputError("grid function contains non-finite samples")
-        lo, hi = self.support
-        if lo < self.x0 - 1e-12 or hi > self.x_end + 1e-12:
-            raise InputError("support exceeds the sampled interval")
 
     @property
     def n(self) -> int:

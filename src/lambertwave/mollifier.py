@@ -1,29 +1,25 @@
 """Compactly supported cutoff built as a truncated convolution cascade of
-scaled bumps, with full provenance and per-derivative analytic bounds.
+scaled unit cones, with full provenance and per-derivative analytic bounds.
 
 The cascade scales a_p follow the double-indexed block rule: within block m
 (thresholds N_m <= p < N_{m+1}),
 
     a_p = (2 (p + 1)) ** (-(1/m) * p**(sigma - 1)),
 
-where N_m is the smallest index whose block tail sums below 2^-m.  The
-retained-scale product of first-derivative L1 norms yields certified sup
-bounds on each derivative of the result.
+where N_m is the smallest index whose block tail sums below 2^-m.  Every
+factor is the unit cone (1 - |t|)_+ dilated to half-width a_p at unit mass;
+the infinite cascade is C^infinity, and the retained-scale product of the
+cone's first-derivative L1 norms yields certified sup bounds on each
+derivative of the result.  The truncation keeps every a_p at or above the
+cutoff, so each discarded factor is narrower than the cutoff.
 
 A cascade's transform is the product of its factors' transforms, so the
 cascade is built as one spectral product on the grid's period.
 
-Two base bumps are available:
-
-* ``analytic``  -- c * exp(-1 / (1 - x^2)); the classical choice.
-* ``cone``      -- a triangle of half-width ``base_width`` (its arbitrarily
-  narrow smoothing is below any practical grid, so samples coincide with
-  the triangle's).
-
 This module is what ``build-mollifier`` builds and certifies.  The
-wavelet's ramps use only the cone cascade's first factor, a_1 = 1/4, whose
-running integral ``bell`` evaluates in closed form, so the wavelet path
-builds no cascade.
+wavelet's ramps use only the cone of half-width a_1 = 1/4 (the cascade's
+first factor for sigma > 1.297, where N_1 = 1), whose running integral
+``bell`` evaluates in closed form, so the wavelet path builds no cascade.
 """
 
 from __future__ import annotations
@@ -39,51 +35,7 @@ from .grids import GridFunction, GridSpec
 _TAIL_FLOOR = 1e-30
 _M_MAX = 8  # blocks whose thresholds fix the cascade scales
 _CHUNK = 2 ** 16  # block terms summed per numpy call
-
-
-# ---------------------------------------------------------------------------
-# Base bumps
-# ---------------------------------------------------------------------------
-
-def _analytic_vals(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
-def _cone_vals(t: np.ndarray, width: float) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - np.abs(t) / width) / width
-
-
-def _base_profile(kind: str, base_width: float = 1.0):
-    """The unit-scale base bump of ``kind`` as (t -> samples, half-width)."""
-    if kind == "analytic":
-        return _analytic_vals, 1.0
-    if kind == "cone":
-        if not (0.0 < base_width <= 1.0):
-            raise InputError(f"base_width must be in (0, 1], got {base_width}")
-        return (lambda t: _cone_vals(t, base_width)), base_width
-    raise InputError(f"unknown base bump kind {kind!r}")
-
-
-def base_bump(spec: GridSpec, kind: str = "analytic", base_width: float = 1.0) -> GridFunction:
-    """Sample the unit-scale base bump: even, nonnegative, support in [-1, 1],
-    unit mass (normalized against its own trapezoid sum).
-
-    ``kind`` selects the profile; the cone's ``base_width`` must lie in (0, 1].
-    Fewer than 64 points across [-1, 1] is rejected.
-    """
-    if spec.x0 > -1.0 or spec.x_end < 1.0:
-        raise InputError("grid must cover [-1, 1]")
-    if 2.0 / spec.dx < 64:
-        raise InputError(
-            f"grid too coarse: {2.0 / spec.dx:.0f} points across the support, need >= 64"
-        )
-    base_vals, width = _base_profile(kind, base_width)
-    raw = base_vals(spec.points())
-    mass = np.trapezoid(raw, dx=spec.dx)
-    return GridFunction(spec.x0, spec.dx, raw / mass, (-width, width))
+_P_MAX = 2 ** 27  # cap on the index where a block's terms reach the floor
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +51,15 @@ def _block_terms(sigma: float, m: int, p):
 def _last_index(sigma: float, m: int) -> int:
     """The first index whose block-m term is below 1e-30, by bisection on the
     falling terms.  Terms are eventually dominated by a geometric sequence
-    for sigma > 1, so a tail summed up to there is sound."""
+    for sigma > 1, so a tail summed up to there is sound.  An index beyond
+    2^27 (sigma too close to 1 to sum) is a DomainError."""
     lo, hi = 0, 1
     while _block_terms(sigma, m, hi) >= _TAIL_FLOOR:
+        if hi >= _P_MAX:
+            raise DomainError(
+                f"sigma = {sigma} is too close to 1: the block-{m} terms stay "
+                f"above {_TAIL_FLOOR:g} beyond index 2^27"
+            )
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -143,55 +101,45 @@ class ScaleSequence:
 
     p_start: int
     p_end: int                  # index of the last retained scale
-    scales: np.ndarray          # a_p for p = p_start..p_end
-    next_scale: float           # first discarded a_{p_end + 1}
-    discarded_tail_mass: float  # sum of a_p beyond p_end
+    scales: np.ndarray          # the retained a_p, by ascending p
+    next_scale: float           # the widest discarded a_p
+    discarded_tail_mass: float  # sum of the discarded a_p
     degenerate: bool            # cutoff exceeded a_{N_1}: single factor kept
 
 
-def _scale_at(p: int, sigma: float, thresholds: List[int]) -> float:
-    # p lies in block m: the thresholds are nondecreasing
-    return _block_terms(sigma, max(1, sum(N <= p for N in thresholds)), p)
-
-
 def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleSequence:
-    """Block-formula scales from N_1 up, truncated at the first a_p < cutoff.
+    """Block-formula scales from N_1 up, keeping every a_p >= cutoff.
 
-    At least one factor is always kept; a cutoff above a_{N_1} flags the
-    degenerate single-factor cascade.  The discarded tail mass is summed
-    directly until terms vanish.
+    The scales tick up at each block start, so the retained indices need
+    not be contiguous; past the last threshold they fall strictly.  One
+    chunked pass up to the last block's floor index (``_last_index``)
+    therefore sees every retained scale and sums the discarded ones.
+    a_{N_1} is the widest scale and is always kept; a cutoff above it flags
+    the degenerate single-factor cascade.
     """
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise InputError(f"cutoff must be positive, got {cutoff}")
-    p = thresholds[0]
-    kept: List[float] = []
-    while True:
-        a = _scale_at(p, sigma, thresholds)
-        if a < cutoff and kept:
-            break
-        if a < cutoff and not kept:
-            kept.append(a)  # degenerate: keep the first factor regardless
-            p += 1
-            break
-        kept.append(a)
-        p += 1
-    p_end = thresholds[0] + len(kept) - 1
-    tail = 0.0
-    q = p_end + 1
-    nxt = _scale_at(q, sigma, thresholds)
-    while True:
-        a = _scale_at(q, sigma, thresholds)
-        tail += a
-        if a < _TAIL_FLOOR:
-            break
-        q += 1
+    start = thresholds[0]
+    end = max(_last_index(sigma, len(thresholds)), thresholds[-1]) + 1
+    kept, p_end = [], start
+    tail = widest = 0.0
+    for lo in range(start, end, _CHUNK):
+        p = np.arange(lo, min(lo + _CHUNK, end), dtype=float)
+        # p lies in block m: the thresholds are nondecreasing
+        a = _block_terms(sigma, np.searchsorted(thresholds, p, side="right"), p)
+        keep = (a >= cutoff) | (p == start)
+        kept.append(a[keep])
+        p_end = int(np.max(p, where=keep, initial=p_end))
+        tail += float(np.sum(a, where=~keep))
+        widest = max(widest, float(np.max(a, where=~keep, initial=0.0)))
+    scales = np.concatenate(kept)
     return ScaleSequence(
-        p_start=thresholds[0],
+        p_start=start,
         p_end=p_end,
-        scales=np.array(kept),
-        next_scale=nxt,
+        scales=scales,
+        next_scale=widest,
         discarded_tail_mass=tail,
-        degenerate=bool(kept[0] < cutoff),
+        degenerate=bool(scales[0] < cutoff),
     )
 
 
@@ -202,35 +150,27 @@ def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleS
 @dataclass
 class MollifierBuild:
     """Constructed cutoff with provenance: thresholds, scales, truncation
-    index, per-factor norm data, and convergence diagnostics."""
+    index, and convergence diagnostics."""
 
     sigma: float
     thresholds: List[int]
     scales: np.ndarray
     trunc_index: int
-    base_norm_c: float          # L1 norm of the unit-scale base bump derivative
-    base_sup: float             # sup of the unit-scale base bump
-    base_kind: str
     phi: GridFunction
-    final_gap: float            # sup-norm change from the first discarded factor
+    final_gap: float            # sup-norm change from the widest discarded factor
     mass_drift: float           # |mass - 1| before renormalization
     evenness: float             # sup |phi(x) - phi(-x)| on the grid
     discarded_tail_mass: float
     degenerate: bool
 
 
-def _sampled_kernel(base_vals, a: float, dx: float) -> Tuple[np.ndarray, int]:
-    """Base bump scaled to half-width ~a, sampled symmetrically, unit trapezoid
-    mass.  Kernels narrower than one grid cell collapse to the identity."""
+def _sampled_kernel(a: float, dx: float) -> Tuple[np.ndarray, int]:
+    """The unit cone dilated to half-width a, sampled symmetrically, unit
+    trapezoid mass.  Kernels narrower than one grid cell collapse to the
+    identity."""
     K = max(1, int(np.ceil(a / dx)))
-    t = (np.arange(-K, K + 1) * dx) / a
-    ker = base_vals(t) / a
-    mass = np.trapezoid(ker, dx=dx)
-    if mass <= 0:
-        ker = np.zeros(2 * K + 1)
-        ker[K] = 1.0 / dx
-        return ker, K
-    return ker / mass, K
+    ker = np.maximum(0.0, 1.0 - np.abs(np.arange(-K, K + 1) * dx) / a) / a
+    return ker / np.trapezoid(ker, dx=dx), K
 
 
 def _kernel_spectrum(ker: np.ndarray, K: int, period: int) -> np.ndarray:
@@ -242,12 +182,14 @@ def build_mollifier(
     sigma: float,
     spec: GridSpec,
     cutoff: float | None = None,
-    base: str = "analytic",
 ) -> MollifierBuild:
-    """Run the truncated convolution cascade on ``spec``.
+    """Run the truncated cone cascade on ``spec``.
 
-    ``cutoff`` defaults to one grid cell: a kernel narrower than a cell is
-    numerically the identity, so deeper factors cannot change the samples.
+    ``cutoff`` defaults to one grid cell: every factor at least that wide
+    is kept, and a kernel narrower than a cell is numerically the identity,
+    so the discarded factors cannot change the samples.  The grid must
+    cover [-1, 1] with margin, at 64 points or more across it.
+
     The grid ends lie outside the support, so the grid is one period of
     P = n - 1 samples: the sampled factors are wrapped onto it, their FFTs
     multiplied (trapezoid weight dx per convolution) and the product
@@ -265,8 +207,10 @@ def build_mollifier(
         )
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
-
-    base_vals, _ = _base_profile(base)
+    if 2.0 / spec.dx < 64:
+        raise InputError(
+            f"grid too coarse: {2.0 / spec.dx:.0f} points across [-1, 1], need >= 64"
+        )
 
     thresholds = block_thresholds(sigma, _M_MAX)
     seq = scale_sequence(sigma, thresholds, cutoff)
@@ -277,8 +221,8 @@ def build_mollifier(
         raise InputError("grid must contain the origin as a sample point")
 
     period = spec.n - 1
-    kernels = [_sampled_kernel(base_vals, a, dx) for a in seq.scales]
-    ker_next = _sampled_kernel(base_vals, seq.next_scale, dx)
+    kernels = [_sampled_kernel(a, dx) for a in seq.scales]
+    ker_next = _sampled_kernel(seq.next_scale, dx)
     reach = sum(K for _, K in kernels) + ker_next[1]
     if 2 * reach >= period:
         raise ResolutionError(
@@ -309,25 +253,17 @@ def build_mollifier(
 
     evenness = float(np.max(np.abs(phi - phi[::-1])))
 
-    # Convergence at the truncation point: extend by the first discarded
+    # Convergence at the truncation point: extend by the widest discarded
     # factor and measure the sup change (sub-cell kernels are the identity).
     ext = np.maximum(to_grid(spectrum * _kernel_spectrum(*ker_next, period) * dx), 0.0)
     final_gap = float(np.max(np.abs(ext / np.trapezoid(ext, dx=dx) - phi)))
 
-    base_gf = base_bump(spec, kind=base)
-    base_sup = float(np.max(base_gf.values))
-    base_norm_c = 2.0 * base_sup  # even unimodal bump: L1 of derivative = 2 sup
-
-    gf = GridFunction(spec.x0, dx, phi, (-min(half_supp + dx, 1.0), min(half_supp + dx, 1.0)))
     return MollifierBuild(
         sigma=sigma,
         thresholds=thresholds,
         scales=seq.scales,
         trunc_index=seq.p_end,
-        base_norm_c=base_norm_c,
-        base_sup=base_sup,
-        base_kind=base,
-        phi=gf,
+        phi=GridFunction(spec.x0, dx, phi),
         final_gap=final_gap,
         mass_drift=drift,
         evenness=evenness,
@@ -383,10 +319,11 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
 
         B_n = (sup f / a_{N_1}) * prod_{k=1}^{n} (||f'||_1 / a_{q_k}),
 
-    q_k running over the n smallest retained indices past N_1.  Measured
-    sups must stay below B_n * (1 + 1e-3).  The growth-shape fit regresses
-    log sup on (n^sigma, n^sigma log n) and shifts the constant up to an
-    envelope, reporting the effective tau.
+    with the unit cone's sup f = 1 and ||f'||_1 = 2, q_k running over the n
+    smallest retained indices past N_1.  Measured sups must stay below
+    B_n * (1 + 1e-3).  The growth-shape fit regresses log sup on
+    (n^sigma, n^sigma log n) and shifts the constant up to an envelope,
+    reporting the effective tau.
     """
     if n_max > 12:
         raise InputError(f"n_max is capped at 12, got {n_max}")
@@ -399,11 +336,11 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
     sups = _spectral_derivative_sups(build.phi, n_max)
 
     rows = []
-    anchor = build.base_sup / build.scales[0]
+    anchor = 1.0 / build.scales[0]
     for q in range(n_max + 1):
         bound = anchor
         for k in range(q):
-            bound *= build.base_norm_c / build.scales[1 + k]
+            bound *= 2.0 / build.scales[1 + k]
         measured = sups[q]
         if measured > bound * (1.0 + 1e-3):
             raise VerificationError(

@@ -17,7 +17,8 @@ def wavelet():
 
 @pytest.fixture(scope="session")
 def deep_moll():
-    """Deep analytic-bump cascade at the certificate grid (2^17)."""
+    """Deep cone cascade at the certificate grid (2^17): every factor at
+    least one grid cell wide."""
     return build_mollifier(2.0, GridSpec.symmetric(1.5, 17))
 
 

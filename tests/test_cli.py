@@ -97,6 +97,18 @@ def test_build_mollifier_skipped_audit(tmp_path):
     assert prov["bounds_table"] == []
 
 
+def test_sigma_near_1_exits_2(tmp_path, capsys):
+    # the block tails would need ~1e240 terms at sigma = 1.0001 and ~5e12
+    # at 1.1: past 2^27 the thresholds refuse instead of summing
+    for sigma in ("1.1", "1.0001"):
+        rc = main(["build-mollifier", "--sigma", sigma, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "too close to 1" in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "error"
+        assert report["failing"]["stage"] == "build_mollifier"
+
+
 def test_build_wavelet(tmp_path):
     rc = main([
         "build-wavelet", *FAST, *FAST_SYNTH,
@@ -261,7 +273,7 @@ OPTIONS = {
     },
     "build-mollifier": {
         "--sigma": "sigma", "--grid-pow": "grid_pow", "--cutoff": "moll_cutoff",
-        "--base": "moll_base", "--out": "moll_out", **COMMON,
+        "--out": "moll_out", **COMMON,
     },
     "build-wavelet": {
         **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
@@ -310,11 +322,11 @@ def test_subcommand_options_and_fields():
     assert flagged == set(field_types)
 
 
-# five were config-file-only fields, now constants; the last went with the
-# sampled ramp profile
+# five were config-file-only fields, now constants; profile_cutoff went
+# with the sampled ramp profile and moll_base with the analytic base bump
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
-    "profile_base_width", "audit_n_max", "profile_cutoff",
+    "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"

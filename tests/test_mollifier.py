@@ -1,12 +1,11 @@
-"""Cutoff cascade: base bumps, thresholds, scales, construction certificates,
-and derivative bounds."""
+"""Cutoff cascade: thresholds, scales, construction certificates, and
+derivative bounds."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from lambertwave import mollifier
 from lambertwave import (
@@ -14,7 +13,6 @@ from lambertwave import (
     GridSpec,
     InputError,
     ResolutionError,
-    base_bump,
     bell,
     block_thresholds,
     build_mollifier,
@@ -34,46 +32,6 @@ def tail_oracle(sigma, m, start):
         if t < 1e-30:
             return s
         p += 1
-
-
-def test_analytic_bump_normalizer():
-    # adaptive-quadrature oracle for the normalizer c = 1 / integral
-    raw_mass, err = quad(
-        lambda t: math.exp(-1.0 / (1.0 - t * t)) if abs(t) < 1 else 0.0,
-        -1.0,
-        1.0,
-        epsabs=1e-14,
-        epsrel=1e-14,
-    )
-    c_oracle = 1.0 / raw_mass
-    assert c_oracle == pytest.approx(2.2522836210435817, rel=1e-12)  # frozen
-
-    f = base_bump(GridSpec.symmetric(1.5, 17), kind="analytic")
-    center = int(round(-f.x0 / f.dx))
-    assert f.values[center] == pytest.approx(c_oracle * math.exp(-1.0), rel=1e-10)
-    assert abs(f.integral() - 1.0) <= 1e-10
-    x = f.x()
-    assert np.all(f.values[np.abs(x) >= 1.0] == 0.0)
-    assert np.all(f.values >= 0.0)
-    assert np.max(np.abs(f.values - f.values[::-1])) == 0.0
-
-
-def test_cone_bump():
-    f = base_bump(SPEC_13, kind="cone", base_width=0.8)
-    assert abs(f.integral() - 1.0) <= 1e-12
-    x = f.x()
-    assert np.all(f.values[np.abs(x) >= 0.8] == 0.0)
-
-
-def test_base_bump_errors():
-    with pytest.raises(InputError):
-        base_bump(GridSpec.symmetric(1.5, 5))  # 21 points across support
-    with pytest.raises(InputError):
-        base_bump(GridSpec(0.0, 0.01, 300))  # does not cover [-1, 1]
-    with pytest.raises(InputError):
-        base_bump(SPEC_13, kind="box")
-    with pytest.raises(InputError):
-        base_bump(SPEC_13, kind="cone", base_width=1.5)
 
 
 def test_block_thresholds_fixture_and_oracle():
@@ -121,23 +79,48 @@ def test_scale_sequence_degenerate():
     assert seq.p_end == 1
 
 
+def test_truncation_keeps_every_scale_above_the_cutoff():
+    # the scales tick up at each block start: at sigma = 1.2 a truncation at
+    # the first a_p below one cell of the 2^17 grid would stop inside block
+    # 2 and discard blocks 3-8, whose first factors are far wider
+    sigma = 1.2
+    nm = block_thresholds(sigma, 8)
+    cutoff = GridSpec.symmetric(1.5, 17).dx
+    seq = scale_sequence(sigma, nm, cutoff)
+    # direct oracle over p = N_1 .. the first block-8 scale below the cutoff
+    # (past it the scales fall strictly)
+    kept, widest, p = [], 0.0, nm[0]
+    while True:
+        a = (2.0 * (p + 1)) ** (-(1.0 / sum(N <= p for N in nm)) * p ** (sigma - 1.0))
+        if a >= cutoff:
+            kept.append(a)
+        else:
+            widest = max(widest, a)
+            if p >= nm[-1]:
+                break
+        p += 1
+    assert len(seq.scales) == len(kept) == 2036
+    assert np.all(seq.scales >= cutoff)
+    assert seq.scales == pytest.approx(kept, rel=1e-13)
+    assert widest < cutoff
+    assert seq.next_scale == pytest.approx(widest, rel=1e-13)
+    assert seq.discarded_tail_mass == pytest.approx(0.0885, abs=1e-4)
+    assert float(np.sum(seq.scales)) + seq.discarded_tail_mass <= 1.0
+
+
 def _prefix_builds():
-    """The partial cascades on SPEC_13 that a cutoff can select, shortest
-    first: the first j factors are kept alone when all of them exceed
-    factor j + 1 (scales can tick up at a block start)."""
-    full = build_mollifier(2.0, SPEC_13, base="analytic")
-    sc = full.scales
-    builds = [
-        build_mollifier(2.0, SPEC_13, cutoff=float(sc[:j].min()), base="analytic")
-        for j in range(1, len(sc)) if sc[:j].min() > sc[j]
-    ]
-    assert [len(b.scales) for b in builds] == [
-        j for j in range(1, len(sc)) if sc[:j].min() > sc[j]]
-    return builds + [full]
+    """The nested partial cascades on SPEC_13, shortest first: a cutoff at
+    each distinct retained scale, widest first, keeps exactly the factors
+    at least that wide (the last is the full cascade)."""
+    sc = build_mollifier(2.0, SPEC_13).scales
+    cutoffs = sorted(set(sc.tolist()), reverse=True)
+    builds = [build_mollifier(2.0, SPEC_13, cutoff=c) for c in cutoffs]
+    assert [len(b.scales) for b in builds] == [int(np.sum(sc >= c)) for c in cutoffs]
+    return builds
 
 
 def test_build_certificates_small_grid():
-    build = build_mollifier(2.0, SPEC_13, base="analytic")
+    build = build_mollifier(2.0, SPEC_13)
     phi = build.phi
     assert abs(phi.integral() - 1.0) <= 1e-8
     assert np.all(phi.values >= 0.0)
@@ -153,12 +136,12 @@ def test_build_certificates_small_grid():
 
 
 def test_single_factor_build_matches_scaled_bump():
-    build = build_mollifier(2.0, SPEC_13, cutoff=0.3, base="analytic")
+    build = build_mollifier(2.0, SPEC_13, cutoff=0.3)
     assert build.degenerate
     assert len(build.scales) == 1
-    # phi is the width-0.25 dilate of the base bump
-    f = base_bump(SPEC_13, kind="analytic")
-    target = np.interp(SPEC_13.points() / 0.25, f.x(), f.values) / 0.25
+    # phi is the unit cone dilated to half-width 0.25: 4 (1 - 4|x|)_+ at
+    # unit trapezoid mass
+    target = 4.0 * np.maximum(0.0, 1.0 - 4.0 * np.abs(SPEC_13.points()))
     target /= np.trapezoid(target, dx=SPEC_13.dx)
     assert np.max(np.abs(build.phi.values - target)) <= 1e-12
 
@@ -168,6 +151,8 @@ def test_build_preconditions():
         build_mollifier(2.0, SPEC_13, cutoff=SPEC_13.dx / 8.0)
     with pytest.raises(InputError):
         build_mollifier(2.0, GridSpec(-0.5, 0.001, 1001))
+    with pytest.raises(InputError, match="too coarse"):
+        build_mollifier(2.0, GridSpec.symmetric(1.5, 5))  # 21 points across [-1, 1]
     with pytest.raises(DomainError):
         build_mollifier(1.0, SPEC_13)
 
@@ -176,8 +161,8 @@ def test_stage_gap_contraction_bound():
     """Extending the cascade by one factor moves the sup by at most
     ||phi'||_inf * a_next (mean-value smoothing contraction)."""
     # within block 8 the scales fall strictly, so these cutoffs differ by one factor
-    b15 = build_mollifier(2.0, SPEC_13, cutoff=7.0e-4, base="analytic")
-    b16 = build_mollifier(2.0, SPEC_13, cutoff=4.0e-4, base="analytic")
+    b15 = build_mollifier(2.0, SPEC_13, cutoff=7.0e-4)
+    b16 = build_mollifier(2.0, SPEC_13, cutoff=4.0e-4)
     assert len(b16.scales) == len(b15.scales) + 1
     a_next = b16.scales[-1]
     diff = np.max(np.abs(b16.phi.values - b15.phi.values))
@@ -203,10 +188,9 @@ def test_derivative_audit_deep(deep_moll):
     assert len(rep.rows) == 9
     for row in rep.rows:
         assert row.measured <= row.bound * 1.001
-    # n = 0 bound is the sup of the first scaled factor
-    assert rep.rows[0].bound == pytest.approx(
-        deep_moll.base_sup / deep_moll.scales[0], rel=1e-12
-    )
+    # n = 0 bound is the sup of the first factor, the cone of half-width
+    # a_1 = 1/4: 1 / a_1 = 4
+    assert rep.rows[0].bound == 4.0
     # growth-shape fit is a true envelope over the audited range
     sig = deep_moll.sigma
     for row in rep.rows[2:]:
@@ -240,7 +224,7 @@ def test_wrapping_cascade_is_a_resolution_error(monkeypatch):
 
 
 def test_derivative_audit_preconditions():
-    small = build_mollifier(2.0, SPEC_13, cutoff=0.04, base="analytic")
+    small = build_mollifier(2.0, SPEC_13, cutoff=0.04)
     # 4 factors retained: n_max = 3 exceeds the factors-after-first budget
     with pytest.raises(InputError):
         derivative_bound_audit(small, 3)
@@ -252,7 +236,7 @@ def test_dilate_identity_and_scaling():
     # the bell's ramps are the running integrals of the cone cascade's first
     # factor, a_1 = 1/4, dilated by a and by 2a to mass pi/2: trapezoid sums
     # of the dilated samples meet the closed forms to the sampling error
-    build = build_mollifier(2.0, SPEC_13, cutoff=0.2, base="cone")
+    build = build_mollifier(2.0, SPEC_13, cutoff=0.2)
     assert build.scales.tolist() == [0.25]
     a = math.pi / 6.0
     ph = bell(a)

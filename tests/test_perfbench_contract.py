@@ -10,7 +10,7 @@ import inspect
 import math
 from pathlib import Path
 
-from lambertwave import bell
+from lambertwave import GridSpec, bell, build_mollifier
 from lambertwave.bell import build_wavelet, synthesize_psi_lattice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -63,3 +63,11 @@ def test_build_wavelet_call_shapes():
     assert sorted(shapes) == [(0, ()), (0, ("sigma", "a", "L", "N"))]
     for n_args, keywords in shapes:
         sig.bind(*[0] * n_args, **dict.fromkeys(keywords, 0))
+
+
+def test_mollifier_build_feeds_the_recorder():
+    # the cascade recorder counts result.scales: mollifier.cascade_factors
+    args = (2.0, GridSpec.symmetric(1.5, 13))
+    result = build_mollifier(*args)
+    attrs = _load_tracing()._factors(build_mollifier, args, {}, result)
+    assert attrs["factors"] == len(result.scales) > 1

@@ -209,7 +209,7 @@ def test_mixed_audit_domain():
         mixed_bound_audit(unread(), 2, 2, 1.5, 1.0, 2.0)
     with pytest.raises(InputError):
         mixed_bound_audit(unread(), 11, 2, 1.0, 1.0, 2.0)
-    tiny = GridFunction(-1.0, 0.5, np.ones(4), (-1.0, 0.5)).moment_front()
+    tiny = GridFunction(-1.0, 0.5, np.ones(4)).moment_front()
     with pytest.raises(InputError, match="need 3 fronts"):
         mixed_bound_audit(iter([tiny, tiny]), 2, 2, 1.0, 1.0, 2.0)
 
@@ -245,7 +245,7 @@ def test_moment_front_sups_equal_lattice_sups(wavelet, lattice_cache, q):
 ])
 def test_moment_front_hand_made(x0, dx, values):
     values = np.asarray(values)
-    grid = GridFunction(x0, dx, values, (x0, x0 + dx * (len(values) - 1)))
+    grid = GridFunction(x0, dx, values)
     _assert_front_sups_exact(grid)
     # the front is exactly the set of samples no other sample dominates
     pts = sorted(set(zip(np.abs(grid.x()), np.abs(grid.values))))
