@@ -146,13 +146,19 @@ def test_single_factor_build_matches_scaled_bump():
     assert np.max(np.abs(build.phi.values - target)) <= 1e-12
 
 
+def test_base_bump_errors():
+    # the unit cone, the base of every factor, must be resolved on the grid
+    with pytest.raises(InputError, match="too coarse"):
+        build_mollifier(2.0, GridSpec.symmetric(1.5, 5))  # 21 points across [-1, 1]
+    with pytest.raises(InputError, match="cover"):
+        build_mollifier(2.0, GridSpec(0.0, 0.01, 300))  # does not cover [-1, 1]
+
+
 def test_build_preconditions():
     with pytest.raises(ResolutionError):
         build_mollifier(2.0, SPEC_13, cutoff=SPEC_13.dx / 8.0)
     with pytest.raises(InputError):
         build_mollifier(2.0, GridSpec(-0.5, 0.001, 1001))
-    with pytest.raises(InputError, match="too coarse"):
-        build_mollifier(2.0, GridSpec.symmetric(1.5, 5))  # 21 points across [-1, 1]
     with pytest.raises(DomainError):
         build_mollifier(1.0, SPEC_13)
 
