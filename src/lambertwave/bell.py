@@ -18,20 +18,24 @@ depends on sigma, so neither does the wavelet.
 
 exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
-psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.
+psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
+real, so one FFT synthesizes two derivative orders, one in its real part and
+one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.fft
 
 from .errors import DomainError, ResolutionError
 from .grids import GridFunction, GridSpec
 
 HALF_PI = np.pi / 2.0
+_CHUNK = 2 ** 16  # points per pass of the periodization check
 
 
 def _ramp(v, w: float) -> np.ndarray:
@@ -119,23 +123,35 @@ def bell(a: float) -> BellEvaluator:
 
 @dataclass
 class LatticeSynthesis:
-    """Wavelet samples on the lattice x = j L / N with diagnostics."""
+    """Samples of psi^(q) on the lattice x = j L / N with diagnostics; a
+    paired synthesis carries the second order's samples in ``grid2``.
+
+    ``imag_max`` is the imaginary residue: measured when the order is
+    synthesized alone, and for a pair the larger of the two channels'
+    Hermitian bounds.  ``l2_norm`` is computed for q = 0 only.
+    """
 
     grid: GridFunction
     imag_max: float
     periodization_diff: float
-    l2_norm: float
+    l2_norm: Optional[float]
+    grid2: Optional[GridFunction] = None
 
 
 def _lattice_fft(band: np.ndarray, N: int) -> np.ndarray:
     """N-point DFT sum_j band[j] e^{-2 pi i j k / N} of samples at the
     centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
-    (2M entries), for k = 0..N-1."""
+    (2M entries), for k = 0..N-1, transformed in place."""
     M = len(band) // 2
     spec = np.zeros(N, dtype=complex)
     spec[:len(band) - M] = band[M:]
     spec[N - M:] = band[:M]
-    return np.fft.fft(spec, out=spec)
+    return scipy.fft.fft(spec, overwrite_x=True)
+
+
+def _sup(v: np.ndarray) -> float:
+    """max |v| with no |v| temporary."""
+    return max(float(np.max(v)), -float(np.min(v)))
 
 
 def synthesize_psi_lattice(
@@ -144,9 +160,10 @@ def synthesize_psi_lattice(
     N: int = 2 ** 22,
     check_periodization: bool = True,
     q: int = 0,
+    q2: Optional[int] = None,
 ) -> LatticeSynthesis:
     """Inverse transform of psi^(q) onto the lattice {j L / N} via a
-    zero-padded DFT.
+    zero-padded DFT; with ``q2`` set, psi^(q2) rides in the same transform.
 
     Sampling the spectrum at 2 pi / L computes the L-periodization psi_L of
     the wavelet.  The wraparound on the reporting range |x| <= L/4 is
@@ -156,8 +173,18 @@ def synthesize_psi_lattice(
     an odd-frequency part: one N-point DFT of psi_hat^(q) at
     (j + 1/2) 2 pi / L, twiddled by e^{-i pi k / N}.  psi_2L - psi_L is
     therefore that part minus psi_L / 2, and no 2N-point synthesis is made.
-    The Hermitian spectrum must synthesize real: the imaginary residue is
-    checked against 1e-12.
+
+    Every psi^(q) is real, so a pair is synthesized as psi^(q) + i c
+    psi^(q2) (Sorensen et al., IEEE TASSP 1987), with c = 2^e the power of
+    two that brings the q2 band to the magnitude of the q band: unbalanced,
+    the smaller order would inherit the larger one's roundoff floor.  The
+    imaginary channel is unscaled by 2^-e, exactly.
+
+    The Hermitian spectrum must synthesize real, to 1e-12 of each channel's
+    sup (at least 1).  Alone, the imaginary residue is measured; in a pair
+    it cannot be, so each channel's band B must pass the Hermitian bound
+    sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds the residue the
+    channel would have had alone.  The periodization check covers order q.
     """
     # resolve the bell across its support: at least 2^12 samples
     if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
@@ -168,42 +195,76 @@ def synthesize_psi_lattice(
     if len(band) >= N:
         raise ResolutionError("lattice too small for the spectral bandwidth")
     M = len(band) // 2
-    if q:
-        # psi_hat_at's factor on the same samples: the FFT input is
-        # bit-identical to sampling psi_hat^(q) directly
-        band = (-1j * (np.arange(-M, M + 1) * dxi)) ** q * band
-    vals = _lattice_fft(band, N)
+    # psi_hat_at's factor on the same samples: the FFT input is bit-identical
+    # to sampling psi_hat^(q) directly
+    xi = np.arange(-M, M + 1) * dxi
+    bands = [(-1j * xi) ** p * band if p else band for p in (q, q2) if p is not None]
+    del xi
+    if q2 is None:
+        spectrum = bands[0]
+    else:
+        residues = [float(np.sum(np.abs(b - np.conj(b[::-1])))) * (dxi / (4.0 * np.pi))
+                    for b in bands]
+        e = (np.frexp(np.max(np.abs(bands[0])))[1]
+             - np.frexp(np.max(np.abs(bands[1])))[1])
+        spectrum = bands[0] + 1j * (bands[1] * 2.0 ** e)
+    del bands
+    vals = _lattice_fft(spectrum, N)
+    del spectrum
     vals *= dxi / (2.0 * np.pi)
-    imag_max = float(np.max(np.abs(vals.imag)))
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    if imag_max > 1e-12 * scale:
-        raise ResolutionError(
-            f"imaginary residue {imag_max:.3e} exceeds 1e-12 relative to "
-            f"the synthesis scale {scale:.3e}"
-        )
-    dxl = L / N
-    l2 = float(np.sqrt(np.sum(vals.real ** 2) * dxl))
     # centred: x = 0 at index N // 2
     psi = np.fft.fftshift(vals.real)
+    if q2 is None:
+        residues = [_sup(vals.imag)]
+        l2 = float(np.sqrt(np.sum(vals.real ** 2) * (L / N))) if q == 0 else None
+        channels = [psi]
+    else:
+        l2 = None
+        channels = [psi, np.fft.fftshift(vals.imag)]
+        channels[1] *= 2.0 ** -e
     del vals
+    for p, r, v in zip((q, q2), residues, channels):
+        scale = max(1.0, _sup(v))
+        if r > 1e-12 * scale:
+            raise ResolutionError(
+                f"imaginary residue {r:.3e} of order {p} exceeds 1e-12 "
+                f"relative to the synthesis scale {scale:.3e}"
+            )
 
     per_diff = 0.0
     if check_periodization:
-        k = np.arange(-(N // 4), N // 4 + 1)
-        odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)[k]
-        odd *= np.exp(-1j * np.pi * k / N)
-        per_diff = float(np.max(np.abs(
-            odd.real * (dxi / (4.0 * np.pi)) - 0.5 * psi[k + N // 2]
-        )))
+        per_diff = _periodization_diff(ph, L, N, q, psi)
         if per_diff > 1e-13:
             raise ResolutionError(
                 f"periodization residual {per_diff:.3e} exceeds 1e-13"
             )
 
-    grid = GridFunction(x0=-L / 2.0, dx=dxl, values=psi)
+    grids = [GridFunction(x0=-L / 2.0, dx=L / N, values=v) for v in channels]
     return LatticeSynthesis(
-        grid=grid, imag_max=imag_max, periodization_diff=per_diff, l2_norm=l2
+        grid=grids[0], imag_max=max(residues), periodization_diff=per_diff,
+        l2_norm=l2, grid2=grids[1] if q2 is not None else None,
     )
+
+
+def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
+                        psi: np.ndarray) -> float:
+    """max over |k| <= N/4 of |odd part - psi_L / 2| (see
+    ``synthesize_psi_lattice``), in chunks of 2^16 points: no N/2-point
+    temporaries beyond the odd-frequency DFT itself."""
+    dxi = 2.0 * np.pi / L
+    M = len(ph.lattice_band(L)) // 2
+    odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)
+    worst = 0.0
+    # chunks of one sign of k: odd[k] is then a slice of the DFT
+    for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
+        for start in range(lo, hi, _CHUNK):
+            stop = min(start + _CHUNK, hi)
+            k = np.arange(start, stop)
+            part = odd[start % N:(stop - 1) % N + 1] * np.exp(-1j * np.pi * k / N)
+            dev = (part.real * (dxi / (4.0 * np.pi))
+                   - 0.5 * psi[start + N // 2:stop + N // 2])
+            worst = max(worst, _sup(dev))
+    return worst
 
 
 def eval_psi_point(ph: BellEvaluator, x: float) -> float:
@@ -241,8 +302,13 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 @dataclass
 class WaveletBuild:
     """Everything the verification stages need, built in one shot; the
-    owner of the wavelet's derivative lattices (``lattice``) and of their
-    moment fronts (``front``)."""
+    owner of the wavelet's derivative lattices (``lattices``) and of their
+    moment fronts (``fronts``).
+
+    The derivative lattices are synthesized two orders per transform,
+    paired in the order a stage asks for them; whole lattices (N samples
+    each) are not kept, only their fronts.
+    """
 
     sigma: float
     a: float
@@ -251,32 +317,52 @@ class WaveletBuild:
     synthesis: LatticeSynthesis
     L: float
     N: int
-    # q -> moment front of the psi^(q) lattice; whole lattices (N samples
-    # each) are not kept
-    fronts: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+    # q -> moment front of the psi^(q) lattice
+    _fronts: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
     )
 
-    def lattice(self, q: int = 0) -> GridFunction:
-        """Samples of psi^(q) on the synthesis lattice {j L / N}: the
-        certified synthesis at q = 0, and above it a fresh synthesis with
-        no periodization check.  The moment front of each is kept."""
-        if q == 0:
-            grid = self.synthesis.grid
-        else:
-            grid = synthesize_psi_lattice(
-                self.ph, L=self.L, N=self.N, check_periodization=False, q=q
-            ).grid
-        if q not in self.fronts:
-            self.fronts[q] = grid.moment_front()
-        return grid
+    def lattices(
+        self, orders: Iterable[int], visit: Callable[[int, GridFunction], Any]
+    ) -> list:
+        """[visit(q, samples of psi^(q) on the lattice {j L / N}) for q in
+        orders].  q = 0 is the certified synthesis; the other orders are
+        synthesized with no periodization check, two per transform, paired
+        in request order (an odd one out alone), and each pair is let go
+        before the next is made unless ``visit`` keeps it.  The moment front
+        of each lattice is kept."""
+        orders = list(orders)
+        out = []
+        while orders:
+            q = orders.pop(0)
+            q2 = orders.pop(0) if q and orders and orders[0] else None
+            if q == 0:
+                made = [self.synthesis.grid]
+            else:
+                syn = synthesize_psi_lattice(
+                    self.ph, L=self.L, N=self.N, check_periodization=False, q=q, q2=q2
+                )
+                made = [syn.grid] if q2 is None else [syn.grid, syn.grid2]
+                del syn
+            for p, grid in zip((q, q2), made):
+                if p not in self._fronts:
+                    self._fronts[p] = grid.moment_front()
+                out.append(visit(p, grid))
+            del made, grid
+        return out
+
+    def fronts(self, orders: Iterable[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``moment_front()`` of the psi^(q) lattice for each q of
+        ``orders``; the orders with no front yet are made by ``lattices``,
+        paired in request order."""
+        orders = list(orders)
+        missing = [q for q in dict.fromkeys(orders) if q not in self._fronts]
+        self.lattices(missing, lambda q, grid: None)
+        return [self._fronts[q] for q in orders]
 
     def front(self, q: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """``moment_front()`` of the psi^(q) lattice, synthesizing it only
-        if ``lattice(q)`` has not made it yet."""
-        if q not in self.fronts:
-            self.lattice(q)
-        return self.fronts[q]
+        """The psi^(q) moment front alone: ``fronts([q])``."""
+        return self.fronts([q])[0]
 
 
 def build_wavelet(

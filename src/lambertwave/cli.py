@@ -352,13 +352,13 @@ def stage_decay_fit(run: Run) -> list:
     # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
     # gates as derivative_decay_check, on at least as many points
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
-    rows += [
-        derivative_decay_check(
-            wb.lattice(n), n, xg, table.window, cfg.sigma,
+    rows += wb.lattices(
+        _parse_orders(cfg.deriv_orders),
+        lambda n, lattice: derivative_decay_check(
+            lattice, n, xg, table.window, cfg.sigma,
             floor=cfg.env_floor, r2_min=cfg.r2_min,
-        )
-        for n in _parse_orders(cfg.deriv_orders)
-    ]
+        ),
+    )
     growth = intercept_growth_fit(rows)
     run.report["decay_fit"] = {
         "h_fit": fit.h_fit,
@@ -392,7 +392,7 @@ def stage_decay_fit(run: Run) -> list:
 def stage_mixed_audit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
     rep = mixed_bound_audit(
-        (wb.front(q) for q in range(cfg.mixed_q_max + 1)),
+        wb.fronts(range(cfg.mixed_q_max + 1)),
         k_max=cfg.mixed_k_max,
         q_max=cfg.mixed_q_max,
         s=cfg.mixed_s,
@@ -563,6 +563,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         "config": dataclasses.asdict(cfg),
         "artifacts": {p.name: _sha256(p) for p in artifacts},
         "timings": timings,
+        "status": status,
         "failing": failing,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -182,9 +182,23 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
 
 
 def lambert_regressor(x, sigma: float):
-    """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1."""
+    """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1.
+
+    For sigma near 1 the powers leave double precision: a T_sigma that is
+    not finite raises DomainError.
+    """
     lk = np.log(np.asarray(x, dtype=float))
-    return lk ** (sigma / (sigma - 1.0)) / lambert_w0(lk) ** (1.0 / (sigma - 1.0))
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = lk ** (sigma / (sigma - 1.0)) / lambert_w0(lk) ** (1.0 / (sigma - 1.0))
+    except OverflowError:
+        out = np.inf
+    if not np.all(np.isfinite(out)):
+        raise DomainError(
+            f"T_sigma overflows double precision at sigma = {sigma} "
+            f"(exponent 1/(sigma-1) = {1.0 / (sigma - 1.0):.4g})"
+        )
+    return out
 
 
 def assoc_t_asym(k, sigma: float):

@@ -71,6 +71,16 @@ class GridFunction:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
+    def _split(self) -> int:
+        """The first index k with x0 + k dx >= 0 (``searchsorted(x(), 0)``):
+        x < 0 before it."""
+        k = min(max(int(np.ceil(-self.x0 / self.dx)), 0), self.n)
+        while k > 0 and self.x0 + self.dx * (k - 1) >= 0.0:
+            k -= 1
+        while k < self.n and self.x0 + self.dx * k < 0.0:
+            k += 1
+        return k
+
     def moment_front(self) -> Tuple[np.ndarray, np.ndarray]:
         """The Pareto front of the points (|x|, |value|): the samples that no
         other sample matches or beats in both coordinates, as (|x|, |value|)
@@ -82,14 +92,14 @@ class GridFunction:
         running max; the two half-fronts are merged by sorting the few
         points left.
         """
-        x = self.x()
         av = np.abs(self.values)
-        split = int(np.searchsorted(x, 0.0))  # x < 0 before, x >= 0 from here
+        split = self._split()
         idx = np.concatenate([
             split - 1 - np.flatnonzero(_front_mask(av[:split][::-1])),
             split + np.flatnonzero(_front_mask(av[split:])),
         ])
-        ax, av = np.abs(x[idx]), av[idx]
+        # x() at the front indices only, by the same arithmetic
+        ax, av = np.abs(self.x0 + self.dx * idx), av[idx]
         order = np.lexsort((av, ax))
         ax, av = ax[order], av[order]
         keep = _front_mask(av)

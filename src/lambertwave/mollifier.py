@@ -99,7 +99,6 @@ def block_thresholds(sigma: float, m_max: int) -> List[int]:
 class ScaleSequence:
     """Retained cascade scales with truncation provenance."""
 
-    p_start: int
     p_end: int                  # index of the last retained scale
     scales: np.ndarray          # the retained a_p, by ascending p
     next_scale: float           # the widest discarded a_p
@@ -134,7 +133,6 @@ def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleS
         widest = max(widest, float(np.max(a, where=~keep, initial=0.0)))
     scales = np.concatenate(kept)
     return ScaleSequence(
-        p_start=start,
         p_end=p_end,
         scales=scales,
         next_scale=widest,

@@ -30,5 +30,6 @@ def fit_grid():
 @pytest.fixture(scope="session")
 def lattice_cache(wavelet):
     """Derivative-order -> synthesized lattice, shared by decay and moment
-    audits (order 0 is the base synthesis)."""
-    return {q: wavelet.lattice(q) for q in range(9)}
+    audits (order 0 is the base synthesis, the others made two per
+    transform)."""
+    return dict(enumerate(wavelet.lattices(range(9), lambda q, grid: grid)))

@@ -251,6 +251,46 @@ def test_synthesis_coarse_sampling_guard(wavelet):
         synthesize_psi_lattice(wavelet.ph, L=100.0, N=2 ** 10)
 
 
+# the short lattice of the paired-synthesis tests: 2^14 samples, period 2^11
+PAIR_L, PAIR_N = 2.0 ** 11, 2 ** 14
+
+
+@pytest.mark.parametrize("q, q2", [(1, 8), (8, 1), (3, 5), (4, 8)])
+def test_paired_synthesis_matches_solo(q, q2):
+    # two real orders in one transform, the second scaled by 2^e to the
+    # first's magnitude: each channel stays within 1e-15 of its sup of the
+    # order synthesized alone on |x| <= L/4 (3.6e-16 at worst; unbalanced,
+    # psi' in the (1, 8) pair is off by 6.7e-12)
+    ph = bell(A)
+    pair = synthesize_psi_lattice(
+        ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=q, q2=q2
+    )
+    assert pair.l2_norm is None
+    for order, grid in ((q, pair.grid), (q2, pair.grid2)):
+        solo = synthesize_psi_lattice(
+            ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=order
+        ).grid
+        assert (grid.x0, grid.dx) == (solo.x0, solo.dx)
+        inner = np.abs(solo.x()) <= PAIR_L / 4.0
+        assert np.max(np.abs(grid.values - solo.values)[inner]) <= 1e-15 * solo.sup()
+
+
+def test_non_hermitian_band_rejected(monkeypatch):
+    # a band with B_j != conj(B_-j) synthesizes a complex psi: alone, the
+    # imaginary residue is measured; in a pair each channel's band must pass
+    # the bound sum_j |B_j - conj(B_-j)| dxi / (4 pi)
+    ph = bell(A)
+    band = ph.lattice_band(PAIR_L).copy()
+    j = len(band) // 2 + int(1.5 * PAIR_L / 2.0)  # xi near 1.5 pi, where b = 1
+    band[j] += 1e-3
+    monkeypatch.setattr(ph, "lattice_band", lambda L: band)
+    for q, q2 in ((0, None), (1, None), (1, 2), (8, 3)):
+        with pytest.raises(ResolutionError, match="imaginary residue"):
+            synthesize_psi_lattice(
+                ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=q, q2=q2
+            )
+
+
 def test_build_wavelet_profile_flags(wavelet):
     # the ramps are the closed form of the cascade's first cone factor
     # a_1 = 1/4 dilated by a: no sampled cutoff is built or kept, and the

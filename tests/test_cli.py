@@ -109,6 +109,20 @@ def test_sigma_near_1_exits_2(tmp_path, capsys):
         assert report["failing"]["stage"] == "build_mollifier"
 
 
+@pytest.mark.parametrize("command", ["assoc-func", "all"])
+def test_sigma_overflowing_t_sigma_exits_2(tmp_path, capsys, command):
+    # at sigma = 1.0001 the exponent 1/(sigma - 1) = 1e4 takes T_sigma past
+    # double precision in the associated-function stage
+    rc = main([command, "--sigma", "1.0001", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "T_sigma overflows" in capsys.readouterr().err
+    for name in ("report.json", "manifest.json"):
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc["status"] == "error"
+        assert doc["failing"]["stage"] == "assoc_func"
+        assert doc["failing"]["exception"] == "DomainError"
+
+
 def test_build_wavelet(tmp_path):
     rc = main([
         "build-wavelet", *FAST, *FAST_SYNTH,
@@ -197,6 +211,9 @@ def test_mixed_audit(tmp_path):
     ("mixed-audit", range(9)),
 ])
 def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
+    # derivative orders ride two per synthesis, paired in request order:
+    # decay-fit asks for (1, 2), (4, 8); mixed-audit then for (3, 5), (6, 7)
+    n_calls = {"all": 5, "decay-fit": 3, "mixed-audit": 5}[command]
     bell_mod = importlib.import_module("lambertwave.bell")
     synthesize = bell_mod.synthesize_psi_lattice
     calls = []
@@ -204,14 +221,17 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     def counting(*args, **kwargs):
         bound = inspect.signature(synthesize).bind(*args, **kwargs)
         bound.apply_defaults()
-        calls.append((bound.arguments["q"], bound.arguments["check_periodization"]))
+        calls.append((bound.arguments["q"], bound.arguments["q2"],
+                      bound.arguments["check_periodization"]))
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counting)
     rc = main([command, *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert sorted(q for q, _ in calls) == list(orders)
-    assert [q for q, check in calls if check] == [0]
+    made = [q for q, _, _ in calls] + [q2 for _, q2, _ in calls if q2 is not None]
+    assert sorted(made) == list(orders)
+    assert [(q, q2) for q, q2, check in calls if check] == [(0, None)]
+    assert len(calls) == n_calls
 
 
 def test_invalid_a_exits_2(tmp_path, capsys):

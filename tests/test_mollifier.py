@@ -60,13 +60,20 @@ def test_block_thresholds_errors():
 def test_scale_sequence_values_and_mass():
     nm = block_thresholds(2.0, 8)
     seq = scale_sequence(2.0, nm, 1e-5)
-    assert seq.p_start == 1
+    assert nm[0] == 1
     assert seq.scales[0] == 0.25  # a_1 = 4^{-1} in block m = 1
     assert seq.scales[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
     # grand total: retained plus discarded tail stays within unit mass
     assert float(np.sum(seq.scales)) + seq.discarded_tail_mass <= 1.0
+    # the retained indices p, by the block formula: the scales tick up at
+    # each block start, so they need not be contiguous
+    p = np.arange(nm[0], seq.p_end + 1, dtype=float)
+    a = mollifier._block_terms(2.0, np.searchsorted(nm, p, side="right"), p)
+    kept = p[(a >= 1e-5) | (p == nm[0])]
+    assert len(kept) == len(seq.scales)
     # strictly decreasing beyond the last threshold (single-block regime)
-    deep = seq.scales[nm[-1] - seq.p_start:]
+    deep = seq.scales[kept >= nm[-1]]
+    assert len(deep) > 1
     assert np.all(np.diff(deep) < 0)
     assert not seq.degenerate
 
