@@ -36,6 +36,7 @@ from .grids import GridFunction, GridSpec
 
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per pass of the periodization check
+_PANELS = 2 ** 10  # quadrature panels per pass of eval_psi_point
 
 
 def _ramp(v, w: float) -> np.ndarray:
@@ -290,9 +291,16 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     mid = 0.5 * (edges[1:] + edges[:-1])
     haf = 0.5 * (edges[1:] - edges[:-1])
-    xi = (mid[:, None] + haf[:, None] * gl_x[None, :]).ravel()
-    wts = (haf[:, None] * gl_w[None, :]).ravel()
-    return float(np.sum(ph.bell_at(xi) * np.cos(u * xi) * wts) / np.pi)
+    # the integrand, 2^10 panels at a time: far out there are ~10^5 panels,
+    # and whole-length temporaries would each be fresh memory
+    f = np.empty(len(mid) * len(gl_x))
+    for s in range(0, len(mid), _PANELS):
+        m, h = mid[s:s + _PANELS, None], haf[s:s + _PANELS, None]
+        xi = (m + h * gl_x[None, :]).ravel()
+        f[s * len(gl_x):(s + len(m)) * len(gl_x)] = (
+            ph.bell_at(xi) * np.cos(u * xi) * (h * gl_w[None, :]).ravel()
+        )
+    return float(np.sum(f) / np.pi)
 
 
 # ---------------------------------------------------------------------------
