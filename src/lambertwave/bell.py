@@ -20,7 +20,9 @@ exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
-one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).
+one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
+N-point transform is made as two N/2-point rows, one per parity of the
+output (``_lattice_fft``), on two threads at N >= 2^22.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ import numpy as np
 import scipy.fft
 
 from .errors import DomainError, ResolutionError
-from .grids import GridFunction, GridSpec
+from .grids import GridFunction, GridSpec, abs_max
 
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per pass of the periodization check
 _PANELS = 2 ** 10  # quadrature panels per pass of eval_psi_point
+_TWO_WORKER_ROW = 2 ** 21  # shortest transform row run on two threads
 
 
 def _ramp(v, w: float) -> np.ndarray:
@@ -140,19 +143,46 @@ class LatticeSynthesis:
 
 
 def _lattice_fft(band: np.ndarray, N: int) -> np.ndarray:
-    """N-point DFT sum_j band[j] e^{-2 pi i j k / N} of samples at the
+    """N-point DFT X_k = sum_j band[j] e^{-2 pi i j k / N} of samples at the
     centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
-    (2M entries), for k = 0..N-1, transformed in place."""
+    (2M entries), as two rows of N/2: X_{2s+r} = rows[r, s].
+
+    Decimated in time (Cooley & Tukey 1965), X_{2s+r} = sum_j (band[j]
+    e^{-2 pi i j r / N}) e^{-2 pi i j s / (N/2)}: row r is the band times
+    that twiddle, folded mod N/2 by addition (a band wider than N/2 overlaps
+    itself), and one call transforms both rows in place.  The rows run on
+    two threads when each row's scratch (N/2 complex values) is at least
+    32 MiB, N >= 2^22: malloc maps such a block and unmaps it after the
+    call, whereas below that the second thread's heap keeps 10-18 MB
+    (measured at N = 2^19).
+    """
+    h = N // 2
     M = len(band) // 2
-    spec = np.zeros(N, dtype=complex)
-    spec[:len(band) - M] = band[M:]
-    spec[N - M:] = band[:M]
-    return scipy.fft.fft(spec, overwrite_x=True)
+    twiddle = np.exp((-2j * np.pi / N) * np.arange(-M, len(band) - M))
+    rows = np.zeros((2, h), dtype=complex)
+    for row, b in zip(rows, (band, band * twiddle)):
+        row[:len(band) - M] = b[M:]
+        row[h - M:] += b[:M]
+    del twiddle
+    workers = 2 if h >= _TWO_WORKER_ROW else 1
+    return scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=workers)
 
 
-def _sup(v: np.ndarray) -> float:
-    """max |v| with no |v| temporary."""
-    return max(float(np.max(v)), -float(np.min(v)))
+def _centred(part: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the real N-array x_k = part[k % 2, k // 2] (k = 0..N-1)
+    rolled so that k = 0 sits at index N // 2, as ``np.fft.fftshift``
+    would; each row goes to one parity of the output, with no interleaved
+    copy.  For N = 2 (mod 4) the shift N/2 is odd and the parities swap."""
+    h = part.shape[1]
+    out = np.empty(2 * h)
+    for r in (0, 1):
+        # centred index 2t + p holds x_{2s+r}, s = t - c (mod N/2)
+        p = (r + h) % 2
+        c = (h + r - p) // 2
+        dst = out[p::2]
+        np.multiply(part[r, h - c:], scale, out=dst[:c])
+        np.multiply(part[r, :h - c], scale, out=dst[c:])
+    return out
 
 
 def synthesize_psi_lattice(
@@ -186,6 +216,10 @@ def synthesize_psi_lattice(
     it cannot be, so each channel's band B must pass the Hermitian bound
     sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds the residue the
     channel would have had alone.  The periodization check covers order q.
+
+    The transform comes back as two rows of N/2, the even and the odd
+    samples (``_lattice_fft``); each real channel is written once into its
+    centred N-array (``_centred``), and the check reads the rows directly.
     """
     # resolve the bell across its support: at least 2^12 samples
     if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
@@ -210,22 +244,22 @@ def synthesize_psi_lattice(
              - np.frexp(np.max(np.abs(bands[1])))[1])
         spectrum = bands[0] + 1j * (bands[1] * 2.0 ** e)
     del bands
-    vals = _lattice_fft(spectrum, N)
+    rows = _lattice_fft(spectrum, N)
     del spectrum
-    vals *= dxi / (2.0 * np.pi)
+    factor = dxi / (2.0 * np.pi)
     # centred: x = 0 at index N // 2
-    psi = np.fft.fftshift(vals.real)
+    psi = _centred(rows.real, factor)
     if q2 is None:
-        residues = [_sup(vals.imag)]
-        l2 = float(np.sqrt(np.sum(vals.real ** 2) * (L / N))) if q == 0 else None
+        # scaling is monotone, so this is the sup of the scaled channel
+        residues = [float(abs_max(rows.imag)) * factor]
+        l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N))) if q == 0 else None
         channels = [psi]
     else:
         l2 = None
-        channels = [psi, np.fft.fftshift(vals.imag)]
-        channels[1] *= 2.0 ** -e
-    del vals
+        channels = [psi, _centred(rows.imag, factor * 2.0 ** -e)]
+    del rows
     for p, r, v in zip((q, q2), residues, channels):
-        scale = max(1.0, _sup(v))
+        scale = max(1.0, float(abs_max(v)))
         if r > 1e-12 * scale:
             raise ResolutionError(
                 f"imaginary residue {r:.3e} of order {p} exceeds 1e-12 "
@@ -253,18 +287,23 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
     ``synthesize_psi_lattice``), in chunks of 2^16 points: no N/2-point
     temporaries beyond the odd-frequency DFT itself."""
     dxi = 2.0 * np.pi / L
+    h = N // 2
     M = len(ph.lattice_band(L)) // 2
     odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)
     worst = 0.0
-    # chunks of one sign of k: odd[k] is then a slice of the DFT
+    # chunks of one sign and one parity r of k: odd[k] = odd[r, (k - r) / 2
+    # mod N/2] is then a slice of a row, and psi[k + N/2] a strided slice
     for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            k = np.arange(start, stop)
-            part = odd[start % N:(stop - 1) % N + 1] * np.exp(-1j * np.pi * k / N)
-            dev = (part.real * (dxi / (4.0 * np.pi))
-                   - 0.5 * psi[start + N // 2:stop + N // 2])
-            worst = max(worst, _sup(dev))
+        for r in (0, 1):
+            first = lo + (lo - r) % 2
+            for start in range(first, hi, 2 * _CHUNK):
+                stop = min(start + 2 * _CHUNK, hi)
+                k = np.arange(start, stop, 2)
+                s = (start - r) // 2 % h
+                part = odd[r, s:s + len(k)] * np.exp(-1j * np.pi * k / N)
+                dev = (part.real * (dxi / (4.0 * np.pi))
+                       - 0.5 * psi[start + h:stop + h:2])
+                worst = max(worst, float(abs_max(dev)))
     return worst
 
 

@@ -17,6 +17,8 @@ from .lambert import lambert_w0
 
 _E = float(np.e)
 _P_CAP = 200000  # last p the associated-function scan may reach
+_FIRST_CHUNK = 2 ** 6  # p per numpy pass of that scan, doubling ...
+_CHUNK = 2 ** 16  # ... up to this
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,11 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     decreasing, and the margin guards short plateaus.  A scan that reaches
     p = 200000 without terminating raises ConvergenceError: its running
     maximum need not be the sup.
+
+    The terms are computed in numpy chunks of 64, 128, ... up to 2^16 p, and
+    the walk's state (running maximum, its first p, previous term, drops
+    since the last new maximum) is carried from chunk to chunk: the result
+    is the p-by-p walk's, bit for bit.
     """
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"k must be positive, got {k}")
@@ -156,21 +163,35 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     best, best_p = 0.0, 0
     prev = 0.0  # term at p = 0
     drops = 0
-    p = 1
-    while drops < 3:
-        if p > _P_CAP:
+    lo, size = 1, _FIRST_CHUNK
+    while True:
+        if lo > _P_CAP:
             raise ConvergenceError(
                 f"associated-function scan at k = {k:.6g} reached the cap "
                 f"p = {_P_CAP} before passing its maximum (best p = {best_p})"
             )
-        term = p * lk - float(log_m(p, params))
-        if term > best:
-            best, best_p = term, p
-            drops = 0
-        elif term < prev:
-            drops += 1
-        prev = term
-        p += 1
+        p = np.arange(lo, min(lo + size, _P_CAP + 1), dtype=float)
+        term = p * lk - log_m(p, params)
+        # a new maximum beats the running maximum of everything before it
+        before = np.empty_like(term)
+        before[0] = best
+        before[1:] = np.maximum(np.maximum.accumulate(term[:-1]), best)
+        new = term > before
+        earlier = np.concatenate([[prev], term[:-1]])
+        # drops since the last new maximum (the count carried in before it)
+        ndrop = np.cumsum(~new & (term < earlier))
+        last = np.maximum.accumulate(np.where(new, np.arange(len(term)), -1))
+        run = ndrop - np.where(last >= 0, ndrop[np.maximum(last, 0)], -drops)
+        stop = np.flatnonzero(run >= 3)
+        end = stop[0] + 1 if len(stop) else len(term)
+        i = int(np.argmax(term[:end]))
+        if term[i] > best:
+            best, best_p = float(term[i]), lo + i
+        if len(stop):
+            break
+        prev, drops = float(term[-1]), int(run[-1])
+        lo += len(term)
+        size = min(2 * size, _CHUNK)
 
     if k > _E:
         ta = assoc_t_asym(k, params.sigma)

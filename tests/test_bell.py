@@ -147,10 +147,13 @@ def test_periodization_identity_matches_doubled_period(wavelet):
     a = 0.9
     ph = bell(a)
     L, N = 2.0 ** 17, 2 ** 19
-    syn = synthesize_psi_lattice(ph, L=L, N=N)
-    oracle = _doubled_period_residual(ph, syn.grid, L, N)
-    assert 0.0 < syn.periodization_diff <= 1e-13
-    assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
+    # N = 2 (mod 4) too: there each parity of the odd-frequency rows meets
+    # the other parity of the centred lattice
+    for N in (2 ** 19, 2 ** 19 + 2):
+        syn = synthesize_psi_lattice(ph, L=L, N=N)
+        oracle = _doubled_period_residual(ph, syn.grid, L, N)
+        assert 0.0 < syn.periodization_diff <= 1e-13
+        assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
 
 
 def test_synthesis_symmetry_about_half(wavelet):
@@ -249,6 +252,52 @@ def test_synthesis_coarse_sampling_guard(wavelet):
     # 2 pi / 100 frequency spacing leaves ~230 samples across the band
     with pytest.raises(ResolutionError, match="too coarse"):
         synthesize_psi_lattice(wavelet.ph, L=100.0, N=2 ** 10)
+
+
+def _padded_fft(band, N):
+    """numpy.fft.fft of the band zero-padded to N at its centred indices."""
+    M = len(band) // 2
+    spec = np.zeros(N, dtype=complex)
+    spec[np.arange(-M, len(band) - M) % N] = band
+    return np.fft.fft(spec)
+
+
+@pytest.mark.parametrize("N", [
+    2 ** 14,      # N = 0 (mod 4)
+    2 ** 14 + 2,  # N = 2 (mod 4): the centring shift N/2 is odd
+    2 ** 13,      # the band (4,785 entries) is wider than N/2: folded rows overlap
+    2 ** 13 + 2,  # both
+])
+def test_two_row_transform_matches_padded_fft(N):
+    from lambertwave.bell import _lattice_fft
+
+    L = 2.0 ** 11
+    ph = bell(A)
+    band = ph.lattice_band(L)
+    ref = _padded_fft(band, N)
+    rows = _lattice_fft(band, N)
+    assert rows.shape == (2, N // 2)
+    sup = np.max(np.abs(ref))
+    for r in (0, 1):
+        assert np.max(np.abs(rows[r] - ref[r::2])) <= 1e-15 * sup
+    # the odd-frequency band of the periodization check has 2M entries
+    M = len(band) // 2
+    odd = ph.psi_hat_at((np.arange(-M, M) + 0.5) * (2.0 * math.pi / L))
+    ref, rows = _padded_fft(odd, N), _lattice_fft(odd, N)
+    for r in (0, 1):
+        assert np.max(np.abs(rows[r] - ref[r::2])) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [2 ** 14, 2 ** 14 + 2])
+def test_synthesis_centred_at_half_length(N):
+    # x = 0 sits at index N/2, also where the shift N/2 is odd: the samples
+    # are the fftshift of the padded transform
+    L = 2.0 ** 11
+    ph = bell(A)
+    grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False).grid
+    assert grid.n == N and grid.x0 + grid.dx * (N // 2) == 0.0
+    ref = np.fft.fftshift(_padded_fft(ph.lattice_band(L), N).real) * (1.0 / L)
+    assert np.max(np.abs(grid.values - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 # the short lattice of the paired-synthesis tests: 2^14 samples, period 2^11

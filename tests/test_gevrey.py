@@ -22,6 +22,7 @@ from lambertwave import (
     seq_property_audit,
 )
 from lambertwave import VerificationError
+from lambertwave import gevrey
 
 
 def enum_oracle(k, tau, sigma, p_max=4000):
@@ -123,6 +124,61 @@ def test_assoc_scan_cap_raises():
     assert argp == 389626 and val == pytest.approx(1218956.89, rel=1e-8)
     with pytest.raises(ConvergenceError, match="cap"):
         assoc_t_exact(1e12, SequenceParams(1.0, 1.05))
+
+
+def _walk(k, params):
+    """The associated-function scan one p at a time: stop after three drops
+    past the running maximum, raise past the p cap.  The reference for the
+    chunked scan of ``assoc_t_exact``."""
+    lk = math.log(k)
+    best, best_p = 0.0, 0
+    prev = 0.0
+    drops = 0
+    p = 1
+    while drops < 3:
+        if p > gevrey._P_CAP:
+            raise ConvergenceError("cap")
+        term = p * lk - float(log_m(p, params))
+        if term > best:
+            best, best_p = term, p
+            drops = 0
+        elif term < prev:
+            drops += 1
+        prev = term
+        p += 1
+    return best, best_p
+
+
+def _scan_or_cap(scan, k, params):
+    try:
+        return scan(k, params)
+    except ConvergenceError:
+        return "cap"
+
+
+@pytest.mark.parametrize("cap, chunks", [
+    (None, None), (1000, None), (4000, None),
+    (None, (1, 1)), (1000, (1, 1)), (None, (2, 8)), (1000, (2, 8)),
+])
+def test_chunked_scan_equals_walk(monkeypatch, cap, chunks):
+    # equal t_exact and argmax_p, bit for bit, on a sigma / tau / k grid;
+    # with the p cap lowered, the scans stop or raise at the same k; with
+    # short chunks the walk's state crosses a chunk edge at every step
+    if cap is not None:
+        monkeypatch.setattr(gevrey, "_P_CAP", cap)
+    if chunks is not None:
+        monkeypatch.setattr(gevrey, "_FIRST_CHUNK", chunks[0])
+        monkeypatch.setattr(gevrey, "_CHUNK", chunks[1])
+    seen = set()
+    for sigma in (1.05, 1.3, 1.5, 2.0, 3.0) if cap else (1.3, 1.5, 2.0, 3.0):
+        for tau in (0.25, 1.0, 4.0):
+            params = SequenceParams(tau, sigma)
+            for k in np.logspace(-1, 14, 11):
+                rep = _scan_or_cap(assoc_t_exact, float(k), params)
+                got = rep if rep == "cap" else (rep.t_exact, rep.argmax_p)
+                assert got == _scan_or_cap(_walk, float(k), params), (sigma, tau, k)
+                seen.add(got == "cap")
+    assert seen == ({False} if cap is None else {False, True})
 
 
 def test_assoc_domain_error():

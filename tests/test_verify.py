@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambertwave import (
     DomainError,
@@ -227,9 +229,47 @@ def _assert_front_sups_exact(grid):
 def test_moment_front_sups_equal_lattice_sups(wavelet, lattice_cache, q):
     grid = lattice_cache[q]
     _assert_front_sups_exact(grid)
+    _assert_front_is_reference(grid)
     ax, av = wavelet.front(q)
     assert len(ax) < grid.n // 100
     assert np.all(np.diff(ax) > 0) and np.all(np.diff(av) < 0)
+
+
+def _above_later(v):
+    """Mask of the entries strictly above every later entry, by one reverse
+    running max."""
+    later = np.empty_like(v)
+    later[-1:] = -np.inf
+    later[:-1] = np.maximum.accumulate(v[:0:-1])[::-1]
+    return v > later
+
+
+def _reference_front(grid):
+    """The moment front by one reverse running max over every |value| of
+    each half-lattice, then the same merge: the block scan must select the
+    same samples."""
+    above_later = _above_later
+    av = np.abs(grid.values)
+    split = int(np.searchsorted(grid.x(), 0.0))
+    idx = np.concatenate([
+        split - 1 - np.flatnonzero(above_later(av[:split][::-1])),
+        split + np.flatnonzero(above_later(av[split:])),
+    ])
+    ax, av = np.abs(grid.x0 + grid.dx * idx), av[idx]
+    order = np.lexsort((av, ax))
+    ax, av = ax[order], av[order]
+    keep = above_later(av)
+    return ax[keep], av[keep]
+
+
+def _assert_front_is_reference(grid):
+    ax, av = grid.moment_front()
+    rx, rv = _reference_front(grid)
+    assert np.array_equal(ax, rx) and np.array_equal(av, rv)
+    assert ax.dtype == rx.dtype and av.dtype == rv.dtype
+
+
+_PLATEAUS = np.repeat(np.random.default_rng(11).integers(-2, 3, 40), 7).astype(float)
 
 
 @pytest.mark.parametrize("x0, dx, values", [
@@ -242,16 +282,45 @@ def test_moment_front_sups_equal_lattice_sups(wavelet, lattice_cache, q):
     (-2.0, 0.5, [0.0] * 9),
     # off-centre lattice with many repeated values
     (-3.0, 0.25, np.random.default_rng(7).integers(-3, 4, 41).astype(float)),
+    # longer than the 64-sample block, not a multiple of it: plateaus that
+    # span block edges, split inside a block
+    (-17.0, 0.125, _PLATEAUS),
+    # every x >= 0 (split at 0) and every x < 0 (split at n)
+    (0.0, 0.5, _PLATEAUS[:150]),
+    (-100.0, 0.5, _PLATEAUS[:130]),
+    # one block exactly, all-zero except a far tie with a near sample
+    (-8.0, 0.25, np.r_[[0.0] * 32, 1.0, [0.0] * 30, -1.0]),
 ])
 def test_moment_front_hand_made(x0, dx, values):
     values = np.asarray(values)
     grid = GridFunction(x0, dx, values)
     _assert_front_sups_exact(grid)
+    _assert_front_is_reference(grid)
     # the front is exactly the set of samples no other sample dominates
     pts = sorted(set(zip(np.abs(grid.x()), np.abs(grid.values))))
     front = [p for p in pts
              if not any(o != p and o[0] >= p[0] and o[1] >= p[1] for o in pts)]
     assert list(zip(*grid.moment_front())) == front
+
+
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, -3.0]),
+             min_size=1, max_size=400),
+    st.integers(min_value=-1, max_value=401),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_moment_front_blocks_match_running_max(values, shift, plateaus):
+    # few distinct magnitudes: ties, zeros and (repeated) plateaus everywhere;
+    # the split falls anywhere from before the first sample to past the last
+    from lambertwave.grids import _front_indices
+
+    values = np.repeat(values, 5) if plateaus else np.asarray(values)
+    grid = GridFunction(-0.5 * min(shift, len(values)), 0.5, values)
+    _assert_front_is_reference(grid)
+    # each half-front alone, before the merge could mend a superset
+    for u in (values, values[::-1]):
+        assert np.array_equal(_front_indices(u), np.flatnonzero(_above_later(np.abs(u))))
 
 
 def test_large_x_below_fitted_envelope(wavelet, fit_grid):
