@@ -37,7 +37,7 @@ from .errors import DomainError, ResolutionError
 from .grids import GridFunction, GridSpec, abs_max
 
 HALF_PI = np.pi / 2.0
-_CHUNK = 2 ** 16  # points per pass of the periodization check
+_CHUNK = 2 ** 16  # points per pass of the band fold and the periodization check
 _PANELS = 2 ** 10  # quadrature panels per pass of eval_psi_point
 _TWO_WORKER_ROW = 2 ** 21  # shortest transform row run on two threads
 
@@ -158,12 +158,16 @@ def _lattice_fft(band: np.ndarray, N: int) -> np.ndarray:
     """
     h = N // 2
     M = len(band) // 2
-    twiddle = np.exp((-2j * np.pi / N) * np.arange(-M, len(band) - M))
     rows = np.zeros((2, h), dtype=complex)
-    for row, b in zip(rows, (band, band * twiddle)):
-        row[:len(band) - M] = b[M:]
-        row[h - M:] += b[:M]
-    del twiddle
+    # chunks of j on one side of 0, so that j mod N/2 is a slice: the
+    # twiddled band is never whole
+    for lo, hi in ((-M, 0), (0, len(band) - M)):
+        for start in range(lo, hi, _CHUNK):
+            stop = min(start + _CHUNK, hi)
+            b = band[start + M:stop + M]
+            dst = slice(start % h, start % h + len(b))
+            rows[0, dst] += b
+            rows[1, dst] += b * np.exp((-2j * np.pi / N) * np.arange(start, stop))
     workers = 2 if h >= _TWO_WORKER_ROW else 1
     return scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=workers)
 
