@@ -14,7 +14,10 @@ derivative of the result.  The truncation keeps every a_p at or above the
 cutoff, so each discarded factor is narrower than the cutoff.
 
 A cascade's transform is the product of its factors' transforms, so the
-cascade is built as one spectral product on the grid's period.
+cascade is built as one spectral product on the grid's period.  Most deep
+factors are a few cells wide: those are convolved directly into one running
+kernel, which joins the product as a single factor, so a deep cascade costs
+a few dozen period transforms rather than one per factor.
 
 This module is what ``build-mollifier`` builds and certifies.  The
 wavelet's ramps use only the cone of half-width a_1 = 1/4 (the cascade's
@@ -30,7 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, VerificationError
-from .grids import GridFunction, GridSpec
+from .grids import GridFunction, GridSpec, abs_max
 
 _TAIL_FLOOR = 1e-30
 _M_MAX = 8  # blocks whose thresholds fix the cascade scales
@@ -191,9 +194,14 @@ def build_mollifier(
     The grid ends lie outside the support, so the grid is one period of
     P = n - 1 samples: the sampled factors are wrapped onto it, their FFTs
     multiplied (trapezoid weight dx per convolution) and the product
-    inverted once.  Kernels whose half-widths sum to P/2 or more would wrap
-    (ResolutionError); values below -1e-12 and a mass drift beyond 1e-8
-    abort rather than being silently absorbed.
+    inverted once.  Walking the factors in scale order, a factor is instead
+    convolved directly into a running kernel while the running length
+    times its own is at most P log2 P, the cost of one period transform;
+    the running kernel's transform joins the product once.  Kernels whose
+    half-widths sum to P/2 or more would wrap (ResolutionError), checked
+    before any convolution, so the running kernel stays shorter than the
+    period.  Values below -1e-12 and a mass drift beyond 1e-8 abort rather
+    than being silently absorbed.
     """
     if sigma <= 1.0:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
@@ -227,9 +235,17 @@ def build_mollifier(
             f"cascade kernels reach {reach} samples, at least half the "
             f"{period}-sample period: the circular product would wrap"
         )
-    spectrum = _kernel_spectrum(*kernels[0], period)
+    # A factor is convolved into the running kernel directly while that
+    # costs no more than one period transform; the rest get their own.
+    budget = period * np.log2(period)
+    running, R = kernels[0]
+    spectrum = np.ones(period // 2 + 1, dtype=complex)
     for ker, K in kernels[1:]:
-        spectrum *= _kernel_spectrum(ker, K, period) * dx
+        if len(running) * len(ker) <= budget:
+            running, R = np.convolve(running, ker) * dx, R + K
+        else:
+            spectrum *= _kernel_spectrum(ker, K, period) * dx
+    spectrum *= _kernel_spectrum(running, R, period)
 
     def to_grid(product: np.ndarray) -> np.ndarray:  # the last sample is the first
         return np.resize(np.roll(np.fft.irfft(product, period), center), spec.n)
@@ -292,21 +308,21 @@ class DerivativeAuditReport:
 def _spectral_derivative_sups(phi: GridFunction, n_max: int):
     """Sup of each derivative via frequency-domain differentiation.
 
-    The cutoff is periodized on its (compact-support) grid; modes whose
-    magnitude sits below 1e-15 of the peak are pure roundoff and are zeroed
-    before multiplying by (i w)^n.
+    The cutoff is periodized on its (compact-support) grid and transformed
+    once to its real half-spectrum; modes whose magnitude sits below 1e-15
+    of the peak are pure roundoff and are zeroed before multiplying by
+    (i w)^n = i^n w^n.
     """
     vals = phi.values[:-1]
     nfft = len(vals)
-    omega = 2.0 * np.pi * np.fft.fftfreq(nfft, d=phi.dx)
-    F = np.fft.fft(vals)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(nfft, d=phi.dx)
+    F = np.fft.rfft(vals)
     mag = np.abs(F)
-    mask = mag >= 1e-15 * mag.max()
-    sups = []
-    for q in range(n_max + 1):
-        Fq = np.where(mask, F * (1j * omega) ** q, 0.0)
-        sups.append(float(np.max(np.abs(np.fft.ifft(Fq).real))))
-    return sups
+    F[mag < 1e-15 * mag.max()] = 0.0
+    return [
+        float(abs_max(np.fft.irfft(F * (omega ** q * 1j ** q), nfft)))
+        for q in range(n_max + 1)
+    ]
 
 
 def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAuditReport:

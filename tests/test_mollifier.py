@@ -236,6 +236,44 @@ def test_wrapping_cascade_is_a_resolution_error(monkeypatch):
         build_mollifier(2.0, SPEC_13)
 
 
+def test_cascade_makes_few_period_transforms(monkeypatch):
+    # at sigma = 1.5 the 202 factors are mostly a few cells wide: folded
+    # into one running kernel, they need no period transform of their own
+    calls = []
+    real = mollifier._kernel_spectrum
+
+    def counting(ker, K, period):
+        calls.append(K)
+        return real(ker, K, period)
+
+    monkeypatch.setattr(mollifier, "_kernel_spectrum", counting)
+    build = build_mollifier(1.5, GridSpec.symmetric(1.5, 17))
+    assert len(build.scales) == 202
+    assert len(calls) <= 60
+
+
+def _per_factor_product(sigma, spec):
+    """Reference cutoff: every factor's own period transform, one product,
+    one inverse, then the clamp, the clearing and the renormalization."""
+    seq = scale_sequence(sigma, block_thresholds(sigma, 8), spec.dx)
+    period, dx = spec.n - 1, spec.dx
+    spectrum = np.ones(period // 2 + 1, dtype=complex)
+    for a in seq.scales:
+        ker, K = mollifier._sampled_kernel(a, dx)
+        spectrum *= np.fft.rfft(np.roll(np.pad(ker, (0, period - 2 * K - 1)), -K)) * dx
+    phi = np.fft.irfft(spectrum / dx, period)
+    phi = np.maximum(np.resize(np.roll(phi, period // 2), spec.n), 0.0)
+    phi[np.abs(spec.points()) > np.sum(seq.scales) + dx] = 0.0
+    return phi / np.trapezoid(phi, dx=dx)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_cascade_matches_per_factor_spectral_product(sigma):
+    phi = build_mollifier(sigma, SPEC_13).phi.values
+    ref = _per_factor_product(sigma, SPEC_13)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(ref)
+
+
 def test_derivative_audit_preconditions():
     small = build_mollifier(2.0, SPEC_13, cutoff=0.04)
     # 4 factors retained: n_max = 3 exceeds the factors-after-first budget

@@ -13,6 +13,7 @@ from lambertwave import (
     GridFunction,
     InputError,
     VerificationError,
+    bell,
     completeness_check,
     decay_envelope,
     derivative_decay_check,
@@ -112,6 +113,46 @@ def test_completeness_gaussian(wavelet):
     rep = completeness_check(wavelet.ph, gaussian_spectrum())
     assert rep.status == "pass"
     assert abs(rep.ratio - 1.0) <= 1e-3
+
+
+def _completeness_per_n(ph, f_hat, n_cap=256):
+    """Reference: each coefficient its own trapezoid integral of the
+    integrand times e^{-+inu}, made afresh for every n and scale."""
+    ug = np.linspace(-f_hat.band[1] - 1.0, f_hat.band[1] + 1.0, 2 ** 16 + 1)
+    f_energy = np.trapezoid(np.abs(f_hat(ug)) ** 2, dx=ug[1] - ug[0]) / (2.0 * np.pi)
+    u = np.linspace(np.pi - ph.a, 2.0 * (np.pi + ph.a), 2 ** 13 + 1)
+    du = u[1] - u[0]
+    total, n_used = 0.0, {}
+    for m in range(-4, 5):
+        gp = f_hat(2.0 ** m * u) * np.conj(ph.psi_hat_at(u))
+        gn = f_hat(-(2.0 ** m) * u) * np.conj(ph.psi_hat_at(-u))
+        pref = 2.0 ** (m / 2.0) / (2.0 * np.pi)
+        n = 0
+        while True:
+            inc = sum(
+                abs(pref * (np.trapezoid(gp * np.exp(-1j * k * u), dx=du)
+                            + np.trapezoid(gn * np.exp(1j * k * u), dx=du))) ** 2
+                for k in ([0] if n == 0 else [n, -n])
+            )
+            total += inc
+            if n > 8 and inc < 1e-5 * f_energy:
+                break
+            n += 1
+            if n > n_cap:
+                break
+        n_used[m] = n
+    return total / f_energy, n_used
+
+
+@pytest.mark.parametrize("a", [A, 0.9])
+def test_completeness_shared_table_matches_per_n_quadrature(a):
+    ph = bell(a)
+    fhat = gaussian_spectrum()
+    rep = completeness_check(ph, fhat)
+    ratio, n_used = _completeness_per_n(ph, fhat)
+    assert rep.n_used == n_used
+    assert max(n_used.values()) > 16  # past the first block of table rows
+    assert abs(rep.ratio - ratio) <= 1e-14
 
 
 def test_envelope_shape(wavelet):
