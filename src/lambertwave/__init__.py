@@ -12,7 +12,6 @@ from .bell import (
     BellEvaluator,
     LatticeSynthesis,
     WaveletBuild,
-    bell,
     build_wavelet,
     eval_psi_point,
     synthesize_psi_lattice,
@@ -40,9 +39,7 @@ from .gevrey import (
 )
 from .grids import GridFunction, GridSpec
 from .lambert import (
-    DEFAULT_W_CONFIG,
     WBoundsReport,
-    WEvalConfig,
     lambert_w0,
     w_bounds_check,
 )

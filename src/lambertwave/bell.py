@@ -53,8 +53,9 @@ def _ramp(v, w: float) -> np.ndarray:
 
 
 class BellEvaluator:
-    """The wavelet: point evaluator for the bell and for the transforms of
-    the wavelet's members and their derivatives.
+    """The wavelet: point evaluator for the bell (real, even) and for the
+    transforms of the wavelet's members and their derivatives, at a
+    half-width a in (0, pi/3).
 
     ``ramp_half_width`` (w = a/4) is the half-width of theta_a's cutoff:
     the bell's knots sit at pi +- w, pi, 2 pi +- 2w and 2 pi, and w is the
@@ -62,6 +63,8 @@ class BellEvaluator:
     """
 
     def __init__(self, a: float):
+        if not (0.0 < a < np.pi / 3.0):
+            raise DomainError(f"half-width a must lie in (0, pi/3), got {a}")
         self.a = a
         self.band = (np.pi - a, 2.0 * (np.pi + a))
         self.ramp_half_width = a / 4.0
@@ -111,14 +114,6 @@ class BellEvaluator:
             M = int(np.ceil(self.band[1] / dxi)) + 2
             self._lattice_band = (L, self.psi_hat_at(np.arange(-M, M + 1) * dxi))
         return self._lattice_band[1]
-
-
-def bell(a: float) -> BellEvaluator:
-    """The bell (real, even) and wavelet transform evaluator for half-width
-    a, which must lie in (0, pi/3)."""
-    if not (0.0 < a < np.pi / 3.0):
-        raise DomainError(f"half-width a must lie in (0, pi/3), got {a}")
-    return BellEvaluator(a)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +430,7 @@ def build_wavelet(
     band = 2.0 * (np.pi + a) + 1.0
     nfreq = 2 ** freq_pow
     freq = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
-    ph = bell(a)
+    ph = BellEvaluator(a)
     return WaveletBuild(
         sigma=sigma,
         a=a,

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .gevrey import SequenceParams, assoc_t_exact
 from .grids import GridSpec
-from .lambert import WEvalConfig, lambert_w0, w_bounds_check
+from .lambert import lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
     DerivativeDecayRow,
@@ -118,7 +118,12 @@ def _validate(cfg: RunConfig) -> None:
         ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
         ("gram_m", cfg.gram_m >= 0, "must be nonnegative"),
         ("gram_n", cfg.gram_n >= 0, "must be nonnegative"),
-        ("dyadic_window", cfg.dyadic_window >= 1, "must be at least 1"),
+        # the Gram pairs grow as the members squared: 524,800 pairs at 1024
+        ("gram_n", (2 * cfg.gram_m + 1) * (2 * cfg.gram_n + 1) <= 1024,
+         f"with gram_m = {cfg.gram_m}, must keep the (2 gram_m + 1)(2 gram_n + 1) "
+         "Gram members at most 1024"),
+        ("dyadic_window", 1 <= cfg.dyadic_window <= 30,
+         "must lie in [1, 30] (the scale guard of psi_hat)"),
         ("r2_min", 0.0 < cfg.r2_min <= 1.0, "must lie in (0, 1]"),
         ("env_floor", cfg.env_floor > 0, "must be positive"),
         ("mixed_s", 0.0 < cfg.mixed_s <= 1.0, "must lie in (0, 1]"),
@@ -129,7 +134,8 @@ def _validate(cfg: RunConfig) -> None:
         ("kpoints", cfg.kpoints >= 20, "must be at least 20"),
         ("fit_points", cfg.fit_points >= 30, "must be at least 30"),
         ("tau", cfg.tau > 0, "must be positive"),
-        ("xmin", cfg.xmin >= 0, "must be nonnegative"),
+        ("xmin", cfg.xmin > 0 if cfg.log else cfg.xmin >= 0,
+         "must be positive with log spacing, nonnegative without"),
         ("xmax", cfg.xmax > cfg.xmin, "must exceed xmin"),
         ("kmin", cfg.kmin >= 1e2, "must be at least 1e2"),
         ("kmax", 1e14 >= cfg.kmax > cfg.kmin, "must lie in (kmin, 1e14]"),
@@ -198,12 +204,10 @@ class Run:
 def stage_lambert_table(run: Run) -> list:
     cfg = run.cfg
     if cfg.log:
-        if cfg.xmin <= 0:
-            raise InputError("config field 'xmin': log spacing needs xmin > 0")
         xs = np.logspace(math.log10(cfg.xmin), math.log10(cfg.xmax), cfg.points)
     else:
         xs = np.linspace(cfg.xmin, cfg.xmax, cfg.points)
-    w = lambert_w0(xs, WEvalConfig())
+    w = lambert_w0(xs)
     resid = np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs)
     lo = np.full_like(xs, np.nan)
     hi = np.full_like(xs, np.nan)

@@ -23,9 +23,9 @@ class ResolutionError(LambertwaveError):
 
 
 class ConvergenceError(LambertwaveError):
-    """An iteration hit its cap before meeting tolerance.
+    """A computed value missed its tolerance, or a search hit its cap.
 
-    Carries the worst residual observed so callers can report it.
+    Carries the worst residual observed, if any, so callers can report it.
     """
 
     def __init__(self, message, residual=None):

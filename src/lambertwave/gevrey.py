@@ -2,7 +2,9 @@
 associated (Legendre-type) function in exact-sup and Lambert-asymptotic form.
 
 All sequence arithmetic is done on logarithms: the raw entries overflow
-double precision already at small p.
+double precision already at small p.  The exact sup is a bracketed search
+(``first_index``) for the first p where the concave term p log k - log M_p
+stops rising.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from .errors import ConvergenceError, DomainError, InputError, VerificationError
 from .lambert import lambert_w0
 
 _E = float(np.e)
-_P_CAP = 200000  # last p the associated-function scan may reach
-_FIRST_CHUNK = 2 ** 6  # p per numpy pass of that scan, doubling ...
-_CHUNK = 2 ** 16  # ... up to this
+_P_CAP = 200000  # the associated function's argmax must lie at or below _P_CAP - 3
 
 
 @dataclass(frozen=True)
@@ -143,55 +143,51 @@ class AssocFnReport:
     ratio: float
 
 
+def first_index(pred, cap: int):
+    """The first p in [0, cap] with pred(p), for a pred that is false below
+    some index and true from it on: doubling from p = 1, then bisection.
+    None if pred(cap) is false."""
+    if pred(0):
+        return 0
+    lo, hi = 0, 1
+    while not pred(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
 def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     """Exact associated-function value sup_p max(0, p log k - log M_p).
 
-    The scan terminates once the term has decreased on three consecutive p
-    past the running maximum: for sigma > 1 the term is eventually strictly
-    decreasing, and the margin guards short plateaus.  A scan that reaches
-    p = 200000 without terminating raises ConvergenceError: its running
-    maximum need not be the sup.
-
-    The terms are computed in numpy chunks of 64, 128, ... up to 2^16 p, and
-    the walk's state (running maximum, its first p, previous term, drops
-    since the last new maximum) is carried from chunk to chunk: the result
-    is the p-by-p walk's, bit for bit.
+    log M_p is convex in p, so the term p log k - log M_p is concave and its
+    sup sits at the first p where it stops rising, found by ``first_index``
+    (Komatsu, Ultradistributions I, 1973).  The term is 0 at p = 0, so the
+    sup is never negative.  An argmax past ``_P_CAP - 3`` raises
+    ConvergenceError.
     """
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"k must be positive, got {k}")
     lk = math.log(k)
-    best, best_p = 0.0, 0
-    prev = 0.0  # term at p = 0
-    drops = 0
-    lo, size = 1, _FIRST_CHUNK
-    while True:
-        if lo > _P_CAP:
-            raise ConvergenceError(
-                f"associated-function scan at k = {k:.6g} reached the cap "
-                f"p = {_P_CAP} before passing its maximum (best p = {best_p})"
-            )
-        p = np.arange(lo, min(lo + size, _P_CAP + 1), dtype=float)
-        term = p * lk - log_m(p, params)
-        # a new maximum beats the running maximum of everything before it
-        before = np.empty_like(term)
-        before[0] = best
-        before[1:] = np.maximum(np.maximum.accumulate(term[:-1]), best)
-        new = term > before
-        earlier = np.concatenate([[prev], term[:-1]])
-        # drops since the last new maximum (the count carried in before it)
-        ndrop = np.cumsum(~new & (term < earlier))
-        last = np.maximum.accumulate(np.where(new, np.arange(len(term)), -1))
-        run = ndrop - np.where(last >= 0, ndrop[np.maximum(last, 0)], -drops)
-        stop = np.flatnonzero(run >= 3)
-        end = stop[0] + 1 if len(stop) else len(term)
-        i = int(np.argmax(term[:end]))
-        if term[i] > best:
-            best, best_p = float(term[i]), lo + i
-        if len(stop):
-            break
-        prev, drops = float(term[-1]), int(run[-1])
-        lo += len(term)
-        size = min(2 * size, _CHUNK)
+
+    def term(p):
+        p = np.asarray(p, dtype=float)
+        return p * lk - log_m(p, params)
+
+    def falls(p):
+        t = term([p, p + 1])
+        return t[1] <= t[0]
+
+    best_p = first_index(falls, _P_CAP - 3)
+    if best_p is None:
+        raise ConvergenceError(
+            f"associated-function search at k = {k:.6g} passes the cap "
+            f"p = {_P_CAP - 3} before reaching its maximum"
+        )
+    best = float(term([best_p])[0])
 
     if k > _E:
         ta = assoc_t_asym(k, params.sigma)

@@ -33,6 +33,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, VerificationError
+from .gevrey import first_index
 from .grids import GridFunction, GridSpec, abs_max
 
 _TAIL_FLOOR = 1e-30
@@ -56,18 +57,13 @@ def _last_index(sigma: float, m: int) -> int:
     falling terms.  Terms are eventually dominated by a geometric sequence
     for sigma > 1, so a tail summed up to there is sound.  An index beyond
     2^27 (sigma too close to 1 to sum) is a DomainError."""
-    lo, hi = 0, 1
-    while _block_terms(sigma, m, hi) >= _TAIL_FLOOR:
-        if hi >= _P_MAX:
-            raise DomainError(
-                f"sigma = {sigma} is too close to 1: the block-{m} terms stay "
-                f"above {_TAIL_FLOOR:g} beyond index 2^27"
-            )
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _block_terms(sigma, m, mid) >= _TAIL_FLOOR else (lo, mid)
-    return hi
+    p = first_index(lambda p: _block_terms(sigma, m, p) < _TAIL_FLOOR, _P_MAX)
+    if p is None:
+        raise DomainError(
+            f"sigma = {sigma} is too close to 1: the block-{m} terms stay "
+            f"above {_TAIL_FLOOR:g} beyond index 2^27"
+        )
+    return p
 
 
 def block_thresholds(sigma: float, m_max: int) -> List[int]:

@@ -1,14 +1,15 @@
 """Bell structure, wavelet transform, synthesis, and point evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lambertwave import (
+    BellEvaluator,
     DomainError,
     ResolutionError,
-    bell,
     eval_psi_point,
     inner_product,
     synthesize_psi_lattice,
@@ -101,11 +102,19 @@ def test_bell_partition_identity(wavelet):
     assert np.max(np.abs(np.sin(t) ** 2 + np.cos(t) ** 2 - 1.0)) <= 4e-16
 
 
+def test_bell_submodule_is_the_module():
+    # no package attribute of the same name shadows the submodule
+    import lambertwave.bell as mod
+
+    assert mod is sys.modules["lambertwave.bell"]
+    assert mod.BellEvaluator is BellEvaluator
+
+
 def test_bell_domain_errors():
     with pytest.raises(DomainError):
-        bell(1.2)
+        BellEvaluator(1.2)
     with pytest.raises(DomainError):
-        bell(0.0)
+        BellEvaluator(0.0)
 
 
 def test_psi_hat_modulus_and_zero(wavelet):
@@ -145,7 +154,7 @@ def test_periodization_identity_matches_doubled_period(wavelet):
     assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
     # a smaller lattice, at a half-width whose residual clears the 1e-13 bar
     a = 0.9
-    ph = bell(a)
+    ph = BellEvaluator(a)
     L, N = 2.0 ** 17, 2 ** 19
     # N = 2 (mod 4) too: there each parity of the odd-frequency rows meets
     # the other parity of the centred lattice
@@ -272,7 +281,7 @@ def test_two_row_transform_matches_padded_fft(N):
     from lambertwave.bell import _lattice_fft
 
     L = 2.0 ** 11
-    ph = bell(A)
+    ph = BellEvaluator(A)
     band = ph.lattice_band(L)
     ref = _padded_fft(band, N)
     rows = _lattice_fft(band, N)
@@ -293,7 +302,7 @@ def test_synthesis_centred_at_half_length(N):
     # x = 0 sits at index N/2, also where the shift N/2 is odd: the samples
     # are the fftshift of the padded transform
     L = 2.0 ** 11
-    ph = bell(A)
+    ph = BellEvaluator(A)
     grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False).grid
     assert grid.n == N and grid.x0 + grid.dx * (N // 2) == 0.0
     ref = np.fft.fftshift(_padded_fft(ph.lattice_band(L), N).real) * (1.0 / L)
@@ -310,7 +319,7 @@ def test_paired_synthesis_matches_solo(q, q2):
     # first's magnitude: each channel stays within 1e-15 of its sup of the
     # order synthesized alone on |x| <= L/4 (3.6e-16 at worst; unbalanced,
     # psi' in the (1, 8) pair is off by 6.7e-12)
-    ph = bell(A)
+    ph = BellEvaluator(A)
     pair = synthesize_psi_lattice(
         ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=q, q2=q2
     )
@@ -328,7 +337,7 @@ def test_non_hermitian_band_rejected(monkeypatch):
     # a band with B_j != conj(B_-j) synthesizes a complex psi: alone, the
     # imaginary residue is measured; in a pair each channel's band must pass
     # the bound sum_j |B_j - conj(B_-j)| dxi / (4 pi)
-    ph = bell(A)
+    ph = BellEvaluator(A)
     band = ph.lattice_band(PAIR_L).copy()
     j = len(band) // 2 + int(1.5 * PAIR_L / 2.0)  # xi near 1.5 pi, where b = 1
     band[j] += 1e-3
@@ -347,7 +356,7 @@ def test_build_wavelet_profile_flags(wavelet):
     assert wavelet.ph.ramp_half_width == A / 4.0
     assert not hasattr(wavelet, "master")
     xi = wavelet.freq.points()
-    assert np.array_equal(bell(A).psi_hat_at(xi), wavelet.ph.psi_hat_at(xi))
+    assert np.array_equal(BellEvaluator(A).psi_hat_at(xi), wavelet.ph.psi_hat_at(xi))
 
 
 def test_psi_at_half_fixture(wavelet):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lambertwave
+from lambertwave import cli
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
 
 FAST = [
@@ -269,12 +270,13 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_signal():
+    # the set-up cost of a run is this import: no heavier scipy subpackage
     src = str(Path(lambertwave.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lambertwave.cli; "
-            "print('scipy.signal' in sys.modules)")
+            "print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 LATTICE = {
@@ -378,6 +380,33 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not (out / "psi.csv").exists()
+
+
+@pytest.mark.parametrize("command, args, field", [
+    ("lambert-table", ["--xmin", "0"], "xmin"),  # log spacing is the default
+    ("verify-onw", ["--dyadic-window", "2000"], "dyadic_window"),
+    ("verify-onw", ["--dyadic-window", "31"], "dyadic_window"),
+    ("verify-onw", ["--gram-n", "100000"], "gram_n"),
+    ("verify-onw", ["--gram-m", "0", "--gram-n", "512"], "gram_n"),
+], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
+        "gram-members-1025"])
+def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
+                                                    command, args, field):
+    def built(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "build_wavelet", built)
+    out = tmp_path / "out"
+    rc = main([command, *args, "--out-dir", str(out)])
+    assert rc == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_ranges_admit_their_ends():
+    for cfg in (RunConfig(dyadic_window=30), RunConfig(gram_m=0, gram_n=511),
+                RunConfig(gram_m=2, gram_n=101), RunConfig(xmin=0.0, log=False)):
+        cli._validate(cfg)
 
 
 def test_int_for_float_field_matches_flag_spelling(tmp_path):

@@ -129,7 +129,7 @@ def test_assoc_scan_cap_raises():
 def _walk(k, params):
     """The associated-function scan one p at a time: stop after three drops
     past the running maximum, raise past the p cap.  The reference for the
-    chunked scan of ``assoc_t_exact``."""
+    search of ``assoc_t_exact``."""
     lk = math.log(k)
     best, best_p = 0.0, 0
     prev = 0.0
@@ -156,19 +156,12 @@ def _scan_or_cap(scan, k, params):
         return "cap"
 
 
-@pytest.mark.parametrize("cap, chunks", [
-    (None, None), (1000, None), (4000, None),
-    (None, (1, 1)), (1000, (1, 1)), (None, (2, 8)), (1000, (2, 8)),
-])
-def test_chunked_scan_equals_walk(monkeypatch, cap, chunks):
+@pytest.mark.parametrize("cap", [None, 1000, 4000])
+def test_search_equals_walk(monkeypatch, cap):
     # equal t_exact and argmax_p, bit for bit, on a sigma / tau / k grid;
-    # with the p cap lowered, the scans stop or raise at the same k; with
-    # short chunks the walk's state crosses a chunk edge at every step
+    # with the p cap lowered, the search and the walk raise at the same k
     if cap is not None:
         monkeypatch.setattr(gevrey, "_P_CAP", cap)
-    if chunks is not None:
-        monkeypatch.setattr(gevrey, "_FIRST_CHUNK", chunks[0])
-        monkeypatch.setattr(gevrey, "_CHUNK", chunks[1])
     seen = set()
     for sigma in (1.05, 1.3, 1.5, 2.0, 3.0) if cap else (1.3, 1.5, 2.0, 3.0):
         for tau in (0.25, 1.0, 4.0):
@@ -179,6 +172,24 @@ def test_chunked_scan_equals_walk(monkeypatch, cap, chunks):
                 assert got == _scan_or_cap(_walk, float(k), params), (sigma, tau, k)
                 seen.add(got == "cap")
     assert seen == ({False} if cap is None else {False, True})
+
+
+@pytest.mark.parametrize("sigma, tau, k, argmax", [
+    (1.5, 1.0, 1e12, 23), (1.3, 0.25, 1e10, 1420), (2.0, 1.0, 1e14, 7),
+])
+def test_search_cap_boundary(monkeypatch, sigma, tau, k, argmax):
+    # the walk needs three falls past the argmax: an argmax at cap - 3
+    # returns, one at cap - 2 raises, for the search as for the walk
+    params = SequenceParams(tau, sigma)
+    monkeypatch.setattr(gevrey, "_P_CAP", argmax + 3)
+    rep = assoc_t_exact(k, params)
+    assert (rep.t_exact, rep.argmax_p) == _walk(k, params)
+    assert rep.argmax_p == argmax
+    monkeypatch.setattr(gevrey, "_P_CAP", argmax + 2)
+    with pytest.raises(ConvergenceError, match="cap"):
+        assoc_t_exact(k, params)
+    with pytest.raises(ConvergenceError):
+        _walk(k, params)
 
 
 def test_assoc_domain_error():

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertwave import (
     ConvergenceError,
     DomainError,
-    WEvalConfig,
     lambert_w0,
     w_bounds_check,
 )
@@ -115,17 +115,18 @@ def test_domain_errors():
         lambert_w0(float("inf"))
     with pytest.raises(DomainError):
         w_bounds_check([1.0])
-    with pytest.raises(DomainError):
-        WEvalConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        WEvalConfig(max_iter=0)
 
 
-def test_convergence_error_carries_residual():
+def test_convergence_error_carries_residual(monkeypatch):
+    # a W off by 1e-12 relative misses the 1e-13 residual certificate
+    exact = scipy.special.lambertw
+    monkeypatch.setattr(scipy.special, "lambertw", lambda x: exact(x) * (1.0 + 1e-12))
+    xs = np.array([0.5, 10.0])
     with pytest.raises(ConvergenceError) as exc:
-        lambert_w0(10.0, WEvalConfig(abs_tol=1e-30, max_iter=2))
-    assert exc.value.residual is not None
-    assert exc.value.residual > 0
+        lambert_w0(xs)
+    w = exact(xs).real * (1.0 + 1e-12)
+    worst = np.max(np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs))
+    assert exc.value.residual == worst > 1e-13
 
 
 @given(st.floats(min_value=0.0, max_value=1e12, allow_nan=False))

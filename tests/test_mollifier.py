@@ -9,11 +9,11 @@ import pytest
 
 from lambertwave import mollifier
 from lambertwave import (
+    BellEvaluator,
     DomainError,
     GridSpec,
     InputError,
     ResolutionError,
-    bell,
     block_thresholds,
     build_mollifier,
     derivative_bound_audit,
@@ -55,6 +55,13 @@ def test_block_thresholds_errors():
         block_thresholds(1.0, 4)
     with pytest.raises(InputError):
         block_thresholds(2.0, 0)
+
+
+@pytest.mark.parametrize("sigma", [1.2, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 8])
+def test_last_index_is_first_term_below_floor(sigma, m):
+    p = mollifier._last_index(sigma, m)
+    assert mollifier._block_terms(sigma, m, p - 1) >= 1e-30 > mollifier._block_terms(sigma, m, p)
 
 
 def test_scale_sequence_values_and_mass():
@@ -290,7 +297,7 @@ def test_dilate_identity_and_scaling():
     build = build_mollifier(2.0, SPEC_13, cutoff=0.2)
     assert build.scales.tolist() == [0.25]
     a = math.pi / 6.0
-    ph = bell(a)
+    ph = BellEvaluator(a)
     for width, theta in ((a, ph.theta_a), (2.0 * a, ph.theta_2a)):
         x = build.phi.x() * width
         dens = build.phi.values * (math.pi / 2.0 / width)
@@ -302,4 +309,4 @@ def test_dilate_domain_errors():
     # the dilation width must be a finite positive number
     for a in (-0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            bell(a)
+            BellEvaluator(a)

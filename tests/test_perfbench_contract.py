@@ -10,7 +10,7 @@ import inspect
 import math
 from pathlib import Path
 
-from lambertwave import GridSpec, bell, build_mollifier
+from lambertwave import BellEvaluator, GridSpec, build_mollifier
 from lambertwave.bell import build_wavelet, synthesize_psi_lattice
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -40,7 +40,7 @@ def test_traced_names_resolve():
 def test_synthesis_result_feeds_the_recorder():
     # the synthesis recorder hashes result.grid.values; a period this short
     # cannot meet the periodization bar, so the check is off
-    ph = bell(A)
+    ph = BellEvaluator(A)
     args, kwargs = (ph, 2.0 ** 11, 2 ** 14), {"check_periodization": False, "q": 2}
     result = synthesize_psi_lattice(*args, **kwargs)
     assert result.grid.values.shape == (2 ** 14,)

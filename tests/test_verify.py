@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertwave import (
+    BellEvaluator,
     DomainError,
     GridFunction,
     InputError,
     VerificationError,
-    bell,
     completeness_check,
     decay_envelope,
     derivative_decay_check,
@@ -146,7 +146,7 @@ def _completeness_per_n(ph, f_hat, n_cap=256):
 
 @pytest.mark.parametrize("a", [A, 0.9])
 def test_completeness_shared_table_matches_per_n_quadrature(a):
-    ph = bell(a)
+    ph = BellEvaluator(a)
     fhat = gaussian_spectrum()
     rep = completeness_check(ph, fhat)
     ratio, n_used = _completeness_per_n(ph, fhat)
