@@ -26,16 +26,12 @@ from .errors import (
 )
 from .gevrey import (
     AssocFnReport,
-    BoundFitReport,
-    SeqAuditReport,
     SequenceParams,
     assoc_t_asym,
     assoc_t_exact,
     comparison_envelopes,
-    fit_assoc_bounds,
     log_m,
     moritoh_l,
-    seq_property_audit,
 )
 from .grids import GridFunction, GridSpec
 from .lambert import (

@@ -406,10 +406,6 @@ class WaveletBuild:
         self.lattices(missing, lambda q, grid: None)
         return [self._fronts[q] for q in orders]
 
-    def front(self, q: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """The psi^(q) moment front alone: ``fronts([q])``."""
-        return self.fronts([q])[0]
-
 
 def build_wavelet(
     sigma: float = 2.0,

@@ -24,13 +24,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .bell import WaveletBuild, build_wavelet
+from .bell import BellEvaluator, WaveletBuild, build_wavelet
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -102,7 +102,9 @@ class RunConfig:
     moll_out: str = "phi.csv"
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
+    """InputError for the first config field out of its range; the fit
+    window is checked only when one of ``stages`` reads it."""
     checks = [
         ("sigma", cfg.sigma > 1.0, "must exceed 1"),
         ("a", 0.0 < cfg.a < math.pi / 3.0,
@@ -146,6 +148,23 @@ def _validate(cfg: RunConfig) -> None:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
     _parse_orders(cfg.deriv_orders)
+    if "decay_fit" in stages:
+        # decay_envelope's bound on the lattice x0 = -L/2, dx = L/N; a window
+        # that starts before x0 at fit_xmin also ends past the last node
+        half = envelope_window(BellEvaluator(cfg.a)) / 2.0
+        x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
+        if np.ceil((_fit_grid(cfg)[-1] + half - x0) / dx) >= cfg.samples:
+            raise InputError(
+                f"config field 'fit_xmax': its envelope window (half-width "
+                f"{half:.6g}) must end by the last lattice node L/2 - L/N = "
+                f"{x0 + dx * (cfg.samples - 1):.9g}; got {cfg.fit_xmax}"
+            )
+
+
+def _fit_grid(cfg: RunConfig) -> np.ndarray:
+    """The decay fit's points: ``fit_points`` log-spaced over the fit window."""
+    lo, hi = math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax)
+    return np.logspace(lo, hi, cfg.fit_points)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +286,6 @@ def stage_build_mollifier(run: Run) -> list:
         "evenness": build.evenness,
         "trunc_index": build.trunc_index,
         "audit_n_max": n_audit,
-        "audit_pass": True if audit else None,  # the audit raises on failure
     }
     return [phi_path, prov_path]
 
@@ -326,10 +344,8 @@ def stage_verify_onw(run: Run) -> list:
         tol=cfg.gram_tol,
     )
     gram_path = out / "gram.csv"
-    pairs = np.array([(*i1, *i2) for i1, i2, _ in gram.entries])
-    vals = np.array([v for _, _, v in gram.entries])
     write_csv(gram_path, ["m1", "n1", "m2", "n2", "re", "im"],
-              [*pairs.T, vals.real, vals.imag])
+              [*gram.pairs, gram.values.real, gram.values.imag])
     dy = dyadic_sum_check(wb.ph, m_window=cfg.dyadic_window, tol=cfg.dyadic_tol)
     dy_path = out / "dyadic.csv"
     write_csv(dy_path, ["xi", "s"], [dy.xi, dy.s])
@@ -347,7 +363,7 @@ def stage_verify_onw(run: Run) -> list:
 
 def stage_decay_fit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
-    xg = np.logspace(math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax), cfg.fit_points)
+    xg = _fit_grid(cfg)
     grid = wb.synthesis.grid
     table = decay_envelope(grid, xg, envelope_window(wb.ph), floor=cfg.env_floor)
     fit = fit_decay(table, cfg.sigma, r2_min=cfg.r2_min)
@@ -383,13 +399,8 @@ def stage_decay_fit(run: Run) -> list:
             "log_c_ls": growth.log_c_ls,
             "s_ls": growth.s_ls,
             "log_c_at_s1": growth.log_c_at_s1,
-            "feasible": growth.feasible,
         },
     }
-    if not growth.feasible:
-        raise VerificationError(
-            f"intercept growth fit infeasible: s = {growth.s_ls:.4f}"
-        )
     return [env_path]
 
 
@@ -407,7 +418,6 @@ def stage_mixed_audit(run: Run) -> list:
     k, q = np.indices(rep.sup_table.shape)
     write_csv(path, ["k", "q", "sup"], [k.ravel(), q.ravel(), rep.sup_table.ravel()])
     run.report["mixed_audit"] = {
-        "feasible": True,  # the audit raises on every other outcome
         "log_c": rep.log_c,
         "log_a": rep.log_a,
         "log_b": rep.log_b,
@@ -513,7 +523,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     manifest record the stage (status "fail" for a VerificationError,
     "error" for any other), and the exception propagates.
     """
-    _validate(cfg)
+    _validate(cfg, COMMANDS[command].stages)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = Run(cfg, out)

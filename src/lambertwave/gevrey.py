@@ -1,5 +1,5 @@
-"""Weight sequences p^(tau * p^sigma), their property audits, and the
-associated (Legendre-type) function in exact-sup and Lambert-asymptotic form.
+"""Weight sequences p^(tau * p^sigma) and their associated (Legendre-type)
+function in exact-sup and Lambert-asymptotic form.
 
 All sequence arithmetic is done on logarithms: the raw entries overflow
 double precision already at small p.  The exact sup is a bracketed search
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InputError, VerificationError
+from .errors import ConvergenceError, DomainError
 from .lambert import lambert_w0
 
 _E = float(np.e)
@@ -23,24 +23,17 @@ _P_CAP = 200000  # the associated function's argmax must lie at or below _P_CAP 
 
 @dataclass(frozen=True)
 class SequenceParams:
-    """The (tau, sigma) pair parameterizing the weight sequence.
-
-    sigma = 1 collapses to the classical factorial-power (Gevrey) scale and
-    is permitted only for comparison envelopes via ``allow_gevrey``.
-    """
+    """The (tau, sigma) pair parameterizing the weight sequence; sigma = 1,
+    the classical factorial-power (Gevrey) scale, is excluded."""
 
     tau: float
     sigma: float
-    allow_gevrey: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise DomainError(f"tau must be positive, got {self.tau}")
-        floor = 1.0 if self.allow_gevrey else 1.0 + 1e-12
-        if not (np.isfinite(self.sigma) and self.sigma >= floor):
-            raise DomainError(
-                f"sigma must be > 1 (or == 1 with allow_gevrey), got {self.sigma}"
-            )
+        if not (np.isfinite(self.sigma) and self.sigma >= 1.0 + 1e-12):
+            raise DomainError(f"sigma must be > 1, got {self.sigma}")
 
 
 def log_m(p, params: SequenceParams):
@@ -52,83 +45,6 @@ def log_m(p, params: SequenceParams):
         0.0,
     )
     return float(out) if np.isscalar(p) else out
-
-
-@dataclass(frozen=True)
-class SeqAuditReport:
-    """Outcome of the sequence property audit."""
-
-    log_convex_ok: bool
-    ratio_bound_ok: bool
-    min_log_c: float          # minimal feasible log C in the split-index bound
-    quasianalytic: bool       # sigma == 1 and tau <= 1: the ratio sum diverges
-    notes: str = ""
-
-
-def seq_property_audit(params: SequenceParams, p_max: int) -> SeqAuditReport:
-    """Audit log-convexity, the ratio decay bound, and the split-index bound.
-
-    The split-index bound asks for a finite C with
-
-        log M_{p+q} <= (p^sigma + q^sigma) log C
-                       + log M_p^{(2^{sigma-1} tau)} + log M_q^{(2^{sigma-1} tau)}
-
-    for all p, q <= p_max; the minimal feasible log C over the audited range
-    is reported.  Any violated inequality raises VerificationError naming the
-    offending index.
-    """
-    if p_max < 3:
-        raise InputError(f"p_max must be >= 3, got {p_max}")
-    sig, tau = params.sigma, params.tau
-    ps = np.arange(p_max + 1)
-    lm = log_m(ps, params)
-
-    # (log-convexity) 2 log M_p <= log M_{p-1} + log M_{p+1}, interior p.
-    mid = 2.0 * lm[1:-1]
-    sides = lm[:-2] + lm[2:]
-    conv_ok = bool(np.all(mid <= sides + 1e-9 * np.maximum(1.0, np.abs(sides))))
-    if not conv_ok:
-        p_bad = int(np.argmax(mid - sides) + 1)
-        raise VerificationError(
-            f"log-convexity fails at p={p_bad}", detail=("p", p_bad)
-        )
-
-    # ratio decay: log(M_{p-1}/M_p) <= -tau (p-1)^(sigma-1) log(2p).
-    # For sigma > 1 the p = 1 exponent is exactly 0; at sigma = 1 (flagged
-    # Gevrey comparison) the claim starts at p = 2.
-    p_lo = 1 if sig > 1.0 else 2
-    p_in = ps[p_lo:]
-    lhs = lm[p_lo - 1:-1] - lm[p_lo:]
-    rhs = -tau * (p_in - 1.0) ** (sig - 1.0) * np.log(2.0 * p_in)
-    ratio_ok = bool(np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))
-    if not ratio_ok:
-        p_bad = int(np.argmax(lhs - rhs) + 1)
-        raise VerificationError(
-            f"ratio bound fails at p={p_bad}", detail=("p", p_bad)
-        )
-
-    # split-index bound: minimal feasible log C over p, q <= p_max.
-    doubled = SequenceParams(2.0 ** (sig - 1.0) * tau, sig, params.allow_gevrey)
-    lm2 = log_m(ps, doubled)
-    lm_ext = log_m(np.arange(2 * p_max + 1), params)
-    min_log_c = 0.0
-    for p in range(p_max + 1):
-        for q in range(p_max + 1):
-            denom = float(p) ** sig + float(q) ** sig
-            if denom == 0.0:
-                continue  # p = q = 0: both sides vanish, any C >= 1 works
-            need = (lm_ext[p + q] - lm2[p] - lm2[q]) / denom
-            min_log_c = max(min_log_c, need)
-
-    quasi = abs(sig - 1.0) < 1e-12 and tau <= 1.0
-    notes = "quasianalytic regime: ratio sum diverges" if quasi else ""
-    return SeqAuditReport(
-        log_convex_ok=conv_ok,
-        ratio_bound_ok=ratio_ok,
-        min_log_c=min_log_c,
-        quasianalytic=quasi,
-        notes=notes,
-    )
 
 
 @dataclass(frozen=True)
@@ -229,67 +145,16 @@ def assoc_t_asym(k, sigma: float):
     return float(out) if np.isscalar(k) else out
 
 
-@dataclass(frozen=True)
-class BoundFitReport:
-    """Empirical two-sided bound witness: the ratio band of exact over
-    scaled-asymptotic values across a grid."""
-
-    params: SequenceParams
-    k_grid: np.ndarray
-    ratios: np.ndarray
-    r_min: float
-    r_max: float
-    band: float
-
-
-def fit_assoc_bounds(
-    params: SequenceParams, k_grid, band_limit: float = 10.0
-) -> BoundFitReport:
-    """Ratio band of t_exact / (tau^(-1/(sigma-1)) * t_asym) over a log grid.
-
-    The grid must hold at least 20 points inside [1e2, 1e14].  A band wider
-    than ``band_limit`` (multiplicative) raises VerificationError.
-    """
-    ks = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    if len(ks) < 20:
-        raise InputError(f"need at least 20 grid points, got {len(ks)}")
-    if np.any(ks < 1e2) or np.any(ks > 1e14):
-        raise InputError("grid must lie within [1e2, 1e14]")
-    ratios = np.array([assoc_t_exact(float(k), params).ratio for k in ks])
-    r_min, r_max = float(np.min(ratios)), float(np.max(ratios))
-    band = r_max / r_min
-    if not np.isfinite(band) or band > band_limit:
-        raise VerificationError(
-            f"ratio band {band:.3f} exceeds limit {band_limit}", detail=band
-        )
-    return BoundFitReport(
-        params=params, k_grid=ks, ratios=ratios, r_min=r_min, r_max=r_max, band=band
-    )
-
-
 # ---------------------------------------------------------------------------
 # Comparison envelopes (used only by the verification fits)
 # ---------------------------------------------------------------------------
 
-def moritoh_l(x, n: int, sigma: float):
-    """Iterated-log comparator l_{n,sigma}(x) = log x * ... * (log_n x)^sigma.
-
-    log_j is the j-fold iterated natural log; requires x large enough that
-    every iterate is positive.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    xa = np.asarray(x, dtype=float)
-    out = np.ones_like(xa)
-    cur = np.log(xa)
-    for _ in range(n - 1):
-        if np.any(cur <= 0):
-            raise DomainError("iterated log undefined on this range")
-        out = out * cur
-        cur = np.log(cur)
-    if np.any(cur <= 0):
-        raise DomainError("iterated log undefined on this range")
-    out = out * cur ** sigma
+def moritoh_l(x, sigma: float):
+    """Log comparator l_{1,sigma}(x) = (log x)^sigma, for x > 1."""
+    lx = np.log(np.asarray(x, dtype=float))
+    if np.any(lx <= 0):
+        raise DomainError("log comparator needs x > 1")
+    out = lx ** sigma
     return float(out) if np.isscalar(x) else out
 
 
@@ -297,7 +162,7 @@ def comparison_envelopes(x, sigma: float) -> dict:
     """Negated log-envelopes of the literature decay classes, tabulated.
 
     Returns -log of each comparator bound (up to constants): exponential |x|,
-    factorial-scale |x|^(1/s') for s' in {2, 3} and the iterated-log form
+    factorial-scale |x|^(1/s') for s' in {2, 3} and the log form
     x / l_{1,sigma}(x).  The Lambert regressor itself is ``lambert_regressor``.
     """
     xa = np.asarray(x, dtype=float)
@@ -305,5 +170,5 @@ def comparison_envelopes(x, sigma: float) -> dict:
         "exp": xa,
         "gevrey2": xa ** 0.5,
         "gevrey3": xa ** (1.0 / 3.0),
-        "moritoh": xa / moritoh_l(xa, 1, sigma),
+        "moritoh": xa / moritoh_l(xa, sigma),
     }

@@ -52,11 +52,14 @@ def inner_product(
 
 @dataclass
 class GramReport:
-    """Pairwise inner products over a dyadic index window."""
+    """Pairwise inner products over a dyadic index window: column j of
+    ``pairs`` holds (m1, n1, m2, n2) of the pair whose value is
+    ``values[j]``."""
 
     max_offdiag: float
     max_diag_dev: float
-    entries: List[Tuple[Tuple[int, int], Tuple[int, int], complex]]
+    pairs: np.ndarray
+    values: np.ndarray
 
 
 def gram_matrix(
@@ -65,7 +68,9 @@ def gram_matrix(
     n_range: Tuple[int, int] = (-8, 8),
     tol: float = 1e-7,
 ) -> GramReport:
-    """All pairwise member inner products over the index window.
+    """All pairwise member inner products over the index window, for the
+    members ordered by (m, n) and each pair once, the first member no later
+    than the second.
 
     Scale pairs two or more octaves apart have disjoint frequency bands and
     are exactly zero.  Same-scale values depend only on the translation
@@ -76,62 +81,56 @@ def gram_matrix(
     a = ph.a
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
+    n_count = n_hi - n_lo + 1
 
-    # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du, d = n1 - n2
+    # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du at d = n2 - n1 >= 0; the
+    # pair's value is its conjugate, of imaginary part -0
     band = np.linspace(np.pi - a, 2.0 * (np.pi + a), _BAND_QUAD)
     b2 = ph.bell_at(band) ** 2
     du = band[1] - band[0]
-    same: Dict[int, complex] = {}
-    for d in range(0, n_hi - n_lo + 1):
-        p = np.trapezoid(b2 * np.exp(1j * d * band), dx=du)
-        same[d] = complex(p.real / np.pi)
-        same[-d] = complex(np.conj(same[d]))
+    same = np.array([
+        np.trapezoid(b2 * np.exp(1j * d * band), dx=du).real / np.pi
+        for d in range(n_count)
+    ])
 
     # adjacent scales: (2^{-1/2}/pi) Re Int_+ b(u) b(u/2) e^{i(mu + 1/4)u} du,
     # mu = n1 - n2/2; u runs over the upper band where both bells live
     band2 = np.linspace(2.0 * (np.pi - a), 2.0 * (np.pi + a), _BAND_QUAD)
     bb = ph.bell_at(band2) * ph.bell_at(band2 / 2.0)
     du2 = band2[1] - band2[0]
-    adj: Dict[int, complex] = {}
-    for key in range(2 * n_lo - n_hi, 2 * n_hi - n_lo + 1):  # key = 2 n1 - n2
-        mu = key / 2.0 + 0.25
-        p = np.trapezoid(bb * np.exp(1j * mu * band2), dx=du2)
-        adj[key] = complex(2.0 ** (-0.5) * p.real / np.pi)
+    key_lo = 2 * n_lo - n_hi  # key = 2 n1 - n2
+    adj = np.array([
+        2.0 ** (-0.5) * np.trapezoid(
+            bb * np.exp(1j * (key / 2.0 + 0.25) * band2), dx=du2
+        ).real / np.pi
+        for key in range(key_lo, 2 * n_hi - n_lo + 1)
+    ])
 
-    members = [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1)]
-    entries = []
-    max_off, max_diag = 0.0, 0.0
-    worst = (None, None, 0.0)
-    for i, (m1, n1) in enumerate(members):
-        for (m2, n2) in members[i:]:
-            if m1 == m2:
-                val = same[n1 - n2]
-            elif m2 == m1 + 1:
-                val = adj[2 * n1 - n2]
-            elif m1 == m2 + 1:
-                val = complex(np.conj(adj[2 * n2 - n1]))
-            else:
-                val = 0.0 + 0.0j  # disjoint dyadic bands
-            entries.append(((m1, n1), (m2, n2), val))
-            if (m1, n1) == (m2, n2):
-                dev = abs(val - 1.0)
-                if dev > max_diag:
-                    max_diag = dev
-                    if dev > tol:
-                        worst = ((m1, n1), (m2, n2), dev)
-            else:
-                mag = abs(val)
-                if mag > max_off:
-                    max_off = mag
-                    if mag > tol:
-                        worst = ((m1, n1), (m2, n2), mag)
-    if max_off > tol or max_diag > tol:
+    m, n = np.divmod(np.arange((m_hi - m_lo + 1) * n_count), n_count)
+    i, j = np.triu_indices(len(m))
+    pairs = np.stack([m[i] + m_lo, n[i] + n_lo, m[j] + m_lo, n[j] + n_lo])
+    m1, n1, m2, n2 = pairs
+    values = np.zeros(pairs.shape[1], dtype=complex)  # disjoint bands: 0
+    at = m1 == m2
+    values.real[at] = same[n2[at] - n1[at]]
+    values.imag[at] = -0.0
+    at = m2 == m1 + 1
+    values.real[at] = adj[2 * n1[at] - n2[at] - key_lo]
+
+    diag = i == j
+    dev = np.where(diag, np.abs(values - 1.0), np.abs(values))
+    max_diag = float(np.max(dev[diag]))
+    max_off = float(np.max(dev[~diag], initial=0.0))
+    k = int(np.argmax(dev))
+    if dev[k] > tol:
+        worst = ((int(m1[k]), int(n1[k])), (int(m2[k]), int(n2[k])), float(dev[k]))
         raise VerificationError(
             f"gram deviation exceeds {tol:.1e}: pair {worst[0]} / {worst[1]} "
             f"at {worst[2]:.3e}",
             detail=worst,
         )
-    return GramReport(max_offdiag=max_off, max_diag_dev=max_diag, entries=entries)
+    return GramReport(max_offdiag=max_off, max_diag_dev=max_diag, pairs=pairs,
+                      values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +506,16 @@ class InterceptGrowthFit:
     log_c_ls: float
     s_ls: float
     log_c_at_s1: float
-    feasible: bool
 
 
 def intercept_growth_fit(rows: List[DerivativeDecayRow]) -> InterceptGrowthFit:
     """Fit amplitude growth across derivative orders to (n+1) log C + s log n!.
 
     The growth of the fitted amplitude C_n = exp(-intercept_n) relative to
-    n = 0 is regressed on the two-parameter form.  Feasibility of the bound
-    for *some* s <= 1 reduces to the s = 1 envelope having a finite log C
-    (larger s only weakens the bound); the least-squares s is reported as
-    the shape estimate and is only identifiable once the order ladder
-    reaches n >= 4 or so.
+    n = 0 is regressed on the two-parameter form.  ``log_c_at_s1`` is the
+    least log C for which the s = 1 envelope bounds every row; the
+    least-squares s is reported as the shape estimate and is only
+    identifiable once the order ladder reaches n >= 4 or so.
     """
     rows = sorted(rows, key=lambda r: r.n)
     if rows[0].n != 0:
@@ -530,12 +527,7 @@ def intercept_growth_fit(rows: List[DerivativeDecayRow]) -> InterceptGrowthFit:
     log_c_ls, s_ls = float(coef[0]), float(coef[1])
     lg = basis[:, 1]
     log_c_at_s1 = float(np.max((growth - lg) / (ns + 1.0)))
-    return InterceptGrowthFit(
-        log_c_ls=log_c_ls,
-        s_ls=s_ls,
-        log_c_at_s1=log_c_at_s1,
-        feasible=bool(np.isfinite(log_c_at_s1)),
-    )
+    return InterceptGrowthFit(log_c_ls=log_c_ls, s_ls=s_ls, log_c_at_s1=log_c_at_s1)
 
 
 # ---------------------------------------------------------------------------

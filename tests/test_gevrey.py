@@ -11,17 +11,13 @@ from hypothesis import strategies as st
 from lambertwave import (
     ConvergenceError,
     DomainError,
-    InputError,
     SequenceParams,
     assoc_t_asym,
     assoc_t_exact,
     comparison_envelopes,
-    fit_assoc_bounds,
     log_m,
     moritoh_l,
-    seq_property_audit,
 )
-from lambertwave import VerificationError
 from lambertwave import gevrey
 
 
@@ -50,55 +46,31 @@ def test_params_validation():
         SequenceParams(-1.0, 2.0)
     with pytest.raises(DomainError):
         SequenceParams(1.0, 1.0)
-    # flagged comparison generator admits sigma = 1
-    SequenceParams(1.0, 1.0, allow_gevrey=True)
+    with pytest.raises(DomainError):
+        SequenceParams(1.0, 1.0 + 1e-13)
+    SequenceParams(1.0, 1.0 + 1e-12)
 
 
 def test_log_sequence_convexity():
-    v = log_m(np.arange(61), SequenceParams(1.0, 2.0))
-    assert v[0] == 0.0
-    assert np.all(2 * v[1:-1] <= v[:-2] + v[2:] + 1e-9)
+    # assoc_t_exact's bracketed search rests on 2 log M_p <= log M_{p-1} +
+    # log M_{p+1}: the term p log k - log M_p is then concave in p
+    for sigma in (1.2, 1.5, 2.0, 3.0):
+        v = log_m(np.arange(61), SequenceParams(1.0, sigma))
+        assert v[0] == 0.0
+        assert np.all(2 * v[1:-1] <= v[:-2] + v[2:] + 1e-9), sigma
 
 
-def test_audit_passes_and_ratio_example():
-    params = SequenceParams(1.0, 2.0)
-    rep = seq_property_audit(params, 50)
-    assert rep.log_convex_ok and rep.ratio_bound_ok
-    # p = 2: log(M_1/M_2) = -4 log 2 <= -log 4 = -2 log 2
-    assert log_m(1, params) - log_m(2, params) == pytest.approx(-4.0 * math.log(2.0))
-    assert rep.min_log_c >= 0.0
-    assert np.isfinite(rep.min_log_c)
-    assert not rep.quasianalytic
-
-
-def test_audit_min_log_c_against_bruteforce():
-    params = SequenceParams(1.0, 2.0)
-    rep = seq_property_audit(params, 20)
-    sig, tau = 2.0, 1.0
-    doubled = SequenceParams(2.0 * tau, sig)
-    worst = 0.0
-    for p in range(21):
-        for q in range(21):
-            den = p ** sig + q ** sig
-            if den == 0:
-                continue
-            need = (log_m(p + q, params) - log_m(p, doubled) - log_m(q, doubled)) / den
-            worst = max(worst, need)
-    assert rep.min_log_c == pytest.approx(worst, rel=1e-12, abs=1e-12)
-
-
-def test_audit_quasianalytic_flag():
-    rep = seq_property_audit(SequenceParams(1.0, 1.0, allow_gevrey=True), 30)
-    assert rep.quasianalytic
-    assert "quasianalytic" in rep.notes
-    # Gevrey tau > 1 converges: no flag
-    rep2 = seq_property_audit(SequenceParams(2.0, 1.0, allow_gevrey=True), 30)
-    assert not rep2.quasianalytic
-
-
-def test_audit_requires_pmax():
-    with pytest.raises(InputError):
-        seq_property_audit(SequenceParams(1.0, 2.0), 2)
+@pytest.mark.parametrize("tau, sigma", [(1.0, 2.0), (1.0, 1.5), (0.5, 3.0)])
+def test_log_sequence_ratio_decay(tau, sigma):
+    # log(M_{p-1}/M_p) <= -tau (p-1)^(sigma-1) log(2p) for p >= 1
+    params = SequenceParams(tau, sigma)
+    p = np.arange(1, 51)
+    lhs = log_m(p - 1, params) - log_m(p, params)
+    rhs = -tau * (p - 1.0) ** (sigma - 1.0) * np.log(2.0 * p)
+    assert np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs)))
+    if (tau, sigma) == (1.0, 2.0):
+        # p = 2: log(M_1/M_2) = -4 log 2 <= -log 4
+        assert lhs[1] == pytest.approx(-4.0 * math.log(2.0))
 
 
 def test_assoc_exact_anchor_cases():
@@ -225,23 +197,6 @@ def test_asym_fixture_1e12():
     assert assoc_t_asym(1e12, 2.0) == pytest.approx(expected, rel=1e-11)
 
 
-def test_fit_assoc_bounds_band():
-    ks = np.logspace(3, 12, 40)
-    rep = fit_assoc_bounds(SequenceParams(1.0, 2.0), ks)
-    assert rep.band <= 10.0
-    assert rep.r_min > 0
-
-
-def test_fit_assoc_bounds_input_errors():
-    with pytest.raises(InputError):
-        fit_assoc_bounds(SequenceParams(1.0, 2.0), np.logspace(3, 12, 10))
-    with pytest.raises(InputError):
-        fit_assoc_bounds(SequenceParams(1.0, 2.0), np.logspace(0, 12, 40))
-    with pytest.raises(VerificationError):
-        fit_assoc_bounds(SequenceParams(1.0, 2.0), np.logspace(3, 12, 40),
-                         band_limit=1.0000001)
-
-
 def test_tau_scaling():
     # sigma = 2: t_exact scales like tau^{-1} up to the sigma-dependent bound
     # constants, once k is deep enough that the sup has left p = 1
@@ -275,14 +230,18 @@ def test_shift_domination():
 
 
 def test_sandwich_on_fresh_grid():
+    # the band of t_exact / (tau^(-1/(sigma-1)) t_asym) over one log grid
+    # holds the exact values on a second, interleaved grid
     params = SequenceParams(1.0, 2.0)
-    fit = fit_assoc_bounds(params, np.logspace(3, 12, 40))
+    ratios = [assoc_t_exact(float(k), params).ratio for k in np.logspace(3, 12, 40)]
+    r_min, r_max = min(ratios), max(ratios)
+    assert 0.0 < r_min and r_max / r_min <= 10.0
     fresh = np.logspace(3.2, 11.7, 25)
     scale = params.tau ** (-1.0 / (params.sigma - 1.0))
     for k in fresh:
         rep = assoc_t_exact(float(k), params)
-        lo = fit.r_min * scale * rep.t_asym
-        hi = fit.r_max * scale * rep.t_asym
+        lo = r_min * scale * rep.t_asym
+        hi = r_max * scale * rep.t_asym
         assert lo * (1 - 1e-9) <= rep.t_exact <= hi * (1 + 1e-9)
 
 
@@ -303,12 +262,12 @@ def test_terminating_sup_equals_enumeration(tau, sigma, log10k):
 
 
 def test_moritoh_and_envelopes():
-    # n = 1 comparator is log^sigma; deeper iterates need larger x
-    assert moritoh_l(math.exp(2.0), 1, 2.0) == pytest.approx(4.0, rel=1e-12)
-    x = math.exp(math.exp(2.0))
-    assert moritoh_l(x, 2, 3.0) == pytest.approx(math.exp(2.0) * 2.0 ** 3, rel=1e-12)
-    with pytest.raises(DomainError):
-        moritoh_l(1.5, 2, 2.0)
+    # the comparator is log^sigma, defined for x > 1
+    assert moritoh_l(math.exp(2.0), 2.0) == pytest.approx(4.0, rel=1e-12)
+    assert moritoh_l(np.array([math.e]), 3.0)[0] == pytest.approx(1.0, rel=1e-15)
+    for x in (1.0, 0.5):
+        with pytest.raises(DomainError):
+            moritoh_l(x, 2.0)
     env = comparison_envelopes(np.array([math.exp(math.e)]), 2.0)
     assert sorted(env) == ["exp", "gevrey2", "gevrey3", "moritoh"]
     assert env["gevrey2"][0] == pytest.approx(math.exp(math.e / 2.0), rel=1e-12)

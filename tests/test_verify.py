@@ -55,24 +55,32 @@ def test_gram_small_window(wavelet):
     rep = gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3))
     assert rep.max_diag_dev <= 1e-7
     assert rep.max_offdiag <= 1e-7
-    seen = {(i1, i2): v for i1, i2, v in rep.entries}
-    # Hermitian pairing: stored upper triangle, conjugate closure
-    v = seen[((0, 1), (1, -2))]
-    assert abs(np.conj(v) - _lookup_or_conj(seen, (1, -2), (0, 1))) == 0.0
+    seen = {(tuple(q[:2]), tuple(q[2:])): v
+            for q, v in zip(rep.pairs.T.tolist(), rep.values)}
+    # each unordered pair once, the members in (m, n) order
     n_members = 3 * 7
-    assert len(rep.entries) == n_members * (n_members + 1) // 2
-
-
-def _lookup_or_conj(seen, i1, i2):
-    if (i1, i2) in seen:
-        return seen[(i1, i2)]
-    return np.conj(seen[(i2, i1)])
+    assert len(seen) == rep.values.size == n_members * (n_members + 1) // 2
+    assert all(i1 <= i2 for i1, i2 in seen)
+    # every pair against the direct quadrature of its ordered pair
+    for (i1, i2), v in seen.items():
+        assert abs(v - inner_product(wavelet.ph, i1, i2)) <= 1e-9, (i1, i2)
+    assert seen[((-1, 0), (1, 0))] == 0.0  # disjoint bands
+    # gram.csv writes -0 in im for the same-scale pairs, conjugates of d >= 0
+    m1, _, m2, _ = rep.pairs
+    assert np.array_equal(np.signbit(rep.values.imag), m1 == m2)
 
 
 def test_gram_tolerance_failure_names_pair(wavelet):
+    # the error names the pair of the largest deviation from the identity:
+    # here a diagonal pair, just above the largest off-diagonal value
+    rep = gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3))
+    assert rep.max_diag_dev > rep.max_offdiag
     with pytest.raises(VerificationError) as exc:
         gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3), tol=1e-16)
-    assert exc.value.detail is not None
+    i1, i2, dev = exc.value.detail
+    assert dev == rep.max_diag_dev and i1 == i2
+    k = rep.pairs.T.tolist().index([*i1, *i2])
+    assert abs(rep.values[k] - 1.0) == dev
 
 
 def test_dyadic_default_and_flat_region(wavelet):
@@ -215,7 +223,7 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
         assert rows[-1].h_fit > 0
         assert rows[-1].r_squared >= 0.9
     growth = intercept_growth_fit(rows)
-    assert growth.feasible
+    assert np.isfinite(growth.log_c_at_s1)
     assert 0.0 < growth.s_ls <= 1.0
     with pytest.raises(InputError):
         intercept_growth_fit(rows[1:])  # missing the n = 0 anchor
@@ -224,7 +232,7 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
 def test_mixed_audit_feasible(wavelet, lattice_cache):
     s, tau, sigma = 1.0, 1.0, 2.0
     rep = mixed_bound_audit(
-        (wavelet.front(q) for q in range(5)), 4, 4, s, tau, sigma
+        wavelet.fronts(range(5)), 4, 4, s, tau, sigma
     )
     assert rep.sup_table[0, 0] == pytest.approx(
         lattice_cache[0].sup(), rel=1e-15
@@ -271,7 +279,7 @@ def test_moment_front_sups_equal_lattice_sups(wavelet, lattice_cache, q):
     grid = lattice_cache[q]
     _assert_front_sups_exact(grid)
     _assert_front_is_reference(grid)
-    ax, av = wavelet.front(q)
+    (ax, av), = wavelet.fronts([q])
     assert len(ax) < grid.n // 100
     assert np.all(np.diff(ax) > 0) and np.all(np.diff(av) < 0)
 
