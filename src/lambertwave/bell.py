@@ -105,13 +105,16 @@ class BellEvaluator:
             out = (-1j * xi) ** q * out
         return out
 
+    def lattice_m(self, L: float) -> int:
+        """M of ``lattice_band(L)``: two steps of 2 pi / L past the band edge."""
+        return int(np.ceil(self.band[1] / (2.0 * np.pi / L))) + 2
+
     def lattice_band(self, L: float) -> np.ndarray:
-        """psi_hat at the frequencies j 2 pi / L, j = -M..M, with M two
-        steps past the band edge.  Sampled once per period: the samples of
-        the last L asked for are kept."""
+        """psi_hat at the frequencies j 2 pi / L, j = -M..M (``lattice_m``).
+        Sampled once per period: the samples of the last L asked for are
+        kept."""
         if self._lattice_band is None or self._lattice_band[0] != L:
-            dxi = 2.0 * np.pi / L
-            M = int(np.ceil(self.band[1] / dxi)) + 2
+            M, dxi = self.lattice_m(L), 2.0 * np.pi / L
             self._lattice_band = (L, self.psi_hat_at(np.arange(-M, M + 1) * dxi))
         return self._lattice_band[1]
 
@@ -225,10 +228,10 @@ def synthesize_psi_lattice(
         raise ResolutionError("frequency sampling too coarse across the band")
 
     dxi = 2.0 * np.pi / L
-    band = ph.lattice_band(L)
-    if len(band) >= N:
+    M = ph.lattice_m(L)
+    if 2 * M + 1 >= N:  # checked before the band is sampled
         raise ResolutionError("lattice too small for the spectral bandwidth")
-    M = len(band) // 2
+    band = ph.lattice_band(L)
     # psi_hat_at's factor on the same samples: the FFT input is bit-identical
     # to sampling psi_hat^(q) directly
     xi = np.arange(-M, M + 1) * dxi
@@ -287,7 +290,7 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
     temporaries beyond the odd-frequency DFT itself."""
     dxi = 2.0 * np.pi / L
     h = N // 2
-    M = len(ph.lattice_band(L)) // 2
+    M = ph.lattice_m(L)
     odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)
     worst = 0.0
     # chunks of one sign and one parity r of k: odd[k] = odd[r, (k - r) / 2

@@ -6,10 +6,12 @@ order, and its flags are named and typed by the ``RunConfig`` fields they
 set.  Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
-configuration, checksums, and timings.  Exit codes:
+configuration, checksums, and timings.  Exit codes (the ``EXITS`` table):
 0 success, 1 verification failure, 2 usage/config error, 3 numeric or
-resolution error.  Config errors exit before any stage runs and write
-nothing; once the stages start, each of these exits leaves both JSON files.
+resolution error, and 1 for any other error.  Config errors exit before
+any stage runs and write nothing; once the stages start, every exit, an
+exception of any class included, leaves both JSON files, and the manifest
+records its exit code.
 """
 
 from __future__ import annotations
@@ -65,11 +67,9 @@ class RunConfig:
     # construction
     sigma: float = 2.0
     a: float = math.pi / 6.0
-    grid_pow: int = 17
     freq_pow: int = 16
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
-    moll_cutoff: float = 0.0       # 0 -> one grid cell
     # verification
     gram_tol: float = 1e-7
     dyadic_tol: float = 1e-9
@@ -109,12 +109,13 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("sigma", cfg.sigma > 1.0, "must exceed 1"),
         ("a", 0.0 < cfg.a < math.pi / 3.0,
          f"must lie in (0, pi/3 = {math.pi / 3.0:.16g})"),
-        ("grid_pow", 8 <= cfg.grid_pow <= 24, "must lie in [8, 24]"),
         ("freq_pow", 10 <= cfg.freq_pow <= 24, "must lie in [10, 24]"),
         ("period", cfg.period > 0, "must be positive"),
-        ("samples", cfg.samples >= 2 ** 12 and cfg.samples % 2 == 0,
-         "must be even and at least 2^12"),
-        ("moll_cutoff", cfg.moll_cutoff >= 0, "must be nonnegative"),
+        ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
+         "must be even and lie in [2^12, 2^24]"),
+        ("moll_out", Path(cfg.moll_out).name == cfg.moll_out
+         and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4,
+         "must be a bare file name ending in .csv"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
         ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
         ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
@@ -253,9 +254,7 @@ def stage_assoc_func(run: Run) -> list:
 
 def stage_build_mollifier(run: Run) -> list:
     cfg, out = run.cfg, run.out
-    spec = GridSpec.symmetric(1.5, cfg.grid_pow)
-    cutoff = cfg.moll_cutoff if cfg.moll_cutoff > 0 else spec.dx
-    build = build_mollifier(cfg.sigma, spec, cutoff=cutoff)
+    build = build_mollifier(cfg.sigma, GridSpec.symmetric(1.5, 17))
     phi_path = out / cfg.moll_out
     write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
     # the audit needs three factors; with fewer kept it is skipped
@@ -268,10 +267,7 @@ def stage_build_mollifier(run: Run) -> list:
         "trunc_index": build.trunc_index,
         "mass": build.phi.integral(),
         "evenness": build.evenness,
-        "mass_drift": build.mass_drift,
-        "final_gap": build.final_gap,
         "discarded_tail_mass": build.discarded_tail_mass,
-        "degenerate": build.degenerate,
         "bounds_table": [
             {"n": r.n, "measured": r.measured, "bound": r.bound, "ratio": r.ratio}
             for r in (audit.rows if audit else [])
@@ -486,9 +482,8 @@ COMMANDS: Dict[str, Command] = {
     "build-mollifier": Command(
         "convolution-cascade cutoff + provenance",
         ("build_mollifier",),
-        ("sigma", "grid_pow"),
-        (("--cutoff", "moll_cutoff", {}),
-         ("--out", "moll_out", {"help": "cutoff CSV filename"})),
+        ("sigma",),
+        (("--out", "moll_out", {"help": "cutoff CSV file name, in the output directory"}),),
     ),
     "build-wavelet": Command(
         "bell, transform, and lattice synthesis",
@@ -512,16 +507,32 @@ COMMANDS: Dict[str, Command] = {
         _WAVELET + ("mixed_audit",),
         _LATTICE + ("mixed_s", "mixed_tau", "mixed_k_max", "mixed_q_max"),
     ),
-    "all": Command("run every stage", tuple(STAGES), _LATTICE + ("grid_pow",)),
+    "all": Command("run every stage", tuple(STAGES), _LATTICE),
 }
+
+
+# exception class -> (exit code, message prefix); the first class of an
+# exception's MRO found here decides, and any other exception exits 1
+EXITS: Dict[type, Tuple[int, str]] = {
+    VerificationError: (1, "verification failure"),
+    InputError: (2, "error"),
+    DomainError: (2, "error"),
+    ResolutionError: (3, "numeric error"),
+    ConvergenceError: (3, "numeric error"),
+}
+
+
+def _exit(exc: BaseException) -> Tuple[int, str]:
+    return next((EXITS[c] for c in type(exc).__mro__ if c in EXITS), (1, "error"))
 
 
 def run_pipeline(command: str, cfg: RunConfig) -> dict:
     """Execute the stages of one subcommand; returns the manifest.
 
-    A stage that raises a LambertwaveError ends the run: the report and the
-    manifest record the stage (status "fail" for a VerificationError,
-    "error" for any other), and the exception propagates.
+    A stage that raises ends the run: the report and the manifest record
+    the stage (status "fail" for a VerificationError, "error" with the
+    exception's class and message for any other), the manifest the exit
+    code ``EXITS`` gives it (0 on pass), and the exception propagates.
     """
     _validate(cfg, COMMANDS[command].stages)
     out = Path(cfg.out_dir)
@@ -537,9 +548,9 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
             artifacts.extend(STAGES[name](run))
         except VerificationError as exc:
             failing = {"stage": name, "assertion": str(exc)}
-            status = "fail"
+            status, raised = "fail", VerificationError(f"{name}: {exc}", detail=failing)
             break
-        except LambertwaveError as exc:
+        except Exception as exc:
             failing = {"stage": name, "exception": type(exc).__name__,
                        "message": str(exc)}
             status, raised = "error", exc
@@ -561,9 +572,6 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
                 "python": sys.version.split()[0],
             },
             "grids": {
-                # only the cutoff build samples a grid of 2^grid_pow cells
-                **({"grid_pow": cfg.grid_pow}
-                   if "build_mollifier" in COMMANDS[command].stages else {}),
                 "freq_pow": cfg.freq_pow,
                 "period": cfg.period,
                 "samples": cfg.samples,
@@ -579,15 +587,12 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         "timings": timings,
         "status": status,
         "failing": failing,
+        "exit_code": _exit(raised)[0] if raised else 0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     write_json(out / "manifest.json", manifest)
     if raised is not None:
         raise raised
-    if failing is not None:
-        raise VerificationError(
-            f"{failing['stage']}: {failing['assertion']}", detail=failing
-        )
     return manifest
 
 
@@ -674,18 +679,10 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         run_pipeline(args.command, cfg)
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResolutionError, ConvergenceError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     except LambertwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, kind = _exit(exc)
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

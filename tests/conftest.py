@@ -17,8 +17,9 @@ def wavelet():
 
 @pytest.fixture(scope="session")
 def deep_moll():
-    """Deep cone cascade at the certificate grid (2^17): every factor at
-    least one grid cell wide."""
+    """The cone cascade at sigma = 2 on the cutoff stage's grid (2^17
+    cells), from its transform: an exact sinc^2 factor for every scale of
+    a cell or more, the narrower ones folded."""
     return build_mollifier(2.0, GridSpec.symmetric(1.5, 17))
 
 

@@ -14,7 +14,17 @@ import numpy as np
 import pytest
 
 import lambertwave
-from lambertwave import InputError, cli, decay_envelope, envelope_window
+from lambertwave import (
+    ConvergenceError,
+    DomainError,
+    InputError,
+    LambertwaveError,
+    ResolutionError,
+    VerificationError,
+    cli,
+    decay_envelope,
+    envelope_window,
+)
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
 
 FAST = [
@@ -45,7 +55,7 @@ def test_lambert_table(tmp_path):
     x0, w0 = float(rows[0][0]), float(rows[0][1])
     assert abs(w0 * math.exp(w0) - x0) <= 1e-12 * max(1.0, x0)
     assert rows[0][3] == "nan"  # bounds apply only from e upward
-    assert (tmp_path / "manifest.json").exists()
+    assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == 0
 
 
 def test_assoc_func(tmp_path):
@@ -63,10 +73,7 @@ def test_assoc_func(tmp_path):
 
 
 def test_build_mollifier(tmp_path):
-    rc = main([
-        "build-mollifier", "--sigma", "2", "--grid-pow", "12",
-        "--out-dir", str(tmp_path),
-    ])
+    rc = main(["build-mollifier", "--sigma", "2", "--out-dir", str(tmp_path)])
     assert rc == 0
     header, rows = read_csv(tmp_path / "phi.csv")
     assert header == ["x", "phi"]
@@ -82,19 +89,27 @@ def test_build_mollifier(tmp_path):
 
 
 def test_build_mollifier_skipped_audit(tmp_path):
-    # a shallow cutoff keeps fewer than three factors: no audit can run
-    rc = main([
-        "build-mollifier", "--grid-pow", "12", "--cutoff", "0.2",
-        "--out-dir", str(tmp_path),
-    ])
+    # sigma = 6 keeps two factors, fewer than three: no audit can run
+    rc = main(["build-mollifier", "--sigma", "6", "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "pass"
     moll = report["assertions"]["mollifier"]
     assert moll["audit_n_max"] == 0
     prov = json.loads((tmp_path / "phi.provenance.json").read_text())
-    assert len(prov["scales"]) < 3
+    assert len(prov["scales"]) == 2
     assert prov["bounds_table"] == []
+
+
+def test_build_mollifier_audit_too_short_to_fit(tmp_path):
+    # sigma = 4 keeps three factors: the audit reaches n = 1, short of the
+    # two orders n >= 2 the growth fit needs, so the fit is left out
+    rc = main(["build-mollifier", "--sigma", "4", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    prov = json.loads((tmp_path / "phi.provenance.json").read_text())
+    assert len(prov["scales"]) == 3
+    assert [r["n"] for r in prov["bounds_table"]] == [0, 1]
+    assert prov["tau_eff"] is None and prov["log_c_fit"] is None
 
 
 def test_sigma_near_1_exits_2(tmp_path, capsys):
@@ -107,6 +122,7 @@ def test_sigma_near_1_exits_2(tmp_path, capsys):
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "error"
         assert report["failing"]["stage"] == "build_mollifier"
+        assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == 2
 
 
 @pytest.mark.parametrize("command", ["assoc-func", "all"])
@@ -292,10 +308,7 @@ OPTIONS = {
         "--tau": "tau", "--sigma": "sigma", "--kmin": "kmin", "--kmax": "kmax",
         "--kpoints": "kpoints", "--points": "kpoints", **COMMON,
     },
-    "build-mollifier": {
-        "--sigma": "sigma", "--grid-pow": "grid_pow", "--cutoff": "moll_cutoff",
-        "--out": "moll_out", **COMMON,
-    },
+    "build-mollifier": {"--sigma": "sigma", "--out": "moll_out", **COMMON},
     "build-wavelet": {
         **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
     },
@@ -313,7 +326,7 @@ OPTIONS = {
         **LATTICE, "--mixed-s": "mixed_s", "--mixed-tau": "mixed_tau",
         "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max", **COMMON,
     },
-    "all": {**LATTICE, "--grid-pow": "grid_pow", **COMMON},
+    "all": {**LATTICE, **COMMON},
 }
 
 
@@ -344,10 +357,12 @@ def test_subcommand_options_and_fields():
 
 
 # five were config-file-only fields, now constants; profile_cutoff went
-# with the sampled ramp profile and moll_base with the analytic base bump
+# with the sampled ramp profile, moll_base with the analytic base bump, and
+# grid_pow and moll_cutoff with the sampled cascade build
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
+    "grid_pow", "moll_cutoff",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -360,7 +375,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("grid_pow", "17"),        # string for an int
+    ("freq_pow", "17"),        # string for an int
     ("points", 7.5),           # non-integral float for an int
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
@@ -390,14 +405,21 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
     ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
                    "--fit-xmax", "70000"], "fit_xmax"),
+    # the cutoff CSV is a bare .csv name in the output directory: not a
+    # path, not empty, and not the name of report.json
+    ("build-mollifier", ["--out", "sub/phi.csv"], "moll_out"),
+    ("build-mollifier", ["--out", ""], "moll_out"),
+    ("build-mollifier", ["--out", "report.json"], "moll_out"),
 ], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
-        "gram-members-1025", "fit-xmax-past-lattice"])
+        "gram-members-1025", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
+        "out-report-json"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
         raise AssertionError("a stage ran")
 
     monkeypatch.setattr(cli, "build_wavelet", built)
+    monkeypatch.setattr(cli, "build_mollifier", built)
     out = tmp_path / "out"
     rc = main([command, *args, "--out-dir", str(out)])
     assert rc == 2
@@ -434,8 +456,66 @@ def test_fit_window_check_is_decay_envelopes():
 
 def test_config_ranges_admit_their_ends():
     for cfg in (RunConfig(dyadic_window=30), RunConfig(gram_m=0, gram_n=511),
-                RunConfig(gram_m=2, gram_n=101), RunConfig(xmin=0.0, log=False)):
+                RunConfig(gram_m=2, gram_n=101), RunConfig(xmin=0.0, log=False),
+                RunConfig(samples=2 ** 24), RunConfig(moll_out="c.csv")):
         cli._validate(cfg)
+
+
+@pytest.mark.parametrize("samples", [2 ** 24 + 2, 2 ** 40])
+def test_samples_capped_before_any_allocation(samples):
+    # 2^40 samples would reach a (2, 2^39) transform buffer; only _validate runs
+    with pytest.raises(InputError, match="'samples'"):
+        cli._validate(RunConfig(samples=samples))
+
+
+def test_lattice_size_checked_before_the_band_is_sampled(tmp_path, monkeypatch):
+    # at period 2^60 the band would have ~5e18 lattice frequencies: the
+    # synthesis must refuse from its length alone, never sampling it
+    def sampled(self, L):
+        raise AssertionError("the band was sampled")
+
+    monkeypatch.setattr(lambertwave.BellEvaluator, "lattice_band", sampled)
+    rc = main(["build-wavelet", "--period", str(2.0 ** 60), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["failing"]["message"] == "lattice too small for the spectral bandwidth"
+    assert man["exit_code"] == 3
+
+
+@pytest.mark.parametrize("exc, code", [
+    (VerificationError("v"), 1),
+    (InputError("i"), 2),
+    (DomainError("d"), 2),
+    (ResolutionError("r"), 3),
+    (ConvergenceError("c"), 3),
+    (LambertwaveError("l"), 1),
+    (OSError("disk full"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_every_stage_exit_leaves_both_json_files(tmp_path, monkeypatch, exc, code):
+    # main's exit code and the manifest's come from one table; an exception
+    # that is no LambertwaveError is recorded, then propagates
+    def stage(run):
+        raise exc
+
+    monkeypatch.setitem(cli.STAGES, "lambert_table", stage)
+    args = ["lambert-table", "--out-dir", str(tmp_path)]
+    if isinstance(exc, LambertwaveError):
+        assert main(args) == code
+    else:
+        with pytest.raises(OSError, match="disk full"):
+            main(args)
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert man["exit_code"] == code
+    assert man["status"] == report["status"]
+    assert man["failing"] == report["failing"]
+    assert man["failing"]["stage"] == "lambert_table"
+    if isinstance(exc, VerificationError):
+        assert man["status"] == "fail"
+    else:
+        assert man["status"] == "error"
+        assert man["failing"]["exception"] == type(exc).__name__
+        assert man["failing"]["message"] == str(exc)
 
 
 def test_int_for_float_field_matches_flag_spelling(tmp_path):
@@ -485,7 +565,7 @@ def test_manifest_echoes_full_config(tmp_path):
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
     # every default that could affect a run is recorded
-    for key in ("sigma", "a", "grid_pow", "freq_pow", "period", "samples",
+    for key in ("sigma", "a", "freq_pow", "period", "samples",
                 "gram_tol", "dyadic_tol", "r2_min", "env_floor", "points"):
         assert key in cfg
     assert cfg["points"] == 5
@@ -506,7 +586,7 @@ def test_all_reruns_byte_identical(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1 == r2
-    assert r1["grids"]["grid_pow"] == 17  # the cutoff build's grid
+    assert "grid_pow" not in r1["grids"]  # the cutoff grid is fixed
 
 
 def _fast_all_config(tmp_path):
@@ -528,8 +608,8 @@ def _fast_all_config(tmp_path):
 
 def test_build_mollifier_out_name(tmp_path):
     rc = main([
-        "build-mollifier", "--sigma", "2", "--grid-pow", "12",
-        "--out", "cutoff.csv", "--out-dir", str(tmp_path),
+        "build-mollifier", "--sigma", "2", "--out", "cutoff.csv",
+        "--out-dir", str(tmp_path),
     ])
     assert rc == 0
     assert (tmp_path / "cutoff.csv").exists()
@@ -546,6 +626,7 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     # the failing assertion path lands in the manifest
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["failing"]["stage"] == "verify_onw"
+    assert man["exit_code"] == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "fail"
 
@@ -559,7 +640,9 @@ def test_resolution_failure_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "periodization" in capsys.readouterr().err
     # the stage error is recorded before it propagates
-    failing = json.loads((tmp_path / "manifest.json").read_text())["failing"]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["exit_code"] == 3
+    failing = man["failing"]
     assert failing["stage"] == "build_wavelet"
     assert failing["exception"] == "ResolutionError"
     assert "periodization" in failing["message"]

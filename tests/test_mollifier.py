@@ -13,7 +13,6 @@ from lambertwave import (
     DomainError,
     GridSpec,
     InputError,
-    ResolutionError,
     block_thresholds,
     build_mollifier,
     derivative_bound_audit,
@@ -21,6 +20,35 @@ from lambertwave import (
 )
 
 SPEC_13 = GridSpec.symmetric(1.5, 13)
+FREQ_13 = np.fft.rfftfreq(SPEC_13.n - 1, SPEC_13.dx)
+
+
+def explicit_spectrum(scales, f):
+    """prod_p sinc^2(a_p w / 2) at w = 2 pi f, one factor at a time."""
+    out = np.ones(len(f))
+    for a in scales:
+        out *= np.sinc(a * f) ** 2
+    return out
+
+
+def all_scales(sigma):
+    """Every block-formula scale down to the 1e-30 floor: none discarded."""
+    seq = scale_sequence(sigma, block_thresholds(sigma, 8), 1e-300)
+    assert seq.discarded_tail_mass == 0.0
+    return seq.scales
+
+
+def on_grid(spectrum, spec=SPEC_13):
+    """Samples on ``spec`` of the function with this transform on the rfft
+    bins of its period: one inverse rfft, x = 0 rolled to its grid index."""
+    period = spec.n - 1
+    phi = np.fft.irfft(spectrum, period) / spec.dx
+    return np.resize(np.roll(phi, round(-spec.x0 / spec.dx)), spec.n)
+
+
+def product_phi(scales):
+    """The cascade of ``scales`` alone on SPEC_13, from its exact product."""
+    return on_grid(mollifier.cascade_spectrum(scales, FREQ_13))
 
 
 def tail_oracle(sigma, m, start):
@@ -82,15 +110,13 @@ def test_scale_sequence_values_and_mass():
     deep = seq.scales[kept >= nm[-1]]
     assert len(deep) > 1
     assert np.all(np.diff(deep) < 0)
-    assert not seq.degenerate
-
-
-def test_scale_sequence_degenerate():
-    nm = block_thresholds(2.0, 8)
-    seq = scale_sequence(2.0, nm, 0.3)  # above a_1 = 0.25
-    assert seq.degenerate
-    assert len(seq.scales) == 1
-    assert seq.p_end == 1
+    # the fold's sums run over every discarded scale down to the floor
+    p = np.arange(nm[0], mollifier._last_index(2.0, 8) + 1, dtype=float)
+    a = mollifier._block_terms(2.0, np.searchsorted(nm, p, side="right"), p)
+    tail = a[(a < 1e-5) & (p != nm[0])]
+    assert seq.discarded_tail_mass == pytest.approx(np.sum(tail), rel=1e-13)
+    assert seq.discarded_a2 == pytest.approx(np.sum(tail ** 2), rel=1e-13)
+    assert seq.discarded_a4 == pytest.approx(np.sum(tail ** 4), rel=1e-13)
 
 
 def test_truncation_keeps_every_scale_above_the_cutoff():
@@ -103,40 +129,34 @@ def test_truncation_keeps_every_scale_above_the_cutoff():
     seq = scale_sequence(sigma, nm, cutoff)
     # direct oracle over p = N_1 .. the first block-8 scale below the cutoff
     # (past it the scales fall strictly)
-    kept, widest, p = [], 0.0, nm[0]
+    kept, p = [], nm[0]
     while True:
         a = (2.0 * (p + 1)) ** (-(1.0 / sum(N <= p for N in nm)) * p ** (sigma - 1.0))
         if a >= cutoff:
             kept.append(a)
-        else:
-            widest = max(widest, a)
-            if p >= nm[-1]:
-                break
+        elif p >= nm[-1]:
+            break
         p += 1
     assert len(seq.scales) == len(kept) == 2036
     assert np.all(seq.scales >= cutoff)
     assert seq.scales == pytest.approx(kept, rel=1e-13)
-    assert widest < cutoff
-    assert seq.next_scale == pytest.approx(widest, rel=1e-13)
     assert seq.discarded_tail_mass == pytest.approx(0.0885, abs=1e-4)
     assert float(np.sum(seq.scales)) + seq.discarded_tail_mass <= 1.0
 
 
 def _prefix_builds():
-    """The nested partial cascades on SPEC_13, shortest first: a cutoff at
-    each distinct retained scale, widest first, keeps exactly the factors
-    at least that wide (the last is the full cascade)."""
+    """Samples of the nested partial cascades of the SPEC_13 build's scales,
+    shortest first, from their exact product: at each distinct scale,
+    widest first, every factor at least that wide (the last is the full
+    retained cascade)."""
     sc = build_mollifier(2.0, SPEC_13).scales
-    cutoffs = sorted(set(sc.tolist()), reverse=True)
-    builds = [build_mollifier(2.0, SPEC_13, cutoff=c) for c in cutoffs]
-    assert [len(b.scales) for b in builds] == [int(np.sum(sc >= c)) for c in cutoffs]
-    return builds
+    return [product_phi(sc[sc >= c]) for c in sorted(set(sc.tolist()), reverse=True)]
 
 
 def test_build_certificates_small_grid():
     build = build_mollifier(2.0, SPEC_13)
     phi = build.phi
-    assert abs(phi.integral() - 1.0) <= 1e-8
+    assert abs(phi.integral() - 1.0) <= 1e-13
     assert np.all(phi.values >= 0.0)
     assert build.evenness <= 1e-10
     half = float(np.sum(build.scales))
@@ -144,20 +164,20 @@ def test_build_certificates_small_grid():
     x = phi.x()
     assert np.all(phi.values[np.abs(x) > half + 2 * phi.dx] == 0.0)
     # smoothing monotonicity: sup never increases along the cascade
-    sups = [b.phi.sup() for b in _prefix_builds()]
+    sups = [np.max(phi) for phi in _prefix_builds()]
     assert len(sups) >= 10
     assert np.all(np.diff(sups) <= 1e-12)
 
 
 def test_single_factor_build_matches_scaled_bump():
-    build = build_mollifier(2.0, SPEC_13, cutoff=0.3)
-    assert build.degenerate
-    assert len(build.scales) == 1
-    # phi is the unit cone dilated to half-width 0.25: 4 (1 - 4|x|)_+ at
-    # unit trapezoid mass
+    # the cone of half-width 1/4, 4 (1 - 4|x|)_+, from its transform sinc^2
+    # on the period's rfft bins: the series left out past the Nyquist bin
+    # K = P/2 is at most (2/L) sum_{k >= K} (pi a k / L)^-2 <= 2L / ((pi a)^2 (K - 1))
+    phi = product_phi([0.25])
     target = 4.0 * np.maximum(0.0, 1.0 - 4.0 * np.abs(SPEC_13.points()))
-    target /= np.trapezoid(target, dx=SPEC_13.dx)
-    assert np.max(np.abs(build.phi.values - target)) <= 1e-12
+    L, K = (SPEC_13.n - 1) * SPEC_13.dx, (SPEC_13.n - 1) // 2
+    assert np.max(np.abs(phi - target)) <= 2.0 * L / ((np.pi * 0.25) ** 2 * (K - 1))
+    assert abs(np.trapezoid(phi, dx=SPEC_13.dx) - 1.0) <= 1e-14
 
 
 def test_base_bump_errors():
@@ -169,8 +189,6 @@ def test_base_bump_errors():
 
 
 def test_build_preconditions():
-    with pytest.raises(ResolutionError):
-        build_mollifier(2.0, SPEC_13, cutoff=SPEC_13.dx / 8.0)
     with pytest.raises(InputError):
         build_mollifier(2.0, GridSpec(-0.5, 0.001, 1001))
     with pytest.raises(DomainError):
@@ -180,27 +198,21 @@ def test_build_preconditions():
 def test_stage_gap_contraction_bound():
     """Extending the cascade by one factor moves the sup by at most
     ||phi'||_inf * a_next (mean-value smoothing contraction)."""
-    # within block 8 the scales fall strictly, so these cutoffs differ by one factor
-    b15 = build_mollifier(2.0, SPEC_13, cutoff=7.0e-4)
-    b16 = build_mollifier(2.0, SPEC_13, cutoff=4.0e-4)
-    assert len(b16.scales) == len(b15.scales) + 1
-    a_next = b16.scales[-1]
-    diff = np.max(np.abs(b16.phi.values - b15.phi.values))
-    dphi = np.gradient(b15.phi.values, b15.phi.dx)
-    assert diff <= np.max(np.abs(dphi)) * a_next * 1.01
+    # within block 8 the scales fall strictly, so these prefixes differ by one factor
+    sc = build_mollifier(2.0, SPEC_13).scales
+    s15, s16 = sc[sc >= 7.0e-4], sc[sc >= 4.0e-4]
+    assert len(s16) == len(s15) + 1
+    phi15, phi16 = product_phi(s15), product_phi(s16)
+    diff = np.max(np.abs(phi16 - phi15))
+    dphi = np.gradient(phi15, SPEC_13.dx)
+    assert diff <= np.max(np.abs(dphi)) * s16[-1] * 1.01
 
 
 def test_convergence_invariants_small():
-    builds = _prefix_builds()
-    build = builds[-1]
-    gaps = np.array([
-        np.max(np.abs(b.phi.values - a.phi.values)) for a, b in zip(builds, builds[1:])
-    ])
+    phis = _prefix_builds()
+    gaps = np.array([np.max(np.abs(b - a)) for a, b in zip(phis, phis[1:])])
     # gaps shrink along the cascade (the prefixes skip the block-start ticks)
     assert np.all(gaps[1:] < gaps[:-1])
-    # at the default cutoff the next factor is narrower than a grid cell:
-    # numerically the identity
-    assert build.final_gap <= 1e-10
 
 
 def test_derivative_audit_deep(deep_moll):
@@ -220,69 +232,53 @@ def test_derivative_audit_deep(deep_moll):
 
 
 def test_derivative_audit_just_above_sigma_1_5():
-    # stagewise roundoff in the near-zero modes once set the n = 8 sup here
-    # (7.63e15 against the bound 7.85e14 at sigma = 1.5012)
+    # stagewise roundoff in the near-zero modes of the sampled build once set
+    # the n = 8 sup here (7.63e15 against the bound 7.85e14 at sigma = 1.5012):
+    # the whole scan 1.5000-1.5050 in steps of 1e-4
     spec = GridSpec.symmetric(1.5, 17)
-    for sigma in (1.5012, 1.5014, 1.5036):
+    for k in range(51):
+        sigma = round(1.5 + k * 1e-4, 4)
         rep = derivative_bound_audit(build_mollifier(sigma, spec), 8)
-        assert max(r.ratio for r in rep.rows) < 1.0
-
-
-def test_wrapping_cascade_is_a_resolution_error(monkeypatch):
-    # one-cell factors enough to span half the 8192-sample period: the
-    # circular product would wrap, so the build must refuse
-    real = scale_sequence
-
-    def crowded(sigma, thresholds, cutoff):
-        seq = real(sigma, thresholds, cutoff)
-        extra = np.full(4096, SPEC_13.dx)
-        return dataclasses.replace(seq, scales=np.concatenate([seq.scales, extra]))
-
-    monkeypatch.setattr(mollifier, "scale_sequence", crowded)
-    with pytest.raises(ResolutionError, match="wrap"):
-        build_mollifier(2.0, SPEC_13)
-
-
-def test_cascade_makes_few_period_transforms(monkeypatch):
-    # at sigma = 1.5 the 202 factors are mostly a few cells wide: folded
-    # into one running kernel, they need no period transform of their own
-    calls = []
-    real = mollifier._kernel_spectrum
-
-    def counting(ker, K, period):
-        calls.append(K)
-        return real(ker, K, period)
-
-    monkeypatch.setattr(mollifier, "_kernel_spectrum", counting)
-    build = build_mollifier(1.5, GridSpec.symmetric(1.5, 17))
-    assert len(build.scales) == 202
-    assert len(calls) <= 60
-
-
-def _per_factor_product(sigma, spec):
-    """Reference cutoff: every factor's own period transform, one product,
-    one inverse, then the clamp, the clearing and the renormalization."""
-    seq = scale_sequence(sigma, block_thresholds(sigma, 8), spec.dx)
-    period, dx = spec.n - 1, spec.dx
-    spectrum = np.ones(period // 2 + 1, dtype=complex)
-    for a in seq.scales:
-        ker, K = mollifier._sampled_kernel(a, dx)
-        spectrum *= np.fft.rfft(np.roll(np.pad(ker, (0, period - 2 * K - 1)), -K)) * dx
-    phi = np.fft.irfft(spectrum / dx, period)
-    phi = np.maximum(np.resize(np.roll(phi, period // 2), spec.n), 0.0)
-    phi[np.abs(spec.points()) > np.sum(seq.scales) + dx] = 0.0
-    return phi / np.trapezoid(phi, dx=dx)
+        assert max(r.ratio for r in rep.rows) < 1.0, sigma
 
 
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
 def test_cascade_matches_per_factor_spectral_product(sigma):
+    # the product over every scale down to the floor, one factor at a time,
+    # against the build's exact factors for the scales of a cell or more
+    # and the fold for the rest
     phi = build_mollifier(sigma, SPEC_13).phi.values
-    ref = _per_factor_product(sigma, SPEC_13)
-    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(ref)
+    ref = on_grid(explicit_spectrum(all_scales(sigma), FREQ_13))
+    assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(ref)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_dropping_the_fold_misses_the_all_scale_product(sigma):
+    # negative control: the retained factors alone miss the full cascade
+    kept = build_mollifier(sigma, SPEC_13).scales
+    ref = on_grid(explicit_spectrum(all_scales(sigma), FREQ_13))
+    assert np.max(np.abs(product_phi(kept) - ref)) > 1e-10 * np.max(ref)
+
+
+def test_cutoff_matches_its_cosine_series(deep_moll):
+    # the infinite cascade lives on [-S, S], S = sum a_p, so there it is its
+    # cosine series (1/2S)(1 + 2 sum c_n cos(pi n x / S)), with
+    # c_n = phi_hat(pi n / S): no FFT
+    sc = all_scales(2.0)
+    S = float(np.sum(sc))
+    n = np.arange(1, 400)
+    c = explicit_spectrum(sc, n / (2.0 * S))
+    assert c[-1] < 1e-30
+    phi = deep_moll.phi
+    idx = np.searchsorted(phi.x(), [-0.23, 0.0, 0.1, 0.37, 0.5, 0.55])
+    x = phi.x()[idx]
+    series = (1.0 + 2.0 * np.cos(np.pi * np.outer(x, n) / S) @ c) / (2.0 * S)
+    assert np.max(np.abs(series - phi.values[idx])) <= 1e-14 * phi.sup()
 
 
 def test_derivative_audit_preconditions():
-    small = build_mollifier(2.0, SPEC_13, cutoff=0.04)
+    build = build_mollifier(2.0, SPEC_13)
+    small = dataclasses.replace(build, scales=build.scales[:4])
     # 4 factors retained: n_max = 3 exceeds the factors-after-first budget
     with pytest.raises(InputError):
         derivative_bound_audit(small, 3)
@@ -294,13 +290,12 @@ def test_dilate_identity_and_scaling():
     # the bell's ramps are the running integrals of the cone cascade's first
     # factor, a_1 = 1/4, dilated by a and by 2a to mass pi/2: trapezoid sums
     # of the dilated samples meet the closed forms to the sampling error
-    build = build_mollifier(2.0, SPEC_13, cutoff=0.2)
-    assert build.scales.tolist() == [0.25]
+    phi = product_phi([0.25])
     a = math.pi / 6.0
     ph = BellEvaluator(a)
     for width, theta in ((a, ph.theta_a), (2.0 * a, ph.theta_2a)):
-        x = build.phi.x() * width
-        dens = build.phi.values * (math.pi / 2.0 / width)
+        x = SPEC_13.points() * width
+        dens = phi * (math.pi / 2.0 / width)
         run = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
         assert np.max(np.abs(run - theta(x))) <= 1e-6
 
