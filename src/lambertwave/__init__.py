@@ -43,10 +43,9 @@ from .mollifier import (
     DerivativeAuditReport,
     MollifierBuild,
     ScaleSequence,
-    block_thresholds,
     build_mollifier,
+    cascade_scales,
     derivative_bound_audit,
-    scale_sequence,
 )
 from .verify import (
     CompletenessReport,

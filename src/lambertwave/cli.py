@@ -60,6 +60,9 @@ from .verify import (
 
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
 AUDIT_N_MAX = 8  # highest derivative order of the mollifier bound audit
+# the CSV files the stages write under fixed names; moll_out may name none
+STAGE_CSVS = ("lambert_table.csv", "assoc_func.csv", "psi_hat.csv", "psi.csv",
+              "gram.csv", "dyadic.csv", "envelope.csv", "mixed.csv")
 
 
 @dataclass
@@ -114,8 +117,9 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
          "must be even and lie in [2^12, 2^24]"),
         ("moll_out", Path(cfg.moll_out).name == cfg.moll_out
-         and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4,
-         "must be a bare file name ending in .csv"),
+         and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4
+         and cfg.moll_out not in STAGE_CSVS,
+         f"must be a bare file name ending in .csv, none of {', '.join(STAGE_CSVS)}"),
         ("gram_tol", cfg.gram_tol > 0, "must be positive"),
         ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
         ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
@@ -133,9 +137,9 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("mixed_tau", cfg.mixed_tau > 0, "must be positive"),
         ("mixed_k_max", 0 <= cfg.mixed_k_max <= 10, "must lie in [0, 10]"),
         ("mixed_q_max", 0 <= cfg.mixed_q_max <= 10, "must lie in [0, 10]"),
-        ("points", cfg.points >= 2, "must be at least 2"),
-        ("kpoints", cfg.kpoints >= 20, "must be at least 20"),
-        ("fit_points", cfg.fit_points >= 30, "must be at least 30"),
+        ("points", 2 <= cfg.points <= 2 ** 20, "must lie in [2, 2^20]"),
+        ("kpoints", 20 <= cfg.kpoints <= 2 ** 16, "must lie in [20, 2^16]"),
+        ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
         ("tau", cfg.tau > 0, "must be positive"),
         ("xmin", cfg.xmin > 0 if cfg.log else cfg.xmin >= 0,
          "must be positive with log spacing, nonnegative without"),
@@ -428,8 +432,9 @@ def _parse_orders(spec: str) -> list:
         orders = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"config field 'deriv_orders': {spec!r} is not a comma list") from exc
-    if any(n < 1 or n > 12 for n in orders):
-        raise InputError("config field 'deriv_orders': orders must lie in [1, 12]")
+    if any(n < 1 or n > 12 for n in orders) or len(set(orders)) < len(orders):
+        raise InputError("config field 'deriv_orders': orders must be distinct "
+                         "and lie in [1, 12]")
     return orders
 
 
@@ -674,8 +679,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return exc.code
     try:
         cfg = resolve_config(args)
         run_pipeline(args.command, cfg)

@@ -7,9 +7,10 @@ The cascade scales a_p follow the double-indexed block rule: within block m
 
     a_p = (2 (p + 1)) ** (-(1/m) * p**(sigma - 1)),
 
-where N_m is the smallest index whose block tail sums below 2^-m.  Every
-factor is the unit cone (1 - |t|)_+ dilated to half-width a_p at unit mass;
-the infinite cascade is C^infinity with support [-S, S], S = sum a_p
+where N_m is the smallest index whose block tail sums below 2^-m; one walk
+per block, top block first, finds N_m and the block's scales together.
+Every factor is the unit cone (1 - |t|)_+ dilated to half-width a_p at unit
+mass; the infinite cascade is C^infinity with support [-S, S], S = sum a_p
 (Hormander, ALPDO I, Thm 1.3.5), and the retained-scale product of the
 cone's first-derivative L1 norms yields certified sup bounds on each
 derivative of the result.
@@ -74,38 +75,11 @@ def _last_index(sigma: float, m: int) -> int:
     return p
 
 
-def block_thresholds(sigma: float, m_max: int) -> List[int]:
-    """Smallest N >= 1 per block with the block tail below 2^-m; nondecreasing.
-
-    Each block's terms are computed once, in chunks from its last index
-    down, and N_m is read off their running suffix sums: the first index
-    (from above) whose tail reaches 2^-m is N_m - 1.
-    """
-    if sigma <= 1.0:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
-    if m_max < 1:
-        raise InputError(f"m_max must be >= 1, got {m_max}")
-    out: List[int] = []
-    N = 1
-    for m in range(1, m_max + 1):
-        hi, tail = max(_last_index(sigma, m), N) + 1, 0.0
-        while hi > N:
-            lo = max(N, hi - _CHUNK)
-            p = np.arange(hi - 1, lo - 1, -1, dtype=float)
-            suffix = tail + np.cumsum(_block_terms(sigma, m, p))
-            reached = np.flatnonzero(suffix >= 2.0 ** (-m))
-            if reached.size:
-                N = hi - int(reached[0])
-                break
-            hi, tail = lo, float(suffix[-1])
-        out.append(N)
-    return out
-
-
 @dataclass(frozen=True)
 class ScaleSequence:
-    """Retained cascade scales with truncation provenance."""
+    """Block thresholds and retained cascade scales with truncation provenance."""
 
+    thresholds: List[int]       # N_1 <= ... <= N_8
     p_end: int                  # index of the last retained scale
     scales: np.ndarray          # the retained a_p, by ascending p
     discarded_tail_mass: float  # sum of the discarded a_p
@@ -113,32 +87,40 @@ class ScaleSequence:
     discarded_a4: float         # sum of their fourth powers
 
 
-def scale_sequence(sigma: float, thresholds: List[int], cutoff: float) -> ScaleSequence:
-    """Block-formula scales from N_1 up, keeping every a_p >= cutoff.
-
-    The scales tick up at each block start, so the retained indices need
-    not be contiguous; past the last threshold they fall strictly.  One
-    chunked pass up to the last block's floor index (``_last_index``)
-    therefore sees every retained scale and sums the discarded ones and
-    their squares and fourth powers.  a_{N_1} is the widest scale and is
-    always kept.
-    """
+def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
+    """The block thresholds and every scale a_p >= cutoff, from one walk per
+    block: top block first, in chunks from its floor index (``_last_index``)
+    down.  The first index (from above) whose running tail reaches 2^-m is
+    N_m - 1, clamped to N_m <= N_{m+1}; the same terms on [N_m, N_{m+1})
+    (block 8: up to its floor index) are block m's scales.  A scale below
+    the cutoff goes into the discarded sums, save a_{N_1}, always kept."""
+    if sigma <= 1.0:
+        raise DomainError(f"sigma must exceed 1, got {sigma}")
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise InputError(f"cutoff must be positive, got {cutoff}")
-    start = thresholds[0]
-    end = max(_last_index(sigma, len(thresholds)), thresholds[-1]) + 1
-    kept, p_end = [], start
+    thresholds, kept, p_end = [], [], 0
     sums = [0.0, 0.0, 0.0]  # of the discarded a_p, a_p^2 and a_p^4
-    for lo in range(start, end, _CHUNK):
-        p = np.arange(lo, min(lo + _CHUNK, end), dtype=float)
-        # p lies in block m: the thresholds are nondecreasing
-        a = _block_terms(sigma, np.searchsorted(thresholds, p, side="right"), p)
-        keep = (a >= cutoff) | (p == start)
-        kept.append(a[keep])
-        p_end = int(np.max(p, where=keep, initial=p_end))
-        drop, sq = ~keep, a * a
-        sums = [t + float(np.sum(v, where=drop)) for t, v in zip(sums, (a, sq, sq * sq))]
-    return ScaleSequence(p_end, np.concatenate(kept), *sums)
+    for m in range(_M_MAX, 0, -1):
+        top, tail = _last_index(sigma, m) + 1, 0.0
+        end = thresholds[-1] if thresholds else top  # one past block m's indices
+        for hi in range(top, 1, -_CHUNK):
+            lo = max(1, hi - _CHUNK)
+            p = np.arange(hi - 1, lo - 1, -1, dtype=float)
+            a = _block_terms(sigma, m, p)
+            suffix = tail + np.cumsum(a)
+            reached = np.flatnonzero(suffix >= 2.0 ** (-m))
+            N = min(hi - int(reached[0]), end) if reached.size else 1
+            own = slice(max(hi - end, 0), hi - max(N, lo))  # block m's indices, descending
+            a, p, tail = a[own], p[own], float(suffix[-1])
+            keep = (a >= cutoff) | (p == N) & (m == 1)  # a_{N_1} is always kept
+            kept.append(a[keep][::-1])
+            p_end = int(np.max(p, where=keep, initial=p_end))
+            drop, sq = ~keep, a * a
+            sums = [t + float(np.sum(v, where=drop)) for t, v in zip(sums, (a, sq, sq * sq))]
+            if reached.size:
+                break
+        thresholds.append(N)
+    return ScaleSequence(thresholds[::-1], p_end, np.concatenate(kept[::-1]), *sums)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +191,6 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     -1e-12 within it aborts, and the roundoff around 0 is clamped.  The
     mass is phi_hat(0) = 1.
     """
-    if sigma <= 1.0:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
     if 2.0 / spec.dx < 64:
@@ -222,8 +202,7 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     if abs(spec.x0 + center * dx) > 1e-12 * max(1.0, abs(spec.x0)):
         raise InputError("grid must contain the origin as a sample point")
 
-    thresholds = block_thresholds(sigma, _M_MAX)
-    seq = scale_sequence(sigma, thresholds, dx)
+    seq = cascade_scales(sigma, dx)
     period = spec.n - 1
     spectrum = cascade_spectrum(seq.scales, np.fft.rfftfreq(period, dx),
                                 seq.discarded_a2, seq.discarded_a4)
@@ -238,7 +217,7 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
 
     return MollifierBuild(
         sigma=sigma,
-        thresholds=thresholds,
+        thresholds=seq.thresholds,
         scales=seq.scales,
         trunc_index=seq.p_end,
         phi=GridFunction(spec.x0, dx, phi),

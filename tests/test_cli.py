@@ -8,10 +8,13 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lambertwave
 from lambertwave import (
@@ -410,9 +413,16 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("build-mollifier", ["--out", "sub/phi.csv"], "moll_out"),
     ("build-mollifier", ["--out", ""], "moll_out"),
     ("build-mollifier", ["--out", "report.json"], "moll_out"),
+    # table sizes are capped: each was a ValueError from numpy at 10^30
+    ("lambert-table", ["--points", str(10 ** 30)], "points"),
+    ("assoc-func", ["--kpoints", str(10 ** 30)], "kpoints"),
+    ("decay-fit", ["--fit-points", str(10 ** 30)], "fit_points"),
+    # each order pair costs a lattice transform: no order twice
+    ("decay-fit", ["--deriv-orders", "1,1"], "deriv_orders"),
 ], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
         "gram-members-1025", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
-        "out-report-json"])
+        "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
+        "deriv-orders-repeated"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -466,6 +476,78 @@ def test_samples_capped_before_any_allocation(samples):
     # 2^40 samples would reach a (2, 2^39) transform buffer; only _validate runs
     with pytest.raises(InputError, match="'samples'"):
         cli._validate(RunConfig(samples=samples))
+
+
+@pytest.mark.parametrize("field, cap", [
+    ("points", 2 ** 20), ("kpoints", 2 ** 16), ("fit_points", 2 ** 12),
+])
+def test_table_sizes_capped_before_any_allocation(monkeypatch, field, cap):
+    # 10^30 fit points once reached np.logspace inside _validate; the caps
+    # are checked before the fit grid is formed
+    def gridded(cfg):
+        raise AssertionError("the fit grid was formed")
+
+    monkeypatch.setattr(cli, "_fit_grid", gridded)
+    cli._validate(RunConfig(**{field: cap}))
+    for n in (cap + 1, 10 ** 30):
+        with pytest.raises(InputError, match=f"'{field}'"):
+            cli._validate(RunConfig(**{field: n}), ("decay_fit",))
+
+
+def test_moll_out_naming_another_artifact_exits_2_writing_nothing(tmp_path, capsys):
+    # this run would pass, with psi.csv holding psi and the cutoff lost
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"moll_out": "psi.csv"}))
+    out = tmp_path / "out"
+    rc = main(["all", "--config", str(config), "--samples", str(2 ** 19),
+               "--period", str(2.0 ** 17), "--a", "0.9", "--out-dir", str(out)])
+    assert rc == 2
+    assert "'moll_out'" in capsys.readouterr().err
+    assert not out.exists()
+    for name in cli.STAGE_CSVS:
+        with pytest.raises(InputError, match="'moll_out'"):
+            cli._validate(RunConfig(moll_out=name))
+
+
+_HUGE_OR_BAD = st.sampled_from(["1e30", str(10 ** 30), "1e308", "-1", "-1e300", "0",
+                                "nan", "inf", "-inf", "abc", "", "1e", "0x10"])
+
+
+def _flag(name, in_range):
+    return st.tuples(st.just(name), st.one_of(in_range.map(str), _HUGE_OR_BAD))
+
+
+_FUZZ_ARGVS = st.one_of(
+    st.lists(st.one_of(
+        _flag("--xmin", st.floats(1e-6, 1e3)),
+        _flag("--xmax", st.floats(1e3, 1e12)),
+        _flag("--points", st.integers(2, 200)),
+        st.tuples(st.sampled_from(["--log", "--linear"])),
+    ), max_size=4).map(lambda fl: ["lambert-table"] + [t for f in fl for t in f]),
+    st.lists(st.one_of(
+        _flag("--tau", st.floats(0.5, 2.0)),
+        _flag("--sigma", st.floats(1.1, 4.0)),
+        _flag("--kmin", st.floats(1e2, 1e6)),
+        _flag("--kmax", st.floats(1e6, 1e14)),
+        _flag("--kpoints", st.integers(20, 40)),
+        _flag("--points", st.integers(20, 40)),
+    ), max_size=4).map(lambda fl: ["assoc-func"] + [t for f in fl for t in f]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_FUZZ_ARGVS)
+def test_fuzzed_table_argvs_exit_cleanly(argv):
+    # in-range, huge, negative and non-numeric values: never a traceback,
+    # and a run that reached a stage leaves both JSON files
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc = main(argv + ["--out-dir", str(out)])
+        assert rc in (0, 2, 3)
+        if rc != 2 or out.exists():
+            man = json.loads((out / "manifest.json").read_text())
+            assert (out / "report.json").exists()
+            assert man["exit_code"] == rc
 
 
 def test_lattice_size_checked_before_the_band_is_sampled(tmp_path, monkeypatch):
@@ -586,6 +668,9 @@ def test_all_reruns_byte_identical(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1 == r2
+    # STAGE_CSVS names every other CSV an all run writes
+    man = json.loads((out1 / "manifest.json").read_text())
+    assert {n for n in man["artifacts"] if n.endswith(".csv")} == {"phi.csv", *cli.STAGE_CSVS}
     assert "grid_pow" not in r1["grids"]  # the cutoff grid is fixed
 
 

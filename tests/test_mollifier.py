@@ -13,10 +13,9 @@ from lambertwave import (
     DomainError,
     GridSpec,
     InputError,
-    block_thresholds,
     build_mollifier,
+    cascade_scales,
     derivative_bound_audit,
-    scale_sequence,
 )
 
 SPEC_13 = GridSpec.symmetric(1.5, 13)
@@ -33,7 +32,7 @@ def explicit_spectrum(scales, f):
 
 def all_scales(sigma):
     """Every block-formula scale down to the 1e-30 floor: none discarded."""
-    seq = scale_sequence(sigma, block_thresholds(sigma, 8), 1e-300)
+    seq = cascade_scales(sigma, 1e-300)
     assert seq.discarded_tail_mass == 0.0
     return seq.scales
 
@@ -69,7 +68,7 @@ def test_block_thresholds_fixture_and_oracle():
         3.0: [1, 2, 2, 3, 3, 4, 4, 5],
     }
     for sigma, expected in frozen.items():
-        nm = block_thresholds(sigma, 8)
+        nm = cascade_scales(sigma, 1e-3).thresholds
         assert nm == expected
         for m, N in enumerate(nm, start=1):
             assert tail_oracle(sigma, m, N) < 2.0 ** (-m)
@@ -80,9 +79,10 @@ def test_block_thresholds_fixture_and_oracle():
 
 def test_block_thresholds_errors():
     with pytest.raises(DomainError):
-        block_thresholds(1.0, 4)
-    with pytest.raises(InputError):
-        block_thresholds(2.0, 0)
+        cascade_scales(1.0, 1e-3)
+    for cutoff in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            cascade_scales(2.0, cutoff)
 
 
 @pytest.mark.parametrize("sigma", [1.2, 1.5, 2.0, 3.0])
@@ -93,8 +93,8 @@ def test_last_index_is_first_term_below_floor(sigma, m):
 
 
 def test_scale_sequence_values_and_mass():
-    nm = block_thresholds(2.0, 8)
-    seq = scale_sequence(2.0, nm, 1e-5)
+    seq = cascade_scales(2.0, 1e-5)
+    nm = seq.thresholds
     assert nm[0] == 1
     assert seq.scales[0] == 0.25  # a_1 = 4^{-1} in block m = 1
     assert seq.scales[1] == pytest.approx(1.0 / 6.0, rel=1e-15)
@@ -124,9 +124,9 @@ def test_truncation_keeps_every_scale_above_the_cutoff():
     # the first a_p below one cell of the 2^17 grid would stop inside block
     # 2 and discard blocks 3-8, whose first factors are far wider
     sigma = 1.2
-    nm = block_thresholds(sigma, 8)
     cutoff = GridSpec.symmetric(1.5, 17).dx
-    seq = scale_sequence(sigma, nm, cutoff)
+    seq = cascade_scales(sigma, cutoff)
+    nm = seq.thresholds
     # direct oracle over p = N_1 .. the first block-8 scale below the cutoff
     # (past it the scales fall strictly)
     kept, p = [], nm[0]
@@ -142,6 +142,22 @@ def test_truncation_keeps_every_scale_above_the_cutoff():
     assert seq.scales == pytest.approx(kept, rel=1e-13)
     assert seq.discarded_tail_mass == pytest.approx(0.0885, abs=1e-4)
     assert float(np.sum(seq.scales)) + seq.discarded_tail_mass <= 1.0
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0])
+def test_each_block_term_computed_once(monkeypatch, sigma):
+    # one walk per block: no (m, p) term of the build is formed twice
+    seen, terms = [], mollifier._block_terms
+
+    def recorded(sig, m, p):
+        if np.ndim(p):  # the scalar calls are _last_index's bisection
+            seen.extend(zip(np.broadcast_to(m, np.shape(p)).tolist(), np.ravel(p).tolist()))
+        return terms(sig, m, p)
+
+    monkeypatch.setattr(mollifier, "_block_terms", recorded)
+    build_mollifier(sigma, SPEC_13)
+    assert len(seen) > 100
+    assert len(set(seen)) == len(seen)
 
 
 def _prefix_builds():
