@@ -3,7 +3,9 @@
 Single binary with subcommands.  The ``STAGES`` and ``COMMANDS`` tables
 declare every stage and subcommand once: a subcommand runs its stages in
 order, and its flags are named and typed by the ``RunConfig`` fields they
-set.  Configuration precedence is CLI flags over a JSON config file over
+set.  The config sets what is built and how much of it is checked, never a
+certificate's gate: each gate is fixed in the function that checks it.
+Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
 configuration, checksums, and timings.  Exit codes (the ``EXITS`` table):
@@ -41,7 +43,7 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .gevrey import SequenceParams, assoc_t_exact
+from .gevrey import SIGMA_MAX, SequenceParams, assoc_t_exact, log_m2
 from .grids import GridSpec
 from .lambert import lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
@@ -74,11 +76,6 @@ class RunConfig:
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
     # verification
-    gram_tol: float = 1e-7
-    dyadic_tol: float = 1e-9
-    r2_min: float = 0.9
-    completeness_tol: float = 1e-3
-    env_floor: float = 1e-15
     gram_m: int = 2
     gram_n: int = 8
     dyadic_window: int = 6
@@ -88,8 +85,6 @@ class RunConfig:
     deriv_orders: str = "1,2,4,8"
     mixed_k_max: int = 8
     mixed_q_max: int = 8
-    mixed_s: float = 1.0
-    mixed_tau: float = 1.0
     # tables
     xmin: float = 1e-6
     xmax: float = 1e8
@@ -109,7 +104,8 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     """InputError for the first config field out of its range; the fit
     window is checked only when one of ``stages`` reads it."""
     checks = [
-        ("sigma", cfg.sigma > 1.0, "must exceed 1"),
+        ("sigma", 1.0 < cfg.sigma < SIGMA_MAX,
+         f"must lie in (1, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
         ("a", 0.0 < cfg.a < math.pi / 3.0,
          f"must lie in (0, pi/3 = {math.pi / 3.0:.16g})"),
         ("freq_pow", 10 <= cfg.freq_pow <= 24, "must lie in [10, 24]"),
@@ -120,9 +116,6 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
          and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4
          and cfg.moll_out not in STAGE_CSVS,
          f"must be a bare file name ending in .csv, none of {', '.join(STAGE_CSVS)}"),
-        ("gram_tol", cfg.gram_tol > 0, "must be positive"),
-        ("dyadic_tol", cfg.dyadic_tol > 0, "must be positive"),
-        ("completeness_tol", cfg.completeness_tol > 0, "must be positive"),
         ("gram_m", cfg.gram_m >= 0, "must be nonnegative"),
         ("gram_n", cfg.gram_n >= 0, "must be nonnegative"),
         # the Gram pairs grow as the members squared: 524,800 pairs at 1024
@@ -131,16 +124,15 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
          "Gram members at most 1024"),
         ("dyadic_window", 1 <= cfg.dyadic_window <= 30,
          "must lie in [1, 30] (the scale guard of psi_hat)"),
-        ("r2_min", 0.0 < cfg.r2_min <= 1.0, "must lie in (0, 1]"),
-        ("env_floor", cfg.env_floor > 0, "must be positive"),
-        ("mixed_s", 0.0 < cfg.mixed_s <= 1.0, "must lie in (0, 1]"),
-        ("mixed_tau", cfg.mixed_tau > 0, "must be positive"),
         ("mixed_k_max", 0 <= cfg.mixed_k_max <= 10, "must lie in [0, 10]"),
         ("mixed_q_max", 0 <= cfg.mixed_q_max <= 10, "must lie in [0, 10]"),
         ("points", 2 <= cfg.points <= 2 ** 20, "must lie in [2, 2^20]"),
         ("kpoints", 20 <= cfg.kpoints <= 2 ** 16, "must lie in [20, 2^16]"),
         ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
-        ("tau", cfg.tau > 0, "must be positive"),
+        ("tau", cfg.tau > 0 and cfg.sigma < SIGMA_MAX
+         and math.isfinite(log_m2(cfg.tau, cfg.sigma)),
+         f"must be positive and keep log M_2 = tau 2^sigma log 2 finite "
+         f"(sigma = {cfg.sigma})"),
         ("xmin", cfg.xmin > 0 if cfg.log else cfg.xmin >= 0,
          "must be positive with log spacing, nonnegative without"),
         ("xmax", cfg.xmax > cfg.xmin, "must exceed xmin"),
@@ -341,21 +333,19 @@ def stage_verify_onw(run: Run) -> list:
         wb.ph,
         m_range=(-cfg.gram_m, cfg.gram_m),
         n_range=(-cfg.gram_n, cfg.gram_n),
-        tol=cfg.gram_tol,
     )
     gram_path = out / "gram.csv"
     write_csv(gram_path, ["m1", "n1", "m2", "n2", "re", "im"],
               [*gram.pairs, gram.values.real, gram.values.imag])
-    dy = dyadic_sum_check(wb.ph, m_window=cfg.dyadic_window, tol=cfg.dyadic_tol)
+    dy = dyadic_sum_check(wb.ph, m_window=cfg.dyadic_window)
     dy_path = out / "dyadic.csv"
     write_csv(dy_path, ["xi", "s"], [dy.xi, dy.s])
-    comp = completeness_check(wb.ph, target_tol=cfg.completeness_tol)
+    comp = completeness_check(wb.ph)
     run.report["verify_onw"] = {
         "max_offdiag": gram.max_offdiag,
         "max_diag_dev": gram.max_diag_dev,
         "dyadic_max_dev": dy.max_dev,
         "completeness_ratio": comp.ratio,
-        "completeness_status": comp.status,
         "completeness_windows": {str(k): v for k, v in comp.n_used.items()},
     }
     return [gram_path, dy_path]
@@ -365,8 +355,8 @@ def stage_decay_fit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
     xg = _fit_grid(cfg)
     grid = wb.synthesis.grid
-    table = decay_envelope(grid, xg, envelope_window(wb.ph), floor=cfg.env_floor)
-    fit = fit_decay(table, cfg.sigma, r2_min=cfg.r2_min)
+    table = decay_envelope(grid, xg, envelope_window(wb.ph))
+    fit = fit_decay(table, cfg.sigma)
     env_path = run.out / "envelope.csv"
     write_csv(env_path, fit.comparator_columns, fit.comparator_table.T)
     # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
@@ -374,10 +364,7 @@ def stage_decay_fit(run: Run) -> list:
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
     rows += wb.lattices(
         _parse_orders(cfg.deriv_orders),
-        lambda n, lattice: derivative_decay_check(
-            lattice, n, xg, table.window, cfg.sigma,
-            floor=cfg.env_floor, r2_min=cfg.r2_min,
-        ),
+        lambda n, lattice: derivative_decay_check(lattice, n, xg, table.window, cfg.sigma),
     )
     growth = intercept_growth_fit(rows)
     run.report["decay_fit"] = {
@@ -410,8 +397,6 @@ def stage_mixed_audit(run: Run) -> list:
         wb.fronts(range(cfg.mixed_q_max + 1)),
         k_max=cfg.mixed_k_max,
         q_max=cfg.mixed_q_max,
-        s=cfg.mixed_s,
-        tau=cfg.mixed_tau,
         sigma=cfg.sigma,
     )
     path = run.out / "mixed.csv"
@@ -421,8 +406,6 @@ def stage_mixed_audit(run: Run) -> list:
         "log_c": rep.log_c,
         "log_a": rep.log_a,
         "log_b": rep.log_b,
-        "s": cfg.mixed_s,
-        "tau": cfg.mixed_tau,
     }
     return [path]
 
@@ -498,19 +481,17 @@ COMMANDS: Dict[str, Command] = {
     "verify-onw": Command(
         "Gram matrix, dyadic sum, completeness",
         _WAVELET + ("verify_onw",),
-        _LATTICE + ("gram_tol", "dyadic_tol", "completeness_tol", "gram_m",
-                    "gram_n", "dyadic_window"),
+        _LATTICE + ("gram_m", "gram_n", "dyadic_window"),
     ),
     "decay-fit": Command(
         "envelope extraction and Lambert-form regression",
         _WAVELET + ("decay_fit",),
-        _LATTICE + ("fit_xmin", "fit_xmax", "env_floor", "r2_min", "fit_points",
-                    "deriv_orders"),
+        _LATTICE + ("fit_xmin", "fit_xmax", "fit_points", "deriv_orders"),
     ),
     "mixed-audit": Command(
         "moment-derivative bound feasibility",
         _WAVELET + ("mixed_audit",),
-        _LATTICE + ("mixed_s", "mixed_tau", "mixed_k_max", "mixed_q_max"),
+        _LATTICE + ("mixed_k_max", "mixed_q_max"),
     ),
     "all": Command("run every stage", tuple(STAGES), _LATTICE),
 }

@@ -19,12 +19,20 @@ from .lambert import lambert_w0
 
 _E = float(np.e)
 _P_CAP = 200000  # the associated function's argmax must lie at or below _P_CAP - 3
+SIGMA_MAX = 1024.0  # below it 2^sigma, the p^sigma of p = 2, is a finite double
+
+
+def log_m2(tau: float, sigma: float) -> float:
+    """log M_2 = tau 2^sigma log 2, for sigma < SIGMA_MAX; inf where the
+    product leaves double precision."""
+    return tau * 2.0 ** sigma * math.log(2.0)
 
 
 @dataclass(frozen=True)
 class SequenceParams:
     """The (tau, sigma) pair parameterizing the weight sequence; sigma = 1,
-    the classical factorial-power (Gevrey) scale, is excluded."""
+    the classical factorial-power (Gevrey) scale, is excluded, and so is a
+    pair whose log M_2 is not a finite double."""
 
     tau: float
     sigma: float
@@ -32,18 +40,28 @@ class SequenceParams:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise DomainError(f"tau must be positive, got {self.tau}")
-        if not (np.isfinite(self.sigma) and self.sigma >= 1.0 + 1e-12):
-            raise DomainError(f"sigma must be > 1, got {self.sigma}")
+        if not 1.0 + 1e-12 <= self.sigma < SIGMA_MAX:
+            raise DomainError(f"sigma must lie in (1, {SIGMA_MAX:g}), got {self.sigma}")
+        if not math.isfinite(log_m2(self.tau, self.sigma)):
+            raise DomainError(
+                f"log M_2 = tau 2^sigma log 2 overflows at tau = {self.tau}, "
+                f"sigma = {self.sigma}"
+            )
 
 
 def log_m(p, params: SequenceParams):
-    """log of the weight-sequence entry: tau * p^sigma * log p, zero at p in {0, 1}."""
+    """log of the weight-sequence entry: tau * p^sigma * log p, zero at p in {0, 1}.
+
+    An entry past double precision is inf, which every sup over p of
+    p log k - log M_p reads correctly: its term is below any finite one.
+    """
     pa = np.asarray(p, dtype=float)
-    out = np.where(
-        pa >= 2.0,
-        params.tau * pa ** params.sigma * np.log(np.maximum(pa, 2.0)),
-        0.0,
-    )
+    with np.errstate(over="ignore"):
+        out = np.where(
+            pa >= 2.0,
+            params.tau * pa ** params.sigma * np.log(np.maximum(pa, 2.0)),
+            0.0,
+        )
     return float(out) if np.isscalar(p) else out
 
 

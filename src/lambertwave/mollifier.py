@@ -38,7 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, VerificationError
-from .gevrey import first_index
+from .gevrey import SIGMA_MAX, first_index
 from .grids import GridFunction, GridSpec, abs_max
 
 _TAIL_FLOOR = 1e-30
@@ -94,8 +94,8 @@ def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
     N_m - 1, clamped to N_m <= N_{m+1}; the same terms on [N_m, N_{m+1})
     (block 8: up to its floor index) are block m's scales.  A scale below
     the cutoff goes into the discarded sums, save a_{N_1}, always kept."""
-    if sigma <= 1.0:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
+    if not 1.0 < sigma < SIGMA_MAX:  # p^(sigma - 1) stays finite up to p = 2
+        raise DomainError(f"sigma must lie in (1, {SIGMA_MAX:g}), got {sigma}")
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise InputError(f"cutoff must be positive, got {cutoff}")
     thresholds, kept, p_end = [], [], 0
@@ -187,9 +187,10 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     inverse rfft of phi_hat on that period's rfft bins
     (``cascade_spectrum``): one exact sinc^2 factor for every a_p of at
     least one grid cell, and the fold for all narrower ones.  The samples
-    beyond sum a_p + dx, the retained support, are cleared; a value below
-    -1e-12 within it aborts, and the roundoff around 0 is clamped.  The
-    mass is phi_hat(0) = 1.
+    beyond the kept scales' sum plus the lesser of dx and the discarded tail
+    mass are cleared: past the true support, sum a_p over every scale, phi
+    is 0.  A value below -1e-12 inside that bound aborts, and the roundoff
+    around 0 is clamped.  The mass is phi_hat(0) = 1.
     """
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
@@ -208,7 +209,8 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
                                 seq.discarded_a2, seq.discarded_a4)
     # the period's sample k sits at x = k dx; the grid's last sample is its first
     phi = np.resize(np.roll(np.fft.irfft(spectrum, period) / dx, center), spec.n)
-    phi[np.abs(spec.points()) > float(np.sum(seq.scales)) + dx] = 0.0
+    support = float(np.sum(seq.scales)) + min(dx, seq.discarded_tail_mass)
+    phi[np.abs(spec.points()) > support] = 0.0
     if np.min(phi) < -1e-12:
         raise ResolutionError(
             f"cascade samples fall below -1e-12 ({np.min(phi):.3e})"

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -113,6 +114,22 @@ def test_build_mollifier_audit_too_short_to_fit(tmp_path):
     assert len(prov["scales"]) == 3
     assert [r["n"] for r in prov["bounds_table"]] == [0, 1]
     assert prov["tau_eff"] is None and prov["log_c_fit"] is None
+
+
+@pytest.mark.parametrize("sigma", ["7", "30"])
+def test_build_mollifier_single_cone_stays_nonnegative(tmp_path, sigma):
+    # from sigma = 7 only the cone a_1 = 1/4 is kept, and its truncated
+    # transform rings past the true support, sum a_p over every scale:
+    # those samples are cleared, not gated (they read -4.2e-6 at sigma = 7)
+    rc = main(["build-mollifier", "--sigma", sigma, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "phi.csv")
+    assert min(float(r[1]) for r in rows) >= 0.0
+    assert json.loads((tmp_path / "report.json").read_text())[
+        "assertions"]["mollifier"]["audit_n_max"] == 0
+    prov = json.loads((tmp_path / "phi.provenance.json").read_text())
+    assert len(prov["scales"]) == 1
+    assert prov["bounds_table"] == []
 
 
 def test_sigma_near_1_exits_2(tmp_path, capsys):
@@ -316,18 +333,16 @@ OPTIONS = {
         **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
     },
     "verify-onw": {
-        **LATTICE, "--gram-tol": "gram_tol", "--dyadic-tol": "dyadic_tol",
-        "--completeness-tol": "completeness_tol", "--gram-m": "gram_m",
-        "--gram-n": "gram_n", "--dyadic-window": "dyadic_window", **COMMON,
+        **LATTICE, "--gram-m": "gram_m", "--gram-n": "gram_n",
+        "--dyadic-window": "dyadic_window", **COMMON,
     },
     "decay-fit": {
         **LATTICE, "--fit-xmin": "fit_xmin", "--fit-xmax": "fit_xmax",
-        "--env-floor": "env_floor", "--r2-min": "r2_min",
         "--fit-points": "fit_points", "--deriv-orders": "deriv_orders", **COMMON,
     },
     "mixed-audit": {
-        **LATTICE, "--mixed-s": "mixed_s", "--mixed-tau": "mixed_tau",
-        "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max", **COMMON,
+        **LATTICE, "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max",
+        **COMMON,
     },
     "all": {**LATTICE, **COMMON},
 }
@@ -361,11 +376,13 @@ def test_subcommand_options_and_fields():
 
 # five were config-file-only fields, now constants; profile_cutoff went
 # with the sampled ramp profile, moll_base with the analytic base bump, and
-# grid_pow and moll_cutoff with the sampled cascade build
+# grid_pow and moll_cutoff with the sampled cascade build; the last seven
+# set certificate gates and class weights, now fixed in verify
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
-    "grid_pow", "moll_cutoff",
+    "grid_pow", "moll_cutoff", "gram_tol", "dyadic_tol", "completeness_tol",
+    "r2_min", "env_floor", "mixed_s", "mixed_tau",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -387,7 +404,6 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
     ("gram_m", -1),            # empty Gram window
     ("gram_n", -1),
     ("dyadic_window", 0),      # no dyadic terms
-    ("completeness_tol", -1),  # no energy ratio can pass
 ])
 def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
@@ -419,10 +435,18 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("decay-fit", ["--fit-points", str(10 ** 30)], "fit_points"),
     # each order pair costs a lattice transform: no order twice
     ("decay-fit", ["--deriv-orders", "1,1"], "deriv_orders"),
+    # 2^sigma or log M_2 = tau 2^sigma log 2 past double precision: once an
+    # OverflowError in the cascade walk, or numpy overflow warnings
+    ("build-mollifier", ["--sigma", "1100"], "sigma"),
+    ("all", ["--sigma", "1100"], "sigma"),
+    ("assoc-func", ["--tau", "1e308"], "tau"),
+    ("assoc-func", ["--sigma", "1e308"], "sigma"),
+    ("assoc-func", ["--sigma", "1100"], "sigma"),
 ], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
         "gram-members-1025", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
         "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
-        "deriv-orders-repeated"])
+        "deriv-orders-repeated", "moll-sigma-1100", "all-sigma-1100", "tau-1e308",
+        "sigma-1e308", "sigma-1100"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -602,17 +626,16 @@ def test_every_stage_exit_leaves_both_json_files(tmp_path, monkeypatch, exc, cod
 
 def test_int_for_float_field_matches_flag_spelling(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mixed_s": 1, "sigma": 2}))
-    args = [
-        "mixed-audit", *FAST, *FAST_SYNTH,
-        "--mixed-k-max", "1", "--mixed-q-max", "1",
-    ]
+    cfg.write_text(json.dumps({"psi_xmax": 64, "sigma": 2}))
+    args = ["build-wavelet", *FAST, *FAST_SYNTH]
     out1, out2 = tmp_path / "file", tmp_path / "flags"
     assert main(args + ["--config", str(cfg), "--out-dir", str(out1)]) == 0
-    assert main(args + ["--mixed-s", "1", "--sigma", "2", "--out-dir", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert main(args + ["--psi-xmax", "64", "--sigma", "2", "--out-dir", str(out2)]) == 0
+    for name in ("report.json", "psi.csv", "wavelet_manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     man = json.loads((out1 / "manifest.json").read_text())
     assert isinstance(man["config"]["sigma"], float)
+    assert isinstance(man["config"]["psi_xmax"], float)
 
 
 def test_config_precedence(tmp_path):
@@ -646,10 +669,11 @@ def test_manifest_echoes_full_config(tmp_path):
     assert rc == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
-    # every default that could affect a run is recorded
-    for key in ("sigma", "a", "freq_pow", "period", "samples",
-                "gram_tol", "dyadic_tol", "r2_min", "env_floor", "points"):
-        assert key in cfg
+    # every field is recorded, and no certificate gate is a field
+    assert set(cfg) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert len(cfg) == 25
+    assert not {"gram_tol", "dyadic_tol", "completeness_tol", "r2_min",
+                "env_floor", "mixed_s", "mixed_tau"} & set(cfg)
     assert cfg["points"] == 5
 
 
@@ -701,13 +725,15 @@ def test_build_mollifier_out_name(tmp_path):
     assert (tmp_path / "cutoff.provenance.json").exists()
 
 
-def test_verification_failure_exits_1(tmp_path, capsys):
+def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # the real Gram check, gated far below its fixed 1e-7, fails through main
+    monkeypatch.setattr(cli, "gram_matrix", functools.partial(cli.gram_matrix, tol=1e-16))
     rc = main([
         "verify-onw", *FAST, *FAST_SYNTH,
-        "--gram-m", "1", "--gram-n", "2", "--gram-tol", "1e-16",
-        "--out-dir", str(tmp_path),
+        "--gram-m", "1", "--gram-n", "2", "--out-dir", str(tmp_path),
     ])
     assert rc == 1
+    assert "gram deviation exceeds 1.0e-16" in capsys.readouterr().err
     # the failing assertion path lands in the manifest
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["failing"]["stage"] == "verify_onw"

@@ -49,6 +49,21 @@ def test_params_validation():
     with pytest.raises(DomainError):
         SequenceParams(1.0, 1.0 + 1e-13)
     SequenceParams(1.0, 1.0 + 1e-12)
+    # log M_2 = tau 2^sigma log 2 must be a finite double
+    for tau, sigma in ((1.0, 1100.0), (1.0, 1e308), (1e308, 2.0), (1.1, 1023.9)):
+        with pytest.raises(DomainError):
+            SequenceParams(tau, sigma)
+    SequenceParams(1.0, 1023.9)
+
+
+def test_entries_past_double_precision_saturate():
+    # log M_3 = 1e-300 3^1000 log 3 is past double precision, log M_2 is
+    # not: the sup stops at p = 2 with no overflow warning
+    params = SequenceParams(1e-300, 1000.0)
+    assert log_m(3.0, params) == math.inf
+    rep = assoc_t_exact(1e12, params)
+    assert rep.argmax_p == 2
+    assert rep.t_exact == 2.0 * math.log(1e12) - log_m(2.0, params)
 
 
 def test_log_sequence_convexity():

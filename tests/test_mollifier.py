@@ -78,8 +78,9 @@ def test_block_thresholds_fixture_and_oracle():
 
 
 def test_block_thresholds_errors():
-    with pytest.raises(DomainError):
-        cascade_scales(1.0, 1e-3)
+    for sigma in (1.0, 1100.0):  # 2^(sigma - 1) at p = 2 was an OverflowError
+        with pytest.raises(DomainError):
+            cascade_scales(sigma, 1e-3)
     for cutoff in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(InputError):
             cascade_scales(2.0, cutoff)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lambertwave import (
     BellEvaluator,
-    DomainError,
     GridFunction,
     InputError,
     VerificationError,
@@ -103,7 +102,6 @@ def test_completeness_on_psi_itself(wavelet):
 
     fhat.band = (0.0, 2.0 * (math.pi + A))
     rep = completeness_check(wavelet.ph, f_hat=fhat)
-    assert rep.status == "pass"
     assert abs(rep.ratio - 1.0) <= 1e-8
 
 
@@ -113,13 +111,11 @@ def test_completeness_on_member(wavelet):
 
     fhat.band = (0.0, 4.0 * (math.pi + A))
     rep = completeness_check(wavelet.ph, f_hat=fhat)
-    assert rep.status == "pass"
     assert abs(rep.ratio - 1.0) <= 1e-8
 
 
 def test_completeness_gaussian(wavelet):
     rep = completeness_check(wavelet.ph, gaussian_spectrum())
-    assert rep.status == "pass"
     assert abs(rep.ratio - 1.0) <= 1e-3
 
 
@@ -230,10 +226,8 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
 
 
 def test_mixed_audit_feasible(wavelet, lattice_cache):
-    s, tau, sigma = 1.0, 1.0, 2.0
-    rep = mixed_bound_audit(
-        wavelet.fronts(range(5)), 4, 4, s, tau, sigma
-    )
+    sigma = 2.0
+    rep = mixed_bound_audit(wavelet.fronts(range(5)), 4, 4, sigma)
     assert rep.sup_table[0, 0] == pytest.approx(
         lattice_cache[0].sup(), rel=1e-15
     )
@@ -245,8 +239,8 @@ def test_mixed_audit_feasible(wavelet, lattice_cache):
                 rep.log_c
                 + k * rep.log_a
                 + q * rep.log_b
-                + s * math.lgamma(k + 1.0)
-                + tau * q ** sigma * (math.log(q) if q >= 1 else 0.0)
+                + math.lgamma(k + 1.0)
+                + q ** sigma * (math.log(q) if q >= 1 else 0.0)
             )
             assert lhs <= rhs + 1e-9
 
@@ -256,13 +250,11 @@ def test_mixed_audit_domain():
         raise AssertionError("a front was read before the argument checks")
         yield
 
-    with pytest.raises(DomainError):
-        mixed_bound_audit(unread(), 2, 2, 1.5, 1.0, 2.0)
     with pytest.raises(InputError):
-        mixed_bound_audit(unread(), 11, 2, 1.0, 1.0, 2.0)
+        mixed_bound_audit(unread(), 11, 2, 2.0)
     tiny = GridFunction(-1.0, 0.5, np.ones(4)).moment_front()
     with pytest.raises(InputError, match="need 3 fronts"):
-        mixed_bound_audit(iter([tiny, tiny]), 2, 2, 1.0, 1.0, 2.0)
+        mixed_bound_audit(iter([tiny, tiny]), 2, 2, 2.0)
 
 
 def _assert_front_sups_exact(grid):
@@ -385,9 +377,11 @@ def test_large_x_below_fitted_envelope(wavelet, fit_grid):
         assert abs(eval_psi_point(wavelet.ph, x)) <= 10.0 * model
 
 
-def test_completeness_inconclusive_on_tiny_cap(wavelet):
-    rep = completeness_check(wavelet.ph, gaussian_spectrum(), n_cap=2)
-    assert rep.status == "inconclusive"
+def test_completeness_fails_on_tiny_cap(wavelet):
+    # a scale that has not converged at the cap fails; it cannot pass
+    with pytest.raises(VerificationError, match="m = -4 .* cap of 2 ") as exc:
+        completeness_check(wavelet.ph, gaussian_spectrum(), n_cap=2)
+    assert exc.value.detail == -4
 
 
 def test_inner_product_hermitian_swap(wavelet):
