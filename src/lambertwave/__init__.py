@@ -54,7 +54,6 @@ from .verify import (
     DyadicReport,
     EnvelopeTable,
     GramReport,
-    InterceptGrowthFit,
     MixedBoundReport,
     completeness_check,
     decay_envelope,
@@ -65,7 +64,6 @@ from .verify import (
     gaussian_spectrum,
     gram_matrix,
     inner_product,
-    intercept_growth_fit,
     mixed_bound_audit,
 )
 

@@ -3,8 +3,9 @@
 Single binary with subcommands.  The ``STAGES`` and ``COMMANDS`` tables
 declare every stage and subcommand once: a subcommand runs its stages in
 order, and its flags are named and typed by the ``RunConfig`` fields they
-set.  The config sets what is built and how much of it is checked, never a
-certificate's gate: each gate is fixed in the function that checks it.
+set.  The config sets what is built, never a certificate's gate, and of
+a certificate's extents only the decay fit's window: each gate and every
+other extent is fixed next to the check that reads it.
 Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
@@ -43,11 +44,12 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .gevrey import SIGMA_MAX, SequenceParams, assoc_t_exact, log_m2
+from .gevrey import SIGMA_MAX, SequenceParams, assoc_t_exact, lambert_regressor, log_m2
 from .grids import GridSpec
 from .lambert import lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
+    MIXED_MAX,
     DerivativeDecayRow,
     completeness_check,
     decay_envelope,
@@ -56,12 +58,12 @@ from .verify import (
     envelope_window,
     fit_decay,
     gram_matrix,
-    intercept_growth_fit,
     mixed_bound_audit,
 )
 
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
 AUDIT_N_MAX = 8  # highest derivative order of the mollifier bound audit
+DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
 # the CSV files the stages write under fixed names; moll_out may name none
 STAGE_CSVS = ("lambert_table.csv", "assoc_func.csv", "psi_hat.csv", "psi.csv",
               "gram.csv", "dyadic.csv", "envelope.csv", "mixed.csv")
@@ -75,16 +77,10 @@ class RunConfig:
     freq_pow: int = 16
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
-    # verification
-    gram_m: int = 2
-    gram_n: int = 8
-    dyadic_window: int = 6
+    # verification: the decay fit's window
     fit_xmin: float = 1e2
     fit_xmax: float = 3e4
     fit_points: int = 36
-    deriv_orders: str = "1,2,4,8"
-    mixed_k_max: int = 8
-    mixed_q_max: int = 8
     # tables
     xmin: float = 1e-6
     xmax: float = 1e8
@@ -101,8 +97,9 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
-    """InputError for the first config field out of its range; the fit
-    window is checked only when one of ``stages`` reads it."""
+    """InputError for the first config field out of its range; whether the
+    fit window's envelopes stay on the lattice and T_sigma stays finite on
+    it is checked only when one of ``stages`` reads it."""
     checks = [
         ("sigma", 1.0 < cfg.sigma < SIGMA_MAX,
          f"must lie in (1, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
@@ -116,16 +113,6 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
          and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4
          and cfg.moll_out not in STAGE_CSVS,
          f"must be a bare file name ending in .csv, none of {', '.join(STAGE_CSVS)}"),
-        ("gram_m", cfg.gram_m >= 0, "must be nonnegative"),
-        ("gram_n", cfg.gram_n >= 0, "must be nonnegative"),
-        # the Gram pairs grow as the members squared: 524,800 pairs at 1024
-        ("gram_n", (2 * cfg.gram_m + 1) * (2 * cfg.gram_n + 1) <= 1024,
-         f"with gram_m = {cfg.gram_m}, must keep the (2 gram_m + 1)(2 gram_n + 1) "
-         "Gram members at most 1024"),
-        ("dyadic_window", 1 <= cfg.dyadic_window <= 30,
-         "must lie in [1, 30] (the scale guard of psi_hat)"),
-        ("mixed_k_max", 0 <= cfg.mixed_k_max <= 10, "must lie in [0, 10]"),
-        ("mixed_q_max", 0 <= cfg.mixed_q_max <= 10, "must lie in [0, 10]"),
         ("points", 2 <= cfg.points <= 2 ** 20, "must lie in [2, 2^20]"),
         ("kpoints", 20 <= cfg.kpoints <= 2 ** 16, "must lie in [20, 2^16]"),
         ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
@@ -138,24 +125,33 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("xmax", cfg.xmax > cfg.xmin, "must exceed xmin"),
         ("kmin", cfg.kmin >= 1e2, "must be at least 1e2"),
         ("kmax", 1e14 >= cfg.kmax > cfg.kmin, "must lie in (kmin, 1e14]"),
-        ("fit_xmax", cfg.fit_xmax > cfg.fit_xmin > 0, "must exceed fit_xmin > 0"),
+        ("fit_xmin", cfg.fit_xmin > 1.0, "must exceed 1, where W(log x) > 0"),
+        ("fit_xmax", cfg.fit_xmax > cfg.fit_xmin, "must exceed fit_xmin"),
         ("psi_xmax", cfg.psi_xmax > 0, "must be positive"),
     ]
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
-    _parse_orders(cfg.deriv_orders)
     if "decay_fit" in stages:
         # decay_envelope's bound on the lattice x0 = -L/2, dx = L/N; a window
-        # that starts before x0 at fit_xmin also ends past the last node
+        # that starts before x0 at fit_xmin also ends past the last node, and
+        # one past double precision in cells is past it too
         half = envelope_window(BellEvaluator(cfg.a)) / 2.0
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
-        if np.ceil((_fit_grid(cfg)[-1] + half - x0) / dx) >= cfg.samples:
+        xg = _fit_grid(cfg)
+        with np.errstate(over="ignore"):
+            last = np.ceil((xg[-1] + half - x0) / dx)
+        if last >= cfg.samples:
             raise InputError(
                 f"config field 'fit_xmax': its envelope window (half-width "
                 f"{half:.6g}) must end by the last lattice node L/2 - L/N = "
                 f"{x0 + dx * (cfg.samples - 1):.9g}; got {cfg.fit_xmax}"
             )
+        try:
+            lambert_regressor(xg, cfg.sigma)
+        except DomainError as exc:
+            raise InputError(f"config field 'sigma': {exc} on the fit window "
+                             f"[{cfg.fit_xmin}, {cfg.fit_xmax}]; got {cfg.sigma}") from exc
 
 
 def _fit_grid(cfg: RunConfig) -> np.ndarray:
@@ -328,16 +324,12 @@ def stage_wavelet_artifacts(run: Run) -> list:
 
 
 def stage_verify_onw(run: Run) -> list:
-    cfg, wb, out = run.cfg, run.wb, run.out
-    gram = gram_matrix(
-        wb.ph,
-        m_range=(-cfg.gram_m, cfg.gram_m),
-        n_range=(-cfg.gram_n, cfg.gram_n),
-    )
+    wb, out = run.wb, run.out
+    gram = gram_matrix(wb.ph)
     gram_path = out / "gram.csv"
     write_csv(gram_path, ["m1", "n1", "m2", "n2", "re", "im"],
               [*gram.pairs, gram.values.real, gram.values.imag])
-    dy = dyadic_sum_check(wb.ph, m_window=cfg.dyadic_window)
+    dy = dyadic_sum_check(wb.ph)
     dy_path = out / "dyadic.csv"
     write_csv(dy_path, ["xi", "s"], [dy.xi, dy.s])
     comp = completeness_check(wb.ph)
@@ -363,10 +355,9 @@ def stage_decay_fit(run: Run) -> list:
     # gates as derivative_decay_check, on at least as many points
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
     rows += wb.lattices(
-        _parse_orders(cfg.deriv_orders),
+        DERIV_ORDERS,
         lambda n, lattice: derivative_decay_check(lattice, n, xg, table.window, cfg.sigma),
     )
-    growth = intercept_growth_fit(rows)
     run.report["decay_fit"] = {
         "h_fit": fit.h_fit,
         "h_stderr": fit.h_stderr,
@@ -382,23 +373,12 @@ def stage_decay_fit(run: Run) -> list:
              "r_squared": r.r_squared, "sup": r.sup}
             for r in rows
         ],
-        "intercept_growth": {
-            "log_c_ls": growth.log_c_ls,
-            "s_ls": growth.s_ls,
-            "log_c_at_s1": growth.log_c_at_s1,
-        },
     }
     return [env_path]
 
 
 def stage_mixed_audit(run: Run) -> list:
-    cfg, wb = run.cfg, run.wb
-    rep = mixed_bound_audit(
-        wb.fronts(range(cfg.mixed_q_max + 1)),
-        k_max=cfg.mixed_k_max,
-        q_max=cfg.mixed_q_max,
-        sigma=cfg.sigma,
-    )
+    rep = mixed_bound_audit(run.wb.fronts(range(MIXED_MAX + 1)), run.cfg.sigma)
     path = run.out / "mixed.csv"
     k, q = np.indices(rep.sup_table.shape)
     write_csv(path, ["k", "q", "sup"], [k.ravel(), q.ravel(), rep.sup_table.ravel()])
@@ -408,17 +388,6 @@ def stage_mixed_audit(run: Run) -> list:
         "log_b": rep.log_b,
     }
     return [path]
-
-
-def _parse_orders(spec: str) -> list:
-    try:
-        orders = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"config field 'deriv_orders': {spec!r} is not a comma list") from exc
-    if any(n < 1 or n > 12 for n in orders) or len(set(orders)) < len(orders):
-        raise InputError("config field 'deriv_orders': orders must be distinct "
-                         "and lie in [1, 12]")
-    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +450,17 @@ COMMANDS: Dict[str, Command] = {
     "verify-onw": Command(
         "Gram matrix, dyadic sum, completeness",
         _WAVELET + ("verify_onw",),
-        _LATTICE + ("gram_m", "gram_n", "dyadic_window"),
+        _LATTICE,
     ),
     "decay-fit": Command(
         "envelope extraction and Lambert-form regression",
         _WAVELET + ("decay_fit",),
-        _LATTICE + ("fit_xmin", "fit_xmax", "fit_points", "deriv_orders"),
+        _LATTICE + ("fit_xmin", "fit_xmax", "fit_points"),
     ),
     "mixed-audit": Command(
         "moment-derivative bound feasibility",
         _WAVELET + ("mixed_audit",),
-        _LATTICE + ("mixed_k_max", "mixed_q_max"),
+        _LATTICE,
     ),
     "all": Command("run every stage", tuple(STAGES), _LATTICE),
 }

@@ -135,10 +135,14 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
 def lambert_regressor(x, sigma: float):
     """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1.
 
-    For sigma near 1 the powers leave double precision: a T_sigma that is
-    not finite raises DomainError.
+    An x <= 1, where W(log x) <= 0, raises DomainError, and so does a
+    T_sigma that is not finite: for sigma near 1 the powers leave double
+    precision.
     """
-    lk = np.log(np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
+    if not np.all(xa > 1.0):
+        raise DomainError(f"T_sigma needs every x > 1; got {float(np.min(xa)):.6g}")
+    lk = np.log(xa)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = lk ** (sigma / (sigma - 1.0)) / lambert_w0(lk) ** (1.0 / (sigma - 1.0))
@@ -172,7 +176,8 @@ def moritoh_l(x, sigma: float):
     lx = np.log(np.asarray(x, dtype=float))
     if np.any(lx <= 0):
         raise DomainError("log comparator needs x > 1")
-    out = lx ** sigma
+    with np.errstate(over="ignore"):  # inf past double precision: x / l -> 0
+        out = lx ** sigma
     return float(out) if np.isscalar(x) else out
 
 

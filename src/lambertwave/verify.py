@@ -3,7 +3,8 @@ and the mixed moment-derivative bound audit.
 
 All operations are read-only over their inputs and deterministic; pairwise
 inner products reduce to scale-free integrals so equivalent pairs share one
-quadrature (bitwise-identical values by construction).  Each gate is the
+quadrature (bitwise-identical values by construction).  Each gate, and
+each extent (the Gram and dyadic windows, the mixed LP's orders), is the
 default of the function that checks it; the pipeline passes none.
 """
 
@@ -26,6 +27,7 @@ _BAND_QUAD = 2 ** 13 + 1  # trapezoid nodes across the positive band
 _TABLE_ROWS = 16  # rows n of the completeness quadrature table made at a time
 _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
+MIXED_MAX = 8  # the mixed LP's orders k, q <= MIXED_MAX: 81 rows
 
 
 # ---------------------------------------------------------------------------
@@ -502,35 +504,6 @@ def derivative_decay_check(
     return DerivativeDecayRow(n=n, h_fit=h, intercept=icpt, r_squared=r2, sup=sup)
 
 
-@dataclass
-class InterceptGrowthFit:
-    log_c_ls: float
-    s_ls: float
-    log_c_at_s1: float
-
-
-def intercept_growth_fit(rows: List[DerivativeDecayRow]) -> InterceptGrowthFit:
-    """Fit amplitude growth across derivative orders to (n+1) log C + s log n!.
-
-    The growth of the fitted amplitude C_n = exp(-intercept_n) relative to
-    n = 0 is regressed on the two-parameter form.  ``log_c_at_s1`` is the
-    least log C for which the s = 1 envelope bounds every row; the
-    least-squares s is reported as the shape estimate and is only
-    identifiable once the order ladder reaches n >= 4 or so.
-    """
-    rows = sorted(rows, key=lambda r: r.n)
-    if rows[0].n != 0:
-        raise InputError("intercept growth fit needs the n = 0 row")
-    ns = np.array([r.n for r in rows], dtype=float)
-    growth = np.array([rows[0].intercept - r.intercept for r in rows])
-    basis = np.vstack([ns + 1.0, [math.lgamma(k + 1.0) for k in ns]]).T
-    coef, *_ = np.linalg.lstsq(basis, growth, rcond=None)
-    log_c_ls, s_ls = float(coef[0]), float(coef[1])
-    lg = basis[:, 1]
-    log_c_at_s1 = float(np.max((growth - lg) / (ns + 1.0)))
-    return InterceptGrowthFit(log_c_ls=log_c_ls, s_ls=s_ls, log_c_at_s1=log_c_at_s1)
-
-
 # ---------------------------------------------------------------------------
 # Mixed moment-derivative bound audit
 # ---------------------------------------------------------------------------
@@ -545,9 +518,9 @@ class MixedBoundReport:
 
 def mixed_bound_audit(
     fronts: Iterable[Tuple[np.ndarray, np.ndarray]],
-    k_max: int,
-    q_max: int,
     sigma: float,
+    k_max: int = MIXED_MAX,
+    q_max: int = MIXED_MAX,
 ) -> MixedBoundReport:
     """Solve for constants (log C, log A, log B) with
 

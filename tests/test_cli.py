@@ -30,6 +30,7 @@ from lambertwave import (
     envelope_window,
 )
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
+from lambertwave.gevrey import lambert_regressor
 
 FAST = [
     "--freq-pow", "13",
@@ -148,12 +149,17 @@ def test_sigma_near_1_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["assoc-func", "all"])
 def test_sigma_overflowing_t_sigma_exits_2(tmp_path, capsys, command):
     # at sigma = 1.0001 the exponent 1/(sigma - 1) = 1e4 takes T_sigma past
-    # double precision in the associated-function stage
-    rc = main([command, "--sigma", "1.0001", "--out-dir", str(tmp_path)])
+    # double precision in the associated-function stage; all also runs the
+    # decay fit, whose T_sigma on the fit window is checked before any stage
+    out = tmp_path / "out"
+    rc = main([command, "--sigma", "1.0001", "--out-dir", str(out)])
     assert rc == 2
     assert "T_sigma overflows" in capsys.readouterr().err
+    if command == "all":
+        assert not out.exists()
+        return
     for name in ("report.json", "manifest.json"):
-        doc = json.loads((tmp_path / name).read_text())
+        doc = json.loads((out / name).read_text())
         assert doc["status"] == "error"
         assert doc["failing"]["stage"] == "assoc_func"
         assert doc["failing"]["exception"] == "DomainError"
@@ -183,9 +189,7 @@ def test_build_wavelet(tmp_path):
 
 def test_verify_onw(tmp_path):
     rc = main([
-        "verify-onw", *FAST, *FAST_SYNTH,
-        "--gram-m", "1", "--gram-n", "3",
-        "--out-dir", str(tmp_path),
+        "verify-onw", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path),
     ])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -196,17 +200,18 @@ def test_verify_onw(tmp_path):
     assert abs(v["completeness_ratio"] - 1.0) <= 1e-3
     header, rows = read_csv(tmp_path / "gram.csv")
     assert header == ["m1", "n1", "m2", "n2", "re", "im"]
-    n_members = 3 * 7
-    assert len(rows) == n_members * (n_members + 1) // 2
-    header, _ = read_csv(tmp_path / "dyadic.csv")
+    # the fixed window: m in [-2, 2], n in [-8, 8]
+    n_members = 5 * 17
+    assert len(rows) == n_members * (n_members + 1) // 2 == 3655
+    header, rows = read_csv(tmp_path / "dyadic.csv")
     assert header == ["xi", "s"]
+    assert len(rows) == 11 * 601  # 11 octaves of the band
 
 
 def test_decay_fit(tmp_path):
     rc = main([
         "decay-fit", *FAST, *FAST_SYNTH,
         "--fit-xmin", "100", "--fit-xmax", "12800", "--fit-points", "30",
-        "--deriv-orders", "1,2",
         "--out-dir", str(tmp_path),
     ])
     assert rc == 0
@@ -219,7 +224,7 @@ def test_decay_fit(tmp_path):
     assert row0["n"] == 0
     assert [row0[k] for k in ("h_fit", "intercept", "r_squared")] == [
         fit["h_fit"], fit["intercept"], fit["r_squared"]]
-    assert [r["n"] for r in fit["derivatives"]] == [0, 1, 2]
+    assert [r["n"] for r in fit["derivatives"]] == [0, *cli.DERIV_ORDERS]
     header, rows = read_csv(tmp_path / "envelope.csv")
     assert header == [
         "x", "env", "T_sigma", "lambert_bound", "gevrey2", "gevrey3",
@@ -228,17 +233,13 @@ def test_decay_fit(tmp_path):
 
 
 def test_mixed_audit(tmp_path):
-    rc = main([
-        "mixed-audit", *FAST, *FAST_SYNTH,
-        "--mixed-k-max", "3", "--mixed-q-max", "3",
-        "--out-dir", str(tmp_path),
-    ])
+    rc = main(["mixed-audit", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "pass"
     header, rows = read_csv(tmp_path / "mixed.csv")
     assert header == ["k", "q", "sup"]
-    assert len(rows) == 16
+    assert len(rows) == 81  # k, q <= 8
 
 
 @pytest.mark.parametrize("command, orders", [
@@ -332,18 +333,12 @@ OPTIONS = {
     "build-wavelet": {
         **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
     },
-    "verify-onw": {
-        **LATTICE, "--gram-m": "gram_m", "--gram-n": "gram_n",
-        "--dyadic-window": "dyadic_window", **COMMON,
-    },
+    "verify-onw": {**LATTICE, **COMMON},
     "decay-fit": {
         **LATTICE, "--fit-xmin": "fit_xmin", "--fit-xmax": "fit_xmax",
-        "--fit-points": "fit_points", "--deriv-orders": "deriv_orders", **COMMON,
+        "--fit-points": "fit_points", **COMMON,
     },
-    "mixed-audit": {
-        **LATTICE, "--mixed-k-max": "mixed_k_max", "--mixed-q-max": "mixed_q_max",
-        **COMMON,
-    },
+    "mixed-audit": {**LATTICE, **COMMON},
     "all": {**LATTICE, **COMMON},
 }
 
@@ -376,13 +371,15 @@ def test_subcommand_options_and_fields():
 
 # five were config-file-only fields, now constants; profile_cutoff went
 # with the sampled ramp profile, moll_base with the analytic base bump, and
-# grid_pow and moll_cutoff with the sampled cascade build; the last seven
-# set certificate gates and class weights, now fixed in verify
+# grid_pow and moll_cutoff with the sampled cascade build; the next seven
+# set certificate gates and class weights, now fixed in verify, and the
+# last six certificate extents, now fixed next to their checks
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
     "grid_pow", "moll_cutoff", "gram_tol", "dyadic_tol", "completeness_tol",
-    "r2_min", "env_floor", "mixed_s", "mixed_tau",
+    "r2_min", "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
+    "dyadic_window", "deriv_orders", "mixed_k_max", "mixed_q_max",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -399,11 +396,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
     ("points", 7.5),           # non-integral float for an int
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
-    ("deriv_orders", 5),       # number for a string
-    ("deriv_orders", "1,x"),   # unparsable order list
-    ("gram_m", -1),            # empty Gram window
-    ("gram_n", -1),
-    ("dyadic_window", 0),      # no dyadic terms
+    ("moll_out", 5),           # number for a string
 ])
 def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
@@ -417,10 +410,6 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
 
 @pytest.mark.parametrize("command, args, field", [
     ("lambert-table", ["--xmin", "0"], "xmin"),  # log spacing is the default
-    ("verify-onw", ["--dyadic-window", "2000"], "dyadic_window"),
-    ("verify-onw", ["--dyadic-window", "31"], "dyadic_window"),
-    ("verify-onw", ["--gram-n", "100000"], "gram_n"),
-    ("verify-onw", ["--gram-m", "0", "--gram-n", "512"], "gram_n"),
     # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
     ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
                    "--fit-xmax", "70000"], "fit_xmax"),
@@ -433,8 +422,12 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("lambert-table", ["--points", str(10 ** 30)], "points"),
     ("assoc-func", ["--kpoints", str(10 ** 30)], "kpoints"),
     ("decay-fit", ["--fit-points", str(10 ** 30)], "fit_points"),
-    # each order pair costs a lattice transform: no order twice
-    ("decay-fit", ["--deriv-orders", "1,1"], "deriv_orders"),
+    # T_sigma on the fit window: W(log x) <= 0 from x = 1, and past double
+    # precision near sigma = 1; each once exited 2 inside the decay-fit
+    # stage, after psi.csv was written, naming an overflow or W's domain
+    ("decay-fit", ["--fit-xmin", "1", "--fit-xmax", "1000"], "fit_xmin"),
+    ("decay-fit", ["--fit-xmin", "1e-300"], "fit_xmin"),
+    ("decay-fit", ["--sigma", "1.000001"], "sigma"),
     # 2^sigma or log M_2 = tau 2^sigma log 2 past double precision: once an
     # OverflowError in the cascade walk, or numpy overflow warnings
     ("build-mollifier", ["--sigma", "1100"], "sigma"),
@@ -442,11 +435,10 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("assoc-func", ["--tau", "1e308"], "tau"),
     ("assoc-func", ["--sigma", "1e308"], "sigma"),
     ("assoc-func", ["--sigma", "1100"], "sigma"),
-], ids=["xmin-0", "dyadic-window-2000", "dyadic-window-31", "gram-n-100000",
-        "gram-members-1025", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
+], ids=["xmin-0", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
         "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
-        "deriv-orders-repeated", "moll-sigma-1100", "all-sigma-1100", "tau-1e308",
-        "sigma-1e308", "sigma-1100"])
+        "fit-xmin-1", "fit-xmin-1e-300", "fit-sigma-1.000001", "moll-sigma-1100",
+        "all-sigma-1100", "tau-1e308", "sigma-1e308", "sigma-1100"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -489,10 +481,10 @@ def test_fit_window_check_is_decay_envelopes():
 
 
 def test_config_ranges_admit_their_ends():
-    for cfg in (RunConfig(dyadic_window=30), RunConfig(gram_m=0, gram_n=511),
-                RunConfig(gram_m=2, gram_n=101), RunConfig(xmin=0.0, log=False),
-                RunConfig(samples=2 ** 24), RunConfig(moll_out="c.csv")):
-        cli._validate(cfg)
+    for cfg in (RunConfig(xmin=0.0, log=False), RunConfig(samples=2 ** 24),
+                RunConfig(moll_out="c.csv"),
+                RunConfig(fit_xmin=math.nextafter(1.0, 2.0))):
+        cli._validate(cfg, ("decay_fit",))
 
 
 @pytest.mark.parametrize("samples", [2 ** 24 + 2, 2 ** 40])
@@ -572,6 +564,40 @@ def test_fuzzed_table_argvs_exit_cleanly(argv):
             man = json.loads((out / "manifest.json").read_text())
             assert (out / "report.json").exists()
             assert man["exit_code"] == rc
+
+
+_EDGE = st.sampled_from(["1", "1.000001", "1.0001", "1e-300", "5e-324", "0.5"])
+
+
+def _fit_flag(name, in_range):
+    return st.tuples(st.just(name), st.one_of(in_range.map(str), _EDGE, _HUGE_OR_BAD))
+
+
+_FIT_ARGVS = st.lists(st.one_of(
+    _fit_flag("--sigma", st.one_of(st.floats(1.0, 1.01), st.floats(1.01, 1000.0))),
+    _fit_flag("--fit-xmin", st.floats(1e-3, 1e3)),
+    _fit_flag("--fit-xmax", st.floats(1e3, 1e5)),
+    _fit_flag("--fit-points", st.integers(30, 2 ** 12)),
+), max_size=4).map(lambda fl: ["decay-fit"] + [t for f in fl for t in f])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_FIT_ARGVS)
+def test_fuzzed_decay_fit_argvs_validate_or_fit(argv):
+    # the validation path alone, no lattice: a config either is refused
+    # with an InputError, or gives a finite T_sigma on its fit grid, warning
+    # free (tier-1 turns a RuntimeWarning into an error)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a value argparse cannot parse
+        assert exc.code == 2
+        return
+    try:
+        cfg = cli.resolve_config(args)
+        cli._validate(cfg, cli.COMMANDS["decay-fit"].stages)
+    except InputError:
+        return
+    assert np.all(np.isfinite(lambert_regressor(cli._fit_grid(cfg), cfg.sigma)))
 
 
 def test_lattice_size_checked_before_the_band_is_sampled(tmp_path, monkeypatch):
@@ -669,11 +695,14 @@ def test_manifest_echoes_full_config(tmp_path):
     assert rc == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
-    # every field is recorded, and no certificate gate is a field
+    # every field is recorded, and no certificate gate is a field, nor any
+    # extent but the decay fit's window
     assert set(cfg) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert len(cfg) == 25
+    assert len(cfg) == 19
     assert not {"gram_tol", "dyadic_tol", "completeness_tol", "r2_min",
-                "env_floor", "mixed_s", "mixed_tau"} & set(cfg)
+                "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
+                "dyadic_window", "deriv_orders", "mixed_k_max",
+                "mixed_q_max"} & set(cfg)
     assert cfg["points"] == 5
 
 
@@ -701,14 +730,9 @@ def test_all_reruns_byte_identical(tmp_path):
 def _fast_all_config(tmp_path):
     cfg = tmp_path / "fast_all.json"
     cfg.write_text(json.dumps({
-        "gram_m": 1,
-        "gram_n": 3,
         "fit_xmin": 100.0,
         "fit_xmax": 12800.0,
         "fit_points": 30,
-        "deriv_orders": "1,2",
-        "mixed_k_max": 3,
-        "mixed_q_max": 3,
         "kpoints": 20,
         "points": 50,
     }))
@@ -728,10 +752,7 @@ def test_build_mollifier_out_name(tmp_path):
 def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     # the real Gram check, gated far below its fixed 1e-7, fails through main
     monkeypatch.setattr(cli, "gram_matrix", functools.partial(cli.gram_matrix, tol=1e-16))
-    rc = main([
-        "verify-onw", *FAST, *FAST_SYNTH,
-        "--gram-m", "1", "--gram-n", "2", "--out-dir", str(tmp_path),
-    ])
+    rc = main(["verify-onw", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "gram deviation exceeds 1.0e-16" in capsys.readouterr().err
     # the failing assertion path lands in the manifest

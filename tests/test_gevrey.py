@@ -286,3 +286,23 @@ def test_moritoh_and_envelopes():
     env = comparison_envelopes(np.array([math.exp(math.e)]), 2.0)
     assert sorted(env) == ["exp", "gevrey2", "gevrey3", "moritoh"]
     assert env["gevrey2"][0] == pytest.approx(math.exp(math.e / 2.0), rel=1e-12)
+
+
+def test_moritoh_saturates_past_double_precision():
+    # log(3e4)^310 is past the largest double: the comparator saturates to
+    # inf, with no overflow warning, and x / l -> 0 reads exp(-0) = 1
+    x = np.array([1e2, 3e4])
+    assert moritoh_l(x, 310.0)[1] == math.inf
+    env = comparison_envelopes(x, 310.0)
+    assert env["moritoh"][1] == 0.0
+    assert np.exp(-env["moritoh"][1]) == 1.0
+    assert math.isfinite(moritoh_l(1e2, 310.0))
+
+
+def test_regressor_domain_names_its_cause():
+    # W(log x) <= 0 for x <= 1: once reported as an overflow, or as W's domain
+    for x in (1.0, 0.5, 1e-300, float("nan")):
+        with pytest.raises(DomainError, match="x > 1"):
+            gevrey.lambert_regressor(np.array([x, 1e2]), 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        gevrey.lambert_regressor(np.array([1e2]), 1.000001)
