@@ -397,6 +397,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
     ("moll_out", 5),           # number for a string
+    # once fields whose bad values failed their type or range check; the
+    # fields are gone, and a config naming them still exits 2, as an
+    # unknown key, before any stage
+    ("deriv_orders", 5),
+    ("deriv_orders", "1,x"),
+    ("gram_m", -1),
+    ("gram_n", -1),
+    ("dyadic_window", 0),
 ])
 def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
