@@ -34,7 +34,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DomainError, ResolutionError
-from .grids import GridFunction, GridSpec, abs_max
+from .grids import GridFunction, abs_max
 
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per pass of the band fold and the periodization check
@@ -350,9 +350,9 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 
 @dataclass
 class WaveletBuild:
-    """Everything the verification stages need, built in one shot; the
-    owner of the wavelet's derivative lattices (``lattices``) and of their
-    moment fronts (``fronts``).
+    """Everything the verification stages need, built in one shot, and no
+    artifact's grid; the owner of the wavelet's derivative lattices
+    (``lattices``) and of their moment fronts (``fronts``).
 
     The derivative lattices are synthesized two orders per transform,
     paired in the order a stage asks for them; whole lattices (N samples
@@ -360,8 +360,6 @@ class WaveletBuild:
     """
 
     sigma: float
-    a: float
-    freq: GridSpec  # frequency grid of the psi_hat.csv artifact
     ph: BellEvaluator
     synthesis: LatticeSynthesis
     L: float
@@ -413,11 +411,10 @@ class WaveletBuild:
 def build_wavelet(
     sigma: float = 2.0,
     a: float = np.pi / 6.0,
-    freq_pow: int = 16,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
 ) -> WaveletBuild:
-    """Build the bell evaluator and its certified lattice synthesis.
+    """The wavelet alone: the bell evaluator and its certified synthesis.
 
     The ramps are those of one cone of the cutoff cascade, its widest
     factor a_1 = 1/4 (for sigma > 1.297, where N_1 = 1): deeper factors
@@ -426,14 +423,9 @@ def build_wavelet(
     any depth.  ``sigma`` is carried for the stages that read it; the
     wavelet does not depend on it.
     """
-    band = 2.0 * (np.pi + a) + 1.0
-    nfreq = 2 ** freq_pow
-    freq = GridSpec(-band, 2.0 * band / nfreq, nfreq + 1)
     ph = BellEvaluator(a)
     return WaveletBuild(
         sigma=sigma,
-        a=a,
-        freq=freq,
         ph=ph,
         synthesis=synthesize_psi_lattice(ph, L=L, N=N),
         L=L,

@@ -5,7 +5,8 @@ declare every stage and subcommand once: a subcommand runs its stages in
 order, and its flags are named and typed by the ``RunConfig`` fields they
 set.  The config sets what is built, never a certificate's gate, and of
 a certificate's extents only the decay fit's window: each gate and every
-other extent is fixed next to the check that reads it.
+other extent is fixed next to the check that reads it, and each
+artifact's extent and name next to the stage that writes it.
 Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
@@ -49,6 +50,7 @@ from .grids import GridSpec
 from .lambert import lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
+    FIT_SPAN_MIN,
     MIXED_MAX,
     DerivativeDecayRow,
     completeness_check,
@@ -64,9 +66,6 @@ from .verify import (
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
 AUDIT_N_MAX = 8  # highest derivative order of the mollifier bound audit
 DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
-# the CSV files the stages write under fixed names; moll_out may name none
-STAGE_CSVS = ("lambert_table.csv", "assoc_func.csv", "psi_hat.csv", "psi.csv",
-              "gram.csv", "dyadic.csv", "envelope.csv", "mixed.csv")
 
 
 @dataclass
@@ -74,7 +73,6 @@ class RunConfig:
     # construction
     sigma: float = 2.0
     a: float = math.pi / 6.0
-    freq_pow: int = 16
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
     # verification: the decay fit's window
@@ -90,29 +88,22 @@ class RunConfig:
     kmin: float = 1e3
     kmax: float = 1e12
     kpoints: int = 40
-    psi_xmax: float = 512.0
     # io
     out_dir: str = ""
-    moll_out: str = "phi.csv"
 
 
 def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     """InputError for the first config field out of its range; whether the
-    fit window's envelopes stay on the lattice and T_sigma stays finite on
-    it is checked only when one of ``stages`` reads it."""
+    fit window spans two decades, stays on the lattice and keeps T_sigma
+    finite is checked only when one of ``stages`` reads it."""
     checks = [
         ("sigma", 1.0 < cfg.sigma < SIGMA_MAX,
          f"must lie in (1, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
-        ("a", 0.0 < cfg.a < math.pi / 3.0,
-         f"must lie in (0, pi/3 = {math.pi / 3.0:.16g})"),
-        ("freq_pow", 10 <= cfg.freq_pow <= 24, "must lie in [10, 24]"),
+        ("a", 0.0 < cfg.a / 4.0 and cfg.a < math.pi / 3.0,
+         f"must lie in (0, pi/3 = {math.pi / 3.0:.16g}), with a/4 > 0"),
         ("period", cfg.period > 0, "must be positive"),
         ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
          "must be even and lie in [2^12, 2^24]"),
-        ("moll_out", Path(cfg.moll_out).name == cfg.moll_out
-         and cfg.moll_out.endswith(".csv") and len(cfg.moll_out) > 4
-         and cfg.moll_out not in STAGE_CSVS,
-         f"must be a bare file name ending in .csv, none of {', '.join(STAGE_CSVS)}"),
         ("points", 2 <= cfg.points <= 2 ** 20, "must lie in [2, 2^20]"),
         ("kpoints", 20 <= cfg.kpoints <= 2 ** 16, "must lie in [20, 2^16]"),
         ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
@@ -127,19 +118,21 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("kmax", 1e14 >= cfg.kmax > cfg.kmin, "must lie in (kmin, 1e14]"),
         ("fit_xmin", cfg.fit_xmin > 1.0, "must exceed 1, where W(log x) > 0"),
         ("fit_xmax", cfg.fit_xmax > cfg.fit_xmin, "must exceed fit_xmin"),
-        ("psi_xmax", cfg.psi_xmax > 0, "must be positive"),
     ]
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
     if "decay_fit" in stages:
+        xg = _fit_grid(cfg)
+        if xg[-1] / xg[0] < FIT_SPAN_MIN:  # fit_decay's rule, every point usable
+            raise InputError(f"config field 'fit_xmax': must reach {FIT_SPAN_MIN:g} fit_xmin, "
+                             f"the decay fit's 2 decades; got {cfg.fit_xmax}")
         # decay_envelope's bound on the lattice x0 = -L/2, dx = L/N; a window
         # that starts before x0 at fit_xmin also ends past the last node, and
-        # one past double precision in cells is past it too
+        # one past double precision in cells (or L/N = 0) is past it too
         half = envelope_window(BellEvaluator(cfg.a)) / 2.0
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
-        xg = _fit_grid(cfg)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             last = np.ceil((xg[-1] + half - x0) / dx)
         if last >= cfg.samples:
             raise InputError(
@@ -247,7 +240,7 @@ def stage_assoc_func(run: Run) -> list:
 def stage_build_mollifier(run: Run) -> list:
     cfg, out = run.cfg, run.out
     build = build_mollifier(cfg.sigma, GridSpec.symmetric(1.5, 17))
-    phi_path = out / cfg.moll_out
+    phi_path = out / "phi.csv"
     write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
     # the audit needs three factors; with fewer kept it is skipped
     n_audit = max(0, min(AUDIT_N_MAX, len(build.scales) - 2))
@@ -267,7 +260,7 @@ def stage_build_mollifier(run: Run) -> list:
         "tau_eff": audit.tau_eff if audit else None,
         "log_c_fit": audit.log_c_fit if audit else None,
     }
-    prov_path = out / (Path(cfg.moll_out).stem + ".provenance.json")
+    prov_path = out / "phi.provenance.json"
     write_json(prov_path, prov)
     run.report["mollifier"] = {
         "mass": build.phi.integral(),
@@ -283,35 +276,40 @@ def stage_build_wavelet(run: Run) -> list:
     run.wb = build_wavelet(
         sigma=cfg.sigma,
         a=cfg.a,
-        freq_pow=cfg.freq_pow,
         L=cfg.period,
         N=cfg.samples,
     )
     return []
 
 
+PSI_HAT_POW = 16  # psi_hat.csv: 2^16 + 1 frequencies over +-(2(pi + a) + 1)
+PSI_XMAX = 512.0  # psi.csv: the lattice samples with |x| <= 512
+
+
 def stage_wavelet_artifacts(run: Run) -> list:
-    cfg, wb, out = run.cfg, run.wb, run.out
-    xi = wb.freq.points()
+    wb, out = run.wb, run.out
+    band = 2.0 * (np.pi + wb.ph.a) + 1.0
+    freq = GridSpec(-band, 2.0 * band / 2 ** PSI_HAT_POW, 2 ** PSI_HAT_POW + 1)
+    xi = freq.points()
     ph = wb.ph.psi_hat_at(xi)
     ph_path = out / "psi_hat.csv"
     write_csv(ph_path, ["xi", "re", "im"], [xi, ph.real, ph.imag])
     grid = wb.synthesis.grid
     x = grid.x()
-    keep = np.abs(x) <= cfg.psi_xmax
+    keep = np.abs(x) <= PSI_XMAX
     psi_path = out / "psi.csv"
     write_csv(psi_path, ["x", "psi"], [x[keep], grid.values[keep]])
     man = {
         "sigma": wb.sigma,
-        "a": wb.a,
-        "freq_grid": {"xi0": wb.freq.x0, "dxi": wb.freq.dx, "n": wb.freq.n},
+        "a": wb.ph.a,
+        "freq_grid": {"xi0": freq.x0, "dxi": freq.dx, "n": freq.n},
         "lattice": {"period": wb.L, "samples": wb.N, "dx": wb.L / wb.N},
         "support": [-wb.ph.band[1], wb.ph.band[1]],
         "l2_norm": wb.synthesis.l2_norm,
         "imag_max": wb.synthesis.imag_max,
         "periodization_diff": wb.synthesis.periodization_diff,
         "ramp_half_width": wb.ph.ramp_half_width,
-        "psi_csv_xmax": cfg.psi_xmax,
+        "psi_csv_xmax": PSI_XMAX,
     }
     man_path = out / "wavelet_manifest.json"
     write_json(man_path, man)
@@ -420,7 +418,7 @@ class Command:
 
 
 _WAVELET = ("build_wavelet", "wavelet_artifacts")
-_LATTICE = ("sigma", "a", "freq_pow", "samples", "period")
+_LATTICE = ("sigma", "a", "samples", "period")
 
 COMMANDS: Dict[str, Command] = {
     "lambert-table": Command(
@@ -434,18 +432,16 @@ COMMANDS: Dict[str, Command] = {
         "associated function exact/asymptotic table",
         ("assoc_func",),
         ("tau", "sigma", "kmin", "kmax", "kpoints"),
-        (("--points", "kpoints", {"help": "alias for --kpoints"}),),
     ),
     "build-mollifier": Command(
         "convolution-cascade cutoff + provenance",
         ("build_mollifier",),
         ("sigma",),
-        (("--out", "moll_out", {"help": "cutoff CSV file name, in the output directory"}),),
     ),
     "build-wavelet": Command(
         "bell, transform, and lattice synthesis",
         _WAVELET,
-        _LATTICE + ("psi_xmax",),
+        _LATTICE,
     ),
     "verify-onw": Command(
         "Gram matrix, dyadic sum, completeness",
@@ -527,7 +523,6 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
                 "python": sys.version.split()[0],
             },
             "grids": {
-                "freq_pow": cfg.freq_pow,
                 "period": cfg.period,
                 "samples": cfg.samples,
             },
@@ -595,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for command, spec in COMMANDS.items():
-        p = sub.add_parser(command, help=spec.help)
+        # never abbreviated: a removed --out must not pass for --out-dir
+        p = sub.add_parser(command, help=spec.help, allow_abbrev=False)
         for name in spec.flags:
             _add_flag(p, f"--{name.replace('_', '-')}", name)
         for option, name, kw in spec.aliases:

@@ -27,6 +27,7 @@ _BAND_QUAD = 2 ** 13 + 1  # trapezoid nodes across the positive band
 _TABLE_ROWS = 16  # rows n of the completeness quadrature table made at a time
 _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
+FIT_SPAN_MIN = 99.0  # least x_last / x_first of the decay fit's usable points: 2 decades
 MIXED_MAX = 8  # the mixed LP's orders k, q <= MIXED_MAX: 81 rows
 
 
@@ -378,8 +379,8 @@ def fit_decay(
 ) -> DecayFitReport:
     """Regress -log env on the Lambert-form regressor and audit the shape.
 
-    Requires >= 30 usable points spanning >= 2 decades.  Gates: positive
-    slope and r^2 >= ``r2_min``.  The monotone-ratio shape checks run where
+    Gates: >= 30 usable points spanning >= 2 decades (``FIT_SPAN_MIN``), a
+    positive slope and r^2 >= ``r2_min``.  The monotone-ratio shape checks run where
     adjacent envelope windows are disjoint (overlapping windows can capture
     the same peak twice, flattening the ratio artificially): -log env grows
     faster than any multiple of log x (ratio increasing) yet slower than
@@ -389,9 +390,9 @@ def fit_decay(
     xs = table.x[table.usable]
     env = table.env[table.usable]
     if len(xs) < 30:
-        raise InputError(f"need >= 30 usable envelope points, got {len(xs)}")
-    if xs[-1] / xs[0] < 99.0:
-        raise InputError(
+        raise VerificationError(f"need >= 30 usable envelope points, got {len(xs)}")
+    if xs[-1] / xs[0] < FIT_SPAN_MIN:
+        raise VerificationError(
             f"usable points span {np.log10(xs[-1] / xs[0]):.2f} decades, need >= 2"
         )
     y = -np.log(env)
@@ -483,7 +484,7 @@ def derivative_decay_check(
     r2_min: float = _R2_MIN,
 ) -> DerivativeDecayRow:
     """Envelope regression for the n-th derivative, sampled on ``lattice``;
-    slope must be positive.
+    it needs >= 10 usable points, a positive slope and r^2 >= ``r2_min``.
 
     The floor scales with the derivative's sup so the relative noise floor
     matches the synthesis accuracy.
@@ -495,7 +496,7 @@ def derivative_decay_check(
     xs = table.x[table.usable]
     y = -np.log(table.env[table.usable])
     if len(xs) < 10:
-        raise InputError(f"too few usable envelope points for n={n}")
+        raise VerificationError(f"too few usable envelope points for n={n}")
     h, icpt, r2, _, _ = _regress_on_t(xs, y, sigma)
     if h <= 0:
         raise VerificationError(f"derivative n={n}: slope {h:.4f} not positive")

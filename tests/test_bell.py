@@ -1,5 +1,6 @@
 """Bell structure, wavelet transform, synthesis, and point evaluation."""
 
+import dataclasses
 import math
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from lambertwave import (
     BellEvaluator,
     DomainError,
+    GridSpec,
     ResolutionError,
     eval_psi_point,
     inner_product,
@@ -18,6 +20,9 @@ from lambertwave import (
 A = math.pi / 6.0
 HALF_PI = math.pi / 2.0
 W = A / 4.0  # half-width of theta_a's cone: the cascade's a_1 = 1/4, dilated by A
+# the frequencies of psi_hat.csv: 2^16 + 1 over the band, widened by 1
+_BAND = 2.0 * (math.pi + A) + 1.0
+FREQ = GridSpec(-_BAND, 2.0 * _BAND / 2 ** 16, 2 ** 16 + 1)
 
 
 def test_theta_clamps_and_center(wavelet):
@@ -118,7 +123,7 @@ def test_bell_domain_errors():
 
 
 def test_psi_hat_modulus_and_zero(wavelet):
-    xi = wavelet.freq.points()
+    xi = FREQ.points()
     b_abs = np.abs(wavelet.ph.bell_at(xi))
     assert np.max(np.abs(np.abs(wavelet.ph.psi_hat_at(xi)) - b_abs)) <= 1e-15
     assert wavelet.ph.psi_hat_at(np.array([0.0]))[0] == 0.0
@@ -211,7 +216,7 @@ def test_point_eval_symmetry_and_errors(wavelet):
 
 def test_member_spectrum_identity_and_support(wavelet):
     ph = wavelet.ph
-    xi = wavelet.freq.points()
+    xi = FREQ.points()
     assert np.array_equal(ph.psi_hat_at(xi, m=0, n=0), ph.psi_hat_at(xi))
     # member (2, 3) on the base grid scaled by 4 is 2^{-1} e^{3 i xi} psi_hat(xi)
     # (the scaling by 4 is exact), nonzero only inside the dyadic band
@@ -235,7 +240,7 @@ def test_member_norm_preserved(wavelet):
 
 def test_derivative_spectrum(wavelet):
     ph = wavelet.ph
-    xi = wavelet.freq.points()
+    xi = FREQ.points()
     assert np.array_equal(ph.psi_hat_at(xi, q=0), ph.psi_hat_at(xi))
     at_pi = ph.psi_hat_at(np.array([math.pi]), q=1)[0]
     expect = -1j * math.pi * ph.psi_hat_at(np.array([math.pi]))[0]
@@ -249,8 +254,8 @@ def test_derivative_spectrum(wavelet):
 def test_derivative_sup_bandwidth_bound(wavelet, lattice_cache):
     # sup |psi^(q)| <= max|xi|^q * (1/2pi) Int b  (band-limited growth)
     band = 2.0 * (math.pi + A)
-    b = wavelet.ph.bell_at(wavelet.freq.points())
-    b_l1 = np.trapezoid(np.abs(b), dx=wavelet.freq.dx)
+    b = wavelet.ph.bell_at(FREQ.points())
+    b_l1 = np.trapezoid(np.abs(b), dx=FREQ.dx)
     cap = b_l1 / (2.0 * math.pi)
     for q in (1, 2, 4, 8):
         sup = lattice_cache[q].sup()
@@ -355,7 +360,8 @@ def test_build_wavelet_profile_flags(wavelet):
     # wavelet does not depend on sigma
     assert wavelet.ph.ramp_half_width == A / 4.0
     assert not hasattr(wavelet, "master")
-    xi = wavelet.freq.points()
+    assert not {"freq", "a"} & {f.name for f in dataclasses.fields(wavelet)}
+    xi = FREQ.points()
     assert np.array_equal(BellEvaluator(A).psi_hat_at(xi), wavelet.ph.psi_hat_at(xi))
 
 

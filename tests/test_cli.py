@@ -26,15 +26,14 @@ from lambertwave import (
     ResolutionError,
     VerificationError,
     cli,
+    EnvelopeTable,
     decay_envelope,
     envelope_window,
+    fit_decay,
 )
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
 from lambertwave.gevrey import lambert_regressor
 
-FAST = [
-    "--freq-pow", "13",
-]
 FAST_SYNTH = [
     "--period", str(2.0 ** 18),
     "--samples", str(2 ** 20),
@@ -66,7 +65,7 @@ def test_lambert_table(tmp_path):
 def test_assoc_func(tmp_path):
     rc = main([
         "assoc-func", "--tau", "1", "--sigma", "2",
-        "--kmin", "1e3", "--kmax", "1e9", "--points", "25",
+        "--kmin", "1e3", "--kmax", "1e9", "--kpoints", "25",
         "--out-dir", str(tmp_path),
     ])
     assert rc == 0
@@ -166,30 +165,33 @@ def test_sigma_overflowing_t_sigma_exits_2(tmp_path, capsys, command):
 
 
 def test_build_wavelet(tmp_path):
-    rc = main([
-        "build-wavelet", *FAST, *FAST_SYNTH,
-        "--psi-xmax", "64", "--out-dir", str(tmp_path),
-    ])
+    rc = main(["build-wavelet", *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
     man = json.loads((tmp_path / "wavelet_manifest.json").read_text())
     assert abs(man["l2_norm"] - 1.0) <= 1e-8
     assert man["imag_max"] <= 1e-12
+    # the fixed extents: 2^16 + 1 frequencies over +-(2(pi + a) + 1), and
+    # the lattice samples with |x| <= 512 (dx = 1/4 here)
+    band = 2.0 * (math.pi + math.pi / 6.0) + 1.0
+    assert man["freq_grid"] == {"xi0": -band, "dxi": 2.0 * band / 2 ** 16, "n": 2 ** 16 + 1}
+    assert man["psi_csv_xmax"] == 512.0
     header, rows = read_csv(tmp_path / "psi_hat.csv")
     assert header == ["xi", "re", "im"]
+    assert len(rows) == 2 ** 16 + 1
     header, rows = read_csv(tmp_path / "psi.csv")
     assert header == ["x", "psi"]
     xs = [float(r[0]) for r in rows]
-    assert max(abs(x) for x in xs) <= 64.0
+    assert (xs[0], xs[-1], len(xs)) == (-512.0, 512.0, 4 * 1024 + 1)
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
     assert "wavelet_artifacts" in timings
     # no cutoff grid is built, so none is recorded
     report = json.loads((tmp_path / "report.json").read_text())
-    assert "grid_pow" not in report["grids"]
+    assert set(report["grids"]) == {"period", "samples"}
 
 
 def test_verify_onw(tmp_path):
     rc = main([
-        "verify-onw", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path),
+        "verify-onw", *FAST_SYNTH, "--out-dir", str(tmp_path),
     ])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -210,7 +212,7 @@ def test_verify_onw(tmp_path):
 
 def test_decay_fit(tmp_path):
     rc = main([
-        "decay-fit", *FAST, *FAST_SYNTH,
+        "decay-fit", *FAST_SYNTH,
         "--fit-xmin", "100", "--fit-xmax", "12800", "--fit-points", "30",
         "--out-dir", str(tmp_path),
     ])
@@ -233,7 +235,7 @@ def test_decay_fit(tmp_path):
 
 
 def test_mixed_audit(tmp_path):
-    rc = main(["mixed-audit", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
+    rc = main(["mixed-audit", *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "pass"
@@ -263,7 +265,7 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counting)
-    rc = main([command, *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
+    rc = main([command, *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
     made = [q for q, _, _ in calls] + [q2 for _, q2, _ in calls if q2 is not None]
     assert sorted(made) == list(orders)
@@ -280,7 +282,7 @@ def test_invalid_a_exits_2(tmp_path, capsys):
 
 def test_odd_samples_exits_2(tmp_path, capsys):
     # an odd lattice has no node at x = 0: every sample would be mislabelled
-    rc = main(["build-wavelet", *FAST, "--samples", str(2 ** 14 + 1),
+    rc = main(["build-wavelet", "--samples", str(2 ** 14 + 1),
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "'samples'" in capsys.readouterr().err
@@ -316,8 +318,7 @@ def test_cli_import_leaves_out_scipy_signal():
 
 
 LATTICE = {
-    "--sigma": "sigma", "--a": "a", "--freq-pow": "freq_pow",
-    "--samples": "samples", "--period": "period",
+    "--sigma": "sigma", "--a": "a", "--samples": "samples", "--period": "period",
 }
 COMMON = {"--config": "config", "--out-dir": "out_dir"}
 OPTIONS = {
@@ -327,12 +328,10 @@ OPTIONS = {
     },
     "assoc-func": {
         "--tau": "tau", "--sigma": "sigma", "--kmin": "kmin", "--kmax": "kmax",
-        "--kpoints": "kpoints", "--points": "kpoints", **COMMON,
+        "--kpoints": "kpoints", **COMMON,
     },
-    "build-mollifier": {"--sigma": "sigma", "--out": "moll_out", **COMMON},
-    "build-wavelet": {
-        **LATTICE, "--psi-xmax": "psi_xmax", **COMMON,
-    },
+    "build-mollifier": {"--sigma": "sigma", **COMMON},
+    "build-wavelet": {**LATTICE, **COMMON},
     "verify-onw": {**LATTICE, **COMMON},
     "decay-fit": {
         **LATTICE, "--fit-xmin": "fit_xmin", "--fit-xmax": "fit_xmax",
@@ -372,14 +371,16 @@ def test_subcommand_options_and_fields():
 # five were config-file-only fields, now constants; profile_cutoff went
 # with the sampled ramp profile, moll_base with the analytic base bump, and
 # grid_pow and moll_cutoff with the sampled cascade build; the next seven
-# set certificate gates and class weights, now fixed in verify, and the
-# last six certificate extents, now fixed next to their checks
+# set certificate gates and class weights, now fixed in verify, the next
+# six certificate extents, now fixed next to their checks, and the last
+# three an artifact's extent or name, now fixed next to its stage
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
     "grid_pow", "moll_cutoff", "gram_tol", "dyadic_tol", "completeness_tol",
     "r2_min", "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
     "dyadic_window", "deriv_orders", "mixed_k_max", "mixed_q_max",
+    "freq_pow", "psi_xmax", "moll_out",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -392,14 +393,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("freq_pow", "17"),        # string for an int
     ("points", 7.5),           # non-integral float for an int
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
-    ("moll_out", 5),           # number for a string
     # once fields whose bad values failed their type or range check; the
     # fields are gone, and a config naming them still exits 2, as an
     # unknown key, before any stage
+    ("freq_pow", "17"),        # was a string for an int
+    ("moll_out", 5),           # was a number for a string
     ("deriv_orders", 5),
     ("deriv_orders", "1,x"),
     ("gram_m", -1),
@@ -421,11 +422,11 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
     ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
                    "--fit-xmax", "70000"], "fit_xmax"),
-    # the cutoff CSV is a bare .csv name in the output directory: not a
-    # path, not empty, and not the name of report.json
-    ("build-mollifier", ["--out", "sub/phi.csv"], "moll_out"),
-    ("build-mollifier", ["--out", ""], "moll_out"),
-    ("build-mollifier", ["--out", "report.json"], "moll_out"),
+    # the cutoff CSV was named by --out; its name is fixed now, and a
+    # config naming it, {key: value} here, exits 2 as an unknown key
+    ("build-mollifier", [{"moll_out": "sub/phi.csv"}], "moll_out"),
+    ("build-mollifier", [{"moll_out": ""}], "moll_out"),
+    ("build-mollifier", [{"moll_out": "report.json"}], "moll_out"),
     # table sizes are capped: each was a ValueError from numpy at 10^30
     ("lambert-table", ["--points", str(10 ** 30)], "points"),
     ("assoc-func", ["--kpoints", str(10 ** 30)], "kpoints"),
@@ -436,6 +437,15 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("decay-fit", ["--fit-xmin", "1", "--fit-xmax", "1000"], "fit_xmin"),
     ("decay-fit", ["--fit-xmin", "1e-300"], "fit_xmin"),
     ("decay-fit", ["--sigma", "1.000001"], "sigma"),
+    # under fit_decay's two decades: once exited 2 inside the decay-fit
+    # stage, after psi.csv, psi_hat.csv and wavelet_manifest.json
+    ("decay-fit", ["--fit-xmin", "100", "--fit-xmax", "200"], "fit_xmax"),
+    ("decay-fit", ["--fit-xmax", "9000"], "fit_xmax"),
+    # L/N underflows to 0: once a divide-by-zero warning in _validate
+    ("all", ["--period", "5e-324"], "fit_xmax"),
+    # the ramp half-width a/4 underflows to 0: once a ZeroDivisionError in
+    # _validate, and non-finite samples in build-wavelet
+    ("all", ["--a", "5e-324"], "a"),
     # 2^sigma or log M_2 = tau 2^sigma log 2 past double precision: once an
     # OverflowError in the cascade walk, or numpy overflow warnings
     ("build-mollifier", ["--sigma", "1100"], "sigma"),
@@ -445,7 +455,9 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("assoc-func", ["--sigma", "1100"], "sigma"),
 ], ids=["xmin-0", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
         "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
-        "fit-xmin-1", "fit-xmin-1e-300", "fit-sigma-1.000001", "moll-sigma-1100",
+        "fit-xmin-1", "fit-xmin-1e-300", "fit-sigma-1.000001", "fit-span-0.3-decades",
+        "fit-span-1.95-decades", "period-5e-324", "a-5e-324",
+        "moll-sigma-1100",
         "all-sigma-1100", "tau-1e308", "sigma-1e308", "sigma-1100"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
@@ -454,8 +466,16 @@ def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "build_wavelet", built)
     monkeypatch.setattr(cli, "build_mollifier", built)
+    argv = [command]
+    for arg in args:
+        if isinstance(arg, dict):  # a config file's content
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(arg))
+            argv += ["--config", str(config)]
+        else:
+            argv.append(arg)
     out = tmp_path / "out"
-    rc = main([command, *args, "--out-dir", str(out)])
+    rc = main([*argv, "--out-dir", str(out)])
     assert rc == 2
     assert f"'{field}'" in capsys.readouterr().err
     assert not out.exists()
@@ -463,8 +483,9 @@ def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypat
 
 def test_fit_window_check_is_decay_envelopes():
     # around the largest admitted fit_xmax, _validate rejects exactly the
-    # configs whose envelope window decay_envelope finds off the lattice
-    cfg = RunConfig(period=4096.0, samples=4096)
+    # configs whose envelope window decay_envelope finds off the lattice;
+    # fit_xmin = 10 keeps the window over fit_decay's two decades
+    cfg = RunConfig(period=4096.0, samples=4096, fit_xmin=10.0)
     window = envelope_window(lambertwave.BellEvaluator(cfg.a))
     half = window / 2.0
     lattice = lambertwave.GridFunction(-2048.0, 1.0, np.zeros(4096))
@@ -488,9 +509,57 @@ def test_fit_window_check_is_decay_envelopes():
     assert verdicts == {True, False}
 
 
+def test_fit_window_span_check_is_fit_decays():
+    # around the least admitted fit_xmax, _validate rejects exactly the
+    # windows whose points, every one usable, fit_decay finds under two
+    # decades; the envelope is exp(-T_sigma), a fit no other gate rejects
+    cfg = RunConfig()
+    edge = 99.0 * cfg.fit_xmin
+    verdicts = set()
+    for fit_xmax in (edge - 0.5, np.nextafter(edge, 0.0), edge,
+                     np.nextafter(edge, np.inf), edge + 0.5):
+        cfg.fit_xmax = float(fit_xmax)
+        xg = cli._fit_grid(cfg)
+        env = np.exp(-lambert_regressor(xg, cfg.sigma))
+        table = EnvelopeTable(x=xg, env=env, usable=np.ones(len(xg), bool),
+                              window=1.0, dropped=0)
+        try:
+            fit_decay(table, cfg.sigma)
+            fits = True
+        except VerificationError as exc:
+            assert "decades" in str(exc)
+            fits = False
+        verdicts.add(fits)
+        cli._validate(cfg)  # the check is for commands that run decay_fit
+        if fits:
+            cli._validate(cfg, ("decay_fit",))
+        else:
+            with pytest.raises(InputError, match="'fit_xmax'.*2 decades"):
+                cli._validate(cfg, ("decay_fit",))
+    assert verdicts == {True, False}
+
+
+def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
+    # 29 usable points of 30 is a numeric limit of the wavelet, not a usage
+    # error: the fit fails (exit 1), and both JSON files record it
+    def sparse(lattice, x_grid, window, **kw):
+        table = decay_envelope(lattice, x_grid, window, **kw)
+        table.usable[29:] = False
+        return table
+
+    monkeypatch.setattr(cli, "decay_envelope", sparse)
+    rc = main(["decay-fit", *FAST_SYNTH, "--fit-points", "30",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "need >= 30 usable envelope points, got 29" in capsys.readouterr().err
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (man["exit_code"], man["status"], report["status"]) == (1, "fail", "fail")
+    assert man["failing"]["stage"] == "decay_fit"
+
+
 def test_config_ranges_admit_their_ends():
     for cfg in (RunConfig(xmin=0.0, log=False), RunConfig(samples=2 ** 24),
-                RunConfig(moll_out="c.csv"),
                 RunConfig(fit_xmin=math.nextafter(1.0, 2.0))):
         cli._validate(cfg, ("decay_fit",))
 
@@ -519,18 +588,16 @@ def test_table_sizes_capped_before_any_allocation(monkeypatch, field, cap):
 
 
 def test_moll_out_naming_another_artifact_exits_2_writing_nothing(tmp_path, capsys):
-    # this run would pass, with psi.csv holding psi and the cutoff lost
+    # once this run would pass, with psi.csv holding psi and the cutoff
+    # lost; the cutoff is always phi.csv now, and moll_out an unknown key
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"moll_out": "psi.csv"}))
     out = tmp_path / "out"
     rc = main(["all", "--config", str(config), "--samples", str(2 ** 19),
                "--period", str(2.0 ** 17), "--a", "0.9", "--out-dir", str(out)])
     assert rc == 2
-    assert "'moll_out'" in capsys.readouterr().err
+    assert "unknown key 'moll_out'" in capsys.readouterr().err
     assert not out.exists()
-    for name in cli.STAGE_CSVS:
-        with pytest.raises(InputError, match="'moll_out'"):
-            cli._validate(RunConfig(moll_out=name))
 
 
 _HUGE_OR_BAD = st.sampled_from(["1e30", str(10 ** 30), "1e308", "-1", "-1e300", "0",
@@ -554,7 +621,6 @@ _FUZZ_ARGVS = st.one_of(
         _flag("--kmin", st.floats(1e2, 1e6)),
         _flag("--kmax", st.floats(1e6, 1e14)),
         _flag("--kpoints", st.integers(20, 40)),
-        _flag("--points", st.integers(20, 40)),
     ), max_size=4).map(lambda fl: ["assoc-func"] + [t for f in fl for t in f]),
 )
 
@@ -606,6 +672,39 @@ def test_fuzzed_decay_fit_argvs_validate_or_fit(argv):
     except InputError:
         return
     assert np.all(np.isfinite(lambert_regressor(cli._fit_grid(cfg), cfg.sigma)))
+
+
+_LATTICE_ARGVS = st.tuples(
+    st.sampled_from(["build-wavelet", "verify-onw", "mixed-audit", "all"]),
+    st.lists(st.one_of(
+        _fit_flag("--sigma", st.floats(1.0, 1100.0)),
+        _fit_flag("--a", st.floats(0.0, 1.1)),
+        _fit_flag("--samples", st.integers(2 ** 11, 2 ** 25)),
+        _fit_flag("--period", st.floats(1.0, 2.0 ** 30)),
+    ), max_size=4),
+).map(lambda c: [c[0]] + [t for f in c[1] for t in f])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_LATTICE_ARGVS)
+def test_fuzzed_lattice_argvs_validate_or_refuse(argv):
+    # the wavelet subcommands' lattice flags on the validation path alone:
+    # argparse's exit 2, an InputError, or a config _validate passes, with
+    # no other exception and no warning (tier-1 turns a RuntimeWarning into
+    # an error); no stage runs
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a value argparse cannot parse
+        assert exc.code == 2
+        return
+    try:
+        cfg = cli.resolve_config(args)
+        cli._validate(cfg, cli.COMMANDS[argv[0]].stages)
+    except InputError:
+        return
+    assert 1.0 < cfg.sigma and 0.0 < cfg.a < math.pi / 3.0
+    assert cfg.samples % 2 == 0 and 2 ** 12 <= cfg.samples <= 2 ** 24
+    assert 0.0 < cfg.period < math.inf
 
 
 def test_lattice_size_checked_before_the_band_is_sampled(tmp_path, monkeypatch):
@@ -660,16 +759,17 @@ def test_every_stage_exit_leaves_both_json_files(tmp_path, monkeypatch, exc, cod
 
 def test_int_for_float_field_matches_flag_spelling(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"psi_xmax": 64, "sigma": 2}))
-    args = ["build-wavelet", *FAST, *FAST_SYNTH]
+    cfg.write_text(json.dumps({"period": 2 ** 18, "sigma": 2}))
+    args = ["build-wavelet", "--samples", str(2 ** 20)]
     out1, out2 = tmp_path / "file", tmp_path / "flags"
     assert main(args + ["--config", str(cfg), "--out-dir", str(out1)]) == 0
-    assert main(args + ["--psi-xmax", "64", "--sigma", "2", "--out-dir", str(out2)]) == 0
+    assert main(args + ["--period", str(2 ** 18), "--sigma", "2",
+                        "--out-dir", str(out2)]) == 0
     for name in ("report.json", "psi.csv", "wavelet_manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     man = json.loads((out1 / "manifest.json").read_text())
     assert isinstance(man["config"]["sigma"], float)
-    assert isinstance(man["config"]["psi_xmax"], float)
+    assert isinstance(man["config"]["period"], float)
 
 
 def test_config_precedence(tmp_path):
@@ -704,19 +804,19 @@ def test_manifest_echoes_full_config(tmp_path):
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
     # every field is recorded, and no certificate gate is a field, nor any
-    # extent but the decay fit's window
+    # extent but the decay fit's window, nor any artifact's extent or name
     assert set(cfg) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert len(cfg) == 19
+    assert len(cfg) == 16
     assert not {"gram_tol", "dyadic_tol", "completeness_tol", "r2_min",
                 "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
                 "dyadic_window", "deriv_orders", "mixed_k_max",
-                "mixed_q_max"} & set(cfg)
+                "mixed_q_max", "freq_pow", "psi_xmax", "moll_out"} & set(cfg)
     assert cfg["points"] == 5
 
 
 def test_all_reruns_byte_identical(tmp_path):
     args = [
-        "all", *FAST, *FAST_SYNTH,
+        "all", *FAST_SYNTH,
         "--config", str(_fast_all_config(tmp_path)),
     ]
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -729,9 +829,11 @@ def test_all_reruns_byte_identical(tmp_path):
     r1 = json.loads((out1 / "report.json").read_text())
     r2 = json.loads((out2 / "report.json").read_text())
     assert r1 == r2
-    # STAGE_CSVS names every other CSV an all run writes
+    # each CSV an all run writes, under its fixed name
     man = json.loads((out1 / "manifest.json").read_text())
-    assert {n for n in man["artifacts"] if n.endswith(".csv")} == {"phi.csv", *cli.STAGE_CSVS}
+    assert {n for n in man["artifacts"] if n.endswith(".csv")} == {
+        "lambert_table.csv", "assoc_func.csv", "phi.csv", "psi_hat.csv", "psi.csv",
+        "gram.csv", "dyadic.csv", "envelope.csv", "mixed.csv"}
     assert "grid_pow" not in r1["grids"]  # the cutoff grid is fixed
 
 
@@ -747,20 +849,25 @@ def _fast_all_config(tmp_path):
     return cfg
 
 
-def test_build_mollifier_out_name(tmp_path):
-    rc = main([
-        "build-mollifier", "--sigma", "2", "--out", "cutoff.csv",
-        "--out-dir", str(tmp_path),
-    ])
+def test_build_mollifier_out_name(tmp_path, capsys):
+    # the cutoff's name is fixed: --out is no flag, nor an abbreviation of
+    # --out-dir, so it cannot make cutoff.csv the output directory
+    out = tmp_path / "out"
+    rc = main(["build-mollifier", "--sigma", "2", "--out", "cutoff.csv",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert "unrecognized arguments: --out cutoff.csv" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["build-mollifier", "--sigma", "2", "--out-dir", str(out)])
     assert rc == 0
-    assert (tmp_path / "cutoff.csv").exists()
-    assert (tmp_path / "cutoff.provenance.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "phi.csv", "phi.provenance.json", "report.json"]
 
 
 def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     # the real Gram check, gated far below its fixed 1e-7, fails through main
     monkeypatch.setattr(cli, "gram_matrix", functools.partial(cli.gram_matrix, tol=1e-16))
-    rc = main(["verify-onw", *FAST, *FAST_SYNTH, "--out-dir", str(tmp_path)])
+    rc = main(["verify-onw", *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "gram deviation exceeds 1.0e-16" in capsys.readouterr().err
     # the failing assertion path lands in the manifest

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lambertwave import (
     BellEvaluator,
+    EnvelopeTable,
     GridFunction,
     InputError,
     VerificationError,
@@ -195,15 +196,41 @@ def test_fit_decay_gates_and_shapes(wavelet, fit_grid):
     assert anchor[0] == pytest.approx(math.e ** 2)
 
 
+def _lambert_table(x, n_usable):
+    """An envelope exp(-T_2) on ``x``, a fit no slope or r^2 gate rejects,
+    with only its first ``n_usable`` points above the floor."""
+    usable = np.arange(len(x)) < n_usable
+    return EnvelopeTable(x=x, env=np.exp(-lambert_regressor(x, 2.0)), usable=usable,
+                         window=1.0, dropped=int(np.sum(~usable)))
+
+
 def test_fit_decay_input_gates(wavelet, fit_grid):
+    # too few usable points, or too short a span of them, is a numeric
+    # limit of the wavelet above the floor: the fit fails (exit 1)
+    fit_decay(_lambert_table(fit_grid, 36), 2.0)
+    for table, match in (
+        (_lambert_table(fit_grid, 29), "need >= 30 usable envelope points, got 29"),
+        (_lambert_table(np.logspace(2, 2.5, 40), 40), "span 0.50 decades"),
+        # 48 points over 2 decades, the last 12 under the floor
+        (_lambert_table(np.logspace(2, 4, 48), 36), "span 1.49 decades"),
+    ):
+        with pytest.raises(VerificationError, match=match):
+            fit_decay(table, 2.0)
+    # and so on the wavelet: its first 10 fit points, all above the floor
     window = envelope_window(wavelet.ph)
     table = decay_envelope(wavelet.synthesis.grid, fit_grid[:10], window)
-    with pytest.raises(InputError):
+    assert table.dropped == 0
+    with pytest.raises(VerificationError, match="got 10"):
         fit_decay(table, wavelet.sigma)
-    narrow = np.logspace(2, 2.5, 40)
-    table2 = decay_envelope(wavelet.synthesis.grid, narrow, window)
-    with pytest.raises(InputError):
-        fit_decay(table2, wavelet.sigma)
+
+
+def test_derivative_decay_under_the_floor_fails():
+    # a lattice whose envelope sits under the floor everywhere leaves no
+    # usable point: a verification failure, not a usage error
+    lattice = GridFunction(-2048.0, 1.0, np.full(4096, 1e-18))
+    xg = np.logspace(2, 3, 30)
+    with pytest.raises(VerificationError, match="too few usable envelope points for n=1"):
+        derivative_decay_check(lattice, 1, xg, 4.0, 2.0)
 
 
 def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
