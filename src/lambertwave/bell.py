@@ -63,8 +63,8 @@ class BellEvaluator:
     """
 
     def __init__(self, a: float):
-        if not (0.0 < a < np.pi / 3.0):
-            raise DomainError(f"half-width a must lie in (0, pi/3), got {a}")
+        if not (0.0 < a / 4.0 and a < np.pi / 3.0):  # w = a/4 must not underflow
+            raise DomainError(f"half-width a must lie in (0, pi/3), with a/4 > 0, got {a}")
         self.a = a
         self.band = (np.pi - a, 2.0 * (np.pi + a))
         self.ramp_half_width = a / 4.0

@@ -5,8 +5,9 @@ declare every stage and subcommand once: a subcommand runs its stages in
 order, and its flags are named and typed by the ``RunConfig`` fields they
 set.  The config sets what is built, never a certificate's gate, and of
 a certificate's extents only the decay fit's window: each gate and every
-other extent is fixed next to the check that reads it, and each
-artifact's extent and name next to the stage that writes it.
+other extent is a constant of the module that checks it, and the stages
+pass data only.  Each artifact's extent and name is fixed next to the
+stage that writes it.
 Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
@@ -45,7 +46,7 @@ from .errors import (
     ResolutionError,
     VerificationError,
 )
-from .gevrey import SIGMA_MAX, SequenceParams, assoc_t_exact, lambert_regressor, log_m2
+from .gevrey import SIGMA_MAX, SIGMA_MIN, SequenceParams, assoc_t_exact, lambert_regressor, log_m2
 from .grids import GridSpec
 from .lambert import lambert_w0, w_bounds_check
 from .mollifier import build_mollifier, derivative_bound_audit
@@ -61,10 +62,10 @@ from .verify import (
     fit_decay,
     gram_matrix,
     mixed_bound_audit,
+    window_indices,
 )
 
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
-AUDIT_N_MAX = 8  # highest derivative order of the mollifier bound audit
 DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
 
 
@@ -97,8 +98,8 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     fit window spans two decades, stays on the lattice and keeps T_sigma
     finite is checked only when one of ``stages`` reads it."""
     checks = [
-        ("sigma", 1.0 < cfg.sigma < SIGMA_MAX,
-         f"must lie in (1, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
+        ("sigma", SIGMA_MIN <= cfg.sigma < SIGMA_MAX,
+         f"must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
         ("a", 0.0 < cfg.a / 4.0 and cfg.a < math.pi / 3.0,
          f"must lie in (0, pi/3 = {math.pi / 3.0:.16g}), with a/4 > 0"),
         ("period", cfg.period > 0, "must be positive"),
@@ -127,19 +128,17 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         if xg[-1] / xg[0] < FIT_SPAN_MIN:  # fit_decay's rule, every point usable
             raise InputError(f"config field 'fit_xmax': must reach {FIT_SPAN_MIN:g} fit_xmin, "
                              f"the decay fit's 2 decades; got {cfg.fit_xmax}")
-        # decay_envelope's bound on the lattice x0 = -L/2, dx = L/N; a window
-        # that starts before x0 at fit_xmin also ends past the last node, and
-        # one past double precision in cells (or L/N = 0) is past it too
-        half = envelope_window(BellEvaluator(cfg.a)) / 2.0
+        # decay_envelope's windows on the synthesis lattice x0 = -L/2, dx = L/N
+        window = envelope_window(BellEvaluator(cfg.a))
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
-        with np.errstate(over="ignore", divide="ignore"):
-            last = np.ceil((xg[-1] + half - x0) / dx)
-        if last >= cfg.samples:
+        try:
+            window_indices(xg, window, GridSpec(x0, dx, cfg.samples))
+        except InputError as exc:
             raise InputError(
-                f"config field 'fit_xmax': its envelope window (half-width "
-                f"{half:.6g}) must end by the last lattice node L/2 - L/N = "
+                f"config field 'fit_xmax': {exc}: each window (half-width "
+                f"{window / 2.0:.6g}) must end by the last lattice node L/2 - L/N = "
                 f"{x0 + dx * (cfg.samples - 1):.9g}; got {cfg.fit_xmax}"
-            )
+            ) from exc
         try:
             lambert_regressor(xg, cfg.sigma)
         except DomainError as exc:
@@ -242,9 +241,7 @@ def stage_build_mollifier(run: Run) -> list:
     build = build_mollifier(cfg.sigma, GridSpec.symmetric(1.5, 17))
     phi_path = out / "phi.csv"
     write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
-    # the audit needs three factors; with fewer kept it is skipped
-    n_audit = max(0, min(AUDIT_N_MAX, len(build.scales) - 2))
-    audit = derivative_bound_audit(build, n_audit) if n_audit else None
+    audit = derivative_bound_audit(build)
     prov = {
         "sigma": cfg.sigma,
         "thresholds": build.thresholds,
@@ -255,10 +252,10 @@ def stage_build_mollifier(run: Run) -> list:
         "discarded_tail_mass": build.discarded_tail_mass,
         "bounds_table": [
             {"n": r.n, "measured": r.measured, "bound": r.bound, "ratio": r.ratio}
-            for r in (audit.rows if audit else [])
+            for r in audit.rows
         ],
-        "tau_eff": audit.tau_eff if audit else None,
-        "log_c_fit": audit.log_c_fit if audit else None,
+        "tau_eff": audit.tau_eff,
+        "log_c_fit": audit.log_c_fit,
     }
     prov_path = out / "phi.provenance.json"
     write_json(prov_path, prov)
@@ -266,7 +263,7 @@ def stage_build_mollifier(run: Run) -> list:
         "mass": build.phi.integral(),
         "evenness": build.evenness,
         "trunc_index": build.trunc_index,
-        "audit_n_max": n_audit,
+        "audit_n_max": audit.n_max,
     }
     return [phi_path, prov_path]
 

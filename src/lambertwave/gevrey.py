@@ -19,6 +19,7 @@ from .lambert import lambert_w0
 
 _E = float(np.e)
 _P_CAP = 200000  # the associated function's argmax must lie at or below _P_CAP - 3
+SIGMA_MIN = 1.0 + 1e-12  # sigma = 1, the Gevrey scale, and just above it are excluded
 SIGMA_MAX = 1024.0  # below it 2^sigma, the p^sigma of p = 2, is a finite double
 
 
@@ -40,8 +41,8 @@ class SequenceParams:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise DomainError(f"tau must be positive, got {self.tau}")
-        if not 1.0 + 1e-12 <= self.sigma < SIGMA_MAX:
-            raise DomainError(f"sigma must lie in (1, {SIGMA_MAX:g}), got {self.sigma}")
+        if not SIGMA_MIN <= self.sigma < SIGMA_MAX:
+            raise DomainError(f"sigma must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), got {self.sigma}")
         if not math.isfinite(log_m2(self.tau, self.sigma)):
             raise DomainError(
                 f"log M_2 = tau 2^sigma log 2 overflows at tau = {self.tau}, "

@@ -65,10 +65,6 @@ class GridFunction:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def x_end(self) -> float:
-        return self.x0 + self.dx * (self.n - 1)
-
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 

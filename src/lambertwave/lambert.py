@@ -71,8 +71,6 @@ class WBoundsReport:
     upper: np.ndarray
     lower_slack: np.ndarray
     upper_slack: np.ndarray
-    min_lower_slack: float
-    min_upper_slack: float
 
 
 def w_bounds_check(x_grid) -> WBoundsReport:
@@ -96,6 +94,4 @@ def w_bounds_check(x_grid) -> WBoundsReport:
         upper=upper,
         lower_slack=w - lower,
         upper_slack=upper - w,
-        min_lower_slack=float(np.min(w - lower)),
-        min_upper_slack=float(np.min(upper - w)),
     )

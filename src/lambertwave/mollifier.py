@@ -38,7 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DomainError, InputError, ResolutionError, VerificationError
-from .gevrey import SIGMA_MAX, first_index
+from .gevrey import SIGMA_MAX, SIGMA_MIN, first_index
 from .grids import GridFunction, GridSpec, abs_max
 
 _TAIL_FLOOR = 1e-30
@@ -46,6 +46,7 @@ _M_MAX = 8  # blocks whose thresholds fix the cascade scales
 _CHUNK = 2 ** 16  # block terms summed per numpy call
 _P_MAX = 2 ** 27  # cap on the index where a block's terms reach the floor
 _PRODUCTS = 2 ** 18  # scale-by-bin sinc^2 factors formed per numpy call
+AUDIT_N_MAX = 8  # highest derivative order of the bound audit
 # -log of 2^-1075, half the least subnormal double: a product below it
 # rounds to 0
 _UNDERFLOW = 1075.0 * math.log(2.0)
@@ -94,8 +95,8 @@ def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
     N_m - 1, clamped to N_m <= N_{m+1}; the same terms on [N_m, N_{m+1})
     (block 8: up to its floor index) are block m's scales.  A scale below
     the cutoff goes into the discarded sums, save a_{N_1}, always kept."""
-    if not 1.0 < sigma < SIGMA_MAX:  # p^(sigma - 1) stays finite up to p = 2
-        raise DomainError(f"sigma must lie in (1, {SIGMA_MAX:g}), got {sigma}")
+    if not SIGMA_MIN <= sigma < SIGMA_MAX:  # p^(sigma - 1) stays finite up to p = 2
+        raise DomainError(f"sigma must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), got {sigma}")
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise InputError(f"cutoff must be positive, got {cutoff}")
     thresholds, kept, p_end = [], [], 0
@@ -243,13 +244,17 @@ class DerivativeAuditRow:
 
 @dataclass(frozen=True)
 class DerivativeAuditReport:
+    n_max: int                  # highest order audited; 0 when none is
     rows: tuple
     log_c_fit: Optional[float]  # envelope constant of the growth-shape fit
     tau_eff: Optional[float]    # fitted effective tau; None below n_max = 3
 
 
-def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAuditReport:
-    """Certify measured derivative sups against the factor-product bounds.
+def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
+    """Certify measured derivative sups against the factor-product bounds,
+    for n = 0..n_max, n_max = min(``AUDIT_N_MAX``, retained factors - 2):
+    each bound differentiates n factors after the first, and the audit
+    needs three factors.  With fewer it returns no rows and no fit.
 
     For each n the bound anchors one undifferentiated factor in sup norm and
     differentiates the n largest-scale factors after the first:
@@ -263,13 +268,9 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
     shifts the constant up to an envelope, reporting the effective tau; it
     needs n_max >= 3.
     """
-    if n_max > 12:
-        raise InputError(f"n_max is capped at 12, got {n_max}")
-    if len(build.scales) - 1 <= n_max:
-        raise InputError(
-            f"need more than {n_max} factors after the first; retained "
-            f"{len(build.scales)} total"
-        )
+    n_max = min(AUDIT_N_MAX, len(build.scales) - 2)
+    if n_max <= 0:
+        return DerivativeAuditReport(0, (), None, None)
     period, dx = build.phi.n - 1, build.phi.dx
     omega = 2.0 * np.pi * np.fft.rfftfreq(period, dx)
     bounds = np.cumprod(np.concatenate([[1.0 / build.scales[0]],
@@ -288,7 +289,7 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
         rows.append(DerivativeAuditRow(q, measured, bound, measured / bound))
 
     if n_max < 3:  # two coefficients need two orders n >= 2
-        return DerivativeAuditReport(rows=tuple(rows), log_c_fit=None, tau_eff=None)
+        return DerivativeAuditReport(n_max, tuple(rows), None, None)
     ns = np.arange(2, n_max + 1, dtype=float)
     y = np.log([r.measured for r in rows[2:]])
     basis = np.vstack([ns ** build.sigma, ns ** build.sigma * np.log(ns)]).T
@@ -297,4 +298,4 @@ def derivative_bound_audit(build: MollifierBuild, n_max: int) -> DerivativeAudit
     # shift log C so the fitted form is a true envelope over the audited range
     resid = y - basis @ coef
     log_c += float(np.max(resid / ns ** build.sigma))
-    return DerivativeAuditReport(rows=tuple(rows), log_c_fit=log_c, tau_eff=tau_eff)
+    return DerivativeAuditReport(n_max, tuple(rows), log_c, tau_eff)

@@ -4,8 +4,9 @@ and the mixed moment-derivative bound audit.
 All operations are read-only over their inputs and deterministic; pairwise
 inner products reduce to scale-free integrals so equivalent pairs share one
 quadrature (bitwise-identical values by construction).  Each gate, and
-each extent (the Gram and dyadic windows, the mixed LP's orders), is the
-default of the function that checks it; the pipeline passes none.
+each extent (the Gram and dyadic windows, the mixed LP's orders), is a
+module constant read by the function that checks it: the functions take
+their data and nothing else.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from .grids import GridFunction
 
 _BAND_QUAD = 2 ** 13 + 1  # trapezoid nodes across the positive band
 _TABLE_ROWS = 16  # rows n of the completeness quadrature table made at a time
+_GRAM_M = (-2, 2)  # the Gram window's scales m ...
+_GRAM_N = (-8, 8)  # ... and translations n: 85 members, 3,655 pairs
+_GRAM_TOL = 1e-7  # largest Gram deviation from the identity
+_DYADIC_M = 6  # the dyadic sum runs over the scales |m| <= _DYADIC_M
+_DYADIC_TOL = 1e-9  # largest deviation of the dyadic sum from 1
+_COMPLETENESS_TOL = 1e-3  # largest deviation of the energy ratio from 1
+_COMPLETENESS_CAP = 256  # most translations a completeness scale may need
 _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
 FIT_SPAN_MIN = 99.0  # least x_last / x_first of the decay fit's usable points: 2 decades
@@ -68,25 +76,21 @@ class GramReport:
     values: np.ndarray
 
 
-def gram_matrix(
-    ph: BellEvaluator,
-    m_range: Tuple[int, int] = (-2, 2),
-    n_range: Tuple[int, int] = (-8, 8),
-    tol: float = 1e-7,
-) -> GramReport:
-    """All pairwise member inner products over the index window, for the
-    members ordered by (m, n) and each pair once, the first member no later
-    than the second.
+def gram_matrix(ph: BellEvaluator) -> GramReport:
+    """All pairwise member inner products over the index window m in
+    ``_GRAM_M``, n in ``_GRAM_N``, for the members ordered by (m, n) and
+    each pair once, the first member no later than the second.
 
     Scale pairs two or more octaves apart have disjoint frequency bands and
     are exactly zero.  Same-scale values depend only on the translation
     difference and adjacent-scale values only on 2*n1 - n2 (exact identities
     under the scale-free substitution), so each distinct value is computed
-    once.  Breaching ``tol`` raises VerificationError naming the worst pair.
+    once.  A deviation from the identity above ``_GRAM_TOL`` raises
+    VerificationError naming the worst pair.
     """
     a = ph.a
-    m_lo, m_hi = m_range
-    n_lo, n_hi = n_range
+    m_lo, m_hi = _GRAM_M
+    n_lo, n_hi = _GRAM_N
     n_count = n_hi - n_lo + 1
 
     # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du at d = n2 - n1 >= 0; the
@@ -128,10 +132,10 @@ def gram_matrix(
     max_diag = float(np.max(dev[diag]))
     max_off = float(np.max(dev[~diag], initial=0.0))
     k = int(np.argmax(dev))
-    if dev[k] > tol:
+    if dev[k] > _GRAM_TOL:
         worst = ((int(m1[k]), int(n1[k])), (int(m2[k]), int(n2[k])), float(dev[k]))
         raise VerificationError(
-            f"gram deviation exceeds {tol:.1e}: pair {worst[0]} / {worst[1]} "
+            f"gram deviation exceeds {_GRAM_TOL:.1e}: pair {worst[0]} / {worst[1]} "
             f"at {worst[2]:.3e}",
             detail=worst,
         )
@@ -153,11 +157,10 @@ class DyadicReport:
 def dyadic_sum_check(
     ph: BellEvaluator,
     xi_grid: Optional[np.ndarray] = None,
-    m_window: int = 6,
-    tol: float = 1e-9,
 ) -> DyadicReport:
-    """s(xi) = sum_{|m| <= window} |psi_hat(2^m xi)|^2 must equal 1 on the
-    covered dyadic range (xi = 0 is excluded: the sum vanishes there)."""
+    """s(xi) = sum_{|m| <= _DYADIC_M} |psi_hat(2^m xi)|^2 must equal 1 to
+    ``_DYADIC_TOL`` on the covered dyadic range (xi = 0 is excluded: the
+    sum vanishes there)."""
     a = ph.a
     if xi_grid is None:
         base = np.linspace(np.pi - a + 1e-3, 2.0 * (np.pi + a) - 1e-3, 601)
@@ -166,10 +169,10 @@ def dyadic_sum_check(
     if np.any(np.abs(xi_grid) < 1e-9):
         raise InputError("dyadic grid must avoid xi = 0")
     s = np.zeros_like(xi_grid)
-    for m in range(-m_window, m_window + 1):
+    for m in range(-_DYADIC_M, _DYADIC_M + 1):
         s += ph.bell_at(2.0 ** m * xi_grid) ** 2
     max_dev = float(np.max(np.abs(s - 1.0)))
-    if max_dev > tol:
+    if max_dev > _DYADIC_TOL:
         i = int(np.argmax(np.abs(s - 1.0)))
         raise VerificationError(
             f"dyadic sum deviates by {max_dev:.3e} at xi = {xi_grid[i]:.6f}",
@@ -178,16 +181,17 @@ def dyadic_sum_check(
     return DyadicReport(xi=xi_grid, s=s, max_dev=max_dev)
 
 
-def gaussian_spectrum(center: float = 4.0, width: float = 1.0,
-                      band: Tuple[float, float] = (1.0, 10.0)) -> Callable:
-    """Truncated Gaussian test spectrum (even, real: a real-valued signal)."""
+def gaussian_spectrum() -> Callable:
+    """The completeness check's test spectrum: the Gaussian of centre 4 and
+    width 1 on the band 1 <= |xi| <= 10, 0 off it (even, real: a real-valued
+    signal)."""
 
     def fhat(xi):
         ax = np.abs(np.asarray(xi, dtype=float))
-        out = np.exp(-((ax - center) ** 2) / (2.0 * width ** 2))
-        return np.where((ax >= band[0]) & (ax <= band[1]), out, 0.0).astype(complex)
+        out = np.exp(-((ax - 4.0) ** 2) / 2.0)
+        return np.where((ax >= 1.0) & (ax <= 10.0), out, 0.0).astype(complex)
 
-    fhat.band = band
+    fhat.band = (1.0, 10.0)
     return fhat
 
 
@@ -217,15 +221,15 @@ def _increments(gs: np.ndarray, gd: np.ndarray, pref: float, rows: Callable):
 def completeness_check(
     ph: BellEvaluator,
     f_hat: Optional[Callable] = None,
-    target_tol: float = 1e-3,
-    n_cap: int = 256,
 ) -> CompletenessReport:
     """Recovered energy fraction sum |<f, member>|^2 / ||f||^2 over the
-    scales |m| <= 4.
+    scales |m| <= 4, for f the ``gaussian_spectrum`` unless ``f_hat`` is
+    given.
 
     Translations are added symmetrically until the partial sums move by less
-    than 1e-5 (relative).  A scale that passes ``n_cap`` translations first,
-    or a ratio outside 1 +- ``target_tol``, raises VerificationError.
+    than 1e-5 (relative).  A scale that passes ``_COMPLETENESS_CAP``
+    translations first, or a ratio outside 1 +- ``_COMPLETENESS_TOL``,
+    raises VerificationError.
 
     The coefficients are trapezoid sums over the band nodes u.  The
     quadrature table e^{-inu} = cos nu - i sin nu does not depend on the
@@ -270,18 +274,18 @@ def completeness_check(
             if n > 8 and inc < 1e-5 * f_energy:
                 break
             n += 1
-            if n > n_cap:
+            if n > _COMPLETENESS_CAP:
                 raise VerificationError(
                     f"completeness at scale m = {m} has not converged after the "
-                    f"cap of {n_cap} translations", detail=m,
+                    f"cap of {_COMPLETENESS_CAP} translations", detail=m,
                 )
         n_used[m] = n
         total += ssum
 
     ratio = total / f_energy
-    if abs(ratio - 1.0) > target_tol:
+    if abs(ratio - 1.0) > _COMPLETENESS_TOL:
         raise VerificationError(
-            f"energy ratio {ratio:.6f} outside 1 +/- {target_tol}", detail=ratio
+            f"energy ratio {ratio:.6f} outside 1 +/- {_COMPLETENESS_TOL}", detail=ratio
         )
     return CompletenessReport(ratio=ratio, n_used=n_used)
 
@@ -312,6 +316,21 @@ def envelope_window(ph: BellEvaluator) -> float:
     return max(carrier, 2.0 * np.pi / ph.ramp_half_width)
 
 
+def window_indices(x_grid, window: float, lattice) -> Tuple[np.ndarray, np.ndarray]:
+    """The first and last index of the envelope window centred at each x
+    of ``x_grid`` on the nodes x0 + j dx, j < n, of ``lattice`` (a
+    ``GridFunction`` or its ``GridSpec``).  A window that leaves the
+    lattice, also by more cells than a double holds, is an InputError."""
+    x, x0, dx = np.asarray(x_grid, dtype=float), lattice.x0, lattice.dx
+    with np.errstate(over="ignore"):
+        j0 = np.floor((x - window / 2.0 - x0) / dx)
+        j1 = np.ceil((x + window / 2.0 - x0) / dx)
+    off = ~((j0 >= 0) & (j1 < lattice.n))
+    if np.any(off):
+        raise InputError(f"envelope window at x={x[np.argmax(off)]:.3g} leaves the lattice")
+    return j0.astype(int), j1.astype(int)
+
+
 def decay_envelope(
     lattice: GridFunction,
     x_grid: np.ndarray,
@@ -319,20 +338,13 @@ def decay_envelope(
     floor: float = _ENV_FLOOR,
 ) -> EnvelopeTable:
     """Max of |psi| over the ``window`` centred at each grid point (see
-    ``envelope_window``).  Points whose max sits at or below ``floor`` are
-    dropped and counted.
+    ``envelope_window``), on the samples ``window_indices`` gives.  Points
+    whose max sits at or below ``floor`` are dropped and counted.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     vals = lattice.values
-    n = len(vals)
-    dxl = lattice.dx
-    env = np.empty(len(x_grid))
-    for i, x in enumerate(x_grid):
-        j0 = int(np.floor((x - window / 2.0 - lattice.x0) / dxl))
-        j1 = int(np.ceil((x + window / 2.0 - lattice.x0) / dxl))
-        if j0 < 0 or j1 >= n:
-            raise InputError(f"envelope window at x={x:.3g} leaves the lattice")
-        env[i] = np.max(np.abs(vals[j0:j1 + 1]))
+    j0, j1 = window_indices(x_grid, window, lattice)
+    env = np.array([np.max(np.abs(vals[a:b + 1])) for a, b in zip(j0, j1)])
     usable = env > floor
     return EnvelopeTable(
         x=x_grid,
@@ -350,7 +362,6 @@ class DecayFitReport:
     intercept: float
     r_squared: float
     x_range: Tuple[float, float]
-    n_points: int
     shape_checks: Dict[str, bool]
     crossovers: Dict[str, float]
     comparator_table: np.ndarray  # columns per comparator_columns
@@ -372,15 +383,11 @@ def _regress_on_t(x: np.ndarray, y: np.ndarray, sigma: float):
     return float(coef[0]), float(coef[1]), r2, se, T
 
 
-def fit_decay(
-    table: EnvelopeTable,
-    sigma: float,
-    r2_min: float = _R2_MIN,
-) -> DecayFitReport:
+def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
     """Regress -log env on the Lambert-form regressor and audit the shape.
 
     Gates: >= 30 usable points spanning >= 2 decades (``FIT_SPAN_MIN``), a
-    positive slope and r^2 >= ``r2_min``.  The monotone-ratio shape checks run where
+    positive slope and r^2 >= ``_R2_MIN``.  The monotone-ratio shape checks run where
     adjacent envelope windows are disjoint (overlapping windows can capture
     the same peak twice, flattening the ratio artificially): -log env grows
     faster than any multiple of log x (ratio increasing) yet slower than
@@ -399,8 +406,8 @@ def fit_decay(
     h, icpt, r2, se, T = _regress_on_t(xs, y, sigma)
     if h <= 0:
         raise VerificationError(f"fitted decay slope {h:.4f} is not positive")
-    if r2 < r2_min:
-        raise VerificationError(f"decay fit r^2 = {r2:.4f} below {r2_min}")
+    if r2 < _R2_MIN:
+        raise VerificationError(f"decay fit r^2 = {r2:.4f} below {_R2_MIN}")
 
     # shape diagnostics on the window-disjoint subrange
     step = (xs[-1] / xs[0]) ** (1.0 / max(len(xs) - 1, 1))
@@ -457,7 +464,6 @@ def fit_decay(
         intercept=icpt,
         r_squared=r2,
         x_range=(float(xs[0]), float(xs[-1])),
-        n_points=len(xs),
         shape_checks=checks,
         crossovers=crossovers,
         comparator_table=tab,
@@ -480,18 +486,17 @@ def derivative_decay_check(
     x_grid: np.ndarray,
     window: float,
     sigma: float,
-    floor: float = _ENV_FLOOR,
-    r2_min: float = _R2_MIN,
 ) -> DerivativeDecayRow:
     """Envelope regression for the n-th derivative, sampled on ``lattice``;
-    it needs >= 10 usable points, a positive slope and r^2 >= ``r2_min``.
+    it needs >= 10 usable points, a positive slope and r^2 >= ``_R2_MIN``.
 
-    The floor scales with the derivative's sup so the relative noise floor
-    matches the synthesis accuracy.
+    The floor, ``_ENV_FLOOR`` times max(1, sup), scales with the
+    derivative's sup so the relative noise floor matches the synthesis
+    accuracy.
     """
     sup = lattice.sup()
     table = decay_envelope(
-        lattice, x_grid, window=window, floor=floor * max(1.0, sup)
+        lattice, x_grid, window=window, floor=_ENV_FLOOR * max(1.0, sup)
     )
     xs = table.x[table.usable]
     y = -np.log(table.env[table.usable])
@@ -500,8 +505,8 @@ def derivative_decay_check(
     h, icpt, r2, _, _ = _regress_on_t(xs, y, sigma)
     if h <= 0:
         raise VerificationError(f"derivative n={n}: slope {h:.4f} not positive")
-    if r2 < r2_min:
-        raise VerificationError(f"derivative n={n}: r^2 = {r2:.4f} below {r2_min}")
+    if r2 < _R2_MIN:
+        raise VerificationError(f"derivative n={n}: r^2 = {r2:.4f} below {_R2_MIN}")
     return DerivativeDecayRow(n=n, h_fit=h, intercept=icpt, r_squared=r2, sup=sup)
 
 
@@ -520,38 +525,30 @@ class MixedBoundReport:
 def mixed_bound_audit(
     fronts: Iterable[Tuple[np.ndarray, np.ndarray]],
     sigma: float,
-    k_max: int = MIXED_MAX,
-    q_max: int = MIXED_MAX,
 ) -> MixedBoundReport:
     """Solve for constants (log C, log A, log B) with
 
         log S(k, q) <= log C + k log A + q log B + log k! + q^sigma log q
 
-    over all k <= k_max, q <= q_max, where S(k, q) = sup over the synthesis
+    over all k, q <= ``MIXED_MAX``, where S(k, q) = sup over the synthesis
     lattice of |x^k psi^(q)(x)|.  ``fronts`` yields the moment fronts
     (``GridFunction.moment_front``) of the lattices of psi^(0), ...,
-    psi^(q_max) in order, and is consumed after the arguments are checked;
-    the sup of |x|^k |psi^(q)| over a front is its sup over the whole
-    lattice.  The LP minimizes log C with log A,
-    log B confined to [-40, 40]; infeasibility (non-finite sups or no
-    solution in the box) raises VerificationError listing the offending
-    pairs.
+    psi^(MIXED_MAX) in order; the sup of |x|^k |psi^(q)| over a front is its
+    sup over the whole lattice, and fewer fronts raise InputError.  The LP
+    minimizes log C with log A, log B confined to [-40, 40]; infeasibility
+    (non-finite sups or no solution in the box) raises VerificationError
+    listing the offending pairs.
     """
-    if k_max > 10 or q_max > 10:
-        raise InputError("k_max and q_max are capped at 10")
-    sup_table = np.empty((k_max + 1, q_max + 1))
-    done = 0
-    for q, (ax, av) in zip(range(q_max + 1), fronts):
-        for k in range(k_max + 1):
-            sup_table[k, q] = float(np.max(ax ** k * av))
-        done += 1
-    if done != q_max + 1:
-        raise InputError(f"need {q_max + 1} fronts (q = 0..{q_max}), got {done}")
+    n = MIXED_MAX + 1
+    fronts = list(itertools.islice(fronts, n))
+    if len(fronts) != n:
+        raise InputError(f"need {n} fronts (q = 0..{MIXED_MAX}), got {len(fronts)}")
+    sup_table = np.array([[np.max(ax ** k * av) for ax, av in fronts] for k in range(n)])
 
     violations = [
         (k, q)
-        for k in range(k_max + 1)
-        for q in range(q_max + 1)
+        for k in range(n)
+        for q in range(n)
         if not (np.isfinite(sup_table[k, q]) and sup_table[k, q] > 0)
     ]
     if violations:
@@ -560,8 +557,8 @@ def mixed_bound_audit(
         )
 
     rows, rhs = [], []
-    for k in range(k_max + 1):
-        for q in range(q_max + 1):
+    for k in range(n):
+        for q in range(n):
             slack = math.lgamma(k + 1.0) + q ** sigma * (
                 math.log(q) if q >= 1 else 0.0
             )
@@ -577,7 +574,7 @@ def mixed_bound_audit(
     if res.status != 0:
         slacks = np.array(rhs)
         worst = np.argsort(slacks)[:3]
-        pairs = [(int(i // (q_max + 1)), int(i % (q_max + 1))) for i in worst]
+        pairs = [(int(i // n), int(i % n)) for i in worst]
         raise VerificationError(
             f"mixed bound system infeasible; tightest constraints at {pairs}",
             detail=pairs,

@@ -57,7 +57,7 @@ def test_criterion_1_lambert_identities():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(1, f"max residual {resid:.2e}, min slacks "
-               f"{rep.min_lower_slack:.2e}/{np.min(rep.upper_slack[1:]):.2e}, "
+               f"{np.min(rep.lower_slack):.2e}/{np.min(rep.upper_slack[1:]):.2e}, "
                f"{elapsed:.2f}s")
 
 
@@ -102,7 +102,8 @@ def test_criterion_3_mollifier_certificates():
     x = phi.x()
     assert np.all(phi.values[np.abs(x) > half + 2 * phi.dx] == 0.0)
 
-    audit = derivative_bound_audit(build, 8)
+    audit = derivative_bound_audit(build)
+    assert audit.n_max == 8
     worst = max(r.ratio for r in audit.rows)
     assert all(r.measured <= r.bound * 1.001 for r in audit.rows)
     elapsed = time.perf_counter() - t0
@@ -152,11 +153,11 @@ def test_criterion_4_bell_structure(wavelet):
 
 def test_criterion_5_orthonormality(wavelet):
     t0 = time.perf_counter()
-    gram = gram_matrix(wavelet.ph, m_range=(-2, 2), n_range=(-8, 8), tol=1e-7)
+    gram = gram_matrix(wavelet.ph)  # m in [-2, 2], n in [-8, 8], gate 1e-7
     assert gram.values.size == 3655  # 85 members, unordered pairs incl. diagonal
     assert gram.max_offdiag <= 1e-7
     assert gram.max_diag_dev <= 1e-7
-    dy = dyadic_sum_check(wavelet.ph, m_window=6, tol=1e-9)
+    dy = dyadic_sum_check(wavelet.ph)  # |m| <= 6, gate 1e-9
     assert dy.max_dev <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -165,7 +166,7 @@ def test_criterion_5_orthonormality(wavelet):
 
 
 def test_criterion_6_completeness(wavelet):
-    rep = completeness_check(wavelet.ph, gaussian_spectrum(), target_tol=1e-3)
+    rep = completeness_check(wavelet.ph, gaussian_spectrum())  # gate 1e-3
     assert abs(rep.ratio - 1.0) <= 1e-3
     windows = ", ".join(f"m={m}:|n|<={v}" for m, v in sorted(rep.n_used.items()))
     _report(6, f"energy ratio {rep.ratio:.6f}, windows {windows}")
@@ -174,13 +175,13 @@ def test_criterion_6_completeness(wavelet):
 def test_criterion_7_decay_law(wavelet, fit_grid):
     table = decay_envelope(wavelet.synthesis.grid, fit_grid,
                            envelope_window(wavelet.ph), floor=1e-15)
-    fit = fit_decay(table, wavelet.sigma, r2_min=0.9)
+    fit = fit_decay(table, wavelet.sigma)  # gate r^2 >= 0.9
     assert fit.h_fit > 0
     assert fit.r_squared >= 0.9
     assert fit.shape_checks["sqrt_ratio_decreasing_top_decade"]
     assert fit.shape_checks["log_ratio_increasing"]
     _report(7, f"h {fit.h_fit:.4f} (+/- {fit.h_stderr:.4f}), "
-               f"r^2 {fit.r_squared:.4f}, usable {fit.n_points}, "
+               f"r^2 {fit.r_squared:.4f}, usable {int(np.sum(table.usable))}, "
                f"range [{fit.x_range[0]:.0f}, {fit.x_range[1]:.0f}]")
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -116,10 +117,15 @@ def test_bell_submodule_is_the_module():
 
 
 def test_bell_domain_errors():
-    with pytest.raises(DomainError):
-        BellEvaluator(1.2)
-    with pytest.raises(DomainError):
-        BellEvaluator(0.0)
+    # at a = 5e-324 the ramp half-width a/4 rounds to 0, and bell_at once
+    # divided by it with a RuntimeWarning; the least a whose a/4 is a
+    # double above 0 is admitted
+    for a in (1.2, 0.0, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="a/4 > 0"):
+                BellEvaluator(a)
+    assert BellEvaluator(4 * 5e-324).ramp_half_width == 5e-324
 
 
 def test_psi_hat_modulus_and_zero(wavelet):
@@ -336,6 +342,34 @@ def test_paired_synthesis_matches_solo(q, q2):
         assert (grid.x0, grid.dx) == (solo.x0, solo.dx)
         inner = np.abs(solo.x()) <= PAIR_L / 4.0
         assert np.max(np.abs(grid.values - solo.values)[inner]) <= 1e-15 * solo.sup()
+
+
+def test_lattices_synthesize_an_odd_order_alone(wavelet, monkeypatch):
+    # an order with no nonzero order after it is synthesized alone, with no
+    # periodization check; q = 0 is handed back as the certified synthesis,
+    # and the front kept for order 3 spares fronts() a second synthesis
+    bell_mod = sys.modules["lambertwave.bell"]
+    calls, synthesize = [], bell_mod.synthesize_psi_lattice
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs, synthesize(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counted)
+    monkeypatch.setattr(wavelet, "_fronts", {})
+    seen = wavelet.lattices([3, 0], lambda q, grid: (q, grid))
+    assert len(calls) == 1
+    args, kwargs, syn = calls[0]
+    assert args == (wavelet.ph,)
+    assert kwargs == {"L": wavelet.L, "N": wavelet.N, "check_periodization": False,
+                      "q": 3, "q2": None}
+    assert [q for q, _ in seen] == [3, 0]
+    assert seen[0][1] is syn.grid and syn.grid2 is None
+    assert seen[1][1] is wavelet.synthesis.grid
+    (ax, av), = wavelet.fronts([3])
+    assert len(calls) == 1
+    fx, fv = syn.grid.moment_front()
+    assert np.array_equal(ax, fx) and np.array_equal(av, fv)
 
 
 def test_non_hermitian_band_rejected(monkeypatch):

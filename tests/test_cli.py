@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import functools
 import importlib
 import inspect
 import json
@@ -453,12 +452,16 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("assoc-func", ["--tau", "1e308"], "tau"),
     ("assoc-func", ["--sigma", "1e308"], "sigma"),
     ("assoc-func", ["--sigma", "1100"], "sigma"),
+    # under SIGMA_MIN = 1 + 1e-12: once passed _validate and exited 2 inside
+    # the assoc-func stage, after both JSON files were written
+    ("assoc-func", ["--sigma", "1.0000000000001"], "sigma"),
 ], ids=["xmin-0", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
         "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
         "fit-xmin-1", "fit-xmin-1e-300", "fit-sigma-1.000001", "fit-span-0.3-decades",
         "fit-span-1.95-decades", "period-5e-324", "a-5e-324",
         "moll-sigma-1100",
-        "all-sigma-1100", "tau-1e308", "sigma-1e308", "sigma-1100"])
+        "all-sigma-1100", "tau-1e308", "sigma-1e308", "sigma-1100",
+        "sigma-under-sigma-min"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -866,7 +869,7 @@ def test_build_mollifier_out_name(tmp_path, capsys):
 
 def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     # the real Gram check, gated far below its fixed 1e-7, fails through main
-    monkeypatch.setattr(cli, "gram_matrix", functools.partial(cli.gram_matrix, tol=1e-16))
+    monkeypatch.setattr(lambertwave.verify, "_GRAM_TOL", 1e-16)
     rc = main(["verify-onw", *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "gram deviation exceeds 1.0e-16" in capsys.readouterr().err

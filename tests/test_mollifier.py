@@ -233,7 +233,10 @@ def test_convergence_invariants_small():
 
 
 def test_derivative_audit_deep(deep_moll):
-    rep = derivative_bound_audit(deep_moll, 8)
+    # 22 scales kept: the depth rule min(8, 22 - 2) gives n = 0..8
+    assert len(deep_moll.scales) == 22
+    rep = derivative_bound_audit(deep_moll)
+    assert rep.n_max == 8
     assert len(rep.rows) == 9
     for row in rep.rows:
         assert row.measured <= row.bound * 1.001
@@ -255,7 +258,8 @@ def test_derivative_audit_just_above_sigma_1_5():
     spec = GridSpec.symmetric(1.5, 17)
     for k in range(51):
         sigma = round(1.5 + k * 1e-4, 4)
-        rep = derivative_bound_audit(build_mollifier(sigma, spec), 8)
+        rep = derivative_bound_audit(build_mollifier(sigma, spec))
+        assert rep.n_max == 8
         assert max(r.ratio for r in rep.rows) < 1.0, sigma
 
 
@@ -294,13 +298,17 @@ def test_cutoff_matches_its_cosine_series(deep_moll):
 
 
 def test_derivative_audit_preconditions():
+    # the audit differentiates n factors after the first, n <= len - 2: 4
+    # factors audit n = 0..2, too few for the growth fit; 2 or 1 factor
+    # audit nothing
     build = build_mollifier(2.0, SPEC_13)
-    small = dataclasses.replace(build, scales=build.scales[:4])
-    # 4 factors retained: n_max = 3 exceeds the factors-after-first budget
-    with pytest.raises(InputError):
-        derivative_bound_audit(small, 3)
-    with pytest.raises(InputError):
-        derivative_bound_audit(small, 13)
+    rep = derivative_bound_audit(dataclasses.replace(build, scales=build.scales[:4]))
+    assert rep.n_max == 2
+    assert [r.n for r in rep.rows] == [0, 1, 2]
+    assert rep.log_c_fit is None and rep.tau_eff is None
+    for kept in (2, 1):
+        rep = derivative_bound_audit(dataclasses.replace(build, scales=build.scales[:kept]))
+        assert (rep.n_max, rep.rows, rep.log_c_fit, rep.tau_eff) == (0, (), None, None)
 
 
 def test_dilate_identity_and_scaling():

@@ -25,9 +25,17 @@ from lambertwave import (
     inner_product,
     mixed_bound_audit,
 )
+from lambertwave import verify
 from lambertwave.gevrey import lambert_regressor
 
 A = math.pi / 6.0
+
+
+@pytest.fixture
+def small_gram(monkeypatch):
+    """The Gram window shrunk to m in [-1, 1], n in [-3, 3]: 21 members."""
+    monkeypatch.setattr(verify, "_GRAM_M", (-1, 1))
+    monkeypatch.setattr(verify, "_GRAM_N", (-3, 3))
 
 
 def test_self_inner_product(wavelet):
@@ -50,8 +58,8 @@ def test_inner_product_refinement_stability(wavelet):
     assert abs(coarse - fine) <= 1e-9
 
 
-def test_gram_small_window(wavelet):
-    rep = gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3))
+def test_gram_small_window(wavelet, small_gram):
+    rep = gram_matrix(wavelet.ph)
     assert rep.max_diag_dev <= 1e-7
     assert rep.max_offdiag <= 1e-7
     seen = {(tuple(q[:2]), tuple(q[2:])): v
@@ -69,13 +77,14 @@ def test_gram_small_window(wavelet):
     assert np.array_equal(np.signbit(rep.values.imag), m1 == m2)
 
 
-def test_gram_tolerance_failure_names_pair(wavelet):
+def test_gram_tolerance_failure_names_pair(wavelet, small_gram, monkeypatch):
     # the error names the pair of the largest deviation from the identity:
     # here a diagonal pair, just above the largest off-diagonal value
-    rep = gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3))
+    rep = gram_matrix(wavelet.ph)
     assert rep.max_diag_dev > rep.max_offdiag
-    with pytest.raises(VerificationError) as exc:
-        gram_matrix(wavelet.ph, m_range=(-1, 1), n_range=(-3, 3), tol=1e-16)
+    monkeypatch.setattr(verify, "_GRAM_TOL", 1e-16)
+    with pytest.raises(VerificationError, match="exceeds 1.0e-16") as exc:
+        gram_matrix(wavelet.ph)
     i1, i2, dev = exc.value.detail
     assert dev == rep.max_diag_dev and i1 == i2
     k = rep.pairs.T.tolist().index([*i1, *i2])
@@ -246,9 +255,11 @@ def test_derivative_decay_rows(wavelet, fit_grid, lattice_cache):
         assert rows[-1].r_squared >= 0.9
 
 
-def test_mixed_audit_feasible(wavelet, lattice_cache):
+def test_mixed_audit_feasible(wavelet, lattice_cache, monkeypatch):
     sigma = 2.0
-    rep = mixed_bound_audit(wavelet.fronts(range(5)), sigma, 4, 4)
+    monkeypatch.setattr(verify, "MIXED_MAX", 4)
+    rep = mixed_bound_audit(wavelet.fronts(range(5)), sigma)
+    assert rep.sup_table.shape == (5, 5)
     assert rep.sup_table[0, 0] == pytest.approx(
         lattice_cache[0].sup(), rel=1e-15
     )
@@ -266,16 +277,12 @@ def test_mixed_audit_feasible(wavelet, lattice_cache):
             assert lhs <= rhs + 1e-9
 
 
-def test_mixed_audit_domain():
-    def unread():
-        raise AssertionError("a front was read before the argument checks")
-        yield
-
-    with pytest.raises(InputError):
-        mixed_bound_audit(unread(), 2.0, 11, 2)
+def test_mixed_audit_domain(monkeypatch):
+    # one front for each order q = 0..MIXED_MAX, or an InputError
+    monkeypatch.setattr(verify, "MIXED_MAX", 2)
     tiny = GridFunction(-1.0, 0.5, np.ones(4)).moment_front()
     with pytest.raises(InputError, match="need 3 fronts"):
-        mixed_bound_audit(iter([tiny, tiny]), 2.0, 2, 2)
+        mixed_bound_audit(iter([tiny, tiny]), 2.0)
 
 
 def _assert_front_sups_exact(grid):
@@ -398,10 +405,11 @@ def test_large_x_below_fitted_envelope(wavelet, fit_grid):
         assert abs(eval_psi_point(wavelet.ph, x)) <= 10.0 * model
 
 
-def test_completeness_fails_on_tiny_cap(wavelet):
+def test_completeness_fails_on_tiny_cap(wavelet, monkeypatch):
     # a scale that has not converged at the cap fails; it cannot pass
+    monkeypatch.setattr(verify, "_COMPLETENESS_CAP", 2)
     with pytest.raises(VerificationError, match="m = -4 .* cap of 2 ") as exc:
-        completeness_check(wavelet.ph, gaussian_spectrum(), n_cap=2)
+        completeness_check(wavelet.ph, gaussian_spectrum())
     assert exc.value.detail == -4
 
 
