@@ -2,12 +2,12 @@
 
 Single binary with subcommands.  The ``STAGES`` and ``COMMANDS`` tables
 declare every stage and subcommand once: a subcommand runs its stages in
-order, and its flags are named and typed by the ``RunConfig`` fields they
-set.  The config sets what is built, never a certificate's gate, and of
-a certificate's extents only the decay fit's window: each gate and every
-other extent is a constant of the module that checks it, and the stages
-pass data only.  Each artifact's extent and name is fixed next to the
-stage that writes it.
+order, and each of its flags is ``--field-name`` of the ``RunConfig``
+field it sets, typed by that field.  The config sets what is built, never
+a certificate's gate, and of a certificate's extents only the decay fit's
+window: each gate and every other extent is a constant of the module that
+checks it, and the stages pass data only.  Each artifact's extent and
+name, the two tables' included, is fixed next to the stage that writes it.
 Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
@@ -80,15 +80,8 @@ class RunConfig:
     fit_xmin: float = 1e2
     fit_xmax: float = 3e4
     fit_points: int = 36
-    # tables
-    xmin: float = 1e-6
-    xmax: float = 1e8
-    points: int = 1000
-    log: bool = True
+    # assoc_func.csv's class M_p = p^(tau p^sigma), with the sigma above
     tau: float = 1.0
-    kmin: float = 1e3
-    kmax: float = 1e12
-    kpoints: int = 40
     # io
     out_dir: str = ""
 
@@ -100,36 +93,31 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     checks = [
         ("sigma", SIGMA_MIN <= cfg.sigma < SIGMA_MAX,
          f"must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
-        ("a", 0.0 < cfg.a / 4.0 and cfg.a < math.pi / 3.0,
-         f"must lie in (0, pi/3 = {math.pi / 3.0:.16g}), with a/4 > 0"),
         ("period", cfg.period > 0, "must be positive"),
         ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
          "must be even and lie in [2^12, 2^24]"),
-        ("points", 2 <= cfg.points <= 2 ** 20, "must lie in [2, 2^20]"),
-        ("kpoints", 20 <= cfg.kpoints <= 2 ** 16, "must lie in [20, 2^16]"),
         ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
         ("tau", cfg.tau > 0 and cfg.sigma < SIGMA_MAX
          and math.isfinite(log_m2(cfg.tau, cfg.sigma)),
          f"must be positive and keep log M_2 = tau 2^sigma log 2 finite "
          f"(sigma = {cfg.sigma})"),
-        ("xmin", cfg.xmin > 0 if cfg.log else cfg.xmin >= 0,
-         "must be positive with log spacing, nonnegative without"),
-        ("xmax", cfg.xmax > cfg.xmin, "must exceed xmin"),
-        ("kmin", cfg.kmin >= 1e2, "must be at least 1e2"),
-        ("kmax", 1e14 >= cfg.kmax > cfg.kmin, "must lie in (kmin, 1e14]"),
         ("fit_xmin", cfg.fit_xmin > 1.0, "must exceed 1, where W(log x) > 0"),
         ("fit_xmax", cfg.fit_xmax > cfg.fit_xmin, "must exceed fit_xmin"),
     ]
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
+    try:
+        bell = BellEvaluator(cfg.a)  # the wavelet's own rule for a
+    except DomainError as exc:
+        raise InputError(f"config field 'a': {exc}") from exc
     if "decay_fit" in stages:
         xg = _fit_grid(cfg)
         if xg[-1] / xg[0] < FIT_SPAN_MIN:  # fit_decay's rule, every point usable
             raise InputError(f"config field 'fit_xmax': must reach {FIT_SPAN_MIN:g} fit_xmin, "
                              f"the decay fit's 2 decades; got {cfg.fit_xmax}")
         # decay_envelope's windows on the synthesis lattice x0 = -L/2, dx = L/N
-        window = envelope_window(BellEvaluator(cfg.a))
+        window = envelope_window(bell)
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
         try:
             window_indices(xg, window, GridSpec(x0, dx, cfg.samples))
@@ -146,10 +134,14 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
                              f"[{cfg.fit_xmin}, {cfg.fit_xmax}]; got {cfg.sigma}") from exc
 
 
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` points log-spaced over [lo, hi]."""
+    return np.logspace(math.log10(lo), math.log10(hi), n)
+
+
 def _fit_grid(cfg: RunConfig) -> np.ndarray:
     """The decay fit's points: ``fit_points`` log-spaced over the fit window."""
-    lo, hi = math.log10(cfg.fit_xmin), math.log10(cfg.fit_xmax)
-    return np.logspace(lo, hi, cfg.fit_points)
+    return _log_grid(cfg.fit_xmin, cfg.fit_xmax, cfg.fit_points)
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +197,20 @@ class Run:
     wb: Optional[WaveletBuild] = None
 
 
+LAMBERT_X = (1e-6, 1e8, 1000)  # lambert_table.csv: 1000 log-spaced x over [1e-6, 1e8]
+ASSOC_K = (1e3, 1e12, 40)  # assoc_func.csv: 40 log-spaced k over [1e3, 1e12]
+
+
 def stage_lambert_table(run: Run) -> list:
-    cfg = run.cfg
-    if cfg.log:
-        xs = np.logspace(math.log10(cfg.xmin), math.log10(cfg.xmax), cfg.points)
-    else:
-        xs = np.linspace(cfg.xmin, cfg.xmax, cfg.points)
+    xs = _log_grid(*LAMBERT_X)
     w = lambert_w0(xs)
     resid = np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs)
     lo = np.full_like(xs, np.nan)
     hi = np.full_like(xs, np.nan)
-    mask = xs >= np.e
-    if np.any(mask):
-        rep = w_bounds_check(xs[mask])
-        lo[mask] = rep.lower
-        hi[mask] = rep.upper
+    mask = xs >= np.e  # the bounds are claimed from e on
+    rep = w_bounds_check(xs[mask])
+    lo[mask] = rep.lower
+    hi[mask] = rep.upper
     path = run.out / "lambert_table.csv"
     write_csv(path, ["x", "w", "residual", "lower_bound", "upper_bound"], [xs, w, resid, lo, hi])
     return [path]
@@ -228,8 +219,7 @@ def stage_lambert_table(run: Run) -> list:
 def stage_assoc_func(run: Run) -> list:
     cfg = run.cfg
     params = SequenceParams(cfg.tau, cfg.sigma)
-    ks = np.logspace(math.log10(cfg.kmin), math.log10(cfg.kmax), cfg.kpoints)
-    reps = [assoc_t_exact(float(k), params) for k in ks]
+    reps = [assoc_t_exact(float(k), params) for k in _log_grid(*ASSOC_K)]
     path = run.out / "assoc_func.csv"
     cols = ["k", "t_exact", "argmax_p", "t_asym", "ratio"]
     write_csv(path, cols, [[getattr(rep, c) for rep in reps] for c in cols])
@@ -404,14 +394,12 @@ STAGES: Dict[str, Callable[[Run], list]] = {
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its help line, its stages in run order, the config
-    fields it takes as ``--field-name`` flags of the field's type, and the
-    flags spelled otherwise, as (option, field, argparse settings)."""
+    """One subcommand: its help line, its stages in run order, and the
+    config fields it takes as ``--field-name`` flags of the field's type."""
 
     help: str
     stages: Tuple[str, ...]
     flags: Tuple[str, ...]
-    aliases: Tuple[Tuple[str, str, dict], ...] = ()
 
 
 _WAVELET = ("build_wavelet", "wavelet_artifacts")
@@ -421,14 +409,12 @@ COMMANDS: Dict[str, Command] = {
     "lambert-table": Command(
         "table of W values, residuals, bounds",
         ("lambert_table",),
-        ("xmin", "xmax", "points"),
-        (("--log", "log", {"action": "store_true"}),
-         ("--linear", "log", {"action": "store_false"})),
+        (),
     ),
     "assoc-func": Command(
         "associated function exact/asymptotic table",
         ("assoc_func",),
-        ("tau", "sigma", "kmin", "kmax", "kpoints"),
+        ("tau", "sigma"),
     ),
     "build-mollifier": Command(
         "convolution-cascade cutoff + provenance",
@@ -482,7 +468,8 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     exception's class and message for any other), the manifest the exit
     code ``EXITS`` gives it (0 on pass), and the exception propagates.
     """
-    _validate(cfg, COMMANDS[command].stages)
+    stages = COMMANDS[command].stages
+    _validate(cfg, stages)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = Run(cfg, out)
@@ -490,7 +477,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     timings: dict = {}
     failing = raised = None
     status = "pass"
-    for name in COMMANDS[command].stages:
+    for name in stages:
         t0 = time.perf_counter()
         try:
             artifacts.extend(STAGES[name](run))
@@ -505,26 +492,22 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
             break
         timings[name] = time.perf_counter() - t0
 
-    report_path = out / "report.json"
-    write_json(
-        report_path,
-        {
-            "command": command,
-            "assertions": run.report,
-            "status": status,
-            "failing": failing,
-            "versions": {
-                "lambertwave": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-            "grids": {
-                "period": cfg.period,
-                "samples": cfg.samples,
-            },
+    report = {
+        "command": command,
+        "assertions": run.report,
+        "status": status,
+        "failing": failing,
+        "versions": {
+            "lambertwave": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": sys.version.split()[0],
         },
-    )
+    }
+    if "build_wavelet" in stages:  # the lattice this run built
+        report["grids"] = {"period": cfg.period, "samples": cfg.samples}
+    report_path = out / "report.json"
+    write_json(report_path, report)
     artifacts.append(report_path)
 
     manifest = {
@@ -550,8 +533,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string",
-               "bool": "true or false"}
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string"}
 
 
 def _typed(name: str, val):
@@ -564,7 +546,7 @@ def _typed(name: str, val):
         return int(val)
     if kind == "float" and number and abs(val) <= sys.float_info.max:  # finite
         return float(val)
-    if kind == "str" and isinstance(val, str) or kind == "bool" and isinstance(val, bool):
+    if kind == "str" and isinstance(val, str):
         return val
     raise InputError(f"config field '{name}': expected {_TYPE_NAMES[kind]}; got {val!r}")
 
@@ -572,12 +554,10 @@ def _typed(name: str, val):
 _ARG_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _add_flag(p: argparse.ArgumentParser, option: str, name: str, **kw) -> None:
-    """``option`` sets config field ``name``; a value is parsed as the
-    field's type unless ``kw`` names an argparse action."""
-    if "action" not in kw:
-        kw["type"] = _ARG_TYPES[_FIELD_TYPES[name]]
-    p.add_argument(option, dest=name, default=None, **kw)
+def _add_flag(p: argparse.ArgumentParser, name: str, **kw) -> None:
+    """``--field-name`` sets config field ``name``, parsed as its type."""
+    p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None,
+                   type=_ARG_TYPES[_FIELD_TYPES[name]], **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,11 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
         # never abbreviated: a removed --out must not pass for --out-dir
         p = sub.add_parser(command, help=spec.help, allow_abbrev=False)
         for name in spec.flags:
-            _add_flag(p, f"--{name.replace('_', '-')}", name)
-        for option, name, kw in spec.aliases:
-            _add_flag(p, option, name, **kw)
+            _add_flag(p, name)
         p.add_argument("--config", help="JSON file of config key/value pairs")
-        _add_flag(p, "--out-dir", "out_dir", help="output directory")
+        _add_flag(p, "out_dir", help="output directory")
     return ap
 
 

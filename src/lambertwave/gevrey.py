@@ -69,7 +69,9 @@ def log_m(p, params: SequenceParams):
 @dataclass(frozen=True)
 class AssocFnReport:
     """Exact sup value of the associated function at one argument, with the
-    Lambert-form asymptote and their ratio (nan where k <= e)."""
+    Lambert-form asymptote T_sigma(k) and the ratio of the sup to
+    tau^(-1/(sigma-1)) T_sigma(k): nan where k <= e, and where that scaled
+    asymptote is not a positive finite double."""
 
     k: float
     t_exact: float
@@ -124,12 +126,15 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
         )
     best = float(term([best_p])[0])
 
+    ta = ratio = float("nan")
     if k > _E:
         ta = assoc_t_asym(k, params.sigma)
-        scale = params.tau ** (-1.0 / (params.sigma - 1.0))
-        ratio = best / (scale * ta) if ta > 0 else float("nan")
-    else:
-        ta, ratio = float("nan"), float("nan")
+        try:  # the scaled asymptote tau^(-1/(sigma-1)) T_sigma(k)
+            scaled = params.tau ** (-1.0 / (params.sigma - 1.0)) * ta
+        except OverflowError:
+            scaled = math.inf
+        if 0.0 < scaled < math.inf:
+            ratio = best / scaled
     return AssocFnReport(k=float(k), t_exact=best, argmax_p=best_p, t_asym=ta, ratio=ratio)
 
 

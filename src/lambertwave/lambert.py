@@ -65,8 +65,6 @@ def lambert_w0(x):
 class WBoundsReport:
     """Per-point sandwich slack for the x >= e bounds."""
 
-    x: np.ndarray
-    w: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     lower_slack: np.ndarray
@@ -88,8 +86,6 @@ def w_bounds_check(x_grid) -> WBoundsReport:
     lower = lx - llx
     upper = lx - 0.5 * llx
     return WBoundsReport(
-        x=x,
-        w=w,
         lower=lower,
         upper=upper,
         lower_slack=w - lower,

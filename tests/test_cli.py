@@ -47,32 +47,45 @@ def read_csv(path):
 
 
 def test_lambert_table(tmp_path):
-    rc = main([
-        "lambert-table", "--xmin", "1e-3", "--xmax", "1e6",
-        "--points", "50", "--log", "--out-dir", str(tmp_path),
-    ])
+    rc = main(["lambert-table", "--out-dir", str(tmp_path)])
     assert rc == 0
     header, rows = read_csv(tmp_path / "lambert_table.csv")
     assert header == ["x", "w", "residual", "lower_bound", "upper_bound"]
-    assert len(rows) == 50
+    # the fixed extent: 1000 log-spaced x over [1e-6, 1e8]
+    xs = [float(r[0]) for r in rows]
+    assert (xs[0], xs[-1], len(xs)) == (1e-6, 1e8, 1000)
     x0, w0 = float(rows[0][0]), float(rows[0][1])
     assert abs(w0 * math.exp(w0) - x0) <= 1e-12 * max(1.0, x0)
     assert rows[0][3] == "nan"  # bounds apply only from e upward
+    assert rows[-1][3] != "nan"
     assert json.loads((tmp_path / "manifest.json").read_text())["exit_code"] == 0
+    # no lattice is built, so none is recorded
+    assert "grids" not in json.loads((tmp_path / "report.json").read_text())
 
 
 def test_assoc_func(tmp_path):
-    rc = main([
-        "assoc-func", "--tau", "1", "--sigma", "2",
-        "--kmin", "1e3", "--kmax", "1e9", "--kpoints", "25",
-        "--out-dir", str(tmp_path),
-    ])
+    rc = main(["assoc-func", "--tau", "1", "--sigma", "2", "--out-dir", str(tmp_path)])
     assert rc == 0
     header, rows = read_csv(tmp_path / "assoc_func.csv")
     assert header == ["k", "t_exact", "argmax_p", "t_asym", "ratio"]
-    assert len(rows) == 25
+    # the fixed extent: 40 log-spaced k over [1e3, 1e12]
+    ks = [float(r[0]) for r in rows]
+    assert (ks[0], ks[-1], len(ks)) == (1e3, 1e12, 40)
     ratios = np.array([float(r[4]) for r in rows])
     assert ratios.max() / ratios.min() <= 10.0
+    assert "grids" not in json.loads((tmp_path / "report.json").read_text())
+
+
+def test_assoc_func_scaled_asymptote_underflow(tmp_path):
+    # tau^(-1/(sigma-1)) = 1e5^-100 underflows to 0: once a ZeroDivisionError
+    # out of main; the sup and T_sigma stand, and only the ratio is nan
+    rc = main(["assoc-func", "--tau", "1e5", "--sigma", "1.01", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "assoc_func.csv")
+    assert len(rows) == 40
+    for row in rows:
+        assert math.isfinite(float(row[1])) and math.isfinite(float(row[3]))
+        assert row[4] == "nan"
 
 
 def test_build_mollifier(tmp_path):
@@ -89,6 +102,7 @@ def test_build_mollifier(tmp_path):
         dx=float(rows[1][0]) - float(rows[0][0]),
     )
     assert abs(mass - 1.0) <= 1e-8
+    assert "grids" not in json.loads((tmp_path / "report.json").read_text())
 
 
 def test_build_mollifier_skipped_audit(tmp_path):
@@ -321,14 +335,8 @@ LATTICE = {
 }
 COMMON = {"--config": "config", "--out-dir": "out_dir"}
 OPTIONS = {
-    "lambert-table": {
-        "--xmin": "xmin", "--xmax": "xmax", "--points": "points",
-        "--log": "log", "--linear": "log", **COMMON,
-    },
-    "assoc-func": {
-        "--tau": "tau", "--sigma": "sigma", "--kmin": "kmin", "--kmax": "kmax",
-        "--kpoints": "kpoints", **COMMON,
-    },
+    "lambert-table": {**COMMON},
+    "assoc-func": {"--tau": "tau", "--sigma": "sigma", **COMMON},
     "build-mollifier": {"--sigma": "sigma", **COMMON},
     "build-wavelet": {**LATTICE, **COMMON},
     "verify-onw": {**LATTICE, **COMMON},
@@ -355,13 +363,12 @@ def test_subcommand_options_and_fields():
         }
         assert {opt: act.dest for opt, act in actions.items()} == expected, cmd
         for opt, field in expected.items():
-            ns = ap.parse_args([cmd, opt] + ([] if actions[opt].nargs == 0 else ["3"]))
+            ns = ap.parse_args([cmd, opt, "3"])
             if field != "config":
-                # the flag sets its field, parsed as the field's type
+                # the flag sets its field, parsed as the field's type, and
+                # is spelled --field-name
                 assert type(getattr(ns, field)).__name__ == field_types[field], opt
-    ns = ap.parse_args(["lambert-table", "--linear"])
-    assert ns.log is False
-    assert ap.parse_args(["lambert-table"]).log is None
+                assert opt == "--" + field.replace("_", "-")
     # every config field is settable by some subcommand's flag
     flagged = {f for opts in OPTIONS.values() for f in opts.values()} - {"config"}
     assert flagged == set(field_types)
@@ -371,8 +378,9 @@ def test_subcommand_options_and_fields():
 # with the sampled ramp profile, moll_base with the analytic base bump, and
 # grid_pow and moll_cutoff with the sampled cascade build; the next seven
 # set certificate gates and class weights, now fixed in verify, the next
-# six certificate extents, now fixed next to their checks, and the last
-# three an artifact's extent or name, now fixed next to its stage
+# six certificate extents, now fixed next to their checks, the next three
+# an artifact's extent or name, now fixed next to its stage, and the last
+# seven the two tables' extents, now fixed next to their stages
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
@@ -380,6 +388,7 @@ def test_subcommand_options_and_fields():
     "r2_min", "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
     "dyadic_window", "deriv_orders", "mixed_k_max", "mixed_q_max",
     "freq_pow", "psi_xmax", "moll_out",
+    "xmin", "xmax", "points", "log", "kmin", "kmax", "kpoints",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -392,12 +401,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("points", 7.5),           # non-integral float for an int
+    ("fit_points", 7.5),       # non-integral float for an int
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
     # once fields whose bad values failed their type or range check; the
     # fields are gone, and a config naming them still exits 2, as an
     # unknown key, before any stage
+    ("points", 7.5),           # was a non-integral float for an int
     ("freq_pow", "17"),        # was a string for an int
     ("moll_out", 5),           # was a number for a string
     ("deriv_orders", 5),
@@ -417,7 +427,9 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
 
 
 @pytest.mark.parametrize("command, args, field", [
-    ("lambert-table", ["--xmin", "0"], "xmin"),  # log spacing is the default
+    # the tables' extents were set by --xmin, --points and --kpoints; they
+    # are fixed now, and a config naming them exits 2 as an unknown key
+    ("lambert-table", [{"xmin": 0}], "xmin"),
     # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
     ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
                    "--fit-xmax", "70000"], "fit_xmax"),
@@ -427,8 +439,8 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     ("build-mollifier", [{"moll_out": ""}], "moll_out"),
     ("build-mollifier", [{"moll_out": "report.json"}], "moll_out"),
     # table sizes are capped: each was a ValueError from numpy at 10^30
-    ("lambert-table", ["--points", str(10 ** 30)], "points"),
-    ("assoc-func", ["--kpoints", str(10 ** 30)], "kpoints"),
+    ("lambert-table", [{"points": 10 ** 30}], "points"),
+    ("assoc-func", [{"kpoints": 10 ** 30}], "kpoints"),
     ("decay-fit", ["--fit-points", str(10 ** 30)], "fit_points"),
     # T_sigma on the fit window: W(log x) <= 0 from x = 1, and past double
     # precision near sigma = 1; each once exited 2 inside the decay-fit
@@ -562,7 +574,8 @@ def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
 
 
 def test_config_ranges_admit_their_ends():
-    for cfg in (RunConfig(xmin=0.0, log=False), RunConfig(samples=2 ** 24),
+    for cfg in (RunConfig(samples=2 ** 12), RunConfig(samples=2 ** 24),
+                RunConfig(fit_points=2 ** 12),
                 RunConfig(fit_xmin=math.nextafter(1.0, 2.0))):
         cli._validate(cfg, ("decay_fit",))
 
@@ -574,9 +587,7 @@ def test_samples_capped_before_any_allocation(samples):
         cli._validate(RunConfig(samples=samples))
 
 
-@pytest.mark.parametrize("field, cap", [
-    ("points", 2 ** 20), ("kpoints", 2 ** 16), ("fit_points", 2 ** 12),
-])
+@pytest.mark.parametrize("field, cap", [("fit_points", 2 ** 12)])
 def test_table_sizes_capped_before_any_allocation(monkeypatch, field, cap):
     # 10^30 fit points once reached np.logspace inside _validate; the caps
     # are checked before the fit grid is formed
@@ -612,18 +623,10 @@ def _flag(name, in_range):
 
 
 _FUZZ_ARGVS = st.one_of(
+    st.just(["lambert-table"]),  # its extent is fixed: it takes no flag
     st.lists(st.one_of(
-        _flag("--xmin", st.floats(1e-6, 1e3)),
-        _flag("--xmax", st.floats(1e3, 1e12)),
-        _flag("--points", st.integers(2, 200)),
-        st.tuples(st.sampled_from(["--log", "--linear"])),
-    ), max_size=4).map(lambda fl: ["lambert-table"] + [t for f in fl for t in f]),
-    st.lists(st.one_of(
-        _flag("--tau", st.floats(0.5, 2.0)),
+        _flag("--tau", st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),  # log-uniform
         _flag("--sigma", st.floats(1.1, 4.0)),
-        _flag("--kmin", st.floats(1e2, 1e6)),
-        _flag("--kmax", st.floats(1e6, 1e14)),
-        _flag("--kpoints", st.integers(20, 40)),
     ), max_size=4).map(lambda fl: ["assoc-func"] + [t for f in fl for t in f]),
 )
 
@@ -777,44 +780,42 @@ def test_int_for_float_field_matches_flag_spelling(tmp_path):
 
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"points": 31, "xmin": 1.0, "xmax": 100.0}')
-    out1 = tmp_path / "o1"
-    rc = main(["lambert-table", "--config", str(cfg), "--out-dir", str(out1)])
-    assert rc == 0
-    _, rows = read_csv(out1 / "lambert_table.csv")
-    assert len(rows) == 31  # file beats defaults
-    out2 = tmp_path / "o2"
-    rc = main([
-        "lambert-table", "--config", str(cfg), "--points", "7",
-        "--out-dir", str(out2),
-    ])
-    assert rc == 0
-    _, rows = read_csv(out2 / "lambert_table.csv")
-    assert len(rows) == 7  # flags beat the file
+    cfg.write_text('{"sigma": 3.0}')
+    tables = {}
+    for name, flags in (("default", []), ("file", ["--config", str(cfg)]),
+                        ("flag", ["--config", str(cfg), "--sigma", "2.5"])):
+        out = tmp_path / name
+        assert main(["assoc-func", *flags, "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        tables[man["config"]["sigma"]] = (out / "assoc_func.csv").read_bytes()
+    # file beats defaults, flags beat the file, and each sigma is its own table
+    assert list(tables) == [2.0, 3.0, 2.5]
+    assert len(set(tables.values())) == 3
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("LAMBERTWAVE_OUT", str(target))
-    rc = main(["lambert-table", "--points", "5", "--xmin", "1", "--xmax", "10"])
+    rc = main(["lambert-table"])
     assert rc == 0
     assert (target / "lambert_table.csv").exists()
 
 
 def test_manifest_echoes_full_config(tmp_path):
-    rc = main(["lambert-table", "--points", "5", "--out-dir", str(tmp_path)])
+    rc = main(["assoc-func", "--sigma", "3", "--out-dir", str(tmp_path)])
     assert rc == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
     # every field is recorded, and no certificate gate is a field, nor any
     # extent but the decay fit's window, nor any artifact's extent or name
     assert set(cfg) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert len(cfg) == 16
+    assert len(cfg) == 9
     assert not {"gram_tol", "dyadic_tol", "completeness_tol", "r2_min",
                 "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
                 "dyadic_window", "deriv_orders", "mixed_k_max",
-                "mixed_q_max", "freq_pow", "psi_xmax", "moll_out"} & set(cfg)
-    assert cfg["points"] == 5
+                "mixed_q_max", "freq_pow", "psi_xmax", "moll_out", "xmin",
+                "xmax", "points", "log", "kmin", "kmax", "kpoints"} & set(cfg)
+    assert cfg["sigma"] == 3.0
 
 
 def test_all_reruns_byte_identical(tmp_path):
@@ -846,8 +847,6 @@ def _fast_all_config(tmp_path):
         "fit_xmin": 100.0,
         "fit_xmax": 12800.0,
         "fit_points": 30,
-        "kpoints": 20,
-        "points": 50,
     }))
     return cfg
 
@@ -865,6 +864,25 @@ def test_build_mollifier_out_name(tmp_path, capsys):
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json", "phi.csv", "phi.provenance.json", "report.json"]
+
+
+# the flags that set the two tables' extents; each extent is fixed now
+@pytest.mark.parametrize("command, flag", [
+    ("lambert-table", ["--xmin", "1"]),
+    ("lambert-table", ["--xmax", "10"]),
+    ("lambert-table", ["--points", "5"]),
+    ("lambert-table", ["--log"]),
+    ("lambert-table", ["--linear"]),
+    ("assoc-func", ["--kmin", "1e4"]),
+    ("assoc-func", ["--kmax", "1e9"]),
+    ("assoc-func", ["--kpoints", "20"]),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_removed_table_flag_exits_2_writing_nothing(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    rc = main([command, *flag, "--out-dir", str(out)])
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
@@ -914,14 +932,11 @@ def test_default_a_passes_periodization_on_small_lattice(tmp_path):
 
 
 def test_assoc_scan_at_cap_exits_3(tmp_path, capsys):
-    # at sigma = 1.05 the sup over p for k = 1e12 sits near p = 389626,
-    # beyond the scan's cap: the run must not report a truncated sup
-    rc = main([
-        "assoc-func", "--sigma", "1.05", "--kmin", "1e11", "--kmax", "1e12",
-        "--kpoints", "20", "--out-dir", str(tmp_path),
-    ])
+    # at sigma = 1.05 the sup over p passes the scan's cap from k = 1.19e11,
+    # inside the table's k range: the run must not report a truncated sup
+    rc = main(["assoc-func", "--sigma", "1.05", "--out-dir", str(tmp_path)])
     assert rc == 3
-    assert "cap" in capsys.readouterr().err
+    assert "passes the cap" in capsys.readouterr().err
     failing = json.loads((tmp_path / "manifest.json").read_text())["failing"]
     assert (failing["stage"], failing["exception"]) == ("assoc_func", "ConvergenceError")
     assert not (tmp_path / "assoc_func.csv").exists()

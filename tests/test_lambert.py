@@ -96,7 +96,7 @@ def test_bounds_at_e_to_the_e():
     assert abs(w - 2.016779764892201) < 1e-12  # frozen oracle value
     assert math.e - 1.0 <= w <= math.e - 0.5
     rep = w_bounds_check([x])
-    assert rep.lower[0] <= rep.w[0] <= rep.upper[0]
+    assert rep.lower[0] <= lambert_w0(x) <= rep.upper[0]
 
 
 def test_bounds_strict_inside():
