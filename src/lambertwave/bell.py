@@ -23,6 +23,12 @@ real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
 N-point transform is made as two N/2-point rows, one per parity of the
 output (``_lattice_fft``), on two threads at N >= 2^22.
+
+Off the lattice, ``eval_psi_point`` evaluates one value
+psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
+(Filon 1928; Iserles & Norsett 2005): b is interpolated on nodes that do
+not depend on x, built once per evaluator (``BellEvaluator.point_rule``),
+and the cosine is integrated exactly, so a point costs the same at every x.
 """
 
 from __future__ import annotations
@@ -32,13 +38,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.fft
+from scipy.special import spherical_jn
 
 from .errors import DomainError, ResolutionError
 from .grids import GridFunction, abs_max
 
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per pass of the band fold and the periodization check
-_PANELS = 2 ** 10  # quadrature panels per pass of eval_psi_point
 _TWO_WORKER_ROW = 2 ** 21  # shortest transform row run on two threads
 
 
@@ -69,6 +75,7 @@ class BellEvaluator:
         self.band = (np.pi - a, 2.0 * (np.pi + a))
         self.ramp_half_width = a / 4.0
         self._lattice_band = None  # (L, psi_hat at the frequencies of L)
+        self._point_rule = None  # eval_psi_point's panels and coefficients
 
     def theta_a(self, v):
         return _ramp(v, self.ramp_half_width)
@@ -112,11 +119,37 @@ class BellEvaluator:
     def lattice_band(self, L: float) -> np.ndarray:
         """psi_hat at the frequencies j 2 pi / L, j = -M..M (``lattice_m``).
         Sampled once per period: the samples of the last L asked for are
-        kept."""
+        kept.  Like ``point_rule``'s, they cannot go stale: the ramps are
+        fixed when the evaluator is constructed."""
         if self._lattice_band is None or self._lattice_band[0] != L:
             M, dxi = self.lattice_m(L), 2.0 * np.pi / L
             self._lattice_band = (L, self.psi_hat_at(np.arange(-M, M + 1) * dxi))
         return self._lattice_band[1]
+
+    def point_rule(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The x-independent data of ``eval_psi_point``: for each of the
+        four ramp pieces between the knots pi - w, pi, pi + w and
+        2 pi - 2w, 2 pi, 2 pi + 2w, the panel half-width h (shape (4,)),
+        the midpoints of its ``_POINT_PANELS`` equal panels (4, P) and, on
+        each panel, the Legendre coefficients of b(mid + h t), t in
+        [-1, 1], from its values at ``_POINT_NODES`` Gauss-Legendre nodes
+        (4, P, n).  Built on the first call, with one ``bell_at`` call, and
+        kept: the ramps are fixed when the evaluator is constructed, so
+        the coefficients cannot go stale."""
+        if self._point_rule is None:
+            w = self.ramp_half_width
+            lo = np.array([np.pi - w, np.pi, 2.0 * (np.pi - w), 2.0 * np.pi])
+            hi = np.array([np.pi, np.pi + w, 2.0 * np.pi, 2.0 * (np.pi + w)])
+            half = (hi - lo) / (2 * _POINT_PANELS)
+            mid = lo[:, None] + (2 * np.arange(_POINT_PANELS) + 1) * half[:, None]
+            t, wt = np.polynomial.legendre.leggauss(_POINT_NODES)
+            vals = self.bell_at(mid[:, :, None] + half[:, None, None] * t)
+            # discrete Legendre transform: exact for the degree n - 1
+            # interpolant at the nodes
+            coef = ((vals * wt) @ np.polynomial.legendre.legvander(t, _POINT_NODES - 1)
+                    * (np.arange(_POINT_NODES) + 0.5))
+            self._point_rule = (half, mid, coef)
+        return self._point_rule
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +342,44 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
     return worst
 
 
+# eval_psi_point's rule: equal panels per ramp piece, and Gauss-Legendre
+# nodes per panel.  The least pair whose interpolant meets b to 8e-15 on
+# every panel (tests/test_bell.py); the rule's error is at most
+# (1/pi) sum over panels of 2 h max|b - p|.
+_POINT_PANELS = 6
+_POINT_NODES = 10
+_UNIT_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^k by k mod 4, exactly
+
+
 def eval_psi_point(ph: BellEvaluator, x: float) -> float:
-    """Direct oscillatory quadrature of one wavelet value,
+    """One wavelet value off the lattice, by a Filon-Legendre rule:
 
-        psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi.
+        psi(x) = (1/pi) Int b(xi) cos(u xi) d xi,   u = x - 1/2.
 
-    The bell is smooth between its six knots (pi -+ w, pi, 2 pi -+ 2w,
-    2 pi, w the ramp half-width), so the pieces between them are split into
-    panels no wider than a quarter period of the cosine,
-    pi / (2 max(|x - 1/2|, 1)), with 8 Gauss-Legendre nodes each.
+    On the flat part [alpha, beta] = [pi + w, 2 (pi - w)], where b = 1
+    exactly, the integral is 2 cos(u (alpha + beta)/2) sin(u (beta - alpha)/2)
+    / u, which is beta - alpha at u = 0 and cancels nothing at small u.  On
+    each ramp panel b is replaced by its
+    Legendre series sum_k c_k P_k(t) (``BellEvaluator.point_rule``), and
+    Int_{-1}^{1} P_k(t) e^{i omega t} dt = 2 i^k j_k(omega) with j_k the
+    spherical Bessel function, so the cosine is integrated exactly and the
+    cost and the error bound are the same at every x.  Only |u| enters: the
+    value is even in u bit for bit.
     """
-    if not np.isfinite(x):
-        raise DomainError("evaluation point must be finite")
-    u = x - 0.5
+    if not np.isfinite(x) or not np.isfinite((x - 0.5) * ph.band[1]):
+        raise DomainError("evaluation point must be finite, with a finite phase")
+    u = abs(x - 0.5)
     w = ph.ramp_half_width
-    knots = np.array([np.pi - w, np.pi, np.pi + w,
-                      2.0 * (np.pi - w), 2.0 * np.pi, 2.0 * (np.pi + w)])
-    n_panels = np.ceil(np.diff(knots) * (2.0 * max(abs(u), 1.0) / np.pi)).astype(int)
-    edges = np.concatenate([
-        np.linspace(lo, hi, n + 1)[:-1] for lo, hi, n in zip(knots, knots[1:], n_panels)
-    ] + [knots[-1:]])
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    haf = 0.5 * (edges[1:] - edges[:-1])
-    # the integrand, 2^10 panels at a time: far out there are ~10^5 panels,
-    # and whole-length temporaries would each be fresh memory
-    f = np.empty(len(mid) * len(gl_x))
-    for s in range(0, len(mid), _PANELS):
-        m, h = mid[s:s + _PANELS, None], haf[s:s + _PANELS, None]
-        xi = (m + h * gl_x[None, :]).ravel()
-        f[s * len(gl_x):(s + len(m)) * len(gl_x)] = (
-            ph.bell_at(xi) * np.cos(u * xi) * (h * gl_w[None, :]).ravel()
-        )
-    return float(np.sum(f) / np.pi)
+    alpha, beta = np.pi + w, 2.0 * (np.pi - w)
+    flat = beta - alpha
+    if u:
+        flat = 2.0 * np.cos(u * (0.5 * (alpha + beta))) * np.sin(u * (0.5 * flat)) / u
+    half, mid, coef = ph.point_rule()
+    k = np.arange(coef.shape[-1])
+    moments = 2.0 * _UNIT_POWERS[k % 4] * spherical_jn(k, u * half[:, None])
+    sums = np.einsum("pjk,pk->pj", coef, moments)
+    ramps = np.sum(half[:, None] * (np.exp(1j * (u * mid)) * sums).real)
+    return float((flat + ramps) / np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ name, the two tables' included, is fixed next to the stage that writes it.
 Configuration precedence is CLI flags over a JSON config file over
 built-in defaults.  Artifacts are CSV (17 significant digits, LF line
 endings, header row) plus a JSON manifest with the complete resolved
-configuration, checksums, and timings.  Exit codes (the ``EXITS`` table):
+configuration, checksums, and per-stage wall time, CPU time and the
+process's RSS high-water mark.  Exit codes (the ``EXITS`` table):
 0 success, 1 verification failure, 2 usage/config error, 3 numeric or
 resolution error, and 1 for any other error.  Config errors exit before
 any stage runs and write nothing; once the stages start, every exit, an
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -244,8 +246,6 @@ def stage_build_mollifier(run: Run) -> list:
             {"n": r.n, "measured": r.measured, "bound": r.bound, "ratio": r.ratio}
             for r in audit.rows
         ],
-        "tau_eff": audit.tau_eff,
-        "log_c_fit": audit.log_c_fit,
     }
     prov_path = out / "phi.provenance.json"
     write_json(prov_path, prov)
@@ -350,7 +350,6 @@ def stage_decay_fit(run: Run) -> list:
         "r_squared": fit.r_squared,
         "x_range": list(fit.x_range),
         "shape_checks": fit.shape_checks,
-        "crossovers": fit.crossovers,
         "window": table.window,
         "dropped_points": table.dropped,
         "derivatives": [
@@ -460,6 +459,13 @@ def _exit(exc: BaseException) -> Tuple[int, str]:
     return next((EXITS[c] for c in type(exc).__mro__ if c in EXITS), (1, "error"))
 
 
+def _rss_high_water_mb() -> float:
+    """The process's resident-set high-water mark so far, in MiB
+    (``ru_maxrss`` counts KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
+
+
 def run_pipeline(command: str, cfg: RunConfig) -> dict:
     """Execute the stages of one subcommand; returns the manifest.
 
@@ -467,6 +473,10 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     the stage (status "fail" for a VerificationError, "error" with the
     exception's class and message for any other), the manifest the exit
     code ``EXITS`` gives it (0 on pass), and the exception propagates.
+    Each stage that completes gets its wall time (``timings``), its CPU
+    time (``cpu_s``, all threads) and the process's resident-set
+    high-water mark after it (``rss_high_water_mb``: the peak of the whole
+    process so far, not of the stage).
     """
     stages = COMMANDS[command].stages
     _validate(cfg, stages)
@@ -475,10 +485,12 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     run = Run(cfg, out)
     artifacts: list = []
     timings: dict = {}
+    cpu_s: dict = {}
+    rss_high_water_mb: dict = {}
     failing = raised = None
     status = "pass"
     for name in stages:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             artifacts.extend(STAGES[name](run))
         except VerificationError as exc:
@@ -491,6 +503,8 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
             status, raised = "error", exc
             break
         timings[name] = time.perf_counter() - t0
+        cpu_s[name] = time.process_time() - c0
+        rss_high_water_mb[name] = _rss_high_water_mb()
 
     report = {
         "command": command,
@@ -515,6 +529,8 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         "config": dataclasses.asdict(cfg),
         "artifacts": {p.name: _sha256(p) for p in artifacts},
         "timings": timings,
+        "cpu_s": cpu_s,
+        "rss_high_water_mb": rss_high_water_mb,
         "status": status,
         "failing": failing,
         "exit_code": _exit(raised)[0] if raised else 0,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -133,7 +133,6 @@ class MollifierBuild:
     """Constructed cutoff with provenance: thresholds, scales, truncation
     index, and its transform on the grid's rfft bins."""
 
-    sigma: float
     thresholds: List[int]
     scales: np.ndarray
     trunc_index: int
@@ -219,7 +218,6 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     phi = np.maximum(phi, 0.0)
 
     return MollifierBuild(
-        sigma=sigma,
         thresholds=seq.thresholds,
         scales=seq.scales,
         trunc_index=seq.p_end,
@@ -244,17 +242,15 @@ class DerivativeAuditRow:
 
 @dataclass(frozen=True)
 class DerivativeAuditReport:
-    n_max: int                  # highest order audited; 0 when none is
+    n_max: int  # highest order audited; 0 when none is
     rows: tuple
-    log_c_fit: Optional[float]  # envelope constant of the growth-shape fit
-    tau_eff: Optional[float]    # fitted effective tau; None below n_max = 3
 
 
 def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
     """Certify measured derivative sups against the factor-product bounds,
     for n = 0..n_max, n_max = min(``AUDIT_N_MAX``, retained factors - 2):
     each bound differentiates n factors after the first, and the audit
-    needs three factors.  With fewer it returns no rows and no fit.
+    needs three factors.  With fewer it returns no rows.
 
     For each n the bound anchors one undifferentiated factor in sup norm and
     differentiates the n largest-scale factors after the first:
@@ -264,13 +260,10 @@ def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
     with the unit cone's sup f = 1 and ||f'||_1 = 2, q_k running over the n
     smallest retained indices past N_1.  Each sup is measured on the grid
     from the build's own spectrum, and must stay below B_n * (1 + 1e-3).
-    The growth-shape fit regresses log sup on (n^sigma, n^sigma log n) and
-    shifts the constant up to an envelope, reporting the effective tau; it
-    needs n_max >= 3.
     """
     n_max = min(AUDIT_N_MAX, len(build.scales) - 2)
     if n_max <= 0:
-        return DerivativeAuditReport(0, (), None, None)
+        return DerivativeAuditReport(0, ())
     period, dx = build.phi.n - 1, build.phi.dx
     omega = 2.0 * np.pi * np.fft.rfftfreq(period, dx)
     bounds = np.cumprod(np.concatenate([[1.0 / build.scales[0]],
@@ -287,15 +280,4 @@ def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
                 detail=("n", q),
             )
         rows.append(DerivativeAuditRow(q, measured, bound, measured / bound))
-
-    if n_max < 3:  # two coefficients need two orders n >= 2
-        return DerivativeAuditReport(n_max, tuple(rows), None, None)
-    ns = np.arange(2, n_max + 1, dtype=float)
-    y = np.log([r.measured for r in rows[2:]])
-    basis = np.vstack([ns ** build.sigma, ns ** build.sigma * np.log(ns)]).T
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    log_c, tau_eff = float(coef[0]), float(coef[1])
-    # shift log C so the fitted form is a true envelope over the audited range
-    resid = y - basis @ coef
-    log_c += float(np.max(resid / ns ** build.sigma))
-    return DerivativeAuditReport(n_max, tuple(rows), log_c, tau_eff)
+    return DerivativeAuditReport(n_max, tuple(rows))

@@ -363,7 +363,6 @@ class DecayFitReport:
     r_squared: float
     x_range: Tuple[float, float]
     shape_checks: Dict[str, bool]
-    crossovers: Dict[str, float]
     comparator_table: np.ndarray  # columns per comparator_columns
     comparator_columns: Tuple[str, ...]
 
@@ -391,8 +390,7 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
     adjacent envelope windows are disjoint (overlapping windows can capture
     the same peak twice, flattening the ratio artificially): -log env grows
     faster than any multiple of log x (ratio increasing) yet slower than
-    sqrt(x) on the top decade (ratio decreasing), with reported crossovers
-    against the factorial-scale comparators.
+    sqrt(x) on the top decade (ratio decreasing).
     """
     xs = table.x[table.usable]
     env = table.env[table.usable]
@@ -423,16 +421,6 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
             np.all(np.diff((y_d / np.sqrt(xs_d))[top]) < 0)
         )
         checks["sublinear"] = bool(np.all(np.diff(y_d / xs_d) < 0))
-    crossovers: Dict[str, float] = {}
-    for name, expo in (("gevrey2", 0.5), ("gevrey3", 1.0 / 3.0)):
-        ratio = y_d / xs_d ** expo
-        dec_from = len(ratio) - 1
-        for i in range(len(ratio) - 1, 0, -1):
-            if ratio[i] < ratio[i - 1]:
-                dec_from = i - 1
-            else:
-                break
-        crossovers[name] = float(xs_d[dec_from]) if len(ratio) else float("nan")
 
     envs = comparison_envelopes(xs, sigma)
     with np.errstate(under="ignore"):
@@ -465,7 +453,6 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
         r_squared=r2,
         x_range=(float(xs[0]), float(xs[-1])),
         shape_checks=checks,
-        crossovers=crossovers,
         comparator_table=tab,
         comparator_columns=cols,
     )

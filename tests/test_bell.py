@@ -216,8 +216,104 @@ def test_point_eval_symmetry_and_errors(wavelet):
     left = eval_psi_point(wavelet.ph, 0.5 - u)
     right = eval_psi_point(wavelet.ph, 0.5 + u)
     assert left == right  # cosine kernel is even in (x - 1/2)
-    with pytest.raises(DomainError):
-        eval_psi_point(wavelet.ph, float("nan"))
+    # a phase u xi past the largest double is refused, not computed as nan
+    for x in (float("nan"), float("inf"), -float("inf"), 1.7e308, -1.7e308):
+        with pytest.raises(DomainError):
+            eval_psi_point(wavelet.ph, x)
+
+
+def _quarter_period_rule(ph, x):
+    """Reference oracle: psi(x) by Gauss-Legendre quadrature with 8 nodes
+    on panels between the bell's six knots no wider than a quarter period
+    of the cosine, pi / (2 max(|x - 1/2|, 1)); its cost grows with |x|."""
+    u = x - 0.5
+    w = ph.ramp_half_width
+    knots = np.array([math.pi - w, math.pi, math.pi + w,
+                      2.0 * (math.pi - w), 2.0 * math.pi, 2.0 * (math.pi + w)])
+    total = 0.0
+    t, wt = np.polynomial.legendre.leggauss(8)
+    for lo, hi in zip(knots, knots[1:]):
+        n = int(math.ceil((hi - lo) * 2.0 * max(abs(u), 1.0) / math.pi))
+        piece = np.linspace(lo, hi, n + 1)
+        for start in range(0, n, 2 ** 10):
+            edges = piece[start:start + 2 ** 10 + 1]
+            mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+            half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+            xi = mid + half * t
+            total += float(np.sum(ph.bell_at(xi) * np.cos(u * xi) * (half * wt)))
+    return total / math.pi
+
+
+def test_point_eval_matches_quarter_period_rule_beyond_the_lattice(wavelet):
+    # past |x| = L/4 = 65,536 the lattice certifies nothing: the old
+    # x-dependent rule is the reference there
+    sup = wavelet.synthesis.grid.sup()
+    for x in (1e4, -1e4, 1e5, -1.5e5):
+        ref = _quarter_period_rule(wavelet.ph, x)
+        assert abs(eval_psi_point(wavelet.ph, x) - ref) <= 1e-14 * sup, x
+    # and the reference reproduces a main-lobe lattice value
+    grid = wavelet.synthesis.grid
+    i = int(round((3.3125 - grid.x0) / grid.dx))
+    assert abs(_quarter_period_rule(wavelet.ph, 3.3125) - grid.values[i]) <= 1e-12 * sup
+
+
+def test_point_rule_is_x_independent(monkeypatch):
+    # the bell is sampled once per evaluator, whatever x is asked for next
+    ph = BellEvaluator(A)
+    calls = []
+    bell_at = BellEvaluator.bell_at
+
+    def counted(self, xi):
+        calls.append(np.size(xi))
+        return bell_at(self, xi)
+
+    monkeypatch.setattr(BellEvaluator, "bell_at", counted)
+    eval_psi_point(ph, 0.25)
+    bell_mod = sys.modules["lambertwave.bell"]
+    assert calls == [4 * bell_mod._POINT_PANELS * bell_mod._POINT_NODES]
+    for x in np.concatenate([[0.5], np.linspace(-1e5, 1e5, 41), [3e4 + 0.0625]]):
+        eval_psi_point(ph, float(x))
+    assert len(calls) == 1
+
+
+def test_point_eval_far_out_returns_at_fixed_cost(wavelet):
+    # the old rule took ceil(knot gap * 2|u| / pi) panels: about 2.25e9 at
+    # |x| = 1e9, 18 GB of panel edges; now the work does not depend on x
+    sup = wavelet.synthesis.grid.sup()
+    for x in (1e12, -1e12):
+        assert abs(eval_psi_point(wavelet.ph, x)) <= 1e-12 * sup
+
+
+def _rule_interpolation_error(ph):
+    """max |b - p| on each panel of ``ph.point_rule()``, on 2001 points:
+    b from ``bell_at`` at each sample xi, p the panel's Legendre series at
+    t = (xi - mid) / h."""
+    half, mid, coef = ph.point_rule()
+    worst = np.empty(mid.shape)
+    for p in range(mid.shape[0]):
+        for j in range(mid.shape[1]):
+            xi = np.linspace(mid[p, j] - half[p], mid[p, j] + half[p], 2001)
+            t = (xi - mid[p, j]) / half[p]
+            worst[p, j] = np.max(np.abs(
+                ph.bell_at(xi) - np.polynomial.legendre.legval(t, coef[p, j])))
+    return half, worst
+
+
+def test_point_rule_interpolates_the_bell(monkeypatch):
+    # the rule's constants are the least pair that meets b to 8e-15 on every
+    # panel (4.3e-15 measured); one panel or one node fewer does not (1.2e-14
+    # and 7.2e-14)
+    bell_mod = sys.modules["lambertwave.bell"]
+    P, n = bell_mod._POINT_PANELS, bell_mod._POINT_NODES
+    half, worst = _rule_interpolation_error(BellEvaluator(A))
+    assert worst.shape == (4, P)
+    assert np.max(worst) <= 8e-15
+    # the error bound (1/pi) sum 2 h max|b - p| is below 1e-15 of sup psi
+    assert np.sum(2.0 * half[:, None] * worst) / math.pi <= 1e-15
+    for fewer in ((P - 1, n), (P, n - 1)):
+        monkeypatch.setattr(bell_mod, "_POINT_PANELS", fewer[0])
+        monkeypatch.setattr(bell_mod, "_POINT_NODES", fewer[1])
+        assert np.max(_rule_interpolation_error(BellEvaluator(A))[1]) > 8e-15, fewer
 
 
 def test_member_spectrum_identity_and_support(wavelet):

@@ -97,6 +97,7 @@ def test_build_mollifier(tmp_path):
     assert prov["thresholds"] == [1, 2, 4, 6, 8, 10, 13, 15]
     assert prov["bounds_table"]
     assert all(r["measured"] <= r["bound"] * 1.001 for r in prov["bounds_table"])
+    assert "tau_eff" not in prov and "log_c_fit" not in prov
     mass = np.trapezoid(
         [float(r[1]) for r in rows],
         dx=float(rows[1][0]) - float(rows[0][0]),
@@ -119,14 +120,14 @@ def test_build_mollifier_skipped_audit(tmp_path):
 
 
 def test_build_mollifier_audit_too_short_to_fit(tmp_path):
-    # sigma = 4 keeps three factors: the audit reaches n = 1, short of the
-    # two orders n >= 2 the growth fit needs, so the fit is left out
+    # sigma = 4 keeps three factors: the audit reaches n = 1; there is no
+    # growth-shape fit at any depth, so the provenance has no fit keys
     rc = main(["build-mollifier", "--sigma", "4", "--out-dir", str(tmp_path)])
     assert rc == 0
     prov = json.loads((tmp_path / "phi.provenance.json").read_text())
     assert len(prov["scales"]) == 3
     assert [r["n"] for r in prov["bounds_table"]] == [0, 1]
-    assert prov["tau_eff"] is None and prov["log_c_fit"] is None
+    assert "tau_eff" not in prov and "log_c_fit" not in prov
 
 
 @pytest.mark.parametrize("sigma", ["7", "30"])
@@ -839,6 +840,20 @@ def test_all_reruns_byte_identical(tmp_path):
         "lambert_table.csv", "assoc_func.csv", "phi.csv", "psi_hat.csv", "psi.csv",
         "gram.csv", "dyadic.csv", "envelope.csv", "mixed.csv"}
     assert "grid_pow" not in r1["grids"]  # the cutoff grid is fixed
+    assert "crossovers" not in r1["assertions"]["decay_fit"]
+    _assert_stage_usage(man, cli.COMMANDS["all"].stages)
+
+
+def _assert_stage_usage(man, stages):
+    """The manifest gives wall time, CPU time and the process's RSS
+    high-water mark for exactly ``stages``; the high-water mark never falls
+    along the run order."""
+    for key in ("timings", "cpu_s", "rss_high_water_mb"):
+        assert set(man[key]) == set(stages), key
+        assert all(v >= 0.0 for v in man[key].values()), key
+    rss = [man["rss_high_water_mb"][name] for name in stages]
+    assert all(b >= a for a, b in zip(rss, rss[1:]))
+    assert not stages or rss[0] > 0.0
 
 
 def _fast_all_config(tmp_path):
@@ -917,6 +932,9 @@ def test_resolution_failure_exits_3(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "error"
     assert report["failing"] == failing
+    # usage figures only for the stages before the failing one: none here
+    stages = cli.COMMANDS["build-wavelet"].stages
+    _assert_stage_usage(man, stages[:stages.index(failing["stage"])])
 
 
 def test_default_a_passes_periodization_on_small_lattice(tmp_path):
