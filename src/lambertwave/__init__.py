@@ -29,9 +29,7 @@ from .gevrey import (
     SequenceParams,
     assoc_t_asym,
     assoc_t_exact,
-    comparison_envelopes,
     log_m,
-    moritoh_l,
 )
 from .grids import GridFunction, GridSpec
 from .lambert import (

@@ -23,7 +23,7 @@ class ResolutionError(LambertwaveError):
 
 
 class ConvergenceError(LambertwaveError):
-    """A computed value missed its tolerance, or a search hit its cap.
+    """A computed value missed its tolerance.
 
     Carries the worst residual observed, if any, so callers can report it.
     """

@@ -1,10 +1,11 @@
-"""Weight sequences p^(tau * p^sigma) and their associated (Legendre-type)
-function in exact-sup and Lambert-asymptotic form.
+"""Weight sequences p^(tau * p^sigma), their associated (Legendre-type)
+function in exact-sup and Lambert-asymptotic form, and the Lambert
+regressor T_sigma.
 
 All sequence arithmetic is done on logarithms: the raw entries overflow
 double precision already at small p.  The exact sup is a bracketed search
 (``first_index``) for the first p where the concave term p log k - log M_p
-stops rising.
+stops rising, over every p at which p and p + 1 are exact doubles.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .lambert import lambert_w0
 
 _E = float(np.e)
-_P_CAP = 200000  # the associated function's argmax must lie at or below _P_CAP - 3
+_P_MAX = 2 ** 53 - 1  # the last p with p and p + 1 exact doubles
 SIGMA_MIN = 1.0 + 1e-12  # sigma = 1, the Gevrey scale, and just above it are excluded
 SIGMA_MAX = 1024.0  # below it 2^sigma, the p^sigma of p = 2, is a finite double
 
@@ -66,12 +67,26 @@ def log_m(p, params: SequenceParams):
     return float(out) if np.isscalar(p) else out
 
 
+def _log_m_step(p: int, params: SequenceParams) -> float:
+    """log M_{p+1} - log M_p, formed without cancellation: for p >= 2 it is
+    tau p^sigma (expm1(sigma log1p(1/p)) log(p + 1) + log1p(1/p)).  The
+    difference of the two logs loses all its digits once log M_p is far
+    larger than the step (p near 1e11 at sigma = 1.001)."""
+    if p < 2:
+        return log_m(p + 1, params)
+    x = math.log1p(1.0 / p)
+    with np.errstate(over="ignore"):
+        scale = params.tau * np.float64(p) ** params.sigma
+    return float(scale * (math.expm1(params.sigma * x) * math.log(p + 1) + x))
+
+
 @dataclass(frozen=True)
 class AssocFnReport:
     """Exact sup value of the associated function at one argument, with the
-    Lambert-form asymptote T_sigma(k) and the ratio of the sup to
-    tau^(-1/(sigma-1)) T_sigma(k): nan where k <= e, and where that scaled
-    asymptote is not a positive finite double."""
+    Lambert-form asymptote T_sigma(k), nan where k <= e and where it is not
+    a finite double, and the ratio of the sup to tau^(-1/(sigma-1))
+    T_sigma(k), nan where that scaled asymptote is not a positive finite
+    double."""
 
     k: float
     t_exact: float
@@ -101,34 +116,31 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     """Exact associated-function value sup_p max(0, p log k - log M_p).
 
     log M_p is convex in p, so the term p log k - log M_p is concave and its
-    sup sits at the first p where it stops rising, found by ``first_index``
-    (Komatsu, Ultradistributions I, 1973).  The term is 0 at p = 0, so the
-    sup is never negative.  An argmax past ``_P_CAP - 3`` raises
-    ConvergenceError.
+    sup sits at the first p where it stops rising, log k <= log M_{p+1} -
+    log M_p, found by ``first_index`` (Komatsu, Ultradistributions I,
+    1973).  The term is 0 at p = 0, so the sup is never negative.  An
+    argmax past ``_P_MAX`` = 2^53 - 1, where integers stop being exact
+    doubles, raises DomainError.  ``t_asym`` and ``ratio`` are nan where
+    T_sigma(k) is not a finite double.
     """
     if not (np.isfinite(k) and k > 0):
         raise DomainError(f"k must be positive, got {k}")
     lk = math.log(k)
-
-    def term(p):
-        p = np.asarray(p, dtype=float)
-        return p * lk - log_m(p, params)
-
-    def falls(p):
-        t = term([p, p + 1])
-        return t[1] <= t[0]
-
-    best_p = first_index(falls, _P_CAP - 3)
+    best_p = first_index(lambda p: lk <= _log_m_step(p, params), _P_MAX)
     if best_p is None:
-        raise ConvergenceError(
-            f"associated-function search at k = {k:.6g} passes the cap "
-            f"p = {_P_CAP - 3} before reaching its maximum"
+        raise DomainError(
+            f"associated-function argmax at k = {k:.6g}, tau = {params.tau:g}, "
+            f"sigma = {params.sigma:g} lies past p = 2^53 - 1, where integers "
+            f"stop being exact doubles"
         )
-    best = float(term([best_p])[0])
+    best = best_p * lk - log_m(best_p, params)
 
     ta = ratio = float("nan")
     if k > _E:
-        ta = assoc_t_asym(k, params.sigma)
+        try:
+            ta = assoc_t_asym(k, params.sigma)
+        except DomainError:  # T_sigma(k) is past double precision: nan
+            pass
         try:  # the scaled asymptote tau^(-1/(sigma-1)) T_sigma(k)
             scaled = params.tau ** (-1.0 / (params.sigma - 1.0)) * ta
         except OverflowError:
@@ -172,32 +184,3 @@ def assoc_t_asym(k, sigma: float):
     out = lambert_regressor(ka, sigma)
     return float(out) if np.isscalar(k) else out
 
-
-# ---------------------------------------------------------------------------
-# Comparison envelopes (used only by the verification fits)
-# ---------------------------------------------------------------------------
-
-def moritoh_l(x, sigma: float):
-    """Log comparator l_{1,sigma}(x) = (log x)^sigma, for x > 1."""
-    lx = np.log(np.asarray(x, dtype=float))
-    if np.any(lx <= 0):
-        raise DomainError("log comparator needs x > 1")
-    with np.errstate(over="ignore"):  # inf past double precision: x / l -> 0
-        out = lx ** sigma
-    return float(out) if np.isscalar(x) else out
-
-
-def comparison_envelopes(x, sigma: float) -> dict:
-    """Negated log-envelopes of the literature decay classes, tabulated.
-
-    Returns -log of each comparator bound (up to constants): exponential |x|,
-    factorial-scale |x|^(1/s') for s' in {2, 3} and the log form
-    x / l_{1,sigma}(x).  The Lambert regressor itself is ``lambert_regressor``.
-    """
-    xa = np.asarray(x, dtype=float)
-    return {
-        "exp": xa,
-        "gevrey2": xa ** 0.5,
-        "gevrey3": xa ** (1.0 / 3.0),
-        "moritoh": xa / moritoh_l(xa, sigma),
-    }

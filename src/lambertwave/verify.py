@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .bell import BellEvaluator
 from .errors import InputError, VerificationError
-from .gevrey import comparison_envelopes, lambert_regressor
+from .gevrey import lambert_regressor
 from .grids import GridFunction
 
 _BAND_QUAD = 2 ** 13 + 1  # trapezoid nodes across the positive band
@@ -422,30 +422,6 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
         )
         checks["sublinear"] = bool(np.all(np.diff(y_d / xs_d) < 0))
 
-    envs = comparison_envelopes(xs, sigma)
-    with np.errstate(under="ignore"):
-        tab = np.column_stack(
-            [
-                xs,
-                env,
-                T,
-                np.exp(-(h * T + icpt)),
-                np.exp(-envs["gevrey2"]),
-                np.exp(-envs["gevrey3"]),
-                np.exp(-envs["moritoh"]),
-                np.exp(-envs["exp"]),
-            ]
-        )
-    cols = (
-        "x",
-        "env",
-        "T_sigma",
-        "lambert_bound",
-        "gevrey2",
-        "gevrey3",
-        "moritoh",
-        "exp",
-    )
     return DecayFitReport(
         h_fit=h,
         h_stderr=se,
@@ -453,8 +429,8 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
         r_squared=r2,
         x_range=(float(xs[0]), float(xs[-1])),
         shape_checks=checks,
-        comparator_table=tab,
-        comparator_columns=cols,
+        comparator_table=np.column_stack([xs, env, T, np.exp(-(h * T + icpt))]),
+        comparator_columns=("x", "env", "T_sigma", "lambert_bound"),
     )
 
 

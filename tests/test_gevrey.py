@@ -3,20 +3,18 @@ enumeration oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertwave import (
-    ConvergenceError,
     DomainError,
     SequenceParams,
     assoc_t_asym,
     assoc_t_exact,
-    comparison_envelopes,
     log_m,
-    moritoh_l,
 )
 from lambertwave import gevrey
 
@@ -105,26 +103,76 @@ def test_assoc_exact_anchor_cases():
     assert rep.t_exact == pytest.approx(33.08133245393884, rel=1e-13)  # frozen
 
 
-def test_assoc_scan_cap_raises():
-    # at sigma = 1.05 the sup for k = 1e12 lies past the scan's p cap
+def test_assoc_deep_argmax_equals_enumeration():
+    # at sigma = 1.05 the sup for k = 1e12 lies deep, at p = 389626
     val, argp = enum_oracle(1e12, 1.0, 1.05, p_max=800000)
-    assert argp == 389626 and val == pytest.approx(1218956.89, rel=1e-8)
-    with pytest.raises(ConvergenceError, match="cap"):
-        assoc_t_exact(1e12, SequenceParams(1.0, 1.05))
+    assert argp == 389626 and val == pytest.approx(1218956.887, rel=1e-9)
+    rep = assoc_t_exact(1e12, SequenceParams(1.0, 1.05))
+    assert rep.argmax_p == argp
+    assert rep.t_exact == pytest.approx(val, rel=1e-14)
 
 
-def _walk(k, params):
+@pytest.mark.parametrize("sigma", [1.01, 1.001, 1.0 + 1e-12])
+def test_argmax_near_sigma_1_is_exact(sigma):
+    # the argmax reaches 4e11, where a step term(p + 1) - term(p) lies 11
+    # digits or more below the terms: in 40-digit arithmetic the reported p
+    # beats both its neighbours, and t_exact is its term to rounding
+    params = SequenceParams(1.0, sigma)
+    with mpmath.workdps(40):
+        for k in (1e6, 1e9, 1e12):
+            rep = assoc_t_exact(k, params)
+            term = [p * mpmath.log(k) - mpmath.mpf(p) ** sigma * mpmath.log(p)
+                    for p in (rep.argmax_p - 1, rep.argmax_p, rep.argmax_p + 1)]
+            assert term[1] > max(term[0], term[2]), (k, rep.argmax_p)
+            assert abs(rep.t_exact / term[1] - 1) < 1e-14, k
+
+
+def test_argmax_past_exact_integers_raises():
+    # at tau = 1e-30 the sup for k = 1e12 sits near p = 1e29, where p and
+    # p + 1 are no longer distinct doubles
+    with pytest.raises(DomainError, match=r"k = 1e\+12, tau = 1e-30, sigma = 2 .* 2\^53 - 1"):
+        assoc_t_exact(1e12, SequenceParams(1e-30, 2.0))
+
+
+def test_t_asym_nan_past_double_precision():
+    # at sigma = 1.001 the exponent 1/(sigma - 1) = 1000 takes T_sigma(k)
+    # past double precision: the sup stands, t_asym and ratio are nan
+    rep = assoc_t_exact(1e6, SequenceParams(1.0, 1.001))
+    assert rep.t_exact > 0 and math.isfinite(rep.t_exact)
+    assert math.isnan(rep.t_asym) and math.isnan(rep.ratio)
+    with pytest.raises(DomainError, match="overflows"):
+        assoc_t_asym(1e6, 1.001)
+
+
+def test_first_index_contract():
+    # the first p in [0, cap] with pred(p), for a pred false below some
+    # index and true from it on, in O(log cap) calls; None if pred(cap) is
+    # false
+    for cap in (1, 2, 7, 1000, gevrey._P_MAX):
+        for first in {0, 1, cap // 2, cap - 1, cap}:
+            calls = []
+
+            def pred(p):
+                calls.append(p)
+                return p >= first
+
+            assert gevrey.first_index(pred, cap) == first
+            assert len(calls) <= 2 * cap.bit_length() + 2
+        assert gevrey.first_index(lambda p: p > cap, cap) is None
+
+
+def _walk(k, params, cap=None):
     """The associated-function scan one p at a time: stop after three drops
-    past the running maximum, raise past the p cap.  The reference for the
-    search of ``assoc_t_exact``."""
+    past the running maximum, "cap" past p = cap, the walk's own limit.  The
+    reference for the search of ``assoc_t_exact``."""
     lk = math.log(k)
     best, best_p = 0.0, 0
     prev = 0.0
     drops = 0
     p = 1
     while drops < 3:
-        if p > gevrey._P_CAP:
-            raise ConvergenceError("cap")
+        if cap is not None and p > cap:
+            return "cap"
         term = p * lk - float(log_m(p, params))
         if term > best:
             best, best_p = term, p
@@ -136,47 +184,36 @@ def _walk(k, params):
     return best, best_p
 
 
-def _scan_or_cap(scan, k, params):
-    try:
-        return scan(k, params)
-    except ConvergenceError:
-        return "cap"
-
-
 @pytest.mark.parametrize("cap", [None, 1000, 4000])
-def test_search_equals_walk(monkeypatch, cap):
+def test_search_equals_walk(cap):
     # equal t_exact and argmax_p, bit for bit, on a sigma / tau / k grid;
-    # with the p cap lowered, the search and the walk raise at the same k
-    if cap is not None:
-        monkeypatch.setattr(gevrey, "_P_CAP", cap)
+    # where the walk stops at its p cap, the search goes on past it
     seen = set()
     for sigma in (1.05, 1.3, 1.5, 2.0, 3.0) if cap else (1.3, 1.5, 2.0, 3.0):
         for tau in (0.25, 1.0, 4.0):
             params = SequenceParams(tau, sigma)
             for k in np.logspace(-1, 14, 11):
-                rep = _scan_or_cap(assoc_t_exact, float(k), params)
-                got = rep if rep == "cap" else (rep.t_exact, rep.argmax_p)
-                assert got == _scan_or_cap(_walk, float(k), params), (sigma, tau, k)
-                seen.add(got == "cap")
+                rep = assoc_t_exact(float(k), params)
+                walk = _walk(float(k), params, cap)
+                if walk == "cap":
+                    assert rep.argmax_p > cap - 3, (sigma, tau, k)
+                else:
+                    assert (rep.t_exact, rep.argmax_p) == walk, (sigma, tau, k)
+                seen.add(walk == "cap")
     assert seen == ({False} if cap is None else {False, True})
 
 
 @pytest.mark.parametrize("sigma, tau, k, argmax", [
     (1.5, 1.0, 1e12, 23), (1.3, 0.25, 1e10, 1420), (2.0, 1.0, 1e14, 7),
 ])
-def test_search_cap_boundary(monkeypatch, sigma, tau, k, argmax):
-    # the walk needs three falls past the argmax: an argmax at cap - 3
-    # returns, one at cap - 2 raises, for the search as for the walk
+def test_search_cap_boundary(sigma, tau, k, argmax):
+    # the walk needs three falls past the argmax: with its cap at argmax + 3
+    # it returns the search's sup, at argmax + 2 it stops short
     params = SequenceParams(tau, sigma)
-    monkeypatch.setattr(gevrey, "_P_CAP", argmax + 3)
     rep = assoc_t_exact(k, params)
-    assert (rep.t_exact, rep.argmax_p) == _walk(k, params)
     assert rep.argmax_p == argmax
-    monkeypatch.setattr(gevrey, "_P_CAP", argmax + 2)
-    with pytest.raises(ConvergenceError, match="cap"):
-        assoc_t_exact(k, params)
-    with pytest.raises(ConvergenceError):
-        _walk(k, params)
+    assert (rep.t_exact, rep.argmax_p) == _walk(k, params, argmax + 3)
+    assert _walk(k, params, argmax + 2) == "cap"
 
 
 def test_assoc_domain_error():
@@ -274,29 +311,6 @@ def test_terminating_sup_equals_enumeration(tau, sigma, log10k):
     val, argp = enum_oracle(k, tau, sigma, p_max=p_max)
     assert rep.t_exact == pytest.approx(val, rel=1e-13, abs=1e-13)
     assert rep.argmax_p == argp
-
-
-def test_moritoh_and_envelopes():
-    # the comparator is log^sigma, defined for x > 1
-    assert moritoh_l(math.exp(2.0), 2.0) == pytest.approx(4.0, rel=1e-12)
-    assert moritoh_l(np.array([math.e]), 3.0)[0] == pytest.approx(1.0, rel=1e-15)
-    for x in (1.0, 0.5):
-        with pytest.raises(DomainError):
-            moritoh_l(x, 2.0)
-    env = comparison_envelopes(np.array([math.exp(math.e)]), 2.0)
-    assert sorted(env) == ["exp", "gevrey2", "gevrey3", "moritoh"]
-    assert env["gevrey2"][0] == pytest.approx(math.exp(math.e / 2.0), rel=1e-12)
-
-
-def test_moritoh_saturates_past_double_precision():
-    # log(3e4)^310 is past the largest double: the comparator saturates to
-    # inf, with no overflow warning, and x / l -> 0 reads exp(-0) = 1
-    x = np.array([1e2, 3e4])
-    assert moritoh_l(x, 310.0)[1] == math.inf
-    env = comparison_envelopes(x, 310.0)
-    assert env["moritoh"][1] == 0.0
-    assert np.exp(-env["moritoh"][1]) == 1.0
-    assert math.isfinite(moritoh_l(1e2, 310.0))
 
 
 def test_regressor_domain_names_its_cause():
