@@ -27,16 +27,12 @@ from .errors import (
 from .gevrey import (
     AssocFnReport,
     SequenceParams,
-    assoc_t_asym,
     assoc_t_exact,
+    lambert_regressor,
     log_m,
 )
 from .grids import GridFunction, GridSpec
-from .lambert import (
-    WBoundsReport,
-    lambert_w0,
-    w_bounds_check,
-)
+from .lambert import lambert_w0
 from .mollifier import (
     DerivativeAuditReport,
     MollifierBuild,

@@ -50,9 +50,10 @@ from .errors import (
 )
 from .gevrey import SIGMA_MAX, SIGMA_MIN, SequenceParams, assoc_t_exact, lambert_regressor, log_m2
 from .grids import GridSpec
-from .lambert import lambert_w0, w_bounds_check
+from .lambert import lambert_w0
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
+    FIT_POINTS_MIN,
     FIT_SPAN_MIN,
     MIXED_MAX,
     DerivativeDecayRow,
@@ -98,7 +99,8 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
         ("period", cfg.period > 0, "must be positive"),
         ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
          "must be even and lie in [2^12, 2^24]"),
-        ("fit_points", 30 <= cfg.fit_points <= 2 ** 12, "must lie in [30, 2^12]"),
+        ("fit_points", FIT_POINTS_MIN <= cfg.fit_points <= 2 ** 12,
+         f"must lie in [{FIT_POINTS_MIN}, 2^12]"),
         ("tau", cfg.tau > 0 and cfg.sigma < SIGMA_MAX
          and math.isfinite(log_m2(cfg.tau, cfg.sigma)),
          f"must be positive and keep log M_2 = tau 2^sigma log 2 finite "
@@ -210,9 +212,9 @@ def stage_lambert_table(run: Run) -> list:
     lo = np.full_like(xs, np.nan)
     hi = np.full_like(xs, np.nan)
     mask = xs >= np.e  # the bounds are claimed from e on
-    rep = w_bounds_check(xs[mask])
-    lo[mask] = rep.lower
-    hi[mask] = rep.upper
+    lx = np.log(xs[mask])
+    llx = np.log(lx)  # Hoorfar & Hassani's sandwich on W:
+    lo[mask], hi[mask] = lx - llx, lx - 0.5 * llx
     path = run.out / "lambert_table.csv"
     write_csv(path, ["x", "w", "residual", "lower_bound", "upper_bound"], [xs, w, resid, lo, hi])
     return [path]

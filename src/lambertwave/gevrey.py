@@ -1,6 +1,6 @@
 """Weight sequences p^(tau * p^sigma), their associated (Legendre-type)
-function in exact-sup and Lambert-asymptotic form, and the Lambert
-regressor T_sigma.
+function as an exact sup, and its Lambert-form asymptote T_sigma
+(``lambert_regressor``), which the decay fit also regresses on.
 
 All sequence arithmetic is done on logarithms: the raw entries overflow
 double precision already at small p.  The exact sup is a bracketed search
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 from .lambert import lambert_w0
 
-_E = float(np.e)
 _P_MAX = 2 ** 53 - 1  # the last p with p and p + 1 exact doubles
 SIGMA_MIN = 1.0 + 1e-12  # sigma = 1, the Gevrey scale, and just above it are excluded
 SIGMA_MAX = 1024.0  # below it 2^sigma, the p^sigma of p = 2, is a finite double
@@ -136,9 +135,9 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
     best = best_p * lk - log_m(best_p, params)
 
     ta = ratio = float("nan")
-    if k > _E:
+    if k > math.e:
         try:
-            ta = assoc_t_asym(k, params.sigma)
+            ta = float(lambert_regressor(k, params.sigma))
         except DomainError:  # T_sigma(k) is past double precision: nan
             pass
         try:  # the scaled asymptote tau^(-1/(sigma-1)) T_sigma(k)
@@ -151,12 +150,15 @@ def assoc_t_exact(k: float, params: SequenceParams) -> AssocFnReport:
 
 
 def lambert_regressor(x, sigma: float):
-    """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1.
+    """T_sigma(x) = log(x)^(sigma/(sigma-1)) / W(log x)^(1/(sigma-1)), x > 1,
+    the associated function's asymptote (Pilipovic, Teofanov & Tomic, 2016).
 
-    An x <= 1, where W(log x) <= 0, raises DomainError, and so does a
-    T_sigma that is not finite: for sigma near 1 the powers leave double
-    precision.
+    A sigma <= 1 raises DomainError, and so do an x <= 1, where W(log x) <= 0,
+    and a T_sigma that is not finite: for sigma near 1 the powers leave
+    double precision.
     """
+    if not sigma > 1.0:
+        raise DomainError(f"T_sigma needs sigma > 1, got {sigma}")
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 1.0):
         raise DomainError(f"T_sigma needs every x > 1; got {float(np.min(xa)):.6g}")
@@ -172,15 +174,4 @@ def lambert_regressor(x, sigma: float):
             f"(exponent 1/(sigma-1) = {1.0 / (sigma - 1.0):.4g})"
         )
     return out
-
-
-def assoc_t_asym(k, sigma: float):
-    """Lambert-form asymptote T_sigma(k) of the associated function, k > e."""
-    if sigma <= 1.0:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
-    ka = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(ka)) or np.any(ka <= _E):
-        raise DomainError("asymptotic form requires k > e")
-    out = lambert_regressor(ka, sigma)
-    return float(out) if np.isscalar(k) else out
 

@@ -3,25 +3,21 @@
 W(x) solves w * exp(w) = x.  Values come from ``scipy.special.lambertw``
 (the Halley iteration of Corless, Gonnet, Hare, Jeffrey, Knuth, "On the
 Lambert W Function", Adv. Comput. Math. 5 (1996)), and every call
-certifies them by the residual of the defining identity.
+certifies them by the residual of the defining identity.  On x >= e the
+two-sided sandwich
 
-Also provided: a certified check of the two-sided asymptotic sandwich
+    log x - log(log x) <= W(x) <= log x - (1/2) log(log x)
 
-    log x - log(log x) <= W(x) <= log x - (1/2) log(log x),   x >= e,
-
-with per-point slack reporting.
+(Hoorfar & Hassani, JIPAM 9(2), 2008) turns W into elementary terms;
+``lambert_table.csv`` writes both bounds beside W.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
 from .errors import ConvergenceError, DomainError
-
-_E = float(np.e)
 
 
 def lambert_w0(x):
@@ -60,34 +56,3 @@ def lambert_w0(x):
         )
     return float(w[0]) if scalar else w
 
-
-@dataclass(frozen=True)
-class WBoundsReport:
-    """Per-point sandwich slack for the x >= e bounds."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    lower_slack: np.ndarray
-    upper_slack: np.ndarray
-
-
-def w_bounds_check(x_grid) -> WBoundsReport:
-    """Check log x - log log x <= W(x) <= log x - 0.5 log log x on x >= e.
-
-    Raises DomainError if any grid point is below e (the bounds are not
-    claimed there).  Both slacks vanish exactly at x = e.
-    """
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(~np.isfinite(x)) or np.any(x < _E):
-        raise DomainError("bound check requires every grid point >= e")
-    w = np.atleast_1d(lambert_w0(x))
-    lx = np.log(x)
-    llx = np.log(lx)
-    lower = lx - llx
-    upper = lx - 0.5 * llx
-    return WBoundsReport(
-        lower=lower,
-        upper=upper,
-        lower_slack=w - lower,
-        upper_slack=upper - w,
-    )

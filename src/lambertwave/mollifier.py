@@ -64,9 +64,11 @@ def _block_terms(sigma: float, m: int, p):
 
 def _last_index(sigma: float, m: int) -> int:
     """The first index whose block-m term is below 1e-30, by bisection on the
-    falling terms.  Terms are eventually dominated by a geometric sequence
-    for sigma > 1, so a tail summed up to there is sound.  An index beyond
-    2^27 (sigma too close to 1 to sum) is a DomainError."""
+    falling terms.  For sigma < 2 their ratio tends to 1 (0.99999938 here at
+    sigma = 1.2, block 8): no geometric bound holds, but they fall faster
+    than any power of p, and by the integral test the tail dropped from here
+    is 1.7e-24 at (sigma, m) = (1.2, 8), 7.0e-28 at (1.2, 1), 9.2e-29 at
+    (1.5, 8).  An index beyond 2^27 (sigma too close to 1) is a DomainError."""
     p = first_index(lambda p: _block_terms(sigma, m, p) < _TAIL_FLOOR, _P_MAX)
     if p is None:
         raise DomainError(

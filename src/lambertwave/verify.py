@@ -35,6 +35,7 @@ _COMPLETENESS_TOL = 1e-3  # largest deviation of the energy ratio from 1
 _COMPLETENESS_CAP = 256  # most translations a completeness scale may need
 _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
+FIT_POINTS_MIN = 30  # least number of the decay fit's usable points
 FIT_SPAN_MIN = 99.0  # least x_last / x_first of the decay fit's usable points: 2 decades
 MIXED_MAX = 8  # the mixed LP's orders k, q <= MIXED_MAX: 81 rows
 
@@ -224,7 +225,7 @@ def completeness_check(
 ) -> CompletenessReport:
     """Recovered energy fraction sum |<f, member>|^2 / ||f||^2 over the
     scales |m| <= 4, for f the ``gaussian_spectrum`` unless ``f_hat`` is
-    given.
+    given; ``f_hat.band = (lo, hi)``, with no default, bounds its support.
 
     Translations are added symmetrically until the partial sums move by less
     than 1e-5 (relative).  A scale that passes ``_COMPLETENESS_CAP``
@@ -240,8 +241,9 @@ def completeness_check(
     if f_hat is None:
         f_hat = gaussian_spectrum()
     a = ph.a
-    band_hi = getattr(f_hat, "band", (0.0, 12.0))[1]
-    ug = np.linspace(-band_hi - 1.0, band_hi + 1.0, 2 ** 16 + 1)
+    if not hasattr(f_hat, "band"):  # ||f||^2 is integrated over |xi| <= band[1] + 1
+        raise InputError("f_hat has no band = (lo, hi) to integrate ||f||^2 over")
+    ug = np.linspace(-f_hat.band[1] - 1.0, f_hat.band[1] + 1.0, 2 ** 16 + 1)
     f_energy = float(
         np.trapezoid(np.abs(f_hat(ug)) ** 2, dx=ug[1] - ug[0]) / (2.0 * np.pi)
     )
@@ -385,7 +387,7 @@ def _regress_on_t(x: np.ndarray, y: np.ndarray, sigma: float):
 def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
     """Regress -log env on the Lambert-form regressor and audit the shape.
 
-    Gates: >= 30 usable points spanning >= 2 decades (``FIT_SPAN_MIN``), a
+    Gates: >= ``FIT_POINTS_MIN`` usable points over 2 decades (``FIT_SPAN_MIN``), a
     positive slope and r^2 >= ``_R2_MIN``.  The monotone-ratio shape checks run where
     adjacent envelope windows are disjoint (overlapping windows can capture
     the same peak twice, flattening the ratio artificially): -log env grows
@@ -394,8 +396,8 @@ def fit_decay(table: EnvelopeTable, sigma: float) -> DecayFitReport:
     """
     xs = table.x[table.usable]
     env = table.env[table.usable]
-    if len(xs) < 30:
-        raise VerificationError(f"need >= 30 usable envelope points, got {len(xs)}")
+    if len(xs) < FIT_POINTS_MIN:
+        raise VerificationError(f"need >= {FIT_POINTS_MIN} usable envelope points, got {len(xs)}")
     if xs[-1] / xs[0] < FIT_SPAN_MIN:
         raise VerificationError(
             f"usable points span {np.log10(xs[-1] / xs[0]):.2f} decades, need >= 2"

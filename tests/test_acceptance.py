@@ -14,7 +14,6 @@ import pytest
 from lambertwave import (
     GridSpec,
     SequenceParams,
-    assoc_t_asym,
     assoc_t_exact,
     build_mollifier,
     completeness_check,
@@ -29,7 +28,6 @@ from lambertwave import (
     gram_matrix,
     lambert_w0,
     mixed_bound_audit,
-    w_bounds_check,
 )
 from lambertwave.cli import main as cli_main
 
@@ -49,15 +47,18 @@ def test_criterion_1_lambert_identities():
 
     grid = np.logspace(np.log10(np.e), 8, 1000)
     grid[0] = np.e
-    rep = w_bounds_check(grid)
+    wg = lambert_w0(grid)
+    lx = np.log(grid)
+    lower_slack = wg - (lx - np.log(lx))
+    upper_slack = (lx - 0.5 * np.log(lx)) - wg
     # equality only at x = e
-    assert abs(rep.lower_slack[0]) <= 1e-13 and abs(rep.upper_slack[0]) <= 1e-13
-    assert np.all(rep.lower_slack[1:] > 0)
-    assert np.all(rep.upper_slack[1:] > 0)
+    assert abs(lower_slack[0]) <= 1e-13 and abs(upper_slack[0]) <= 1e-13
+    assert np.all(lower_slack[1:] > 0)
+    assert np.all(upper_slack[1:] > 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(1, f"max residual {resid:.2e}, min slacks "
-               f"{np.min(rep.lower_slack):.2e}/{np.min(rep.upper_slack[1:]):.2e}, "
+               f"{np.min(lower_slack):.2e}/{np.min(upper_slack[1:]):.2e}, "
                f"{elapsed:.2f}s")
 
 
@@ -78,7 +79,7 @@ def test_criterion_2_assoc_sandwich():
             )
             oracle = max(0.0, float(np.max(terms)))
             assert rep.t_exact == pytest.approx(oracle, rel=1e-13, abs=1e-13)
-            ratios.append(rep.t_exact / (scale * assoc_t_asym(float(k), sigma)))
+            ratios.append(rep.t_exact / (scale * rep.t_asym))
         band = max(ratios) / min(ratios)
         bands[(tau, sigma)] = band
         assert band <= 10.0

@@ -63,6 +63,18 @@ def test_lambert_table(tmp_path):
     assert "grids" not in json.loads((tmp_path / "report.json").read_text())
 
 
+def test_lambert_table_bounds_bracket_w(tmp_path):
+    # log x - log log x < W(x) < log x - (1/2) log log x on every row past e,
+    # both bounds nan below it
+    assert main(["lambert-table", "--out-dir", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "lambert_table.csv", delimiter=",", skiprows=1)
+    x, w, lower, upper = table[:, 0], table[:, 1], table[:, 3], table[:, 4]
+    past = x > math.e
+    assert 0 < past.sum() < len(x)
+    assert np.all(lower[past] < w[past]) and np.all(w[past] < upper[past])
+    assert np.all(np.isnan(lower[~past])) and np.all(np.isnan(upper[~past]))
+
+
 def test_assoc_func(tmp_path):
     rc = main(["assoc-func", "--tau", "1", "--sigma", "2", "--out-dir", str(tmp_path)])
     assert rc == 0

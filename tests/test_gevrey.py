@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from lambertwave import (
     DomainError,
     SequenceParams,
-    assoc_t_asym,
     assoc_t_exact,
+    lambert_regressor,
     log_m,
 )
 from lambertwave import gevrey
@@ -141,7 +141,7 @@ def test_t_asym_nan_past_double_precision():
     assert rep.t_exact > 0 and math.isfinite(rep.t_exact)
     assert math.isnan(rep.t_asym) and math.isnan(rep.ratio)
     with pytest.raises(DomainError, match="overflows"):
-        assoc_t_asym(1e6, 1.001)
+        lambert_regressor(1e6, 1.001)
 
 
 def test_first_index_contract():
@@ -219,16 +219,14 @@ def test_search_cap_boundary(sigma, tau, k, argmax):
 def test_assoc_domain_error():
     with pytest.raises(DomainError):
         assoc_t_exact(0.0, SequenceParams(1.0, 2.0))
-    with pytest.raises(DomainError):
-        assoc_t_asym(1.0, 2.0)
-    with pytest.raises(DomainError):
-        assoc_t_asym(100.0, 1.0)
+    with pytest.raises(DomainError, match="sigma > 1"):
+        lambert_regressor(100.0, 1.0)
 
 
 def test_asym_closed_forms():
     x = math.exp(math.e)  # log k = e, W(e) = 1
-    assert assoc_t_asym(x, 2.0) == pytest.approx(math.e ** 2, rel=1e-12)
-    assert assoc_t_asym(x, 3.0) == pytest.approx(math.e ** 1.5, rel=1e-12)
+    assert lambert_regressor(x, 2.0) == pytest.approx(math.e ** 2, rel=1e-12)
+    assert lambert_regressor(x, 3.0) == pytest.approx(math.e ** 1.5, rel=1e-12)
 
 
 def test_asym_fixture_1e12():
@@ -246,7 +244,7 @@ def test_asym_fixture_1e12():
     lk = math.log(1e12)
     expected = lk ** 2 / w_bisect(lk)
     assert expected == pytest.approx(314.09059824617987, rel=1e-12)
-    assert assoc_t_asym(1e12, 2.0) == pytest.approx(expected, rel=1e-11)
+    assert lambert_regressor(1e12, 2.0) == pytest.approx(expected, rel=1e-11)
 
 
 def test_tau_scaling():
@@ -276,8 +274,8 @@ def test_shift_domination():
     for sigma in (2.0, 3.0):
         ks = np.linspace(10.0, 1e4, 200)
         for a in (0.5, 3.0, 10.0):
-            lhs = assoc_t_asym(ks, sigma)
-            rhs = assoc_t_asym(ks + a, sigma)
+            lhs = lambert_regressor(ks, sigma)
+            rhs = lambert_regressor(ks + a, sigma)
             assert np.all(lhs <= (1.0 + 1e-9) * rhs)
 
 

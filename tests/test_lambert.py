@@ -12,7 +12,6 @@ from lambertwave import (
     ConvergenceError,
     DomainError,
     lambert_w0,
-    w_bounds_check,
 )
 
 
@@ -73,21 +72,25 @@ def test_asymptotic_ratio():
     assert np.all(np.diff(ratios) < 0)
 
 
-def test_bounds_at_e_and_large():
-    rep = w_bounds_check([math.e])
-    assert rep.lower[0] == pytest.approx(1.0, abs=1e-14)
-    assert rep.upper[0] == pytest.approx(1.0, abs=1e-14)
-    assert abs(rep.lower_slack[0]) < 1e-13
-    assert abs(rep.upper_slack[0]) < 1e-13
+def _sandwich(x):
+    """The closed forms log x - log log x and log x - (1/2) log log x."""
+    lx = np.log(np.asarray(x, dtype=float))
+    return lx - np.log(lx), lx - 0.5 * np.log(lx)
 
-    rep = w_bounds_check([1e6])
-    lx = math.log(1e6)
-    assert rep.lower[0] == pytest.approx(lx - math.log(lx), rel=1e-12)
-    assert rep.upper[0] == pytest.approx(lx - 0.5 * math.log(lx), rel=1e-12)
+
+def test_bounds_at_e_and_large():
+    lower, upper = _sandwich(math.e)
+    assert lower == pytest.approx(1.0, abs=1e-14)
+    assert upper == pytest.approx(1.0, abs=1e-14)
+    assert abs(lambert_w0(math.e) - lower) < 1e-13
+    assert abs(upper - lambert_w0(math.e)) < 1e-13
+
+    lower, upper = _sandwich(1e6)
     # oracle value sits inside the sandwich
     w6 = w_bisect(1e6, hi=20.0)
     assert abs(w6 - 11.383358086140053) < 1e-11
-    assert rep.lower[0] < w6 < rep.upper[0]
+    assert lower < w6 < upper
+    assert lower < lambert_w0(1e6) < upper
 
 
 def test_bounds_at_e_to_the_e():
@@ -95,15 +98,16 @@ def test_bounds_at_e_to_the_e():
     w = w_bisect(x)
     assert abs(w - 2.016779764892201) < 1e-12  # frozen oracle value
     assert math.e - 1.0 <= w <= math.e - 0.5
-    rep = w_bounds_check([x])
-    assert rep.lower[0] <= lambert_w0(x) <= rep.upper[0]
+    lower, upper = _sandwich(x)
+    assert lower <= lambert_w0(x) <= upper
 
 
 def test_bounds_strict_inside():
     xs = np.logspace(np.log10(np.e), 8, 1000)
-    rep = w_bounds_check(xs)
-    assert np.all(rep.lower_slack[1:] > 0)
-    assert np.all(rep.upper_slack[1:] > 0)
+    w = lambert_w0(xs)
+    lower, upper = _sandwich(xs)
+    assert np.all(w[1:] - lower[1:] > 0)
+    assert np.all(upper[1:] - w[1:] > 0)
 
 
 def test_domain_errors():
@@ -113,8 +117,6 @@ def test_domain_errors():
         lambert_w0(float("nan"))
     with pytest.raises(DomainError):
         lambert_w0(float("inf"))
-    with pytest.raises(DomainError):
-        w_bounds_check([1.0])
 
 
 def test_convergence_error_carries_residual(monkeypatch):

@@ -93,6 +93,20 @@ def test_last_index_is_first_term_below_floor(sigma, m):
     assert mollifier._block_terms(sigma, m, p - 1) >= 1e-30 > mollifier._block_terms(sigma, m, p)
 
 
+@pytest.mark.parametrize("sigma", [1.2, 1.5, 2.0, 3.0])
+def test_tail_past_floor_index_is_negligible(sigma):
+    # the terms fall, so the tail dropped from the floor index P on is at
+    # most t(P) + int_P^inf t(p) dp; the integral by trapezoids in u = log p
+    # over four e-folds of p, past which the integrand is below 1e-60
+    for m in range(1, 9):
+        p0 = mollifier._last_index(sigma, m)
+        u = np.linspace(math.log(p0), math.log(p0) + 4.0, 20001)
+        f = mollifier._block_terms(sigma, m, np.exp(u)) * np.exp(u)
+        assert f[-1] < 1e-60
+        tail = mollifier._block_terms(sigma, m, float(p0)) + np.trapezoid(f, u)
+        assert tail < 1e-20, (sigma, m, tail)
+
+
 def test_scale_sequence_values_and_mass():
     seq = cascade_scales(2.0, 1e-5)
     nm = seq.thresholds

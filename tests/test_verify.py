@@ -123,6 +123,15 @@ def test_completeness_on_member(wavelet):
     assert abs(rep.ratio - 1.0) <= 1e-8
 
 
+def test_completeness_needs_band():
+    # a spectrum without a band once had its energy integral cut at |xi| = 13
+    def fhat(xi):
+        return np.exp(-(np.asarray(xi, dtype=float) - 14.0) ** 2).astype(complex)
+
+    with pytest.raises(InputError, match="band"):
+        completeness_check(BellEvaluator(A), fhat)
+
+
 def test_completeness_gaussian(wavelet):
     rep = completeness_check(wavelet.ph, gaussian_spectrum())
     assert abs(rep.ratio - 1.0) <= 1e-3
