@@ -21,8 +21,10 @@ wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
-N-point transform is made as two N/2-point rows, one per parity of the
-output (``_lattice_fft``), on two threads at N >= 2^22.
+N-point transform is made as R rows of at most 2^18 points, on one thread
+(``_lattice_fft``), and consumed a few rows at a time: no N-point complex
+buffer is made.  R = 2 where N/2 <= 2^18, and the rows are then those of
+the radix-2 split, bit for bit.
 
 Off the lattice, ``eval_psi_point`` evaluates one value
 psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
@@ -34,7 +36,8 @@ and the cosine is integrated exactly, so a point costs the same at every x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.fft
@@ -45,7 +48,9 @@ from .grids import GridFunction, abs_max
 
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per pass of the band fold and the periodization check
-_TWO_WORKER_ROW = 2 ** 21  # shortest transform row run on two threads
+_ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
+_GROUP = 4  # rows per transform call
+_PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
 
 
 def _ramp(v, w: float) -> np.ndarray:
@@ -173,51 +178,148 @@ class LatticeSynthesis:
     grid2: Optional[GridFunction] = None
 
 
-def _lattice_fft(band: np.ndarray, N: int) -> np.ndarray:
+def _row_count(N: int) -> int:
+    """R, the number of rows ``_lattice_fft`` makes of an N-point transform:
+    2, doubled while a row is longer than ``_ROW`` and the halved rows would
+    have even length.  It depends on N alone; R = 2 where N/2 <= 2^18 or
+    N/4 is odd."""
+    R = 2
+    while N // R > _ROW and N % (4 * R) == 0:
+        R *= 2
+    return R
+
+
+def _roots(Q: int) -> np.ndarray:
+    """e^{-2 pi i m / Q} for m = 0..Q-1, from the signed residue of m: the
+    roots of m and Q - m are exact conjugates, and those on the axes exact."""
+    m = np.arange(Q)
+    m = np.where(2 * m > Q, m - Q, m)
+    w = np.exp((-2j * np.pi / Q) * m)
+    axis = 4 * m % Q == 0
+    w[axis] = np.round(w[axis])
+    return w
+
+
+def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, int, np.ndarray]]:
     """N-point DFT X_k = sum_j band[j] e^{-2 pi i j k / N} of samples at the
     centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
-    (2M entries), as two rows of N/2: X_{2s+r} = rows[r, s].
+    (2M entries), as R rows of S = N / R points (``_row_count``), X_{Rs+r} =
+    row r at s.  The rows come a group at a time: (rho, p0, rows) has in
+    rows[i] the row r = rho + 2 (p0 + i), and the next group overwrites it.
 
-    Decimated in time (Cooley & Tukey 1965), X_{2s+r} = sum_j (band[j]
-    e^{-2 pi i j r / N}) e^{-2 pi i j s / (N/2)}: row r is the band times
-    that twiddle, folded mod N/2 by addition (a band wider than N/2 overlaps
-    itself), and one call transforms both rows in place.  The rows run on
-    two threads when each row's scratch (N/2 complex values) is at least
-    32 MiB, N >= 2^22: malloc maps such a block and unmaps it after the
-    call, whereas below that the second thread's heap keeps 10-18 MB
-    (measured at N = 2^19).
+    Decimated in time twice (Cooley & Tukey 1965), in Bailey's four-step
+    form (J. Supercomputing 4, 1990).  With H = N/2, Q = R/2, r = rho + 2p
+    and y_j = band[j] e^{-2 pi i j rho / N}, X_{Rs+r} is the H-point DFT of
+    y at Qs + p.  Write j mod H = vS + t, with t in [-S/2, S/2) and v taken
+    mod Q, and fold y by addition into the block Y_v of each v (the band is
+    shorter than N, so at most two samples meet in a slot).  Then
+
+        row r at s = sum_t e^{-2 pi i t s / S} e^{-2 pi i t p / H}
+                           sum_v e^{-2 pi i v p / Q} Y_v[t]:
+
+    each parity folds its band once, in chunks of 2^16 (its twiddle is
+    never whole), and each row is a sum over the blocks that hold a sample
+    in its slots (the column pass), a twiddle and an S-point transform.  No
+    N-point buffer is made, only a parity's blocks and a group of rows.  At
+    R = 2 (Q = 1) every coefficient and twiddle is 1: the rows are the two
+    folds of the radix-2 split, bit for bit.  t and v are signed, and the
+    phases at j and -j are exact negatives, so a Hermitian band gives
+    exactly Hermitian rows: a real channel's imaginary residue is the row
+    transforms' own rounding.  The twiddle is a product of two short
+    tables, at t's nearest multiple of B = gcd(S, 512) and at the rest.
+
+    Each call transforms its rows on one thread.  Two workers saved about
+    10 ms per 2^22-point transform, but kept 32 MB more resident after
+    ``build_wavelet()``: the second thread's malloc arena keeps the 4-MiB
+    row copies it frees.
     """
-    h = N // 2
+    R = _row_count(N)
+    S, H, Q = N // R, N // 2, R // 2
     M = len(band) // 2
-    rows = np.zeros((2, h), dtype=complex)
-    # chunks of j on one side of 0, so that j mod N/2 is a slice: the
-    # twiddled band is never whole
-    for lo, hi in ((-M, 0), (0, len(band) - M)):
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
+    G = min(_GROUP, Q)
+    block = lambda j: (j + S // 2) // S % Q
+    # spans of j inside one block and one period of j mod S, in ascending j,
+    # that hold a sample
+    spans = []
+    start = -M
+    while start < len(band) - M:
+        stop = min(start + _CHUNK, len(band) - M,
+                   start - start % S + S, start - (start + S // 2) % S + S)
+        if band[start + M:stop + M].any():
+            spans.append((start, stop))
+        start = stop
+    blocks = np.array(sorted({block(start) for start, _ in spans}), dtype=int)
+    at = {v: i for i, v in enumerate(blocks.tolist())}
+    # the blocks with a sample in each pass of _PASS slots
+    live = np.zeros((len(blocks), -(-S // _PASS)), dtype=bool)
+    for start, stop in spans:
+        t = start % S
+        live[at[block(start)], t // _PASS:(t + stop - start - 1) // _PASS + 1] = True
+    live = [np.flatnonzero(col) for col in live.T]
+    roots = _roots(Q)
+    # t = base + l, base a multiple of B and l in [-B/2, B/2): a base for
+    # each half of a cell of B slots
+    B = math.gcd(S, 512)
+    cells = np.arange(0, S, B)
+    signed = lambda t: np.where(t < S - S // 2, t, t - S)
+    bases = (signed(cells), signed(cells + B // 2) + (B - B // 2))
+    offsets = np.arange(B)
+    offsets = np.where(offsets < B // 2, offsets, offsets - B)
+    rows = np.empty((G, S), dtype=complex)
+    tmp, tw = np.empty((2, G, _PASS), dtype=complex)
+    Y = np.empty((len(blocks), S), dtype=complex)
+    for rho in (0, 1):
+        Y[...] = 0.0
+        for start, stop in spans:
             b = band[start + M:stop + M]
-            dst = slice(start % h, start % h + len(b))
-            rows[0, dst] += b
-            rows[1, dst] += b * np.exp((-2j * np.pi / N) * np.arange(start, stop))
-    workers = 2 if h >= _TWO_WORKER_ROW else 1
-    return scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=workers)
+            if rho:
+                b = b * np.exp((-2j * np.pi / N) * np.arange(start, stop))
+            t = start % S
+            Y[at[block(start)], t:t + len(b)] += b
+        for p0 in range(0, Q, G):
+            p = np.arange(p0, p0 + G)[:, None]
+            coef = roots[p * blocks % Q]
+            # row p = 0 has twiddle 1: the twiddled rows start at row i
+            i = int(p0 == 0)
+            halves = [np.exp((-2j * np.pi / H) * (p[i:] * b))[:, :, None] for b in bases]
+            rest = np.exp((-2j * np.pi / H) * (p[i:] * offsets))[:, None, :]
+            for s0, vs in zip(range(0, S, _PASS), live):
+                s1 = min(s0 + _PASS, S)
+                out, w = rows[:, s0:s1], s1 - s0
+                if not len(vs):
+                    out[...] = 0.0
+                    continue
+                np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s1], out=out)
+                for v in vs[1:]:
+                    np.multiply(coef[:, v, None], Y[v, s0:s1], out=tmp[:, :w])
+                    out += tmp[:, :w]
+                if i < G:
+                    c = slice(s0 // B, s1 // B)
+                    cell = tw[i:, :w].reshape(G - i, -1, B)
+                    np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
+                    np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
+                    out[i:] *= tw[i:, :w]
+            yield rho, p0, scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=1)
 
 
-def _centred(part: np.ndarray, scale: float) -> np.ndarray:
-    """scale times the real N-array x_k = part[k % 2, k // 2] (k = 0..N-1)
-    rolled so that k = 0 sits at index N // 2, as ``np.fft.fftshift``
-    would; each row goes to one parity of the output, with no interleaved
-    copy.  For N = 2 (mod 4) the shift N/2 is odd and the parities swap."""
-    h = part.shape[1]
-    out = np.empty(2 * h)
-    for r in (0, 1):
-        # centred index 2t + p holds x_{2s+r}, s = t - c (mod N/2)
-        p = (r + h) % 2
-        c = (h + r - p) // 2
-        dst = out[p::2]
-        np.multiply(part[r, h - c:], scale, out=dst[:c])
-        np.multiply(part[r, :h - c], scale, out=dst[c:])
-    return out
+def _centred(out: np.ndarray, rho: int, p0: int, part: np.ndarray, scale: float) -> None:
+    """Write scale times ``part``, rows r = rho + 2p, p = p0, p0 + 1, ... of
+    ``_lattice_fft``, into the real N-array ``out``, rolled so that k = 0
+    sits at index N // 2, as ``np.fft.fftshift`` would.
+
+    x_{Rs+r} goes to (Rs + r + N/2) mod N = R ((s + a) mod S) + c, with
+    a = (r + N/2) // R and c = (r + N/2) mod R.  Past R = 2, N/2 is a
+    multiple of R, so c = r and a = S/2: the group is one strided (S, G)
+    block of ``out`` viewed as (S, R), written as a transpose.  At R = 2 a
+    group is one row, and for N = 2 (mod 4) the shift N/2 is odd and the
+    parities swap."""
+    G, S = part.shape
+    N = len(out)
+    R, H = N // S, N // 2
+    a = (rho + H) // R
+    dst = out.reshape(S, R)[:, (rho + H) % 2::2][:, p0:p0 + G]
+    np.multiply(part[:, :S - a].T, scale, out=dst[a:])
+    np.multiply(part[:, S - a:].T, scale, out=dst[:a])
 
 
 def synthesize_psi_lattice(
@@ -252,9 +354,10 @@ def synthesize_psi_lattice(
     sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds the residue the
     channel would have had alone.  The periodization check covers order q.
 
-    The transform comes back as two rows of N/2, the even and the odd
-    samples (``_lattice_fft``); each real channel is written once into its
-    centred N-array (``_centred``), and the check reads the rows directly.
+    The transform comes a group of short rows at a time (``_lattice_fft``):
+    each real channel is written group by group into its centred N-array
+    (``_centred``), the check compares each group of odd-frequency rows with
+    psi, and ``l2_norm`` is summed once the transform's buffers are gone.
     """
     # resolve the bell across its support: at least 2^12 samples
     if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
@@ -279,20 +382,24 @@ def synthesize_psi_lattice(
              - np.frexp(np.max(np.abs(bands[1])))[1])
         spectrum = bands[0] + 1j * (bands[1] * 2.0 ** e)
     del bands
-    rows = _lattice_fft(spectrum, N)
-    del spectrum
     factor = dxi / (2.0 * np.pi)
     # centred: x = 0 at index N // 2
-    psi = _centred(rows.real, factor)
+    channels = [np.empty(N) for p in (q, q2) if p is not None]
+    imag = 0.0
+    for rho, p0, rows in _lattice_fft(spectrum, N):
+        _centred(channels[0], rho, p0, rows.real, factor)
+        if q2 is None:
+            imag = max(imag, float(abs_max(rows.imag)))
+        else:
+            _centred(channels[1], rho, p0, rows.imag, factor * 2.0 ** -e)
+    del spectrum, rows
+    psi = channels[0]
+    l2 = None
     if q2 is None:
         # scaling is monotone, so this is the sup of the scaled channel
-        residues = [float(abs_max(rows.imag)) * factor]
-        l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N))) if q == 0 else None
-        channels = [psi]
-    else:
-        l2 = None
-        channels = [psi, _centred(rows.imag, factor * 2.0 ** -e)]
-    del rows
+        residues = [imag * factor]
+        if q == 0:
+            l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N)))
     for p, r, v in zip((q, q2), residues, channels):
         scale = max(1.0, float(abs_max(v)))
         if r > 1e-12 * scale:
@@ -319,26 +426,29 @@ def synthesize_psi_lattice(
 def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
                         psi: np.ndarray) -> float:
     """max over |k| <= N/4 of |odd part - psi_L / 2| (see
-    ``synthesize_psi_lattice``), in chunks of 2^16 points: no N/2-point
-    temporaries beyond the odd-frequency DFT itself."""
+    ``synthesize_psi_lattice``), a group of odd-frequency rows at a time
+    and in chunks of 2^16 points: no N-point array but psi."""
     dxi = 2.0 * np.pi / L
-    h = N // 2
+    H = N // 2
     M = ph.lattice_m(L)
-    odd = _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N)
     worst = 0.0
-    # chunks of one sign and one parity r of k: odd[k] = odd[r, (k - r) / 2
-    # mod N/2] is then a slice of a row, and psi[k + N/2] a strided slice
-    for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
-        for r in (0, 1):
-            first = lo + (lo - r) % 2
-            for start in range(first, hi, 2 * _CHUNK):
-                stop = min(start + 2 * _CHUNK, hi)
-                k = np.arange(start, stop, 2)
-                s = (start - r) // 2 % h
-                part = odd[r, s:s + len(k)] * np.exp(-1j * np.pi * k / N)
-                dev = (part.real * (dxi / (4.0 * np.pi))
-                       - 0.5 * psi[start + h:stop + h:2])
-                worst = max(worst, float(abs_max(dev)))
+    for rho, p0, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N):
+        S = rows.shape[1]
+        R = N // S
+        # chunks of one sign of k and one row r: k = Rs + r (mod N) is then a
+        # slice of the row, and psi[k + N/2] a strided slice
+        for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
+            for i, row in enumerate(rows):
+                r = rho + 2 * (p0 + i)
+                first = lo + (r - lo) % R
+                for start in range(first, hi, R * _CHUNK):
+                    stop = min(start + R * _CHUNK, hi)
+                    k = np.arange(start, stop, R)
+                    s = (start - r) // R % S
+                    part = row[s:s + len(k)] * np.exp(-1j * np.pi * k / N)
+                    dev = (part.real * (dxi / (4.0 * np.pi))
+                           - 0.5 * psi[start + H:stop + H:R])
+                    worst = max(worst, float(abs_max(dev)))
     return worst
 
 

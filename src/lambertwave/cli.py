@@ -283,11 +283,8 @@ def stage_wavelet_artifacts(run: Run) -> list:
     ph = wb.ph.psi_hat_at(xi)
     ph_path = out / "psi_hat.csv"
     write_csv(ph_path, ["xi", "re", "im"], [xi, ph.real, ph.imag])
-    grid = wb.synthesis.grid
-    x = grid.x()
-    keep = np.abs(x) <= PSI_XMAX
     psi_path = out / "psi.csv"
-    write_csv(psi_path, ["x", "psi"], [x[keep], grid.values[keep]])
+    write_csv(psi_path, ["x", "psi"], wb.synthesis.grid.within(PSI_XMAX))
     man = {
         "sigma": wb.sigma,
         "a": wb.ph.a,

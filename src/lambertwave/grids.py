@@ -74,15 +74,24 @@ class GridFunction:
     def sup(self) -> float:
         return float(abs_max(self.values))
 
-    def _split(self) -> int:
-        """The first index k with x0 + k dx >= 0 (``searchsorted(x(), 0)``):
-        x < 0 before it."""
-        k = min(max(int(np.ceil(-self.x0 / self.dx)), 0), self.n)
-        while k > 0 and self.x0 + self.dx * (k - 1) >= 0.0:
+    def _first(self, t: float, strict: bool = False) -> int:
+        """The first index k with x0 + k dx >= t, or > t if ``strict``
+        (``searchsorted(x(), t, "right" if strict else "left")``): a guess,
+        settled by the float test on x0 + k dx, the arithmetic of ``x()``."""
+        before = (lambda k: self.x0 + self.dx * k <= t) if strict else (
+            lambda k: self.x0 + self.dx * k < t)
+        k = min(max(int(np.ceil((t - self.x0) / self.dx)), 0), self.n)
+        while k > 0 and not before(k - 1):
             k -= 1
-        while k < self.n and self.x0 + self.dx * k < 0.0:
+        while k < self.n and before(k):
             k += 1
         return k
+
+    def within(self, xmax: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(x, values) of the samples with |x| <= xmax, the same as masking
+        ``x()``, but x is formed only over their index range."""
+        lo, hi = self._first(-xmax), self._first(xmax, strict=True)
+        return self.x0 + self.dx * np.arange(lo, hi), self.values[lo:hi]
 
     def moment_front(self) -> Tuple[np.ndarray, np.ndarray]:
         """The Pareto front of the points (|x|, |value|): the samples that no
@@ -98,7 +107,7 @@ class GridFunction:
         same, bit for bit, as the reverse running max over every |value|.
         """
         v = self.values
-        split = self._split()
+        split = self._first(0.0)
         idx = np.concatenate([
             split - 1 - _front_indices(v[:split][::-1]),
             split + _front_indices(v[split:]),

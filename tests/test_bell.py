@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lambertwave
 from lambertwave import (
     BellEvaluator,
     DomainError,
@@ -378,42 +381,77 @@ def _padded_fft(band, N):
     return np.fft.fft(spec)
 
 
-@pytest.mark.parametrize("N", [
-    2 ** 14,      # N = 0 (mod 4)
-    2 ** 14 + 2,  # N = 2 (mod 4): the centring shift N/2 is odd
-    2 ** 13,      # the band (4,785 entries) is wider than N/2: folded rows overlap
-    2 ** 13 + 2,  # both
-])
-def test_two_row_transform_matches_padded_fft(N):
+def _transform_rows(band, N):
+    """Every row of ``_lattice_fft``, by row index r: X_{Rs+r} = rows[r, s]."""
     from lambertwave.bell import _lattice_fft
 
-    L = 2.0 ** 11
+    got = {}
+    for rho, p0, rows in _lattice_fft(band, N):
+        for i, row in enumerate(rows):
+            got[rho + 2 * (p0 + i)] = row.copy()
+    return np.array([got[r] for r in range(len(got))])
+
+
+@pytest.mark.parametrize("N, L, R", [
+    pytest.param(2 ** 14, 2.0 ** 11, 2, id="16384"),  # N = 0 (mod 4)
+    # N = 2 (mod 4): the centring shift N/2 is odd
+    pytest.param(2 ** 14 + 2, 2.0 ** 11, 2, id="16386"),
+    # the band (4,785 entries) is wider than N/2: folded rows overlap
+    pytest.param(2 ** 13, 2.0 ** 11, 2, id="8192"),
+    pytest.param(2 ** 13 + 2, 2.0 ** 11, 2, id="8194"),  # both
+    # four rows of 2^18: coefficients and twiddles past 1
+    pytest.param(2 ** 20, 2.0 ** 11, 4, id="1048576-L2048"),
+    # the band (305,845 entries) spans more than a row: three blocks
+    pytest.param(2 ** 20, 2.0 ** 17, 4, id="1048576-L131072"),
+    # eight rows: the blocks' coefficients are fourth roots of unity
+    pytest.param(2 ** 21, 2.0 ** 17, 8, id="2097152-L131072"),
+])
+def test_two_row_transform_matches_padded_fft(N, L, R):
     ph = BellEvaluator(A)
     band = ph.lattice_band(L)
     ref = _padded_fft(band, N)
-    rows = _lattice_fft(band, N)
-    assert rows.shape == (2, N // 2)
+    rows = _transform_rows(band, N)
+    assert rows.shape == (R, N // R)
     sup = np.max(np.abs(ref))
-    for r in (0, 1):
-        assert np.max(np.abs(rows[r] - ref[r::2])) <= 1e-15 * sup
+    for r in range(R):
+        assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * sup
     # the odd-frequency band of the periodization check has 2M entries
     M = len(band) // 2
     odd = ph.psi_hat_at((np.arange(-M, M) + 0.5) * (2.0 * math.pi / L))
-    ref, rows = _padded_fft(odd, N), _lattice_fft(odd, N)
-    for r in (0, 1):
-        assert np.max(np.abs(rows[r] - ref[r::2])) <= 1e-15 * np.max(np.abs(ref))
+    ref, rows = _padded_fft(odd, N), _transform_rows(odd, N)
+    for r in range(R):
+        assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("N", [2 ** 14, 2 ** 14 + 2])
+@pytest.mark.parametrize("N", [2 ** 14, 2 ** 14 + 2, 2 ** 20])
 def test_synthesis_centred_at_half_length(N):
-    # x = 0 sits at index N/2, also where the shift N/2 is odd: the samples
-    # are the fftshift of the padded transform
+    # x = 0 sits at index N/2, also where the shift N/2 is odd and where
+    # the rows are written as four strided columns: the samples are the
+    # fftshift of the padded transform
     L = 2.0 ** 11
     ph = BellEvaluator(A)
     grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False).grid
     assert grid.n == N and grid.x0 + grid.dx * (N // 2) == 0.0
     ref = np.fft.fftshift(_padded_fft(ph.lattice_band(L), N).real) * (1.0 / L)
     assert np.max(np.abs(grid.values - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+# build_wavelet()'s peak RSS above an import-only process, in MB, at the
+# defaults: 107.5 measured with the short-row transforms, 235 with two
+# N/2-point rows on two threads
+BUILD_PEAK_MB = 128.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_build_wavelet_peak_memory():
+    # a fresh process, so that no other test's arrays or plans count
+    src = str(Path(lambertwave.__file__).resolve().parents[1])
+    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); import lambertwave; "
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "base = peak(); lambertwave.build_wavelet(); print((peak() - base) / 1024)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert float(out) < BUILD_PEAK_MB
 
 
 # the short lattice of the paired-synthesis tests: 2^14 samples, period 2^11

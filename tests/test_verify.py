@@ -400,6 +400,25 @@ def test_moment_front_blocks_match_running_max(values, shift, plateaus):
         assert np.array_equal(_front_indices(u), np.flatnonzero(_above_later(np.abs(u))))
 
 
+@given(
+    st.integers(min_value=-300, max_value=300),
+    st.sampled_from([0.0625, 0.1, 0.25, 1.0 / 3.0, 1.0]),
+    st.integers(min_value=2, max_value=600),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_within_matches_mask(k0, dx, n, xmax, on_node):
+    # psi.csv's rows: the index range of |x| <= xmax equals the mask over
+    # x(), bit for bit, also where a node lands on +-xmax exactly
+    grid = GridFunction(k0 * dx, dx, np.arange(n, dtype=float))
+    if on_node:
+        xmax = abs(grid.x()[int(xmax) % n])
+    x, v = grid.within(xmax)
+    keep = np.abs(grid.x()) <= xmax
+    assert np.array_equal(x, grid.x()[keep]) and np.array_equal(v, grid.values[keep])
+
+
 def test_large_x_below_fitted_envelope(wavelet, fit_grid):
     # cross-module consistency: point values beyond the fit grid stay under
     # the fitted decay model (with an order-of-magnitude allowance)
