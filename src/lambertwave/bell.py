@@ -23,8 +23,7 @@ real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
 N-point transform is made as R rows of at most 2^18 points, on one thread
 (``_lattice_fft``), and consumed a few rows at a time: no N-point complex
-buffer is made.  R = 2 where N/2 <= 2^18, and the rows are then those of
-the radix-2 split, bit for bit.
+buffer is made.  R = 1 where N <= 2^18: the one row is then the plain FFT.
 
 Off the lattice, ``eval_psi_point`` evaluates one value
 psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
@@ -47,7 +46,7 @@ from .errors import DomainError, ResolutionError
 from .grids import GridFunction, abs_max
 
 HALF_PI = np.pi / 2.0
-_CHUNK = 2 ** 16  # points per pass of the band fold and the periodization check
+_CHUNK = 2 ** 16  # points per span of the band placement and per pass of the periodization check
 _ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
 _GROUP = 4  # rows per transform call
 _PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
@@ -180,10 +179,10 @@ class LatticeSynthesis:
 
 def _row_count(N: int) -> int:
     """R, the number of rows ``_lattice_fft`` makes of an N-point transform:
-    2, doubled while a row is longer than ``_ROW`` and the halved rows would
-    have even length.  It depends on N alone; R = 2 where N/2 <= 2^18 or
-    N/4 is odd."""
-    R = 2
+    1, doubled while a row is longer than ``_ROW`` and N is a multiple of
+    4R, so that R divides N/2.  It depends on N alone; R = 1, a plain FFT,
+    where N <= 2^18."""
+    R = 1
     while N // R > _ROW and N % (4 * R) == 0:
         R *= 2
     return R
@@ -200,33 +199,29 @@ def _roots(Q: int) -> np.ndarray:
     return w
 
 
-def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
     """N-point DFT X_k = sum_j band[j] e^{-2 pi i j k / N} of samples at the
     centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
     (2M entries), as R rows of S = N / R points (``_row_count``), X_{Rs+r} =
-    row r at s.  The rows come a group at a time: (rho, p0, rows) has in
-    rows[i] the row r = rho + 2 (p0 + i), and the next group overwrites it.
+    row r at s.  The rows come a group at a time: (r0, rows) has in rows[i]
+    the row r = r0 + i, and the next group overwrites it.
 
-    Decimated in time twice (Cooley & Tukey 1965), in Bailey's four-step
-    form (J. Supercomputing 4, 1990).  With H = N/2, Q = R/2, r = rho + 2p
-    and y_j = band[j] e^{-2 pi i j rho / N}, X_{Rs+r} is the H-point DFT of
-    y at Qs + p.  Write j mod H = vS + t, with t in [-S/2, S/2) and v taken
-    mod Q, and fold y by addition into the block Y_v of each v (the band is
-    shorter than N, so at most two samples meet in a slot).  Then
+    Decimated in time once (Cooley & Tukey 1965), in Bailey's four-step
+    form (J. Supercomputing 4, 1990).  Write j = vS + t, with t in
+    [-S/2, S/2), and place band[j] in slot t of the block Y_v, v taken mod
+    R: the band is shorter than N, so no two samples share a slot.  Then
 
-        row r at s = sum_t e^{-2 pi i t s / S} e^{-2 pi i t p / H}
-                           sum_v e^{-2 pi i v p / Q} Y_v[t]:
+        row r at s = sum_t e^{-2 pi i t s / S} e^{-2 pi i t r / N}
+                           sum_v e^{-2 pi i v r / R} Y_v[t]:
 
-    each parity folds its band once, in chunks of 2^16 (its twiddle is
-    never whole), and each row is a sum over the blocks that hold a sample
-    in its slots (the column pass), a twiddle and an S-point transform.  No
-    N-point buffer is made, only a parity's blocks and a group of rows.  At
-    R = 2 (Q = 1) every coefficient and twiddle is 1: the rows are the two
-    folds of the radix-2 split, bit for bit.  t and v are signed, and the
-    phases at j and -j are exact negatives, so a Hermitian band gives
-    exactly Hermitian rows: a real channel's imaginary residue is the row
-    transforms' own rounding.  The twiddle is a product of two short
-    tables, at t's nearest multiple of B = gcd(S, 512) and at the rest.
+    each row is a sum over the blocks that hold a sample in its slots (the
+    column pass), a twiddle and an S-point transform.  No N-point buffer is
+    made, only the blocks and a group of rows.  At R = 1 the one row is the
+    plain FFT.  t and v are signed, and the phases at j and -j are exact
+    negatives, so a Hermitian band gives exactly Hermitian rows: a real
+    channel's imaginary residue is the row transforms' own rounding.  The
+    twiddle is a product of two short tables, at t's nearest multiple of
+    B = gcd(S, 512) and at the rest.
 
     Each call transforms its rows on one thread.  Two workers saved about
     10 ms per 2^22-point transform, but kept 32 MB more resident after
@@ -234,10 +229,10 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, int, np.ndarra
     row copies it frees.
     """
     R = _row_count(N)
-    S, H, Q = N // R, N // 2, R // 2
+    S = N // R
     M = len(band) // 2
-    G = min(_GROUP, Q)
-    block = lambda j: (j + S // 2) // S % Q
+    G = min(_GROUP, max(1, R // 2))
+    block = lambda j: (j + S // 2) // S % R
     # spans of j inside one block and one period of j mod S, in ascending j,
     # that hold a sample
     spans = []
@@ -250,13 +245,15 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, int, np.ndarra
         start = stop
     blocks = np.array(sorted({block(start) for start, _ in spans}), dtype=int)
     at = {v: i for i, v in enumerate(blocks.tolist())}
+    Y = np.zeros((len(blocks), S), dtype=complex)
     # the blocks with a sample in each pass of _PASS slots
     live = np.zeros((len(blocks), -(-S // _PASS)), dtype=bool)
     for start, stop in spans:
         t = start % S
+        Y[at[block(start)], t:t + stop - start] = band[start + M:stop + M]
         live[at[block(start)], t // _PASS:(t + stop - start - 1) // _PASS + 1] = True
     live = [np.flatnonzero(col) for col in live.T]
-    roots = _roots(Q)
+    roots = _roots(R)
     # t = base + l, base a multiple of B and l in [-B/2, B/2): a base for
     # each half of a cell of B slots
     B = math.gcd(S, 512)
@@ -267,57 +264,43 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, int, np.ndarra
     offsets = np.where(offsets < B // 2, offsets, offsets - B)
     rows = np.empty((G, S), dtype=complex)
     tmp, tw = np.empty((2, G, _PASS), dtype=complex)
-    Y = np.empty((len(blocks), S), dtype=complex)
-    for rho in (0, 1):
-        Y[...] = 0.0
-        for start, stop in spans:
-            b = band[start + M:stop + M]
-            if rho:
-                b = b * np.exp((-2j * np.pi / N) * np.arange(start, stop))
-            t = start % S
-            Y[at[block(start)], t:t + len(b)] += b
-        for p0 in range(0, Q, G):
-            p = np.arange(p0, p0 + G)[:, None]
-            coef = roots[p * blocks % Q]
-            # row p = 0 has twiddle 1: the twiddled rows start at row i
-            i = int(p0 == 0)
-            halves = [np.exp((-2j * np.pi / H) * (p[i:] * b))[:, :, None] for b in bases]
-            rest = np.exp((-2j * np.pi / H) * (p[i:] * offsets))[:, None, :]
-            for s0, vs in zip(range(0, S, _PASS), live):
-                s1 = min(s0 + _PASS, S)
-                out, w = rows[:, s0:s1], s1 - s0
-                if not len(vs):
-                    out[...] = 0.0
-                    continue
-                np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s1], out=out)
-                for v in vs[1:]:
-                    np.multiply(coef[:, v, None], Y[v, s0:s1], out=tmp[:, :w])
-                    out += tmp[:, :w]
-                if i < G:
-                    c = slice(s0 // B, s1 // B)
-                    cell = tw[i:, :w].reshape(G - i, -1, B)
-                    np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
-                    np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
-                    out[i:] *= tw[i:, :w]
-            yield rho, p0, scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=1)
+    for r0 in range(0, R, G):
+        r = np.arange(r0, r0 + G)[:, None]
+        coef = roots[r * blocks % R]
+        # row r = 0 has twiddle 1: the twiddled rows start at row i
+        i = int(r0 == 0)
+        halves = [np.exp((-2j * np.pi / N) * (r[i:] * b))[:, :, None] for b in bases]
+        rest = np.exp((-2j * np.pi / N) * (r[i:] * offsets))[:, None, :]
+        for s0, vs in zip(range(0, S, _PASS), live):
+            s1 = min(s0 + _PASS, S)
+            out, w = rows[:, s0:s1], s1 - s0
+            if not len(vs):
+                out[...] = 0.0
+                continue
+            np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s1], out=out)
+            for v in vs[1:]:
+                np.multiply(coef[:, v, None], Y[v, s0:s1], out=tmp[:, :w])
+                out += tmp[:, :w]
+            if i < G:
+                c = slice(s0 // B, s1 // B)
+                cell = tw[i:, :w].reshape(G - i, -1, B)
+                np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
+                np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
+                out[i:] *= tw[i:, :w]
+        yield r0, scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=1)
 
 
-def _centred(out: np.ndarray, rho: int, p0: int, part: np.ndarray, scale: float) -> None:
-    """Write scale times ``part``, rows r = rho + 2p, p = p0, p0 + 1, ... of
+def _centred(out: np.ndarray, r0: int, part: np.ndarray, scale: float) -> None:
+    """Write scale times ``part``, rows r = r0, r0 + 1, ... of
     ``_lattice_fft``, into the real N-array ``out``, rolled so that k = 0
     sits at index N // 2, as ``np.fft.fftshift`` would.
 
-    x_{Rs+r} goes to (Rs + r + N/2) mod N = R ((s + a) mod S) + c, with
-    a = (r + N/2) // R and c = (r + N/2) mod R.  Past R = 2, N/2 is a
-    multiple of R, so c = r and a = S/2: the group is one strided (S, G)
-    block of ``out`` viewed as (S, R), written as a transpose.  At R = 2 a
-    group is one row, and for N = 2 (mod 4) the shift N/2 is odd and the
-    parities swap."""
+    R divides N/2, so x_{Rs+r} goes to (Rs + r + N/2) mod N =
+    R ((s + S/2) mod S) + r: the group is one strided (S, G) block of
+    ``out`` viewed as (S, R), written as a transpose."""
     G, S = part.shape
-    N = len(out)
-    R, H = N // S, N // 2
-    a = (rho + H) // R
-    dst = out.reshape(S, R)[:, (rho + H) % 2::2][:, p0:p0 + G]
+    a = S // 2
+    dst = out.reshape(S, -1)[:, r0:r0 + G]
     np.multiply(part[:, :S - a].T, scale, out=dst[a:])
     np.multiply(part[:, S - a:].T, scale, out=dst[:a])
 
@@ -386,12 +369,12 @@ def synthesize_psi_lattice(
     # centred: x = 0 at index N // 2
     channels = [np.empty(N) for p in (q, q2) if p is not None]
     imag = 0.0
-    for rho, p0, rows in _lattice_fft(spectrum, N):
-        _centred(channels[0], rho, p0, rows.real, factor)
+    for r0, rows in _lattice_fft(spectrum, N):
+        _centred(channels[0], r0, rows.real, factor)
         if q2 is None:
             imag = max(imag, float(abs_max(rows.imag)))
         else:
-            _centred(channels[1], rho, p0, rows.imag, factor * 2.0 ** -e)
+            _centred(channels[1], r0, rows.imag, factor * 2.0 ** -e)
     del spectrum, rows
     psi = channels[0]
     l2 = None
@@ -426,20 +409,19 @@ def synthesize_psi_lattice(
 def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
                         psi: np.ndarray) -> float:
     """max over |k| <= N/4 of |odd part - psi_L / 2| (see
-    ``synthesize_psi_lattice``), a group of odd-frequency rows at a time
-    and in chunks of 2^16 points: no N-point array but psi."""
+    ``synthesize_psi_lattice``), a group of odd-frequency rows r0, r0 + 1,
+    ... at a time and in chunks of 2^16 points: no N-point array but psi."""
     dxi = 2.0 * np.pi / L
     H = N // 2
     M = ph.lattice_m(L)
     worst = 0.0
-    for rho, p0, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N):
+    for r0, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N):
         S = rows.shape[1]
         R = N // S
         # chunks of one sign of k and one row r: k = Rs + r (mod N) is then a
         # slice of the row, and psi[k + N/2] a strided slice
         for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
-            for i, row in enumerate(rows):
-                r = rho + 2 * (p0 + i)
+            for r, row in enumerate(rows, r0):
                 first = lo + (r - lo) % R
                 for start in range(first, hi, R * _CHUNK):
                     stop = min(start + R * _CHUNK, hi)

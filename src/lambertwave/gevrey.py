@@ -23,12 +23,6 @@ SIGMA_MIN = 1.0 + 1e-12  # sigma = 1, the Gevrey scale, and just above it are ex
 SIGMA_MAX = 1024.0  # below it 2^sigma, the p^sigma of p = 2, is a finite double
 
 
-def log_m2(tau: float, sigma: float) -> float:
-    """log M_2 = tau 2^sigma log 2, for sigma < SIGMA_MAX; inf where the
-    product leaves double precision."""
-    return tau * 2.0 ** sigma * math.log(2.0)
-
-
 @dataclass(frozen=True)
 class SequenceParams:
     """The (tau, sigma) pair parameterizing the weight sequence; sigma = 1,
@@ -43,7 +37,7 @@ class SequenceParams:
             raise DomainError(f"tau must be positive, got {self.tau}")
         if not SIGMA_MIN <= self.sigma < SIGMA_MAX:
             raise DomainError(f"sigma must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), got {self.sigma}")
-        if not math.isfinite(log_m2(self.tau, self.sigma)):
+        if not math.isfinite(self.tau * 2.0 ** self.sigma * math.log(2.0)):  # log M_2
             raise DomainError(
                 f"log M_2 = tau 2^sigma log 2 overflows at tau = {self.tau}, "
                 f"sigma = {self.sigma}"

@@ -170,8 +170,8 @@ def test_periodization_identity_matches_doubled_period(wavelet):
     a = 0.9
     ph = BellEvaluator(a)
     L, N = 2.0 ** 17, 2 ** 19
-    # N = 2 (mod 4) too: there each parity of the odd-frequency rows meets
-    # the other parity of the centred lattice
+    # N = 2 (mod 4) too: there the centring shift N/2 is odd, and the
+    # transform is one row of N points
     for N in (2 ** 19, 2 ** 19 + 2):
         syn = synthesize_psi_lattice(ph, L=L, N=N)
         oracle = _doubled_period_residual(ph, syn.grid, L, N)
@@ -386,24 +386,29 @@ def _transform_rows(band, N):
     from lambertwave.bell import _lattice_fft
 
     got = {}
-    for rho, p0, rows in _lattice_fft(band, N):
-        for i, row in enumerate(rows):
-            got[rho + 2 * (p0 + i)] = row.copy()
+    for r0, rows in _lattice_fft(band, N):
+        for r, row in enumerate(rows, r0):
+            got[r] = row.copy()
     return np.array([got[r] for r in range(len(got))])
 
 
 @pytest.mark.parametrize("N, L, R", [
-    pytest.param(2 ** 14, 2.0 ** 11, 2, id="16384"),  # N = 0 (mod 4)
+    pytest.param(2 ** 14, 2.0 ** 11, 1, id="16384"),  # N = 0 (mod 4)
     # N = 2 (mod 4): the centring shift N/2 is odd
-    pytest.param(2 ** 14 + 2, 2.0 ** 11, 2, id="16386"),
-    # the band (4,785 entries) is wider than N/2: folded rows overlap
-    pytest.param(2 ** 13, 2.0 ** 11, 2, id="8192"),
-    pytest.param(2 ** 13 + 2, 2.0 ** 11, 2, id="8194"),  # both
+    pytest.param(2 ** 14 + 2, 2.0 ** 11, 1, id="16386"),
+    # the band (4,785 entries) is wider than N/2
+    pytest.param(2 ** 13, 2.0 ** 11, 1, id="8192"),
+    pytest.param(2 ** 13 + 2, 2.0 ** 11, 1, id="8194"),  # both
+    # two rows of 2^18, param_sweep's lattice: the one size with R = 2
+    pytest.param(2 ** 19, 2.0 ** 17, 2, id="524288-L131072"),
+    # N/4 is odd: the doubling stops at two rows of 262,146 points, whose
+    # twiddle cells have B = gcd(S, 512) = 2 slots
+    pytest.param(2 ** 19 + 4, 2.0 ** 17, 2, id="524292-L131072"),
     # four rows of 2^18: coefficients and twiddles past 1
     pytest.param(2 ** 20, 2.0 ** 11, 4, id="1048576-L2048"),
     # the band (305,845 entries) spans more than a row: three blocks
     pytest.param(2 ** 20, 2.0 ** 17, 4, id="1048576-L131072"),
-    # eight rows: the blocks' coefficients are fourth roots of unity
+    # eight rows: the blocks' coefficients are eighth roots of unity
     pytest.param(2 ** 21, 2.0 ** 17, 8, id="2097152-L131072"),
 ])
 def test_two_row_transform_matches_padded_fft(N, L, R):
@@ -423,12 +428,17 @@ def test_two_row_transform_matches_padded_fft(N, L, R):
         assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("N", [2 ** 14, 2 ** 14 + 2, 2 ** 20])
-def test_synthesis_centred_at_half_length(N):
+@pytest.mark.parametrize("N, L", [
+    pytest.param(2 ** 14, 2.0 ** 11, id="16384"),
+    pytest.param(2 ** 14 + 2, 2.0 ** 11, id="16386"),
+    pytest.param(2 ** 19, 2.0 ** 17, id="524288-L131072"),
+    pytest.param(2 ** 19 + 4, 2.0 ** 17, id="524292-L131072"),
+    pytest.param(2 ** 20, 2.0 ** 11, id="1048576"),
+])
+def test_synthesis_centred_at_half_length(N, L):
     # x = 0 sits at index N/2, also where the shift N/2 is odd and where
-    # the rows are written as four strided columns: the samples are the
-    # fftshift of the padded transform
-    L = 2.0 ** 11
+    # the rows are written as two or four strided columns: the samples are
+    # the fftshift of the padded transform
     ph = BellEvaluator(A)
     grid = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False).grid
     assert grid.n == N and grid.x0 + grid.dx * (N // 2) == 0.0

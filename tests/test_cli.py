@@ -509,6 +509,19 @@ def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_naming_a_file_exits_2_writing_nothing(tmp_path, capsys, under):
+    # once a FileExistsError or a NotADirectoryError from the output
+    # directory's mkdir: a traceback and exit 1
+    blocker = tmp_path / "f"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    rc = main(["lambert-table", "--out-dir", str(out)])
+    assert rc == 2
+    assert "'out_dir'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
+
+
 def test_fit_window_check_is_decay_envelopes():
     # around the largest admitted fit_xmax, _validate rejects exactly the
     # configs whose envelope window decay_envelope finds off the lattice;
