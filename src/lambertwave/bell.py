@@ -21,9 +21,10 @@ wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
-N-point transform is made as R rows of at most 2^18 points, on one thread
-(``_lattice_fft``), and consumed a few rows at a time: no N-point complex
-buffer is made.  R = 1 where N <= 2^18: the one row is then the plain FFT.
+N-point transform is made as R rows on one thread (``_lattice_fft``), and
+consumed a few rows at a time: no N-point complex buffer is made.  R = 1,
+a plain FFT, where N <= 2^18.  The rows are at most 2^18 points for each N
+that ``check_rows`` admits, and the CLI's config check refuses any other.
 
 Off the lattice, ``eval_psi_point`` evaluates one value
 psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
@@ -186,6 +187,15 @@ def _row_count(N: int) -> int:
     while N // R > _ROW and N % (4 * R) == 0:
         R *= 2
     return R
+
+
+def check_rows(N: int) -> None:
+    """DomainError unless each row ``_lattice_fft`` makes of an N-point
+    transform has at most ``_ROW`` points: every power of two does, and no
+    N = 2 (mod 4) above 2^18, which would be one N-point row."""
+    if N // _row_count(N) > _ROW:
+        raise DomainError(f"the lattice transform's rows must be at most 2^18 points: N / R "
+                          f"<= 2^18 for a power of two R dividing N / 2; got N = {N}")
 
 
 def _roots(Q: int) -> np.ndarray:

@@ -4,8 +4,7 @@ Single binary with subcommands.  The ``STAGES`` and ``COMMANDS`` tables
 declare every stage and subcommand once: a subcommand runs its stages in
 order, and each of its flags is ``--field-name`` of the ``RunConfig``
 field it sets, typed by that field.  The config sets what is built, never
-a certificate's gate, and of a certificate's extents only the decay fit's
-window: each gate and every other extent is a constant of the module that
+a certificate's gate or extent: each is a constant of the module that
 checks it, and the stages pass data only.  Each artifact's extent and
 name, the two tables' included, is fixed next to the stage that writes it.
 Configuration precedence is CLI flags over a JSON config file over
@@ -39,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bell import BellEvaluator, WaveletBuild, build_wavelet
+from .bell import BellEvaluator, WaveletBuild, build_wavelet, check_rows
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -53,8 +52,8 @@ from .grids import GridSpec
 from .lambert import lambert_w0
 from .mollifier import build_mollifier, derivative_bound_audit
 from .verify import (
-    FIT_POINTS_MIN,
-    FIT_SPAN_MIN,
+    DERIV_ORDERS,
+    FIT_X,
     MIXED_MAX,
     DerivativeDecayRow,
     completeness_check,
@@ -69,7 +68,6 @@ from .verify import (
 )
 
 ENV_OUT_DIR = "LAMBERTWAVE_OUT"
-DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
 
 
 @dataclass
@@ -79,10 +77,6 @@ class RunConfig:
     a: float = math.pi / 6.0
     period: float = 2.0 ** 18
     samples: int = 2 ** 22
-    # verification: the decay fit's window
-    fit_xmin: float = 1e2
-    fit_xmax: float = 3e4
-    fit_points: int = 36
     # assoc_func.csv's class M_p = p^(tau p^sigma), with the sigma above
     tau: float = 1.0
     # io
@@ -90,36 +84,34 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
-    """InputError for the first config field out of its range; whether the
-    fit window spans two decades, stays on the lattice and keeps T_sigma
-    finite is checked only when one of ``stages`` reads it."""
+    """InputError for the first config field out of its range, by the rules
+    of ``check_rows`` for samples, ``SequenceParams`` for tau and
+    ``BellEvaluator`` for a among them; where ``stages`` runs the decay fit,
+    also unless its grid ``FIT_X`` keeps each envelope window on the
+    lattice and T_sigma finite."""
     checks = [
         ("sigma", SIGMA_MIN <= cfg.sigma < SIGMA_MAX,
          f"must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
         ("period", cfg.period > 0, "must be positive"),
         ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
          "must be even and lie in [2^12, 2^24]"),
-        ("fit_points", FIT_POINTS_MIN <= cfg.fit_points <= 2 ** 12,
-         f"must lie in [{FIT_POINTS_MIN}, 2^12]"),
-        ("fit_xmin", cfg.fit_xmin > 1.0, "must exceed 1, where W(log x) > 0"),
-        ("fit_xmax", cfg.fit_xmax > cfg.fit_xmin, "must exceed fit_xmin"),
     ]
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
-    try:
-        SequenceParams(cfg.tau, cfg.sigma)  # the weight sequence's own rule for tau
-    except DomainError as exc:
-        raise InputError(f"config field 'tau': {exc}") from exc
+    # the lattice transform's own rule for samples, the weight sequence's for tau
+    for name, rule in (("samples", lambda: check_rows(cfg.samples)),
+                       ("tau", lambda: SequenceParams(cfg.tau, cfg.sigma))):
+        try:
+            rule()
+        except DomainError as exc:
+            raise InputError(f"config field '{name}': {exc}") from exc
     try:
         bell = BellEvaluator(cfg.a)  # the wavelet's own rule for a
     except DomainError as exc:
         raise InputError(f"config field 'a': {exc}") from exc
     if "decay_fit" in stages:
-        xg = _fit_grid(cfg)
-        if xg[-1] / xg[0] < FIT_SPAN_MIN:  # fit_decay's rule, every point usable
-            raise InputError(f"config field 'fit_xmax': must reach {FIT_SPAN_MIN:g} fit_xmin, "
-                             f"the decay fit's 2 decades; got {cfg.fit_xmax}")
+        xg = _log_grid(*FIT_X)
         # decay_envelope's windows on the synthesis lattice x0 = -L/2, dx = L/N
         window = envelope_window(bell)
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
@@ -127,25 +119,20 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
             window_indices(xg, window, GridSpec(x0, dx, cfg.samples))
         except InputError as exc:
             raise InputError(
-                f"config field 'fit_xmax': {exc}: each window (half-width "
-                f"{window / 2.0:.6g}) must end by the last lattice node L/2 - L/N = "
-                f"{x0 + dx * (cfg.samples - 1):.9g}; got {cfg.fit_xmax}"
+                f"config field 'period': {exc}: each window (half-width {window / 2.0:.6g}) "
+                f"of the decay fit's points, up to x = {xg[-1]:.6g}, must end by the last "
+                f"lattice node L/2 - L/N = {x0 + dx * (cfg.samples - 1):.9g}; got {cfg.period}"
             ) from exc
         try:
             lambert_regressor(xg, cfg.sigma)
         except DomainError as exc:
-            raise InputError(f"config field 'sigma': {exc} on the fit window "
-                             f"[{cfg.fit_xmin}, {cfg.fit_xmax}]; got {cfg.sigma}") from exc
+            raise InputError(f"config field 'sigma': {exc} on the decay fit's points "
+                             f"over [{FIT_X[0]:g}, {FIT_X[1]:g}]; got {cfg.sigma}") from exc
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     """``n`` points log-spaced over [lo, hi]."""
     return np.logspace(math.log10(lo), math.log10(hi), n)
-
-
-def _fit_grid(cfg: RunConfig) -> np.ndarray:
-    """The decay fit's points: ``fit_points`` log-spaced over the fit window."""
-    return _log_grid(cfg.fit_xmin, cfg.fit_xmax, cfg.fit_points)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +316,7 @@ def stage_verify_onw(run: Run) -> list:
 
 def stage_decay_fit(run: Run) -> list:
     cfg, wb = run.cfg, run.wb
-    xg = _fit_grid(cfg)
+    xg = _log_grid(*FIT_X)
     grid = wb.synthesis.grid
     table = decay_envelope(grid, xg, envelope_window(wb.ph))
     fit = fit_decay(table, cfg.sigma)
@@ -432,7 +419,7 @@ COMMANDS: Dict[str, Command] = {
     "decay-fit": Command(
         "envelope extraction and Lambert-form regression",
         _WAVELET + ("decay_fit",),
-        _LATTICE + ("fit_xmin", "fit_xmax", "fit_points"),
+        _LATTICE,
     ),
     "mixed-audit": Command(
         "moment-derivative bound feasibility",
@@ -482,7 +469,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
+    except OSError as exc:  # a file in the way, a name too long, no permission
         raise InputError(f"config field 'out_dir': cannot make the output "
                          f"directory: {exc}; got {cfg.out_dir}") from exc
     run = Run(cfg, out)

@@ -4,9 +4,9 @@ and the mixed moment-derivative bound audit.
 All operations are read-only over their inputs and deterministic; pairwise
 inner products reduce to scale-free integrals so equivalent pairs share one
 quadrature (bitwise-identical values by construction).  Each gate, and
-each extent (the Gram and dyadic windows, the mixed LP's orders), is a
-module constant read by the function that checks it: the functions take
-their data and nothing else.
+each extent (the Gram and dyadic windows, the mixed LP's orders, and the
+decay fit's points and orders, which its caller samples), is a module
+constant: the functions take their data and nothing else.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
 FIT_POINTS_MIN = 30  # least number of the decay fit's usable points
 FIT_SPAN_MIN = 99.0  # least x_last / x_first of the decay fit's usable points: 2 decades
+FIT_X = (1e2, 3e4, 36)  # the decay fit's points: 36 log-spaced x over [1e2, 3e4]
+DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
 MIXED_MAX = 8  # the mixed LP's orders k, q <= MIXED_MAX: 81 rows
 
 

@@ -221,7 +221,6 @@ def test_criterion_10_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "samples": 2 ** 20,
-        "fit_points": 30,
     }))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert cli_main(["all", "--config", str(cfg), "--out-dir", str(out1)]) == 0

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lambertwave
 from lambertwave import (
+    BellEvaluator,
     ConvergenceError,
     DomainError,
     InputError,
@@ -32,6 +33,7 @@ from lambertwave import (
 )
 from lambertwave.cli import RunConfig, build_parser, main, write_csv
 from lambertwave.gevrey import SIGMA_MIN, lambert_regressor
+from lambertwave.verify import DERIV_ORDERS, FIT_POINTS_MIN, FIT_SPAN_MIN, FIT_X
 
 FAST_SYNTH = [
     "--period", str(2.0 ** 18),
@@ -241,9 +243,7 @@ def test_verify_onw(tmp_path):
 
 def test_decay_fit(tmp_path):
     rc = main([
-        "decay-fit", *FAST_SYNTH,
-        "--fit-xmin", "100", "--fit-xmax", "12800", "--fit-points", "30",
-        "--out-dir", str(tmp_path),
+        "decay-fit", *FAST_SYNTH, "--out-dir", str(tmp_path),
     ])
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -255,7 +255,7 @@ def test_decay_fit(tmp_path):
     assert row0["n"] == 0
     assert [row0[k] for k in ("h_fit", "intercept", "r_squared")] == [
         fit["h_fit"], fit["intercept"], fit["r_squared"]]
-    assert [r["n"] for r in fit["derivatives"]] == [0, *cli.DERIV_ORDERS]
+    assert [r["n"] for r in fit["derivatives"]] == [0, *DERIV_ORDERS]
     header, rows = read_csv(tmp_path / "envelope.csv")
     assert header == ["x", "env", "T_sigma", "lambert_bound"]
 
@@ -353,10 +353,7 @@ OPTIONS = {
     "build-mollifier": {"--sigma": "sigma", **COMMON},
     "build-wavelet": {**LATTICE, **COMMON},
     "verify-onw": {**LATTICE, **COMMON},
-    "decay-fit": {
-        **LATTICE, "--fit-xmin": "fit_xmin", "--fit-xmax": "fit_xmax",
-        "--fit-points": "fit_points", **COMMON,
-    },
+    "decay-fit": {**LATTICE, **COMMON},
     "mixed-audit": {**LATTICE, **COMMON},
     "all": {**LATTICE, **COMMON},
 }
@@ -393,7 +390,8 @@ def test_subcommand_options_and_fields():
 # set certificate gates and class weights, now fixed in verify, the next
 # six certificate extents, now fixed next to their checks, the next three
 # an artifact's extent or name, now fixed next to its stage, and the last
-# seven the two tables' extents, now fixed next to their stages
+# seven the two tables' extents, now fixed next to their stages, and the
+# last three the decay fit's window, now verify.FIT_X
 @pytest.mark.parametrize("key", [
     "no_such_key", "moll_base_width", "m_max", "profile_base",
     "profile_base_width", "audit_n_max", "profile_cutoff", "moll_base",
@@ -402,6 +400,7 @@ def test_subcommand_options_and_fields():
     "dyadic_window", "deriv_orders", "mixed_k_max", "mixed_q_max",
     "freq_pow", "psi_xmax", "moll_out",
     "xmin", "xmax", "points", "log", "kmin", "kmax", "kpoints",
+    "fit_xmin", "fit_xmax", "fit_points",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
@@ -414,12 +413,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("fit_points", 7.5),       # non-integral float for an int
+    ("samples", 4096.5),       # non-integral float for an int
     ("sigma", True),           # bool for a float
     ("sigma", float("inf")),   # non-finite float
     # once fields whose bad values failed their type or range check; the
     # fields are gone, and a config naming them still exits 2, as an
     # unknown key, before any stage
+    ("fit_points", 7.5),       # was a non-integral float for an int
     ("points", 7.5),           # was a non-integral float for an int
     ("freq_pow", "17"),        # was a string for an int
     ("moll_out", 5),           # was a number for a string
@@ -443,9 +443,9 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     # the tables' extents were set by --xmin, --points and --kpoints; they
     # are fixed now, and a config naming them exits 2 as an unknown key
     ("lambert-table", [{"xmin": 0}], "xmin"),
-    # the envelope window at 7e4 runs past the last node L/2 - L/N = 65535.75
-    ("decay-fit", ["--samples", "524288", "--period", "131072", "--a", "0.9",
-                   "--fit-xmax", "70000"], "fit_xmax"),
+    # the envelope window at the fit's last point, 3e4, runs past the last
+    # node L/2 - L/N = 16383.9375
+    ("decay-fit", ["--samples", "524288", "--period", "32768", "--a", "0.9"], "period"),
     # the cutoff CSV was named by --out; its name is fixed now, and a
     # config naming it, {key: value} here, exits 2 as an unknown key
     ("build-mollifier", [{"moll_out": "sub/phi.csv"}], "moll_out"),
@@ -454,19 +454,20 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     # table sizes are capped: each was a ValueError from numpy at 10^30
     ("lambert-table", [{"points": 10 ** 30}], "points"),
     ("assoc-func", [{"kpoints": 10 ** 30}], "kpoints"),
-    ("decay-fit", ["--fit-points", str(10 ** 30)], "fit_points"),
-    # T_sigma on the fit window: W(log x) <= 0 from x = 1, and past double
-    # precision near sigma = 1; each once exited 2 inside the decay-fit
-    # stage, after psi.csv was written, naming an overflow or W's domain
-    ("decay-fit", ["--fit-xmin", "1", "--fit-xmax", "1000"], "fit_xmin"),
-    ("decay-fit", ["--fit-xmin", "1e-300"], "fit_xmin"),
+    # the decay fit's window was set by --fit-xmin, --fit-xmax and
+    # --fit-points, whose bad values once exited 2 inside the decay-fit
+    # stage (T_sigma past W's domain from x = 1, or under two decades); it
+    # is verify.FIT_X now, and a config naming them exits 2 as an unknown key
+    ("decay-fit", [{"fit_points": 10 ** 30}], "fit_points"),
+    ("decay-fit", [{"fit_xmin": 1, "fit_xmax": 1000}], "fit_xmin"),
+    ("decay-fit", [{"fit_xmin": 1e-300}], "fit_xmin"),
+    # T_sigma on the fit's points past double precision near sigma = 1:
+    # once exited 2 inside the decay-fit stage, after psi.csv was written
     ("decay-fit", ["--sigma", "1.000001"], "sigma"),
-    # under fit_decay's two decades: once exited 2 inside the decay-fit
-    # stage, after psi.csv, psi_hat.csv and wavelet_manifest.json
-    ("decay-fit", ["--fit-xmin", "100", "--fit-xmax", "200"], "fit_xmax"),
-    ("decay-fit", ["--fit-xmax", "9000"], "fit_xmax"),
+    ("decay-fit", [{"fit_xmax": 200, "fit_xmin": 100}], "fit_xmax"),
+    ("decay-fit", [{"fit_xmax": 9000}], "fit_xmax"),
     # L/N underflows to 0: once a divide-by-zero warning in _validate
-    ("all", ["--period", "5e-324"], "fit_xmax"),
+    ("all", ["--period", "5e-324"], "period"),
     # the ramp half-width a/4 underflows to 0: once a ZeroDivisionError in
     # _validate, and non-finite samples in build-wavelet
     ("all", ["--a", "5e-324"], "a"),
@@ -509,13 +510,15 @@ def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_out_dir_naming_a_file_exits_2_writing_nothing(tmp_path, capsys, under):
-    # once a FileExistsError or a NotADirectoryError from the output
-    # directory's mkdir: a traceback and exit 1
+@pytest.mark.parametrize("out", ["f", "f/sub", "x" * 300],
+                         ids=["file", "under-file", "name-too-long"])
+def test_out_dir_naming_a_file_exits_2_writing_nothing(tmp_path, capsys, out):
+    # once a FileExistsError, a NotADirectoryError or, for a name past the
+    # file system's limit, an OSError from the output directory's mkdir: a
+    # traceback and exit 1
     blocker = tmp_path / "f"
     blocker.write_text("x")
-    out = blocker / "sub" if under else blocker
+    out = tmp_path / out
     rc = main(["lambert-table", "--out-dir", str(out)])
     assert rc == 2
     assert "'out_dir'" in capsys.readouterr().err
@@ -523,61 +526,45 @@ def test_out_dir_naming_a_file_exits_2_writing_nothing(tmp_path, capsys, under):
 
 
 def test_fit_window_check_is_decay_envelopes():
-    # around the largest admitted fit_xmax, _validate rejects exactly the
-    # configs whose envelope window decay_envelope finds off the lattice;
-    # fit_xmin = 10 keeps the window over fit_decay's two decades
-    cfg = RunConfig(period=4096.0, samples=4096, fit_xmin=10.0)
-    window = envelope_window(lambertwave.BellEvaluator(cfg.a))
-    half = window / 2.0
-    lattice = lambertwave.GridFunction(-2048.0, 1.0, np.zeros(4096))
-    edge = 2047.0 - half
+    # around the least admitted period at the fixed fit window, _validate
+    # rejects exactly the lattices on which decay_envelope finds an envelope
+    # window off the lattice; the check runs only for the decay fit
+    N = 2 ** 12
+    xg = cli._log_grid(*FIT_X)
+    window = envelope_window(BellEvaluator(RunConfig().a))
+    edge = (xg[-1] + window / 2.0) / (0.5 - 1.0 / N)  # L/2 - L/N reaches the last window
     verdicts = set()
-    for fit_xmax in (edge - 0.5, np.nextafter(edge, 0.0), edge,
-                     np.nextafter(edge, np.inf), edge + 0.5):
-        cfg.fit_xmax = float(fit_xmax)
+    for period in (edge - 0.5, np.nextafter(edge, 0.0), edge,
+                   np.nextafter(edge, np.inf), edge + 0.5):
+        cfg = RunConfig(period=float(period), samples=N)
+        lattice = lambertwave.GridFunction(-cfg.period / 2.0, cfg.period / N, np.zeros(N))
         try:
-            decay_envelope(lattice, cli._fit_grid(cfg), window)
+            decay_envelope(lattice, xg, window)
             fits = True
         except InputError:
             fits = False
         verdicts.add(fits)
-        cli._validate(cfg)  # the check is for commands that run decay_fit
+        cli._validate(cfg)
         if fits:
             cli._validate(cfg, ("decay_fit",))
         else:
-            with pytest.raises(InputError, match="fit_xmax"):
+            with pytest.raises(InputError, match="'period'"):
                 cli._validate(cfg, ("decay_fit",))
     assert verdicts == {True, False}
 
 
 def test_fit_window_span_check_is_fit_decays():
-    # around the least admitted fit_xmax, _validate rejects exactly the
-    # windows whose points, every one usable, fit_decay finds under two
-    # decades; the envelope is exp(-T_sigma), a fit no other gate rejects
-    cfg = RunConfig()
-    edge = 99.0 * cfg.fit_xmin
-    verdicts = set()
-    for fit_xmax in (edge - 0.5, np.nextafter(edge, 0.0), edge,
-                     np.nextafter(edge, np.inf), edge + 0.5):
-        cfg.fit_xmax = float(fit_xmax)
-        xg = cli._fit_grid(cfg)
-        env = np.exp(-lambert_regressor(xg, cfg.sigma))
-        table = EnvelopeTable(x=xg, env=env, usable=np.ones(len(xg), bool),
-                              window=1.0, dropped=0)
-        try:
-            fit_decay(table, cfg.sigma)
-            fits = True
-        except VerificationError as exc:
-            assert "decades" in str(exc)
-            fits = False
-        verdicts.add(fits)
-        cli._validate(cfg)  # the check is for commands that run decay_fit
-        if fits:
-            cli._validate(cfg, ("decay_fit",))
-        else:
-            with pytest.raises(InputError, match="'fit_xmax'.*2 decades"):
-                cli._validate(cfg, ("decay_fit",))
-    assert verdicts == {True, False}
+    # the fit's fixed points meet fit_decay's count and span gates, which
+    # _validate once checked on a configured window: with every point
+    # usable and the envelope exp(-T_sigma), the fit passes
+    xg = cli._log_grid(*FIT_X)
+    assert (xg[0], len(xg)) == (FIT_X[0], FIT_X[2])
+    assert math.isclose(xg[-1], FIT_X[1], rel_tol=1e-15)
+    assert len(xg) >= FIT_POINTS_MIN and xg[-1] / xg[0] >= FIT_SPAN_MIN
+    sigma = RunConfig().sigma
+    table = EnvelopeTable(x=xg, env=np.exp(-lambert_regressor(xg, sigma)),
+                          usable=np.ones(len(xg), bool), window=1.0, dropped=0)
+    assert fit_decay(table, sigma).x_range == (xg[0], xg[-1])
 
 
 def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
@@ -589,8 +576,7 @@ def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
         return table
 
     monkeypatch.setattr(cli, "decay_envelope", sparse)
-    rc = main(["decay-fit", *FAST_SYNTH, "--fit-points", "30",
-               "--out-dir", str(tmp_path)])
+    rc = main(["decay-fit", *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "need >= 30 usable envelope points, got 29" in capsys.readouterr().err
     man = json.loads((tmp_path / "manifest.json").read_text())
@@ -600,31 +586,18 @@ def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
 
 
 def test_config_ranges_admit_their_ends():
-    for cfg in (RunConfig(samples=2 ** 12), RunConfig(samples=2 ** 24),
-                RunConfig(fit_points=2 ** 12),
-                RunConfig(fit_xmin=math.nextafter(1.0, 2.0))):
-        cli._validate(cfg, ("decay_fit",))
+    # every power of two from 2^12 to 2^24: rows of at most 2^18 points
+    for k in range(12, 25):
+        cli._validate(RunConfig(samples=2 ** k), ("decay_fit",))
 
 
-@pytest.mark.parametrize("samples", [2 ** 24 + 2, 2 ** 40])
+@pytest.mark.parametrize("samples", [2 ** 24 + 2, 2 ** 40, 2 ** 19 + 2, 2 ** 22 + 2])
 def test_samples_capped_before_any_allocation(samples):
-    # 2^40 samples would reach a (2, 2^39) transform buffer; only _validate runs
+    # 2^40 samples would reach a (2, 2^39) transform buffer, and a lattice
+    # of 2 (mod 4) samples past 2^18 one N-point row (634.7 MB more peak
+    # at 2^22 + 2); only _validate runs
     with pytest.raises(InputError, match="'samples'"):
         cli._validate(RunConfig(samples=samples))
-
-
-@pytest.mark.parametrize("field, cap", [("fit_points", 2 ** 12)])
-def test_table_sizes_capped_before_any_allocation(monkeypatch, field, cap):
-    # 10^30 fit points once reached np.logspace inside _validate; the caps
-    # are checked before the fit grid is formed
-    def gridded(cfg):
-        raise AssertionError("the fit grid was formed")
-
-    monkeypatch.setattr(cli, "_fit_grid", gridded)
-    cli._validate(RunConfig(**{field: cap}))
-    for n in (cap + 1, 10 ** 30):
-        with pytest.raises(InputError, match=f"'{field}'"):
-            cli._validate(RunConfig(**{field: n}), ("decay_fit",))
 
 
 def test_moll_out_naming_another_artifact_exits_2_writing_nothing(tmp_path, capsys):
@@ -681,9 +654,7 @@ def _fit_flag(name, in_range):
 
 _FIT_ARGVS = st.lists(st.one_of(
     _fit_flag("--sigma", st.one_of(st.floats(1.0, 1.01), st.floats(1.01, 1000.0))),
-    _fit_flag("--fit-xmin", st.floats(1e-3, 1e3)),
-    _fit_flag("--fit-xmax", st.floats(1e3, 1e5)),
-    _fit_flag("--fit-points", st.integers(30, 2 ** 12)),
+    _fit_flag("--period", st.floats(1e4, 1e6)),
 ), max_size=4).map(lambda fl: ["decay-fit"] + [t for f in fl for t in f])
 
 
@@ -691,8 +662,8 @@ _FIT_ARGVS = st.lists(st.one_of(
 @given(argv=_FIT_ARGVS)
 def test_fuzzed_decay_fit_argvs_validate_or_fit(argv):
     # the validation path alone, no lattice: a config either is refused
-    # with an InputError, or gives a finite T_sigma on its fit grid, warning
-    # free (tier-1 turns a RuntimeWarning into an error)
+    # with an InputError, or gives a finite T_sigma on the fit's points,
+    # warning free (tier-1 turns a RuntimeWarning into an error)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a value argparse cannot parse
@@ -703,7 +674,7 @@ def test_fuzzed_decay_fit_argvs_validate_or_fit(argv):
         cli._validate(cfg, cli.COMMANDS["decay-fit"].stages)
     except InputError:
         return
-    assert np.all(np.isfinite(lambert_regressor(cli._fit_grid(cfg), cfg.sigma)))
+    assert np.all(np.isfinite(lambert_regressor(cli._log_grid(*FIT_X), cfg.sigma)))
 
 
 _LATTICE_ARGVS = st.tuples(
@@ -832,23 +803,22 @@ def test_manifest_echoes_full_config(tmp_path):
     assert rc == 0
     man = json.loads((tmp_path / "manifest.json").read_text())
     cfg = man["config"]
-    # every field is recorded, and no certificate gate is a field, nor any
-    # extent but the decay fit's window, nor any artifact's extent or name
+    # every field is recorded, and no certificate gate or extent is a
+    # field, nor any artifact's extent or name
     assert set(cfg) == {f.name for f in dataclasses.fields(RunConfig)}
-    assert len(cfg) == 9
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "sigma", "a", "period", "samples", "tau", "out_dir"]
     assert not {"gram_tol", "dyadic_tol", "completeness_tol", "r2_min",
                 "env_floor", "mixed_s", "mixed_tau", "gram_m", "gram_n",
                 "dyadic_window", "deriv_orders", "mixed_k_max",
                 "mixed_q_max", "freq_pow", "psi_xmax", "moll_out", "xmin",
-                "xmax", "points", "log", "kmin", "kmax", "kpoints"} & set(cfg)
+                "xmax", "points", "log", "kmin", "kmax", "kpoints",
+                "fit_xmin", "fit_xmax", "fit_points"} & set(cfg)
     assert cfg["sigma"] == 3.0
 
 
 def test_all_reruns_byte_identical(tmp_path):
-    args = [
-        "all", *FAST_SYNTH,
-        "--config", str(_fast_all_config(tmp_path)),
-    ]
+    args = ["all", *FAST_SYNTH]
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(args + ["--out-dir", str(out1)]) == 0
     assert main(args + ["--out-dir", str(out2)]) == 0
@@ -879,16 +849,6 @@ def _assert_stage_usage(man, stages):
     rss = [man["rss_high_water_mb"][name] for name in stages]
     assert all(b >= a for a, b in zip(rss, rss[1:]))
     assert not stages or rss[0] > 0.0
-
-
-def _fast_all_config(tmp_path):
-    cfg = tmp_path / "fast_all.json"
-    cfg.write_text(json.dumps({
-        "fit_xmin": 100.0,
-        "fit_xmax": 12800.0,
-        "fit_points": 30,
-    }))
-    return cfg
 
 
 def test_build_mollifier_out_name(tmp_path, capsys):
