@@ -21,9 +21,11 @@ wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
-N-point transform is made as R rows on one thread (``_lattice_fft``), and
-consumed a few rows at a time: no N-point complex buffer is made.  R = 1,
-a plain FFT, where N <= 2^18.  The rows are at most 2^18 points for each N
+N-point transform is made as R rows on one thread, one FFT call per row
+(``_lattice_fft``), and consumed a few rows at a time: no N-point complex
+buffer is made.  The periodization check compares each group of rows with
+the block of psi it matches (``_periodization_diff``).  R = 1, a plain
+FFT, where N <= 2^18.  The rows are at most 2^18 points for each N
 that ``check_rows`` admits, and the CLI's config check refuses any other.
 
 Off the lattice, ``eval_psi_point`` evaluates one value
@@ -233,10 +235,14 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
     twiddle is a product of two short tables, at t's nearest multiple of
     B = gcd(S, 512) and at the rest.
 
-    Each call transforms its rows on one thread.  Two workers saved about
+    Each row is transformed in place by its own FFT call, on one thread:
+    a call on the whole group keeps a larger pocketfft scratch at
+    S = 2^18, for the same rows bit for bit.  Two workers saved about
     10 ms per 2^22-point transform, but kept 32 MB more resident after
     ``build_wavelet()``: the second thread's malloc arena keeps the 4-MiB
-    row copies it frees.
+    row copies it frees.  The band is let go once its samples are placed
+    in the blocks, so a caller that drops its own reference frees it
+    before the first row is made.
     """
     R = _row_count(N)
     S = N // R
@@ -262,6 +268,7 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
         t = start % S
         Y[at[block(start)], t:t + stop - start] = band[start + M:stop + M]
         live[at[block(start)], t // _PASS:(t + stop - start - 1) // _PASS + 1] = True
+    del band
     live = [np.flatnonzero(col) for col in live.T]
     roots = _roots(R)
     # t = base + l, base a multiple of B and l in [-B/2, B/2): a base for
@@ -297,7 +304,9 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
                 np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
                 np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
                 out[i:] *= tw[i:, :w]
-        yield r0, scipy.fft.fft(rows, axis=-1, overwrite_x=True, workers=1)
+        for j in range(G):
+            rows[j] = scipy.fft.fft(rows[j], overwrite_x=True, workers=1)
+        yield r0, rows
 
 
 def _centred(out: np.ndarray, r0: int, part: np.ndarray, scale: float) -> None:
@@ -363,7 +372,7 @@ def synthesize_psi_lattice(
     band = ph.lattice_band(L)
     # psi_hat_at's factor on the same samples: the FFT input is bit-identical
     # to sampling psi_hat^(q) directly
-    xi = np.arange(-M, M + 1) * dxi
+    xi = np.arange(-M, M + 1) * dxi if q or q2 else None
     bands = [(-1j * xi) ** p * band if p else band for p in (q, q2) if p is not None]
     del xi
     if q2 is None:
@@ -379,13 +388,15 @@ def synthesize_psi_lattice(
     # centred: x = 0 at index N // 2
     channels = [np.empty(N) for p in (q, q2) if p is not None]
     imag = 0.0
-    for r0, rows in _lattice_fft(spectrum, N):
+    transform = _lattice_fft(spectrum, N)
+    del spectrum
+    for r0, rows in transform:
         _centred(channels[0], r0, rows.real, factor)
         if q2 is None:
             imag = max(imag, float(abs_max(rows.imag)))
         else:
             _centred(channels[1], r0, rows.imag, factor * 2.0 ** -e)
-    del spectrum, rows
+    del transform, rows
     psi = channels[0]
     l2 = None
     if q2 is None:
@@ -420,28 +431,48 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
                         psi: np.ndarray) -> float:
     """max over |k| <= N/4 of |odd part - psi_L / 2| (see
     ``synthesize_psi_lattice``), a group of odd-frequency rows r0, r0 + 1,
-    ... at a time and in chunks of 2^16 points: no N-point array but psi."""
+    ... at a time: no N-point array but psi.
+
+    Write k = Rs + r with s signed: the odd part at k is row r at slot
+    s mod S, twiddled by e^{-i pi k / N} = e^{-i pi r / N} T[s], with
+    T[s] = e^{-i pi s / S} one table for every row, and it is compared with
+    psi[k + N/2], row s + S/2 of psi viewed as (S, R), column r.  A group of
+    G rows is so compared with one (slots, G) block of that view, in chunks
+    of ``_CHUNK`` / G slots.  The rows' ranges of s over |k| <= N/4 differ
+    by at most one slot at each end (at R | N/4, only s = S/4, in row 0);
+    the slots outside a row's range are left out."""
     dxi = 2.0 * np.pi / L
-    H = N // 2
     M = ph.lattice_m(L)
+    R = _row_count(N)
+    S = N // R
+    cols = psi.reshape(S, R)
+    r = np.arange(R)
+    lo, hi = -((N // 4 + r) // R), (N // 4 - r) // R
+    s_min, s_max = int(lo[-1]), int(hi[0])
+    T = np.exp((-1j * np.pi / S) * np.arange(s_min, s_max + 1))
+    row_tw = np.exp((-1j * np.pi / N) * r)[:, None]
+    # 2 dev, exactly: (2c) p - psi is the double of c p - psi / 2
+    c2 = dxi / (2.0 * np.pi)
     worst = 0.0
     for r0, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N):
-        S = rows.shape[1]
-        R = N // S
-        # chunks of one sign of k and one row r: k = Rs + r (mod N) is then a
-        # slice of the row, and psi[k + N/2] a strided slice
-        for lo, hi in ((-(N // 4), 0), (0, N // 4 + 1)):
-            for r, row in enumerate(rows, r0):
-                first = lo + (r - lo) % R
-                for start in range(first, hi, R * _CHUNK):
-                    stop = min(start + R * _CHUNK, hi)
-                    k = np.arange(start, stop, R)
-                    s = (start - r) // R % S
-                    part = row[s:s + len(k)] * np.exp(-1j * np.pi * k / N)
-                    dev = (part.real * (dxi / (4.0 * np.pi))
-                           - 0.5 * psi[start + H:stop + H:R])
-                    worst = max(worst, float(abs_max(dev)))
-    return worst
+        G = len(rows)
+        g = slice(r0, r0 + G)
+        step = _CHUNK // G
+        # chunks of one sign of s: a slice of the rows
+        for a, b in ((s_min, 0), (0, s_max + 1)):
+            for s0 in range(a, b, step):
+                s1 = min(s0 + step, b)
+                u = s0 % S
+                part = row_tw[g] * T[s0 - s_min:s1 - s_min]
+                part *= rows[:, u:u + s1 - s0]
+                dev = part.real.T * c2
+                dev -= cols[s0 + S // 2:s1 + S // 2, g]
+                if s0 == s_min:
+                    dev[0, lo[g] > s_min] = 0.0
+                if s1 == s_max + 1:
+                    dev[-1, hi[g] < s_max] = 0.0
+                worst = max(worst, float(abs_max(dev)))
+    return 0.5 * worst
 
 
 # eval_psi_point's rule: equal panels per ramp piece, and Gauss-Legendre

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import InputError
 
 _BLOCK = 64  # samples per block of the moment-front scan
+_SCAN = 1024  # blocks per pass of the moment-front scan's |u| scratch
 
 
 def abs_max(v: np.ndarray, axis=None):
@@ -137,16 +138,21 @@ def _front_indices(u: np.ndarray) -> np.ndarray:
     beats every later block's |u| max, so so does its own block's max; only
     the blocks whose max beats every later block's are tested entry by entry,
     against the later entries of the block and the later blocks' max.  The
-    block maxima are max(max, -min): no |u| temporary over the whole array.
+    block maxima are max |u|, taken ``_SCAN`` blocks at a time through one
+    scratch: one pass over u, and no |u| temporary over the whole array.
     """
     n = len(u)
     if n == 0:
         return np.empty(0, dtype=np.intp)
     full = n - n % _BLOCK
     blocks = u[:full].reshape(-1, _BLOCK)
-    bmax = abs_max(blocks, axis=1)
+    bmax = np.empty(-(-n // _BLOCK))
+    scratch = np.empty((min(_SCAN, len(blocks)), _BLOCK))
+    for b0 in range(0, len(blocks), _SCAN):
+        part = np.abs(blocks[b0:b0 + _SCAN], out=scratch[:len(blocks) - b0])
+        np.max(part, axis=1, out=bmax[b0:b0 + len(part)])
     if full < n:
-        bmax = np.append(bmax, abs_max(u[full:]))
+        bmax[-1] = abs_max(u[full:])
     later = np.append(np.maximum.accumulate(bmax[:0:-1])[::-1], -np.inf)
     cand = np.flatnonzero(bmax > later)
     # the short last block (if any) is a candidate: nothing comes after it

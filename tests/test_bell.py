@@ -179,6 +179,38 @@ def test_periodization_identity_matches_doubled_period(wavelet):
         assert syn.periodization_diff == pytest.approx(oracle, rel=0, abs=1e-17)
 
 
+@pytest.mark.parametrize("N", [
+    # four rows, compared two at a time, so k = N/4 - 1 (row 3) is in a
+    # group with r0 > 0; one past the ends are row 1 at slot S/4 (the slot
+    # only row 0 has in range) and row 3 at slot -S/4 - 1
+    pytest.param(2 ** 20, id="1048576"),
+    # N/4 is odd, so two rows of 262,146 points: -N/4 - 1 is row 0 at the
+    # slot only row 1 has in range
+    pytest.param(2 ** 19 + 4, id="524292"),
+])
+def test_periodization_range_ends_at_quarter_length(N):
+    # |k| <= N/4 exactly: a sample inside the range shows in the residual
+    # by half its perturbation, and one past either end leaves the residual
+    # as it was, bit for bit
+    from lambertwave.bell import _periodization_diff
+
+    ph, L = BellEvaluator(0.9), 2.0 ** 17
+    psi = synthesize_psi_lattice(ph, L=L, N=N, check_periodization=False).grid.values
+    base = _periodization_diff(ph, L, N, 0, psi)
+    assert 0.0 < base <= 1e-13
+    delta = 2.0 ** -30
+
+    def perturbed(k):
+        p = psi.copy()
+        p[N // 2 + k] += delta
+        return _periodization_diff(ph, L, N, 0, p)
+
+    for k in (N // 4, -(N // 4), N // 4 - 1, -(N // 4) + 1):
+        assert perturbed(k) == pytest.approx(0.5 * delta, rel=0, abs=2.0 * base), k
+    for k in (N // 4 + 1, -(N // 4) - 1):
+        assert perturbed(k) == base, k
+
+
 def test_synthesis_symmetry_about_half(wavelet):
     grid = wavelet.synthesis.grid
     x = grid.x()
@@ -447,8 +479,8 @@ def test_synthesis_centred_at_half_length(N, L):
 
 
 # build_wavelet()'s peak RSS above an import-only process, in MB, at the
-# defaults: 107.5 measured with the short-row transforms, 235 with two
-# N/2-point rows on two threads
+# defaults: 101.0 measured with one FFT call per short row (107.5 with one
+# call per group of four rows), 235 with two N/2-point rows on two threads
 BUILD_PEAK_MB = 128.0
 
 

@@ -31,7 +31,7 @@ from lambertwave import (
     envelope_window,
     fit_decay,
 )
-from lambertwave.cli import RunConfig, build_parser, main, write_csv
+from lambertwave.cli import _CSV_ROWS, RunConfig, build_parser, main, write_csv
 from lambertwave.gevrey import SIGMA_MIN, lambert_regressor
 from lambertwave.verify import DERIV_ORDERS, FIT_POINTS_MIN, FIT_SPAN_MIN, FIT_X
 
@@ -330,6 +330,20 @@ def test_write_csv_matches_per_value_format(tmp_path):
     write_csv(path, ["i", "f", "g"], [ints, floats, more])
     expected = "i,f,g\n" + "".join(
         ",".join(_fmt(v) for v in row) + "\n" for row in zip(ints, floats, more))
+    assert path.read_bytes() == expected.encode()
+    # columns over two row blocks and a short third, with the special values
+    # at both ends of a block
+    n = 2 * _CSV_ROWS + 5
+    rng = np.random.default_rng(7)
+    ints = rng.integers(-2 ** 62, 2 ** 62, n)
+    ints[[0, -1]] = 2 ** 53 + 1, -(2 ** 62)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324]
+    for at in (0, _CSV_ROWS - 1, _CSV_ROWS, n - len(special)):
+        floats[at:at + len(special)] = special
+    write_csv(path, ["i", "f"], [ints, floats])
+    expected = "i,f\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in zip(ints, floats))
     assert path.read_bytes() == expected.encode()
 
 
