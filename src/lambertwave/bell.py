@@ -13,8 +13,11 @@ half-width 2w, so theta_2a(2v) = theta_a(v) bitwise, which is what makes
 the quadrature-free dyadic identities hold to rounding error.  b vanishes
 for |xi| <= pi - w and |xi| >= 2 (pi + w) and is identically 1 on
 [pi + w, 2 (pi - w)]; the admissible range 0 < a < pi/3 keeps the two
-ramps apart even at half-width a (pi + a < 2 (pi - a)).  Nothing here
-depends on sigma, so neither does the wavelet.
+ramps apart even at half-width a (pi + a < 2 (pi - a)).  So ``bell_at``
+evaluates the ramps and sines only at the samples where one varies
+(``_ramp_samples``), 10.7% of the default lattice band, and gives every
+other sample the formula's exact 1 or +0.  Nothing here depends on sigma,
+so neither does the wavelet.
 
 exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
@@ -65,6 +68,47 @@ def _ramp(v, w: float) -> np.ndarray:
     return HALF_PI * np.where(t > 0.0, 1.0 - h, h)
 
 
+def _ramp_samples(u: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
+    """For u = |xi| (1-D), the indices of the samples where a ramp of the
+    bell varies, |fl(u - pi)| < w or |fl(2 pi - u)| < 2w (or u is NaN), and
+    the mask of the flat part, fl(u - pi) >= w and fl(2 pi - u) >= 2w."""
+    v = u - np.pi
+    flat = v >= w
+    clamped = np.abs(v, out=v) >= w
+    np.subtract(2.0 * np.pi, u, out=v)
+    flat &= v >= 2.0 * w
+    clamped &= np.abs(v, out=v) >= 2.0 * w
+    return np.flatnonzero(~clamped), flat
+
+
+def _derivative_factor(xi: np.ndarray, q: int, z: np.ndarray) -> np.ndarray:
+    """(-i xi)^q z, as i^{-q} xi^q z in real arithmetic.
+
+    xi^q is formed by binary powering from 1, the repeated squaring of
+    numpy's integer complex power (``npy_cpow``): every partial product of
+    the complex -i xi has one exactly zero part, so its other part is the
+    same real product, and the result equals ``(-1j * xi) ** q * z`` in
+    value."""
+    turn = q % 4
+    p, sq = 1.0, xi
+    while q:
+        if q & 1:
+            p = p * sq
+        q >>= 1
+        if q:
+            sq = sq * sq
+    # i^{-turn} z: the parts swap at an odd turn, and i^{-1} = -i
+    out = np.empty_like(z)
+    re, im = (z.imag, z.real) if turn % 2 else (z.real, z.imag)
+    np.multiply(p, re, out=out.real)
+    np.multiply(p, im, out=out.imag)
+    if turn in (1, 2):
+        np.negative(out.imag, out=out.imag)
+    if turn in (2, 3):
+        np.negative(out.real, out=out.real)
+    return out
+
+
 class BellEvaluator:
     """The wavelet: point evaluator for the bell (real, even) and for the
     transforms of the wavelet's members and their derivatives, at a
@@ -91,10 +135,24 @@ class BellEvaluator:
         return _ramp(v, 2.0 * self.ramp_half_width)
 
     def bell_at(self, xi):
-        # cos(theta_2a(v)) = sin(theta_2a(-v)): exactly 0 above 2 (pi + w)
-        # and exactly 1 on the flat part, like the sine ramp below it
-        u = np.abs(np.asarray(xi, dtype=float))
-        return np.sin(self.theta_a(u - np.pi)) * np.sin(self.theta_2a(2.0 * np.pi - u))
+        """b(xi) = sin(theta_a(|xi| - pi)) sin(theta_2a(2 pi - |xi|)), of
+        the shape of xi (a float for a 0-d xi).
+
+        cos(theta_2a(v)) = sin(theta_2a(-v)), and each ramp is clamped to
+        exactly 0 or pi/2 where |v| is at least its half-width, so b varies
+        only where |fl(|xi| - pi)| < w or |fl(2 pi - |xi|)| < 2w.  The ramps
+        and sines are evaluated at those samples alone; every other sample
+        is the formula's exact value there, 1.0 on the flat part and +0.0
+        off the support.  A NaN clamps neither ramp, so it stays NaN.
+        """
+        xi = np.asarray(xi, dtype=float)
+        u = np.abs(xi.ravel())
+        ramp, flat = _ramp_samples(u, self.ramp_half_width)
+        r = u[ramp]
+        # u becomes b: the clamped value, 1 or +0, then the ramps' samples
+        np.copyto(u, flat)
+        u[ramp] = np.sin(self.theta_a(r - np.pi)) * np.sin(self.theta_2a(2.0 * np.pi - r))
+        return u.reshape(xi.shape) if xi.ndim else u[0]
 
     def psi_hat_at(self, xi, q: int = 0, m: int = 0, n: int = 0):
         """Transform of the q-th derivative of the member 2^{m/2} psi(2^m x - n):
@@ -103,6 +161,10 @@ class BellEvaluator:
 
         with psi_hat(u) = e^{i u/2} b(u).  Exact for the band-limited
         spectrum; |m| > 30 (overflow guard) and q outside [0, 40] are rejected.
+        e^{i u/2} is formed in place and b multiplied into it, so a band
+        costs one complex array beside b; (-i xi)^q is applied in real
+        arithmetic (``_derivative_factor``), equal in value to numpy's
+        complex power.
         """
         if abs(m) > 30:
             raise DomainError(f"scale |m| > 30 rejected (overflow guard), got {m}")
@@ -110,14 +172,19 @@ class BellEvaluator:
             raise DomainError(f"derivative order must be in [0, 40], got {q}")
         xi = np.asarray(xi, dtype=float)
         u = 2.0 ** (-m) * xi if m else xi
-        out = np.exp(0.5j * u) * self.bell_at(u)
+        # e^{i u/2} b(u), formed in place once b is made
+        b = self.bell_at(u)
+        out = np.multiply(0.5j, u, out=np.empty(xi.shape, dtype=complex))
+        np.exp(out, out=out)
+        out *= b
+        del b
         # the factors skipped below are exactly 1, but a complex product with
         # them can flip the signed zeros off the band that psi_hat.csv records
         if m or n:
             out = 2.0 ** (-m / 2.0) * np.exp(1j * n * u) * out
         if q:
-            out = (-1j * xi) ** q * out
-        return out
+            out = _derivative_factor(xi, q, out)
+        return out if out.ndim else out[()]
 
     def lattice_m(self, L: float) -> int:
         """M of ``lattice_band(L)``: two steps of 2 pi / L past the band edge."""
@@ -373,7 +440,7 @@ def synthesize_psi_lattice(
     # psi_hat_at's factor on the same samples: the FFT input is bit-identical
     # to sampling psi_hat^(q) directly
     xi = np.arange(-M, M + 1) * dxi if q or q2 else None
-    bands = [(-1j * xi) ** p * band if p else band for p in (q, q2) if p is not None]
+    bands = [_derivative_factor(xi, p, band) if p else band for p in (q, q2) if p is not None]
     del xi
     if q2 is None:
         spectrum = bands[0]
@@ -398,14 +465,15 @@ def synthesize_psi_lattice(
             _centred(channels[1], r0, rows.imag, factor * 2.0 ** -e)
     del transform, rows
     psi = channels[0]
+    grids = [GridFunction(x0=-L / 2.0, dx=L / N, values=v) for v in channels]
     l2 = None
     if q2 is None:
         # scaling is monotone, so this is the sup of the scaled channel
         residues = [imag * factor]
         if q == 0:
             l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N)))
-    for p, r, v in zip((q, q2), residues, channels):
-        scale = max(1.0, float(abs_max(v)))
+    for p, r, grid in zip((q, q2), residues, grids):
+        scale = max(1.0, grid.sup())
         if r > 1e-12 * scale:
             raise ResolutionError(
                 f"imaginary residue {r:.3e} of order {p} exceeds 1e-12 "
@@ -420,7 +488,6 @@ def synthesize_psi_lattice(
                 f"periodization residual {per_diff:.3e} exceeds 1e-13"
             )
 
-    grids = [GridFunction(x0=-L / 2.0, dx=L / N, values=v) for v in channels]
     return LatticeSynthesis(
         grid=grids[0], imag_max=max(residues), periodization_diff=per_diff,
         l2_norm=l2, grid2=grids[1] if q2 is not None else None,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -51,15 +51,19 @@ class GridSpec:
 @dataclass
 class GridFunction:
     """Real samples on a uniform grid; treat instances as immutable after
-    construction."""
+    construction: the sup is taken once, then."""
 
     x0: float
     dx: float
     values: np.ndarray
+    _sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
+        # finite iff the sup is: a NaN propagates through max and min, and
+        # an infinity of either sign is max v or -min v
+        self._sup = float(abs_max(self.values)) if self.values.size else 0.0
+        if not np.isfinite(self._sup):
             raise InputError("grid function contains non-finite samples")
 
     @property
@@ -73,7 +77,7 @@ class GridFunction:
         return float(np.trapezoid(self.values, dx=self.dx))
 
     def sup(self) -> float:
-        return float(abs_max(self.values))
+        return self._sup
 
     def _first(self, t: float, strict: bool = False) -> int:
         """The first index k with x0 + k dx >= t, or > t if ``strict``

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import lambertwave
+import lambertwave.bell as bell_module
 from lambertwave import (
     BellEvaluator,
     DomainError,
@@ -140,6 +142,132 @@ def test_psi_hat_modulus_and_zero(wavelet):
     val = wavelet.ph.psi_hat_at(np.array([math.pi]))[0]
     assert val.real == pytest.approx(0.0, abs=1e-12)
     assert val.imag == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-9)
+
+
+# the lattice bands of the defaults and of a param_sweep-like config: (a,
+# period L); the sweep's ramps cover 17.5% of its band, the defaults' 10.7%
+LATTICE_BANDS = [(A, 2.0 ** 18), (0.95, 2.0 ** 17)]
+
+
+def _dense_bell(ph, xi):
+    """The bell's closed form on every sample, ramps and sines included."""
+    u = np.abs(np.asarray(xi, dtype=float))
+    return np.sin(ph.theta_a(u - math.pi)) * np.sin(ph.theta_2a(2.0 * math.pi - u))
+
+
+def _dense_psi_hat(ph, xi):
+    return np.exp(0.5j * np.asarray(xi, dtype=float)) * _dense_bell(ph, xi)
+
+
+def _same_bits(x, y):
+    """Bitwise equality through a uint64 view, so that signed zeros count."""
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and np.array_equal(x.view(np.uint64), y.view(np.uint64)))
+
+
+def _knots(a):
+    """The bell's knots pi - w, pi, pi + w, 2 pi - 2w, 2 pi, 2 pi + 2w, each
+    with its neighbouring doubles, at both signs."""
+    w = a / 4.0
+    k = np.array([math.pi - w, math.pi, math.pi + w,
+                  2.0 * math.pi - 2.0 * w, 2.0 * math.pi, 2.0 * math.pi + 2.0 * w])
+    k = np.concatenate([np.nextafter(k, -np.inf), k, np.nextafter(k, np.inf)])
+    return np.concatenate([k, -k, [0.0, -0.0]])
+
+
+@pytest.mark.parametrize("a, L", LATTICE_BANDS)
+def test_bell_ramp_only_matches_closed_form(a, L):
+    # bell_at evaluates its ramps only where they vary; every value, signed
+    # zeros included, is the closed form's, on the lattice band, the odd
+    # band of the periodization check and every knot +-1 ulp
+    ph = BellEvaluator(a)
+    M, dxi = ph.lattice_m(L), 2.0 * math.pi / L
+    xi = np.arange(-M, M + 1) * dxi
+    assert _same_bits(ph.lattice_band(L), _dense_psi_hat(ph, xi))
+    xi = np.concatenate([xi, (np.arange(-M, M) + 0.5) * dxi, _knots(a)])
+    assert _same_bits(ph.bell_at(xi), _dense_bell(ph, xi))
+    assert _same_bits(ph.psi_hat_at(xi), _dense_psi_hat(ph, xi))
+
+
+# an a whose knots are doubles: at pi +- w and 2 pi - 2w the ramps'
+# arguments are exactly +-w and 2w, the edges of the clamps
+A_EXACT = 4.0 * ((math.pi + 0.13) - math.pi)
+
+
+@pytest.mark.parametrize("a", [0.05, A, 0.9, 1.04, A_EXACT])
+def test_bell_ramp_only_at_knots(a):
+    ph = BellEvaluator(a)
+    w = a / 4.0
+    if a == A_EXACT:
+        assert (math.pi + w) - math.pi == w and (math.pi - w) - math.pi == -w
+        assert 2.0 * math.pi - (2.0 * math.pi - 2.0 * w) == 2.0 * w
+    xi = np.concatenate([_knots(a), np.random.RandomState(5).uniform(-8.0, 8.0, 40001)])
+    assert _same_bits(ph.bell_at(xi), _dense_bell(ph, xi))
+    assert _same_bits(ph.psi_hat_at(xi), _dense_psi_hat(ph, xi))
+
+
+def test_bell_ramp_only_keeps_shapes():
+    # point_rule's (4, P, n) node array, a strided view and 0-d scalars
+    ph = BellEvaluator(A)
+    half, mid, _ = ph.point_rule()
+    t, _ = np.polynomial.legendre.leggauss(10)
+    nodes = mid[:, :, None] + half[:, None, None] * t
+    assert nodes.shape == (4, 6, 10)
+    for xi in (nodes, -nodes[:, ::2], _knots(A)[::3]):
+        assert _same_bits(ph.bell_at(xi), _dense_bell(ph, xi))
+        assert _same_bits(ph.psi_hat_at(xi), _dense_psi_hat(ph, xi))
+    for x in (math.pi, -(math.pi + W / 3.0), 1.5 * math.pi, 0.0, -0.0, 9.0):
+        b = ph.bell_at(x)
+        assert isinstance(b, np.float64) and _same_bits(b, _dense_bell(ph, x))
+        z = ph.psi_hat_at(x)
+        assert isinstance(z, np.complex128) and _same_bits(z, _dense_psi_hat(ph, x))
+        assert isinstance(ph.psi_hat_at(x, q=3, m=1, n=2), np.complex128)
+    assert np.isnan(ph.bell_at(np.array([math.pi, np.nan])))[1]
+
+
+def test_ramp_mask_negative_control(monkeypatch):
+    # a mask that drops the sample one ulp inside the lower knot pi - w,
+    # where the ramp is tiny but not 0, fails the bitwise comparison
+    ph = BellEvaluator(A)
+    inside = np.nextafter(math.pi - W, math.inf)
+    assert _dense_bell(ph, inside) > 0.0
+    xi = np.concatenate([_knots(A), [inside]])
+    assert _same_bits(ph.bell_at(xi), _dense_bell(ph, xi))
+    samples = bell_module._ramp_samples
+
+    def dropping(u, w):
+        ramp, flat = samples(u, w)
+        return ramp[u[ramp] != inside], flat
+
+    monkeypatch.setattr(bell_module, "_ramp_samples", dropping)
+    assert not _same_bits(ph.bell_at(xi), _dense_bell(ph, xi))
+
+
+def test_lattice_band_allocates_little():
+    # no band-sized ramp temporaries: at the defaults the frequencies, |xi|
+    # and one mask scratch come to about 2.0x the 9.8 MB result
+    ph = BellEvaluator(A)
+    tracemalloc.start()
+    try:
+        band = ph.lattice_band(2.0 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * band.nbytes
+
+
+def test_derivative_factor_equals_complex_power():
+    # (-i xi)^q in real arithmetic equals numpy's complex power in value,
+    # so psi_hat_at and the synthesis' derivative bands agree
+    ph = BellEvaluator(0.95)
+    L = 2.0 ** 17
+    xi = np.arange(-ph.lattice_m(L), ph.lattice_m(L) + 1) * (2.0 * math.pi / L)
+    band = ph.lattice_band(L)
+    for q in range(41):
+        assert np.array_equal(bell_module._derivative_factor(xi, q, band),
+                              (-1j * xi) ** q * band), q
+        assert np.array_equal(ph.psi_hat_at(xi[::97], q), (-1j * xi[::97]) ** q * band[::97]), q
 
 
 def test_synthesis_certificates(wavelet):
@@ -479,8 +607,9 @@ def test_synthesis_centred_at_half_length(N, L):
 
 
 # build_wavelet()'s peak RSS above an import-only process, in MB, at the
-# defaults: 101.0 measured with one FFT call per short row (107.5 with one
-# call per group of four rows), 235 with two N/2-point rows on two threads
+# defaults: 88.0 measured with the bell's ramps taken only where they vary
+# (101.0 with ramps and sines over the whole band), 107.5 with one FFT call
+# per group of four rows, 235 with two N/2-point rows on two threads
 BUILD_PEAK_MB = 128.0
 
 

@@ -10,6 +10,8 @@ import inspect
 import math
 from pathlib import Path
 
+import numpy as np
+
 from lambertwave import BellEvaluator, GridSpec, build_mollifier
 from lambertwave.bell import build_wavelet, synthesize_psi_lattice
 
@@ -71,3 +73,16 @@ def test_mollifier_build_feeds_the_recorder():
     result = build_mollifier(*args)
     attrs = _load_tracing()._factors(build_mollifier, args, {}, result)
     assert attrs["factors"] == len(result.scales) > 1
+
+
+def test_bell_at_feeds_the_point_recorder():
+    # bell.bell_at_points counts the points of args[1]: bell_at must keep
+    # xi as its first parameter after self, for every shape it is given
+    tracing = _load_tracing()
+    (recorder,) = [r for _, attr, _, r in tracing.TRACED if attr == "BellEvaluator.bell_at"]
+    assert list(inspect.signature(BellEvaluator.bell_at).parameters) == ["self", "xi"]
+    ph = BellEvaluator(A)
+    for xi in (np.linspace(0.0, 7.0, 101), np.zeros((4, 6, 10)), math.pi):
+        args = (ph, xi)
+        attrs = recorder(BellEvaluator.bell_at, args, {}, ph.bell_at(xi))
+        assert attrs == {"points": np.size(xi)}

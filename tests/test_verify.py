@@ -400,6 +400,28 @@ def test_moment_front_blocks_match_running_max(values, shift, plateaus):
         assert np.array_equal(_front_indices(u), np.flatnonzero(_above_later(np.abs(u))))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, -1])
+def test_grid_function_rejects_non_finite_ends(bad, at):
+    # finiteness is read from the sup: a NaN propagates through max and
+    # min, and an infinity of either sign is max v or -min v
+    values = np.linspace(-2.0, 3.0, 129)
+    values[at] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        GridFunction(-1.0, 0.5, values)
+
+
+def test_grid_function_sup_taken_once(monkeypatch):
+    from lambertwave import grids
+
+    calls = []
+    abs_max = grids.abs_max
+    monkeypatch.setattr(grids, "abs_max", lambda v: calls.append(v.size) or abs_max(v))
+    grid = GridFunction(0.0, 1.0, np.array([0.5, -3.0, 2.0]))
+    assert grid.sup() == grid.sup() == 3.0 and calls == [3]
+    assert GridFunction(0.0, 1.0, np.array([-0.0, 0.0])).sup() == 0.0
+
+
 @given(
     st.integers(min_value=-300, max_value=300),
     st.sampled_from([0.0625, 0.1, 0.25, 1.0 / 3.0, 1.0]),
