@@ -40,7 +40,7 @@ and the cosine is integrated exactly, so a point costs the same at every x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -237,10 +237,12 @@ class LatticeSynthesis:
 
     ``imag_max`` is the imaginary residue: measured when the order is
     synthesized alone, and for a pair the larger of the two channels'
-    Hermitian bounds.  ``l2_norm`` is computed for q = 0 only.
+    Hermitian bounds.  ``l2_norm`` is computed for q = 0 only.  ``grid``
+    is None in a ``WaveletBuild`` whose psi lattice ``release_psi`` has
+    let go.
     """
 
-    grid: GridFunction
+    grid: Optional[GridFunction]
     imag_max: float
     periodization_diff: float
     l2_norm: Optional[float]
@@ -589,12 +591,14 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 @dataclass
 class WaveletBuild:
     """Everything the verification stages need, built in one shot, and no
-    artifact's grid; the owner of the wavelet's derivative lattices
-    (``lattices``) and of their moment fronts (``fronts``).
+    artifact's grid; the owner of the wavelet's lattices (``lattices``) and
+    of their moment fronts (``fronts``).
 
-    The derivative lattices are synthesized two orders per transform,
-    paired in the order a stage asks for them; whole lattices (N samples
-    each) are not kept, only their fronts.
+    psi's own lattice is the certified synthesis, ``synthesis.grid``, kept
+    from the build until ``release_psi`` lets it go; its moment front is
+    kept after that.  The derivative lattices are synthesized two orders
+    per transform, paired in the order a stage asks for them; whole
+    derivative lattices (N samples each) are not kept, only their fronts.
     """
 
     sigma: float
@@ -611,17 +615,21 @@ class WaveletBuild:
         self, orders: Iterable[int], visit: Callable[[int, GridFunction], Any]
     ) -> list:
         """[visit(q, samples of psi^(q) on the lattice {j L / N}) for q in
-        orders].  q = 0 is the certified synthesis; the other orders are
-        synthesized with no periodization check, two per transform, paired
-        in request order (an odd one out alone), and each pair is let go
-        before the next is made unless ``visit`` keeps it.  The moment front
-        of each lattice is kept."""
+        orders].  q = 0 is the certified synthesis, and a RuntimeError once
+        ``release_psi`` has let it go; the other orders are synthesized with
+        no periodization check, two per transform, paired in request order
+        (an odd one out alone), and each pair is let go before the next is
+        made unless ``visit`` keeps it.  The moment front of each lattice is
+        kept."""
         orders = list(orders)
         out = []
         while orders:
             q = orders.pop(0)
             q2 = orders.pop(0) if q and orders and orders[0] else None
             if q == 0:
+                if self.synthesis.grid is None:
+                    raise RuntimeError("psi's lattice was released by release_psi(); "
+                                       "only its moment front is kept")
                 made = [self.synthesis.grid]
             else:
                 syn = synthesize_psi_lattice(
@@ -639,11 +647,26 @@ class WaveletBuild:
     def fronts(self, orders: Iterable[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``moment_front()`` of the psi^(q) lattice for each q of
         ``orders``; the orders with no front yet are made by ``lattices``,
-        paired in request order."""
+        paired in request order.  psi's front is kept by ``release_psi``,
+        so order 0 needs no lattice after it."""
         orders = list(orders)
         missing = [q for q in dict.fromkeys(orders) if q not in self._fronts]
         self.lattices(missing, lambda q, grid: None)
         return [self._fronts[q] for q in orders]
+
+    def release_psi(self) -> None:
+        """Let psi's N-sample lattice go, keeping its moment front: after
+        this ``synthesis.grid`` is None, the rest of ``synthesis`` (its
+        residues and norm) stays, ``fronts`` still gives order 0, and
+        ``lattices`` refuses it.  A second call does nothing.  The lattice
+        is freed if the caller holds no reference of its own, so a
+        derivative pair made after this does not sit beside it."""
+        grid = self.synthesis.grid
+        if grid is None:
+            return
+        if 0 not in self._fronts:
+            self._fronts[0] = grid.moment_front()
+        self.synthesis = replace(self.synthesis, grid=None)
 
 
 def build_wavelet(

@@ -340,6 +340,10 @@ def stage_decay_fit(run: Run) -> list:
     # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
     # gates as derivative_decay_check, on at least as many points
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
+    # psi's last reader is done: its front is kept, and no derivative pair
+    # is made beside its lattice
+    del grid
+    wb.release_psi()
     rows += wb.lattices(
         DERIV_ORDERS,
         lambda n, lattice: derivative_decay_check(lattice, n, xg, table.window, cfg.sigma),
@@ -363,6 +367,7 @@ def stage_decay_fit(run: Run) -> list:
 
 
 def stage_mixed_audit(run: Run) -> list:
+    run.wb.release_psi()  # a no-op after decay_fit
     rep = mixed_bound_audit(run.wb.fronts(range(MIXED_MAX + 1)), run.cfg.sigma)
     path = run.out / "mixed.csv"
     k, q = np.indices(rep.sup_table.shape)

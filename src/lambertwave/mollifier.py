@@ -161,7 +161,9 @@ def cascade_spectrum(
     Each factor is at most min(1, (pi a f)^-2), and so is their product: at
     every frequency from the first where that bound falls below 2^-1075 on,
     the product rounds to 0 and is not formed.  The factors are multiplied
-    in chunks of scales, at most 2^18 scale-by-bin factors at a time.
+    in chunks of scales, at most 2^18 scale-by-bin factors at a time, each
+    chunk's sinc^2 formed in place in two buffers reused across the chunks,
+    bitwise the values of ``np.sinc(...) ** 2``.
     """
     scales = np.asarray(scales, dtype=float)
     live = bisect.bisect_left(
@@ -174,9 +176,19 @@ def cascade_spectrum(
     out = np.zeros(len(freq))
     out[:live] = np.exp(-h2 * (discarded_a2 / 3.0) - h2 ** 2 * (discarded_a4 / 90.0))
     step = max(1, _PRODUCTS // max(live, 1))
+    buf = np.empty((2, min(step, len(scales)), live))
     for lo in range(0, len(scales), step):
-        out[:live] *= np.prod(np.sinc(np.multiply.outer(scales[lo:lo + step], f)) ** 2,
-                              axis=0)
+        a = scales[lo:lo + step]
+        y, s = buf[:, :len(a)]
+        # np.sinc(a f) ** 2, as np.sinc forms it: y = pi a f, with a zero
+        # replaced by a tiny value whose sine over itself is exactly 1
+        np.multiply.outer(a, f, out=y)
+        y *= np.pi
+        y[y == 0.0] = 1e-20
+        np.sin(y, out=s)
+        s /= y
+        np.square(s, out=s)
+        out[:live] *= np.prod(s, axis=0)
     return out
 
 

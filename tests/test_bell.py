@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ import lambertwave.bell as bell_module
 from lambertwave import (
     BellEvaluator,
     DomainError,
+    GridFunction,
     GridSpec,
     ResolutionError,
+    build_wavelet,
     eval_psi_point,
     inner_product,
     synthesize_psi_lattice,
@@ -606,23 +609,50 @@ def test_synthesis_centred_at_half_length(N, L):
     assert np.max(np.abs(grid.values - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def _peak_above_import(module: str, statement: str, *argv: str) -> float:
+    """The peak resident memory, in MB, of ``statement`` run in a fresh
+    process, above the process's level once ``module`` is imported; argv
+    is the source root, then ``argv``.
+
+    The child reads its own VmHWM: ru_maxrss would start from the resident
+    size of the process it is forked from, which Linux carries across exec,
+    so under a test session that holds the shared fixtures it reads 0."""
+    src = str(Path(lambertwave.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+            "hwm = lambda: next(int(ln.split()[1]) for ln in open('/proc/self/status') "
+            "if ln.startswith('VmHWM:')); "
+            f"base = hwm(); {statement}; print((hwm() - base) / 1024)")
+    out = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True,
+                         text=True, check=True).stdout
+    return float(out)
+
+
 # build_wavelet()'s peak RSS above an import-only process, in MB, at the
-# defaults: 88.0 measured with the bell's ramps taken only where they vary
+# defaults: 89.7 measured as VmHWM (88.0 as ru_maxrss in a process started
+# from a shell), with the bell's ramps taken only where they vary
 # (101.0 with ramps and sines over the whole band), 107.5 with one FFT call
 # per group of four rows, 235 with two N/2-point rows on two threads
 BUILD_PEAK_MB = 128.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of /proc/self/status")
 def test_build_wavelet_peak_memory():
     # a fresh process, so that no other test's arrays or plans count
-    src = str(Path(lambertwave.__file__).resolve().parents[1])
-    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); import lambertwave; "
-            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-            "base = peak(); lambertwave.build_wavelet(); print((peak() - base) / 1024)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert float(out) < BUILD_PEAK_MB
+    assert _peak_above_import("lambertwave", "lambertwave.build_wavelet()") < BUILD_PEAK_MB
+
+
+# `lambertwave all`'s peak RSS above an import-only process, in MB, at the
+# defaults: 121.2 measured with psi's lattice let go before the decay fit's
+# first derivative pair (152.9 with it held through the mixed audit)
+ALL_PEAK_MB = 136.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of /proc/self/status")
+def test_all_peak_memory(tmp_path):
+    # the run's peak is set while a derivative pair is alive, and psi's
+    # 32 MB lattice must not be beside it
+    run_all = "assert lambertwave.cli.main(['all', '--out-dir', sys.argv[2]]) == 0"
+    assert _peak_above_import("lambertwave.cli", run_all, str(tmp_path)) < ALL_PEAK_MB
 
 
 # the short lattice of the paired-synthesis tests: 2^14 samples, period 2^11
@@ -675,6 +705,39 @@ def test_lattices_synthesize_an_odd_order_alone(wavelet, monkeypatch):
     assert len(calls) == 1
     fx, fv = syn.grid.moment_front()
     assert np.array_equal(ax, fx) and np.array_equal(av, fv)
+
+
+# the smallest lattice whose certified synthesis passes at the default a:
+# 2^20 samples, period 2^18
+RELEASE_L, RELEASE_N = 2.0 ** 18, 2 ** 20
+
+
+def test_release_psi_keeps_the_front():
+    # a fresh build holds psi's lattice, which perfbench's point checks read;
+    # released, it goes and its front stays: fronts() still gives order 0
+    # with no synthesis, lattices() refuses it, and a second release does
+    # nothing
+    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
+    assert isinstance(wb.synthesis.grid, GridFunction) and wb.synthesis.grid.n == RELEASE_N
+    values = weakref.ref(wb.synthesis.grid.values)
+    fx, fv = wb.synthesis.grid.moment_front()
+    l2 = wb.synthesis.l2_norm
+    wb.release_psi()
+    assert values() is None and wb.synthesis.grid is None
+    assert wb.synthesis.l2_norm == l2
+    wb.release_psi()
+    (ax, av), = wb.fronts([0])
+    assert np.array_equal(ax, fx) and np.array_equal(av, fv)
+    with pytest.raises(RuntimeError, match="released"):
+        wb.lattices([0], lambda q, grid: grid)
+
+
+def test_release_psi_keeps_a_front_taken_before():
+    # a front made by lattices() before the release is the one kept
+    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
+    front = wb.fronts([0])[0]
+    wb.release_psi()
+    assert wb.fronts([0])[0] is front
 
 
 def test_non_hermitian_band_rejected(monkeypatch):

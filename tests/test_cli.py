@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,31 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     assert sorted(made) == list(orders)
     assert [(q, q2) for q, q2, check in calls if check] == [(0, None)]
     assert len(calls) == n_calls
+
+
+@pytest.mark.parametrize("command", ["all", "decay-fit", "mixed-audit"])
+def test_psi_lattice_released_before_derivatives(tmp_path, monkeypatch, command):
+    # psi's lattice has no reader once the decay fit has its envelope and
+    # sup (or, alone, the mixed audit has psi's front): it is gone by the
+    # time the first derivative synthesis starts
+    bell_mod = importlib.import_module("lambertwave.bell")
+    synthesize = bell_mod.synthesize_psi_lattice
+    psi, alive = [], []
+
+    def watching(*args, **kwargs):
+        bound = inspect.signature(synthesize).bind(*args, **kwargs)
+        bound.apply_defaults()
+        if bound.arguments["q"] == 0:
+            syn = synthesize(*args, **kwargs)
+            psi.append(weakref.ref(syn.grid.values))
+            return syn
+        alive.append(psi[0]() is not None)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", watching)
+    rc = main([command, *FAST_SYNTH, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(psi) == 1 and alive and not alive[0]
 
 
 def test_invalid_a_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cutoff cascade: thresholds, scales, construction certificates, and
 derivative bounds."""
 
+import bisect
 import dataclasses
 import math
 
@@ -345,3 +346,35 @@ def test_dilate_domain_errors():
     for a in (-0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             BellEvaluator(a)
+
+
+def sinc_form_spectrum(scales, freq, a2, a4):
+    """``cascade_spectrum`` with each chunk's factors as ``np.sinc(...) ** 2``:
+    the same live bins, fold and chunks of scales."""
+    live = bisect.bisect_left(
+        range(len(freq)), True,
+        key=lambda k: 2.0 * np.sum(np.log(np.maximum(np.pi * scales * freq[k], 1.0)))
+        > mollifier._UNDERFLOW,
+    )
+    f = freq[:live]
+    h2 = (np.pi * f) ** 2
+    out = np.zeros(len(freq))
+    out[:live] = np.exp(-h2 * (a2 / 3.0) - h2 ** 2 * (a4 / 90.0))
+    step = max(1, mollifier._PRODUCTS // max(live, 1))
+    for lo in range(0, len(scales), step):
+        out[:live] *= np.prod(np.sinc(np.multiply.outer(scales[lo:lo + step], f)) ** 2,
+                              axis=0)
+    return out
+
+
+@pytest.mark.parametrize("sigma", [1.2, 1.5, 1.8806, 2.0, 2.9085])
+def test_cascade_spectrum_in_place_matches_np_sinc(sigma):
+    # the in-place sinc^2 is np.sinc's arithmetic, bit for bit (signed
+    # zeros and the guarded f = 0 bin included), on the cutoff stage's grid
+    spec = GridSpec.symmetric(1.5, 17)
+    freq = np.fft.rfftfreq(spec.n - 1, spec.dx)
+    seq = cascade_scales(sigma, spec.dx)
+    got = mollifier.cascade_spectrum(seq.scales, freq, seq.discarded_a2, seq.discarded_a4)
+    ref = sinc_form_spectrum(seq.scales, freq, seq.discarded_a2, seq.discarded_a4)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert got[0] == 1.0 and np.count_nonzero(got) > 1
