@@ -23,8 +23,9 @@ exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
-one in its imaginary part (``synthesize_psi_lattice`` with ``q2``).  Each
-N-point transform is made as R rows on one thread, one FFT call per row
+one in its imaginary part (``synthesize_psi_lattice`` with ``q2``), in the
+fixed pairs of ``PAIRS`` (``WaveletBuild.lattices``).  Each N-point
+transform is made as R rows on one thread, one FFT call per row
 (``_lattice_fft``), and consumed a few rows at a time: no N-point complex
 buffer is made.  The periodization check compares each group of rows with
 the block of psi it matches (``_periodization_diff``).  R = 1, a plain
@@ -56,6 +57,8 @@ _CHUNK = 2 ** 16  # points per span of the band placement and per pass of the pe
 _ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
 _GROUP = 4  # rows per transform call
 _PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
+_IMAG_TOL = 1e-12  # largest imaginary residue of a synthesized order, relative to max(1, sup)
+_PERIODIZATION_TOL = 1e-13  # largest periodization residual against the 2L lattice
 
 
 def _ramp(v, w: float) -> np.ndarray:
@@ -117,6 +120,14 @@ class BellEvaluator:
     ``ramp_half_width`` (w = a/4) is the half-width of theta_a's cutoff:
     the bell's knots sit at pi +- w, pi, 2 pi +- 2w and 2 pi, and w is the
     closest separation of its ramp frequencies, which sets the beat period.
+
+    ``band`` = (pi - a, 2 (pi + a)) is the admissible envelope, not the
+    support of b: b is exactly 0 for |xi| <= pi - w and for
+    |xi| >= 2 (pi + w).  At the default a, 65,542 of the 611,675 lattice
+    band samples lie past 2 (pi + w), and a quarter of the Gram and
+    completeness quadrature nodes fall where b = 0.  The envelope sets M
+    of ``lattice_band``, the grid of ``psi_hat.csv`` and the quadrature
+    ranges, and ``wavelet_manifest.json`` writes it as ``support``.
     """
 
     def __init__(self, a: float):
@@ -406,8 +417,9 @@ def synthesize_psi_lattice(
 
     Sampling the spectrum at 2 pi / L computes the L-periodization psi_L of
     the wavelet.  The wraparound on the reporting range |x| <= L/4 is
-    certified below 1e-13 against the 2L-periodization (a half-period
-    reference would be dirtier than the synthesis itself).  Its samples at
+    certified below ``_PERIODIZATION_TOL`` (1e-13) against the
+    2L-periodization (a half-period reference would be dirtier than the
+    synthesis itself).  Its samples at
     the same lattice points split by frequency parity into psi_L / 2 and
     an odd-frequency part: one N-point DFT of psi_hat^(q) at
     (j + 1/2) 2 pi / L, twiddled by e^{-i pi k / N}.  psi_2L - psi_L is
@@ -419,11 +431,12 @@ def synthesize_psi_lattice(
     the smaller order would inherit the larger one's roundoff floor.  The
     imaginary channel is unscaled by 2^-e, exactly.
 
-    The Hermitian spectrum must synthesize real, to 1e-12 of each channel's
-    sup (at least 1).  Alone, the imaginary residue is measured; in a pair
-    it cannot be, so each channel's band B must pass the Hermitian bound
-    sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds the residue the
-    channel would have had alone.  The periodization check covers order q.
+    The Hermitian spectrum must synthesize real, to ``_IMAG_TOL`` (1e-12) of
+    each channel's sup (at least 1).  Alone, the imaginary residue is
+    measured; in a pair it cannot be, so each channel's band B must pass
+    the Hermitian bound sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds
+    the residue the channel would have had alone.  The periodization check
+    covers order q.
 
     The transform comes a group of short rows at a time (``_lattice_fft``):
     each real channel is written group by group into its centred N-array
@@ -476,18 +489,18 @@ def synthesize_psi_lattice(
             l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N)))
     for p, r, grid in zip((q, q2), residues, grids):
         scale = max(1.0, grid.sup())
-        if r > 1e-12 * scale:
+        if r > _IMAG_TOL * scale:
             raise ResolutionError(
-                f"imaginary residue {r:.3e} of order {p} exceeds 1e-12 "
+                f"imaginary residue {r:.3e} of order {p} exceeds {_IMAG_TOL:.0e} "
                 f"relative to the synthesis scale {scale:.3e}"
             )
 
     per_diff = 0.0
     if check_periodization:
         per_diff = _periodization_diff(ph, L, N, q, psi)
-        if per_diff > 1e-13:
+        if per_diff > _PERIODIZATION_TOL:
             raise ResolutionError(
-                f"periodization residual {per_diff:.3e} exceeds 1e-13"
+                f"periodization residual {per_diff:.3e} exceeds {_PERIODIZATION_TOL:.0e}"
             )
 
     return LatticeSynthesis(
@@ -588,6 +601,13 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 # Pipeline bundle
 # ---------------------------------------------------------------------------
 
+# The derivative orders of psi made per transform, in the order they are
+# made: (1, 2) and (4, 8) are the decay fit's orders, and (3, 5) and (6, 7)
+# the rest of the mixed audit's.  Each command makes the pairs that hold
+# an order it reads, so one order's lattice is the same in every command.
+PAIRS = ((1, 2), (4, 8), (3, 5), (6, 7))
+
+
 @dataclass
 class WaveletBuild:
     """Everything the verification stages need, built in one shot, and no
@@ -597,8 +617,9 @@ class WaveletBuild:
     psi's own lattice is the certified synthesis, ``synthesis.grid``, kept
     from the build until ``release_psi`` lets it go; its moment front is
     kept after that.  The derivative lattices are synthesized two orders
-    per transform, paired in the order a stage asks for them; whole
-    derivative lattices (N samples each) are not kept, only their fronts.
+    per transform, in the pairs of ``PAIRS`` and in its order, whatever
+    order a stage asks for them in; whole derivative lattices (N samples
+    each) are not kept, only their fronts.
     """
 
     sigma: float
@@ -615,58 +636,53 @@ class WaveletBuild:
         self, orders: Iterable[int], visit: Callable[[int, GridFunction], Any]
     ) -> list:
         """[visit(q, samples of psi^(q) on the lattice {j L / N}) for q in
-        orders].  q = 0 is the certified synthesis, and a RuntimeError once
-        ``release_psi`` has let it go; the other orders are synthesized with
-        no periodization check, two per transform, paired in request order
-        (an odd one out alone), and each pair is let go before the next is
-        made unless ``visit`` keeps it.  The moment front of each lattice is
-        kept."""
+        orders], each order one of ``PAIRS``; any other order, psi's 0
+        among them, raises DomainError.  Each pair that holds a requested
+        order is synthesized once, in table order, as one transform (its
+        first order in the real part, its second in the imaginary part)
+        with no periodization check, and let go before the next is made
+        unless ``visit`` keeps it.  ``visit`` sees the requested orders
+        only, but the moment fronts of both channels are kept."""
         orders = list(orders)
-        out = []
-        while orders:
-            q = orders.pop(0)
-            q2 = orders.pop(0) if q and orders and orders[0] else None
-            if q == 0:
-                if self.synthesis.grid is None:
-                    raise RuntimeError("psi's lattice was released by release_psi(); "
-                                       "only its moment front is kept")
-                made = [self.synthesis.grid]
-            else:
-                syn = synthesize_psi_lattice(
-                    self.ph, L=self.L, N=self.N, check_periodization=False, q=q, q2=q2
-                )
-                made = [syn.grid] if q2 is None else [syn.grid, syn.grid2]
-                del syn
-            for p, grid in zip((q, q2), made):
-                if p not in self._fronts:
-                    self._fronts[p] = grid.moment_front()
-                out.append(visit(p, grid))
-            del made, grid
-        return out
+        unknown = sorted(set(orders).difference(*PAIRS))
+        if unknown:
+            raise DomainError(f"derivative orders {unknown} are in none of the pairs {PAIRS}")
+        seen = {}
+        for pair in PAIRS:
+            if not set(pair) & set(orders):
+                continue
+            syn = synthesize_psi_lattice(self.ph, L=self.L, N=self.N,
+                                         check_periodization=False, q=pair[0], q2=pair[1])
+            for q, grid in zip(pair, (syn.grid, syn.grid2)):
+                if q not in self._fronts:
+                    self._fronts[q] = grid.moment_front()
+                if q in orders:
+                    seen[q] = visit(q, grid)
+            del syn, grid
+        return [seen[q] for q in orders]
 
     def fronts(self, orders: Iterable[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``moment_front()`` of the psi^(q) lattice for each q of
-        ``orders``; the orders with no front yet are made by ``lattices``,
-        paired in request order.  psi's front is kept by ``release_psi``,
-        so order 0 needs no lattice after it."""
+        ``orders``.  psi's is taken from ``synthesis.grid``, or is the one
+        ``release_psi`` kept; the derivative orders with no front yet are
+        made by ``lattices``, in the pairs of ``PAIRS``."""
         orders = list(orders)
-        missing = [q for q in dict.fromkeys(orders) if q not in self._fronts]
-        self.lattices(missing, lambda q, grid: None)
+        if 0 in orders and 0 not in self._fronts:
+            self._fronts[0] = self.synthesis.grid.moment_front()
+        self.lattices([q for q in dict.fromkeys(orders) if q not in self._fronts],
+                      lambda q, grid: None)
         return [self._fronts[q] for q in orders]
 
     def release_psi(self) -> None:
         """Let psi's N-sample lattice go, keeping its moment front: after
         this ``synthesis.grid`` is None, the rest of ``synthesis`` (its
-        residues and norm) stays, ``fronts`` still gives order 0, and
-        ``lattices`` refuses it.  A second call does nothing.  The lattice
-        is freed if the caller holds no reference of its own, so a
-        derivative pair made after this does not sit beside it."""
-        grid = self.synthesis.grid
-        if grid is None:
-            return
-        if 0 not in self._fronts:
-            self._fronts[0] = grid.moment_front()
-        self.synthesis = replace(self.synthesis, grid=None)
+        residues and norm) stays, and ``fronts`` still gives order 0.  A
+        second call does nothing.  The lattice is freed if the caller holds
+        no reference of its own, so a derivative pair made after this does
+        not sit beside it."""
+        if self.synthesis.grid is not None:
+            self.fronts([0])
+            self.synthesis = replace(self.synthesis, grid=None)
 
 
 def build_wavelet(

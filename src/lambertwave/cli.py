@@ -466,8 +466,18 @@ def _exit(exc: BaseException) -> Tuple[int, str]:
 
 
 def _rss_high_water_mb() -> float:
-    """The process's resident-set high-water mark so far, in MiB
-    (``ru_maxrss`` counts KiB on Linux, bytes on macOS)."""
+    """The process's resident-set high-water mark so far, in MiB: ``VmHWM``
+    of /proc/self/status where there is one, else ``ru_maxrss`` (KiB on
+    Linux, bytes on macOS).  Linux carries ``ru_maxrss`` from the forking
+    process across exec, so it would count the memory of the process that
+    started the run; VmHWM is this process's own."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
 

@@ -19,6 +19,8 @@ import scipy.special
 
 from .errors import ConvergenceError, DomainError
 
+_RESIDUAL_TOL = 1e-13  # largest |w e^w - x| / max(1, x) a value may leave
+
 
 def lambert_w0(x):
     """Evaluate W on the principal branch for x >= 0.
@@ -31,7 +33,8 @@ def lambert_w0(x):
     Returns
     -------
     float or ndarray
-        w >= 0 with |w * exp(w) - x| <= 1e-13 * max(1, x).
+        w >= 0 with |w * exp(w) - x| <= ``_RESIDUAL_TOL`` * max(1, x),
+        ``_RESIDUAL_TOL`` = 1e-13.
 
     Raises
     ------
@@ -49,9 +52,9 @@ def lambert_w0(x):
         raise DomainError("lambert_w0 is restricted to x >= 0")
     w = scipy.special.lambertw(xa).real
     worst = float(np.max(np.abs(w * np.exp(w) - xa) / np.maximum(1.0, xa)))
-    if not worst <= 1e-13:
+    if not worst <= _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"residual {worst:.3e} exceeds tolerance 1e-13",
+            f"residual {worst:.3e} exceeds tolerance {_RESIDUAL_TOL:.0e}",
             residual=worst,
         )
     return float(w[0]) if scalar else w

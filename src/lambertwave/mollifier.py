@@ -47,6 +47,8 @@ _CHUNK = 2 ** 16  # block terms summed per numpy call
 _P_MAX = 2 ** 27  # cap on the index where a block's terms reach the floor
 _PRODUCTS = 2 ** 18  # scale-by-bin sinc^2 factors formed per numpy call
 AUDIT_N_MAX = 8  # highest derivative order of the bound audit
+_AUDIT_SLACK = 1e-3  # a measured derivative sup may pass its bound B_n by this fraction
+_SAMPLE_FLOOR = -1e-12  # least cutoff sample within the support, before the clamp
 # -log of 2^-1075, half the least subnormal double: a product below it
 # rounds to 0
 _UNDERFLOW = 1075.0 * math.log(2.0)
@@ -203,8 +205,9 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     least one grid cell, and the fold for all narrower ones.  The samples
     beyond the kept scales' sum plus the lesser of dx and the discarded tail
     mass are cleared: past the true support, sum a_p over every scale, phi
-    is 0.  A value below -1e-12 inside that bound aborts, and the roundoff
-    around 0 is clamped.  The mass is phi_hat(0) = 1.
+    is 0.  A value below ``_SAMPLE_FLOOR`` (-1e-12) inside that bound
+    aborts, and the roundoff around 0 is clamped.  The mass is
+    phi_hat(0) = 1.
     """
     if spec.x0 > -1.0 - 2 * spec.dx or spec.x_end < 1.0 + 2 * spec.dx:
         raise InputError("grid must cover [-1, 1] with margin")
@@ -225,9 +228,9 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     phi = np.resize(np.roll(np.fft.irfft(spectrum, period) / dx, center), spec.n)
     support = float(np.sum(seq.scales)) + min(dx, seq.discarded_tail_mass)
     phi[np.abs(spec.points()) > support] = 0.0
-    if np.min(phi) < -1e-12:
+    if np.min(phi) < _SAMPLE_FLOOR:
         raise ResolutionError(
-            f"cascade samples fall below -1e-12 ({np.min(phi):.3e})"
+            f"cascade samples fall below {_SAMPLE_FLOOR:.0e} ({np.min(phi):.3e})"
         )
     phi = np.maximum(phi, 0.0)
 
@@ -273,7 +276,8 @@ def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
 
     with the unit cone's sup f = 1 and ||f'||_1 = 2, q_k running over the n
     smallest retained indices past N_1.  Each sup is measured on the grid
-    from the build's own spectrum, and must stay below B_n * (1 + 1e-3).
+    from the build's own spectrum, and must stay below
+    B_n * (1 + ``_AUDIT_SLACK``), with ``_AUDIT_SLACK`` = 1e-3.
     """
     n_max = min(AUDIT_N_MAX, len(build.scales) - 2)
     if n_max <= 0:
@@ -287,7 +291,7 @@ def derivative_bound_audit(build: MollifierBuild) -> DerivativeAuditReport:
         # the sup on the grid: one irfft of (i w)^q phi_hat, the build's spectrum
         spectrum = build.spectrum * (omega ** q * 1j ** q)
         measured = float(abs_max(np.fft.irfft(spectrum, period))) / dx
-        if measured > bound * (1.0 + 1e-3):
+        if measured > bound * (1.0 + _AUDIT_SLACK):
             raise VerificationError(
                 f"derivative sup at n={q} exceeds its bound: "
                 f"{measured:.6e} > {bound:.6e}",

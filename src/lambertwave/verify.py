@@ -37,6 +37,7 @@ _R2_MIN = 0.9  # least r^2 of the decay fits of psi and of its derivatives
 _ENV_FLOOR = 1e-15  # envelope windows whose max is at or below it are dropped
 FIT_POINTS_MIN = 30  # least number of the decay fit's usable points
 FIT_SPAN_MIN = 99.0  # least x_last / x_first of the decay fit's usable points: 2 decades
+_DERIV_POINTS_MIN = 10  # least number of a derivative decay check's usable points
 FIT_X = (1e2, 3e4, 36)  # the decay fit's points: 36 log-spaced x over [1e2, 3e4]
 DERIV_ORDERS = (1, 2, 4, 8)  # the derivative orders the decay fit also regresses
 MIXED_MAX = 8  # the mixed LP's orders k, q <= MIXED_MAX: 81 rows
@@ -339,17 +340,19 @@ def decay_envelope(
     lattice: GridFunction,
     x_grid: np.ndarray,
     window: float,
-    floor: float = _ENV_FLOOR,
+    scale: float = 1.0,
 ) -> EnvelopeTable:
     """Max of |psi| over the ``window`` centred at each grid point (see
     ``envelope_window``), on the samples ``window_indices`` gives.  Points
-    whose max sits at or below ``floor`` are dropped and counted.
+    whose max sits at or below the floor ``_ENV_FLOOR`` * ``scale`` are
+    dropped and counted: psi's fit takes the floor itself, and a derivative
+    its floor scaled by max(1, sup).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     vals = lattice.values
     j0, j1 = window_indices(x_grid, window, lattice)
     env = np.array([np.max(np.abs(vals[a:b + 1])) for a, b in zip(j0, j1)])
-    usable = env > floor
+    usable = env > _ENV_FLOOR * scale
     return EnvelopeTable(
         x=x_grid,
         env=env,
@@ -455,19 +458,18 @@ def derivative_decay_check(
     sigma: float,
 ) -> DerivativeDecayRow:
     """Envelope regression for the n-th derivative, sampled on ``lattice``;
-    it needs >= 10 usable points, a positive slope and r^2 >= ``_R2_MIN``.
+    it needs >= ``_DERIV_POINTS_MIN`` usable points, a positive slope and
+    r^2 >= ``_R2_MIN``.
 
     The floor, ``_ENV_FLOOR`` times max(1, sup), scales with the
     derivative's sup so the relative noise floor matches the synthesis
     accuracy.
     """
     sup = lattice.sup()
-    table = decay_envelope(
-        lattice, x_grid, window=window, floor=_ENV_FLOOR * max(1.0, sup)
-    )
+    table = decay_envelope(lattice, x_grid, window=window, scale=max(1.0, sup))
     xs = table.x[table.usable]
     y = -np.log(table.env[table.usable])
-    if len(xs) < 10:
+    if len(xs) < _DERIV_POINTS_MIN:
         raise VerificationError(f"too few usable envelope points for n={n}")
     h, icpt, r2, _, _ = _regress_on_t(xs, y, sigma)
     if h <= 0:
@@ -502,9 +504,19 @@ def mixed_bound_audit(
     (``GridFunction.moment_front``) of the lattices of psi^(0), ...,
     psi^(MIXED_MAX) in order; the sup of |x|^k |psi^(q)| over a front is its
     sup over the whole lattice, and fewer fronts raise InputError.  The LP
-    minimizes log C with log A, log B confined to [-40, 40]; infeasibility
-    (non-finite sups or no solution in the box) raises VerificationError
-    listing the offending pairs.
+    minimizes log C with log A, log B confined to [-40, 40]; a non-finite
+    or zero sup raises VerificationError listing the offending pairs.
+
+    On finite positive sups the LP cannot fail.  It minimizes log C alone,
+    and log A and log B enter every row with the non-negative coefficients
+    k and q, so any feasible point stays feasible at log A = log B = 40.
+    The optimum is therefore always that corner, with
+
+        log C = max over (k, q) of [log S(k, q) - slack(k, q) - 40 (k + q)],
+
+    slack(k, q) = log k! + q^sigma log q; HiGHS returns it to every printed
+    digit.  A gate on the box edge alone would always fail: a mixed
+    certificate that can fail must change the objective.
     """
     n = MIXED_MAX + 1
     fronts = list(itertools.islice(fronts, n))

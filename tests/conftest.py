@@ -31,6 +31,9 @@ def fit_grid():
 @pytest.fixture(scope="session")
 def lattice_cache(wavelet):
     """Derivative-order -> synthesized lattice, shared by decay and moment
-    audits (order 0 is the base synthesis, the others made two per
-    transform)."""
-    return dict(enumerate(wavelet.lattices(range(9), lambda q, grid: grid)))
+    audits: order 0 is the certified synthesis, and orders 1..8 the
+    lattices the program ships, two per transform in the pairs of
+    ``bell.PAIRS``."""
+    orders = range(1, 9)
+    return {0: wavelet.synthesis.grid,
+            **dict(zip(orders, wavelet.lattices(orders, lambda q, grid: grid)))}

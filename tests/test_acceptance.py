@@ -175,7 +175,7 @@ def test_criterion_6_completeness(wavelet):
 
 def test_criterion_7_decay_law(wavelet, fit_grid):
     table = decay_envelope(wavelet.synthesis.grid, fit_grid,
-                           envelope_window(wavelet.ph), floor=1e-15)
+                           envelope_window(wavelet.ph), scale=1.0)  # floor 1e-15
     fit = fit_decay(table, wavelet.sigma)  # gate r^2 >= 0.9
     assert fit.h_fit > 0
     assert fit.r_squared >= 0.9

@@ -25,6 +25,7 @@ from lambertwave import (
     inner_product,
     synthesize_psi_lattice,
 )
+from lambertwave.verify import DERIV_ORDERS, MIXED_MAX
 
 A = math.pi / 6.0
 HALF_PI = math.pi / 2.0
@@ -614,14 +615,14 @@ def _peak_above_import(module: str, statement: str, *argv: str) -> float:
     process, above the process's level once ``module`` is imported; argv
     is the source root, then ``argv``.
 
-    The child reads its own VmHWM: ru_maxrss would start from the resident
+    The child reads its own VmHWM, by the reader of ``manifest.json``
+    (``cli._rss_high_water_mb``): ru_maxrss would start from the resident
     size of the process it is forked from, which Linux carries across exec,
     so under a test session that holds the shared fixtures it reads 0."""
     src = str(Path(lambertwave.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
-            "hwm = lambda: next(int(ln.split()[1]) for ln in open('/proc/self/status') "
-            "if ln.startswith('VmHWM:')); "
-            f"base = hwm(); {statement}; print((hwm() - base) / 1024)")
+            "from lambertwave.cli import _rss_high_water_mb as hwm; "
+            f"base = hwm(); {statement}; print(hwm() - base)")
     out = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True,
                          text=True, check=True).stdout
     return float(out)
@@ -679,10 +680,25 @@ def test_paired_synthesis_matches_solo(q, q2):
         assert np.max(np.abs(grid.values - solo.values)[inner]) <= 1e-15 * solo.sup()
 
 
-def test_lattices_synthesize_an_odd_order_alone(wavelet, monkeypatch):
-    # an order with no nonzero order after it is synthesized alone, with no
-    # periodization check; q = 0 is handed back as the certified synthesis,
-    # and the front kept for order 3 spares fronts() a second synthesis
+# the smallest lattice whose certified synthesis passes at the default a:
+# 2^20 samples, period 2^18
+RELEASE_L, RELEASE_N = 2.0 ** 18, 2 ** 20
+
+
+def test_pairs_cover_the_audited_orders():
+    # bell cannot import verify, so this is the tie between the two: the
+    # table holds each order 1..MIXED_MAX once, and its first two pairs are
+    # the decay fit's orders, which every command that reads them makes first
+    orders = [q for pair in bell_module.PAIRS for q in pair]
+    assert sorted(orders) == list(range(1, MIXED_MAX + 1))
+    assert tuple(q for pair in bell_module.PAIRS[:2] for q in pair) == DERIV_ORDERS
+
+
+def test_lattices_make_an_order_in_its_table_pair(wavelet, monkeypatch):
+    # an order is synthesized in its pair of PAIRS, (3, 5) for 3, with no
+    # periodization check; visit sees 3 alone, but the front of 5 is kept
+    # too, so fronts() makes neither again; psi (order 0) and an order in
+    # no pair are refused
     bell_mod = sys.modules["lambertwave.bell"]
     calls, synthesize = [], bell_mod.synthesize_psi_lattice
 
@@ -692,33 +708,50 @@ def test_lattices_synthesize_an_odd_order_alone(wavelet, monkeypatch):
 
     monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counted)
     monkeypatch.setattr(wavelet, "_fronts", {})
-    seen = wavelet.lattices([3, 0], lambda q, grid: (q, grid))
+    seen = wavelet.lattices([3], lambda q, grid: (q, grid))
     assert len(calls) == 1
     args, kwargs, syn = calls[0]
     assert args == (wavelet.ph,)
     assert kwargs == {"L": wavelet.L, "N": wavelet.N, "check_periodization": False,
-                      "q": 3, "q2": None}
-    assert [q for q, _ in seen] == [3, 0]
-    assert seen[0][1] is syn.grid and syn.grid2 is None
-    assert seen[1][1] is wavelet.synthesis.grid
-    (ax, av), = wavelet.fronts([3])
+                      "q": 3, "q2": 5}
+    assert seen == [(3, syn.grid)]
+    assert set(wavelet._fronts) == {3, 5}
+    for q, grid in ((3, syn.grid), (5, syn.grid2)):
+        (ax, av), = wavelet.fronts([q])
+        fx, fv = grid.moment_front()
+        assert np.array_equal(ax, fx) and np.array_equal(av, fv)
     assert len(calls) == 1
-    fx, fv = syn.grid.moment_front()
-    assert np.array_equal(ax, fx) and np.array_equal(av, fv)
+    for orders in ([0], [9], [3, 0]):
+        with pytest.raises(DomainError, match="in none of the pairs"):
+            wavelet.lattices(orders, lambda q, grid: grid)
+    assert len(calls) == 1
 
 
-# the smallest lattice whose certified synthesis passes at the default a:
-# 2^20 samples, period 2^18
-RELEASE_L, RELEASE_N = 2.0 ** 18, 2 ** 20
+def test_lattices_visit_in_request_order(monkeypatch):
+    # the pairs are made in table order whatever the request order, and the
+    # visits come back in request order
+    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
+    made = []
+    synthesize = bell_module.synthesize_psi_lattice
+
+    def counted(*args, **kwargs):
+        made.append((kwargs["q"], kwargs["q2"]))
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(bell_module, "synthesize_psi_lattice", counted)
+    assert wb.lattices([7, 2, 6, 1], lambda q, grid: q) == [7, 2, 6, 1]
+    assert made == [(1, 2), (6, 7)]
 
 
 def test_release_psi_keeps_the_front():
     # a fresh build holds psi's lattice, which perfbench's point checks read;
     # released, it goes and its front stays: fronts() still gives order 0
-    # with no synthesis, lattices() refuses it, and a second release does
-    # nothing
+    # with no synthesis, and a second release does nothing; lattices()
+    # never makes order 0, before the release or after it
     wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
     assert isinstance(wb.synthesis.grid, GridFunction) and wb.synthesis.grid.n == RELEASE_N
+    with pytest.raises(DomainError, match="in none of the pairs"):
+        wb.lattices([0], lambda q, grid: grid)
     values = weakref.ref(wb.synthesis.grid.values)
     fx, fv = wb.synthesis.grid.moment_front()
     l2 = wb.synthesis.l2_norm
@@ -728,12 +761,12 @@ def test_release_psi_keeps_the_front():
     wb.release_psi()
     (ax, av), = wb.fronts([0])
     assert np.array_equal(ax, fx) and np.array_equal(av, fv)
-    with pytest.raises(RuntimeError, match="released"):
+    with pytest.raises(DomainError, match="in none of the pairs"):
         wb.lattices([0], lambda q, grid: grid)
 
 
 def test_release_psi_keeps_a_front_taken_before():
-    # a front made by lattices() before the release is the one kept
+    # a front made by fronts() before the release is the one kept
     wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
     front = wb.fronts([0])[0]
     wb.release_psi()

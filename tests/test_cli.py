@@ -277,8 +277,9 @@ def test_mixed_audit(tmp_path):
     ("mixed-audit", range(9)),
 ])
 def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
-    # derivative orders ride two per synthesis, paired in request order:
-    # decay-fit asks for (1, 2), (4, 8); mixed-audit then for (3, 5), (6, 7)
+    # derivative orders ride two per synthesis, in the pairs of bell.PAIRS
+    # and in its order, whichever command asks: the decay fit's (1, 2),
+    # (4, 8), then the mixed audit's (3, 5), (6, 7)
     n_calls = {"all": 5, "decay-fit": 3, "mixed-audit": 5}[command]
     bell_mod = importlib.import_module("lambertwave.bell")
     synthesize = bell_mod.synthesize_psi_lattice
@@ -298,6 +299,22 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     assert sorted(made) == list(orders)
     assert [(q, q2) for q, q2, check in calls if check] == [(0, None)]
     assert len(calls) == n_calls
+    pairs = [(q, q2) for q, q2, check in calls if not check]
+    assert pairs == list(importlib.import_module("lambertwave.bell").PAIRS[:n_calls - 1])
+
+
+def test_mixed_audit_alone_writes_alls_table(tmp_path):
+    # the lattice of each order is the same in every command, so mixed-audit
+    # alone writes the mixed.csv of all, byte for byte, and decay-fit the
+    # same derivative rows
+    out = {c: tmp_path / c for c in ("all", "mixed-audit", "decay-fit")}
+    for command, path in out.items():
+        assert main([command, *FAST_SYNTH, "--out-dir", str(path)]) == 0
+    mixed = (out["all"] / "mixed.csv").read_bytes()
+    assert (out["mixed-audit"] / "mixed.csv").read_bytes() == mixed
+    rows = {c: json.loads((out[c] / "report.json").read_text())["assertions"]["decay_fit"]
+            for c in ("all", "decay-fit")}
+    assert rows["decay-fit"]["derivatives"] == rows["all"]["derivatives"]
 
 
 @pytest.mark.parametrize("command", ["all", "decay-fit", "mixed-audit"])
@@ -889,6 +906,26 @@ def _assert_stage_usage(man, stages):
     rss = [man["rss_high_water_mb"][name] for name in stages]
     assert all(b >= a for a, b in zip(rss, rss[1:]))
     assert not stages or rss[0] > 0.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of /proc/self/status")
+def test_rss_high_water_is_the_runs_own(tmp_path):
+    # a run started from a process that holds 256 MB: Linux carries that
+    # size into the run's ru_maxrss across exec, but the manifest reads the
+    # run's own VmHWM (lambert-table peaks near 80 MB)
+    src = str(Path(lambertwave.__file__).resolve().parents[1])
+    run = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+           "from lambertwave.cli import main; "
+           "assert main(['lambert-table', '--out-dir', sys.argv[2]]) == 0; "
+           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)")
+    holder = ("import subprocess, sys; held = b'x' * (256 << 20); "
+              "print(subprocess.run([sys.executable, '-c', sys.argv[1], *sys.argv[2:]], "
+              "capture_output=True, text=True, check=True).stdout)")
+    out = subprocess.run([sys.executable, "-c", holder, run, src, str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) >= 256.0  # the inherited ru_maxrss the manifest must not read
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert 0.0 < man["rss_high_water_mb"]["lambert_table"] < 200.0
 
 
 def test_build_mollifier_out_name(tmp_path, capsys):

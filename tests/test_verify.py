@@ -189,7 +189,7 @@ def test_envelope_shape(wavelet):
 def test_envelope_floor_flagging(wavelet):
     grid = wavelet.synthesis.grid
     xg = np.logspace(2.0, np.log10(3e4), 20)
-    table = decay_envelope(grid, xg, envelope_window(wavelet.ph), floor=1e-6)
+    table = decay_envelope(grid, xg, envelope_window(wavelet.ph), scale=1e9)  # floor 1e-6
     assert table.dropped > 0
     assert np.sum(table.usable) + table.dropped == len(xg)
 
@@ -283,6 +283,25 @@ def test_mixed_audit_feasible(wavelet, lattice_cache, monkeypatch):
                 + q ** sigma * (math.log(q) if q >= 1 else 0.0)
             )
             assert lhs <= rhs + 1e-9
+
+
+def test_mixed_audit_sits_on_the_box_corner():
+    # log A and log B enter every row with the coefficients k, q >= 0 and the
+    # LP minimizes log C alone, so on any finite positive sups the optimum is
+    # the corner log A = log B = 40, with log C in closed form
+    rng = np.random.default_rng(5)
+    n = verify.MIXED_MAX + 1
+    for _ in range(5):
+        sigma = rng.uniform(1.1, 4.0)
+        fronts = [(np.sort(rng.uniform(0.0, 1e5, 50)),
+                   rng.uniform(1e-12, 10.0, 50) * 10.0 ** rng.uniform(-8.0, 3.0))
+                  for _ in range(n)]
+        rep = mixed_bound_audit(fronts, sigma)
+        log_c = max(math.log(rep.sup_table[k, q]) - math.lgamma(k + 1.0)
+                    - q ** sigma * (math.log(q) if q >= 1 else 0.0) - 40.0 * (k + q)
+                    for k in range(n) for q in range(n))
+        assert (rep.log_a, rep.log_b) == (40.0, 40.0)
+        assert rep.log_c == pytest.approx(log_c, rel=1e-12, abs=1e-12)
 
 
 def test_mixed_audit_domain(monkeypatch):
