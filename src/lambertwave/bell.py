@@ -24,13 +24,13 @@ wavelet; synthesis inverts it with the convention
 psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
 real, so one FFT synthesizes two derivative orders, one in its real part and
 one in its imaginary part (``synthesize_psi_lattice`` with ``q2``), in the
-fixed pairs of ``PAIRS`` (``WaveletBuild.lattices``).  Each N-point
-transform is made as R rows on one thread, one FFT call per row
-(``_lattice_fft``), and consumed a few rows at a time: no N-point complex
-buffer is made.  The periodization check compares each group of rows with
-the block of psi it matches (``_periodization_diff``).  R = 1, a plain
-FFT, where N <= 2^18.  The rows are at most 2^18 points for each N
-that ``check_rows`` admits, and the CLI's config check refuses any other.
+fixed pairs of ``PAIRS`` (``WaveletBuild.lattices``).  N is a power of
+two, the one rule of ``check_rows`` that the CLI's config check and the
+synthesis share.  Each N-point transform is then made as
+R = max(1, N / 2^18) rows of at most 2^18 points on one thread, one FFT
+call per row (``_lattice_fft``), and consumed a few rows at a time: no
+N-point complex buffer is made.  The periodization check compares each
+group of rows with the block of psi it matches (``_periodization_diff``).
 
 Off the lattice, ``eval_psi_point`` evaluates one value
 psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
@@ -42,7 +42,6 @@ and the cosine is integrated exactly, so a point costs the same at every x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +52,7 @@ from .errors import DomainError, ResolutionError
 from .grids import GridFunction, abs_max
 
 HALF_PI = np.pi / 2.0
-_CHUNK = 2 ** 16  # points per span of the band placement and per pass of the periodization check
+_CHUNK = 2 ** 16  # points per chunk of the periodization check
 _ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
 _GROUP = 4  # rows per transform call
 _PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
@@ -261,23 +260,20 @@ class LatticeSynthesis:
 
 
 def _row_count(N: int) -> int:
-    """R, the number of rows ``_lattice_fft`` makes of an N-point transform:
-    1, doubled while a row is longer than ``_ROW`` and N is a multiple of
-    4R, so that R divides N/2.  It depends on N alone; R = 1, a plain FFT,
-    where N <= 2^18."""
-    R = 1
-    while N // R > _ROW and N % (4 * R) == 0:
-        R *= 2
-    return R
+    """R, the number of rows ``_lattice_fft`` makes of an N-point transform,
+    N a power of two (``check_rows``): rows of ``_ROW`` points, or one row,
+    a plain FFT, where N <= 2^18.  So R is a power of two dividing N/4
+    wherever R > 1."""
+    return max(1, N // _ROW)
 
 
 def check_rows(N: int) -> None:
-    """DomainError unless each row ``_lattice_fft`` makes of an N-point
-    transform has at most ``_ROW`` points: every power of two does, and no
-    N = 2 (mod 4) above 2^18, which would be one N-point row."""
-    if N // _row_count(N) > _ROW:
-        raise DomainError(f"the lattice transform's rows must be at most 2^18 points: N / R "
-                          f"<= 2^18 for a power of two R dividing N / 2; got N = {N}")
+    """DomainError unless N is a power of two, the only lattice size
+    ``_lattice_fft`` transforms: its rows (``_row_count``) are then at most
+    ``_ROW`` points, and their count divides N/4 wherever it is above 1."""
+    if N < 1 or N & (N - 1):
+        raise DomainError(f"the lattice size must be a power of two, so that the transform's "
+                          f"rows are at most 2^18 points; got N = {N}")
 
 
 def _roots(Q: int) -> np.ndarray:
@@ -295,8 +291,10 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
     """N-point DFT X_k = sum_j band[j] e^{-2 pi i j k / N} of samples at the
     centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
     (2M entries), as R rows of S = N / R points (``_row_count``), X_{Rs+r} =
-    row r at s.  The rows come a group at a time: (r0, rows) has in rows[i]
-    the row r = r0 + i, and the next group overwrites it.
+    row r at s.  N is a power of two (``check_rows``) longer than the band,
+    and S a multiple of ``_PASS``.  The rows come a group at a time:
+    (r0, rows) has in rows[i] the row r = r0 + i, and the next group
+    overwrites it.
 
     Decimated in time once (Cooley & Tukey 1965), in Bailey's four-step
     form (J. Supercomputing 4, 1990).  Write j = vS + t, with t in
@@ -306,14 +304,15 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
         row r at s = sum_t e^{-2 pi i t s / S} e^{-2 pi i t r / N}
                            sum_v e^{-2 pi i v r / R} Y_v[t]:
 
-    each row is a sum over the blocks that hold a sample in its slots (the
-    column pass), a twiddle and an S-point transform.  No N-point buffer is
-    made, only the blocks and a group of rows.  At R = 1 the one row is the
-    plain FFT.  t and v are signed, and the phases at j and -j are exact
-    negatives, so a Hermitian band gives exactly Hermitian rows: a real
-    channel's imaginary residue is the row transforms' own rounding.  The
-    twiddle is a product of two short tables, at t's nearest multiple of
-    B = gcd(S, 512) and at the rest.
+    each row is a sum over the blocks with a nonzero sample in its slots
+    (the column pass, ``_PASS`` slots at a time), a twiddle and an S-point
+    transform.  No N-point buffer is made, only the blocks that hold a
+    sample and a group of rows.  At R = 1 the one row is the plain FFT.
+    t and v are signed, and the phases at j and -j are exact negatives, so
+    a Hermitian band gives exactly Hermitian rows: a real channel's
+    imaginary residue is the row transforms' own rounding.  The twiddle is
+    a product of two short tables, at t's nearest multiple of B = 512 and
+    at the rest.
 
     Each row is transformed in place by its own FFT call, on one thread:
     a call on the whole group keeps a larger pocketfft scratch at
@@ -326,37 +325,29 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
     """
     R = _row_count(N)
     S = N // R
+    H = S // 2
     M = len(band) // 2
     G = min(_GROUP, max(1, R // 2))
-    block = lambda j: (j + S // 2) // S % R
-    # spans of j inside one block and one period of j mod S, in ascending j,
-    # that hold a sample
-    spans = []
-    start = -M
-    while start < len(band) - M:
-        stop = min(start + _CHUNK, len(band) - M,
-                   start - start % S + S, start - (start + S // 2) % S + S)
-        if band[start + M:stop + M].any():
-            spans.append((start, stop))
-        start = stop
-    blocks = np.array(sorted({block(start) for start, _ in spans}), dtype=int)
-    at = {v: i for i, v in enumerate(blocks.tolist())}
+    # the half-blocks h = floor(j / H) that hold a sample: j is in the block
+    # of v = (h + 1) // 2, at slot j mod S
+    held = range(-M // H, (len(band) - M - 1) // H + 1)
+    blocks = sorted({(h + 1) // 2 % R for h in held})
     Y = np.zeros((len(blocks), S), dtype=complex)
-    # the blocks with a sample in each pass of _PASS slots
-    live = np.zeros((len(blocks), -(-S // _PASS)), dtype=bool)
-    for start, stop in spans:
-        t = start % S
-        Y[at[block(start)], t:t + stop - start] = band[start + M:stop + M]
-        live[at[block(start)], t // _PASS:(t + stop - start - 1) // _PASS + 1] = True
+    for h in held:
+        lo, hi = max(h * H, -M), min(h * H + H, len(band) - M)
+        Y[blocks.index((h + 1) // 2 % R), lo % S:lo % S + hi - lo] = band[lo + M:hi + M]
     del band
+    blocks = np.array(blocks)
+    # the blocks with a nonzero sample in each pass of _PASS slots
+    live = Y.reshape(len(blocks), S // _PASS, _PASS).any(axis=2)
     live = [np.flatnonzero(col) for col in live.T]
     roots = _roots(R)
     # t = base + l, base a multiple of B and l in [-B/2, B/2): a base for
     # each half of a cell of B slots
-    B = math.gcd(S, 512)
+    B = 512
     cells = np.arange(0, S, B)
-    signed = lambda t: np.where(t < S - S // 2, t, t - S)
-    bases = (signed(cells), signed(cells + B // 2) + (B - B // 2))
+    signed = lambda t: np.where(t < S // 2, t, t - S)
+    bases = (signed(cells), signed(cells + B // 2) + B // 2)
     offsets = np.arange(B)
     offsets = np.where(offsets < B // 2, offsets, offsets - B)
     rows = np.empty((G, S), dtype=complex)
@@ -369,21 +360,20 @@ def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
         halves = [np.exp((-2j * np.pi / N) * (r[i:] * b))[:, :, None] for b in bases]
         rest = np.exp((-2j * np.pi / N) * (r[i:] * offsets))[:, None, :]
         for s0, vs in zip(range(0, S, _PASS), live):
-            s1 = min(s0 + _PASS, S)
-            out, w = rows[:, s0:s1], s1 - s0
+            out = rows[:, s0:s0 + _PASS]
             if not len(vs):
                 out[...] = 0.0
                 continue
-            np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s1], out=out)
+            np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s0 + _PASS], out=out)
             for v in vs[1:]:
-                np.multiply(coef[:, v, None], Y[v, s0:s1], out=tmp[:, :w])
-                out += tmp[:, :w]
+                np.multiply(coef[:, v, None], Y[v, s0:s0 + _PASS], out=tmp)
+                out += tmp
             if i < G:
-                c = slice(s0 // B, s1 // B)
-                cell = tw[i:, :w].reshape(G - i, -1, B)
+                c = slice(s0 // B, (s0 + _PASS) // B)
+                cell = tw[i:].reshape(G - i, -1, B)
                 np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
                 np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
-                out[i:] *= tw[i:, :w]
+                out[i:] *= tw[i:]
         for j in range(G):
             rows[j] = scipy.fft.fft(rows[j], overwrite_x=True, workers=1)
         yield r0, rows
@@ -406,8 +396,8 @@ def _centred(out: np.ndarray, r0: int, part: np.ndarray, scale: float) -> None:
 
 def synthesize_psi_lattice(
     ph: BellEvaluator,
-    L: float = 2.0 ** 18,
-    N: int = 2 ** 22,
+    L: float,
+    N: int,
     check_periodization: bool = True,
     q: int = 0,
     q2: Optional[int] = None,
@@ -451,6 +441,7 @@ def synthesize_psi_lattice(
     M = ph.lattice_m(L)
     if 2 * M + 1 >= N:  # checked before the band is sampled
         raise ResolutionError("lattice too small for the spectral bandwidth")
+    check_rows(N)
     band = ph.lattice_band(L)
     # psi_hat_at's factor on the same samples: the FFT input is bit-identical
     # to sampling psi_hat^(q) directly
@@ -520,19 +511,17 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
     T[s] = e^{-i pi s / S} one table for every row, and it is compared with
     psi[k + N/2], row s + S/2 of psi viewed as (S, R), column r.  A group of
     G rows is so compared with one (slots, G) block of that view, in chunks
-    of ``_CHUNK`` / G slots.  The rows' ranges of s over |k| <= N/4 differ
-    by at most one slot at each end (at R | N/4, only s = S/4, in row 0);
-    the slots outside a row's range are left out."""
+    of ``_CHUNK`` / G slots.  R divides N/4 (``check_rows``), so with
+    Q = N / 4R every row's range of s over |k| <= N/4 is [-Q, Q - 1], and
+    row 0 has s = Q too: that slot is left out of the other rows."""
     dxi = 2.0 * np.pi / L
     M = ph.lattice_m(L)
     R = _row_count(N)
     S = N // R
+    Q = S // 4
     cols = psi.reshape(S, R)
-    r = np.arange(R)
-    lo, hi = -((N // 4 + r) // R), (N // 4 - r) // R
-    s_min, s_max = int(lo[-1]), int(hi[0])
-    T = np.exp((-1j * np.pi / S) * np.arange(s_min, s_max + 1))
-    row_tw = np.exp((-1j * np.pi / N) * r)[:, None]
+    T = np.exp((-1j * np.pi / S) * np.arange(-Q, Q + 1))
+    row_tw = np.exp((-1j * np.pi / N) * np.arange(R))[:, None]
     # 2 dev, exactly: (2c) p - psi is the double of c p - psi / 2
     c2 = dxi / (2.0 * np.pi)
     worst = 0.0
@@ -541,18 +530,16 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
         g = slice(r0, r0 + G)
         step = _CHUNK // G
         # chunks of one sign of s: a slice of the rows
-        for a, b in ((s_min, 0), (0, s_max + 1)):
+        for a, b in ((-Q, 0), (0, Q + 1)):
             for s0 in range(a, b, step):
                 s1 = min(s0 + step, b)
                 u = s0 % S
-                part = row_tw[g] * T[s0 - s_min:s1 - s_min]
+                part = row_tw[g] * T[s0 + Q:s1 + Q]
                 part *= rows[:, u:u + s1 - s0]
                 dev = part.real.T * c2
                 dev -= cols[s0 + S // 2:s1 + S // 2, g]
-                if s0 == s_min:
-                    dev[0, lo[g] > s_min] = 0.0
-                if s1 == s_max + 1:
-                    dev[-1, hi[g] < s_max] = 0.0
+                if s1 == Q + 1:
+                    dev[-1, int(r0 == 0):] = 0.0
                 worst = max(worst, float(abs_max(dev)))
     return 0.5 * worst
 

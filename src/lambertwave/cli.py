@@ -85,16 +85,15 @@ class RunConfig:
 
 def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     """InputError for the first config field out of its range, by the rules
-    of ``check_rows`` for samples, ``SequenceParams`` for tau and
-    ``BellEvaluator`` for a among them; where ``stages`` runs the decay fit,
-    also unless its grid ``FIT_X`` keeps each envelope window on the
-    lattice and T_sigma finite."""
+    of ``check_rows`` for samples (a power of two, here in [2^12, 2^24]),
+    ``SequenceParams`` for tau and ``BellEvaluator`` for a among them; where
+    ``stages`` runs the decay fit, also unless its grid ``FIT_X`` keeps each
+    envelope window on the lattice and T_sigma finite."""
     checks = [
         ("sigma", SIGMA_MIN <= cfg.sigma < SIGMA_MAX,
          f"must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), where 2^sigma is a finite double"),
         ("period", cfg.period > 0, "must be positive"),
-        ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24 and cfg.samples % 2 == 0,
-         "must be even and lie in [2^12, 2^24]"),
+        ("samples", 2 ** 12 <= cfg.samples <= 2 ** 24, "must lie in [2^12, 2^24]"),
     ]
     for name, ok, msg in checks:
         if not ok:

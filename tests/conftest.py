@@ -1,10 +1,11 @@
 """Shared fixtures: the default wavelet build and the deep cutoff build are
 expensive, so they are session-scoped and reused across test modules."""
 
-import numpy as np
 import pytest
 
 from lambertwave import GridSpec, build_mollifier, build_wavelet
+from lambertwave.cli import _log_grid
+from lambertwave.verify import FIT_X
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +26,8 @@ def deep_moll():
 
 @pytest.fixture(scope="session")
 def fit_grid():
-    return np.logspace(2, np.log10(3e4), 36)
+    """The decay-fit stage's own points, ``verify.FIT_X``."""
+    return _log_grid(*FIT_X)
 
 
 @pytest.fixture(scope="session")

@@ -538,13 +538,18 @@ def test_mistyped_config_exits_2_before_any_stage(tmp_path, capsys, field, value
     # under SIGMA_MIN = 1 + 1e-12: once passed _validate and exited 2 inside
     # the assoc-func stage, after both JSON files were written
     ("assoc-func", ["--sigma", "1.0000000000001"], "sigma"),
+    # samples that are no power of two, once accepted: 2^14 + 2 and 6,000,
+    # each one N-point row, and 3 2^17, two rows of 196,608 points
+    ("build-wavelet", ["--samples", str(2 ** 14 + 2)], "samples"),
+    ("all", ["--samples", "6000"], "samples"),
+    ("all", ["--samples", str(3 * 2 ** 17), "--period", str(2.0 ** 17)], "samples"),
 ], ids=["xmin-0", "fit-xmax-past-lattice", "out-in-subdir", "out-empty",
         "out-report-json", "points-1e30", "kpoints-1e30", "fit-points-1e30",
         "fit-xmin-1", "fit-xmin-1e-300", "fit-sigma-1.000001", "fit-span-0.3-decades",
         "fit-span-1.95-decades", "period-5e-324", "a-5e-324",
         "moll-sigma-1100",
         "all-sigma-1100", "tau-1e308", "sigma-1e308", "sigma-1100",
-        "sigma-under-sigma-min"])
+        "sigma-under-sigma-min", "samples-16386", "samples-6000", "samples-393216"])
 def test_out_of_range_config_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                     command, args, field):
     def built(*args, **kwargs):
@@ -642,8 +647,16 @@ def test_envelope_under_the_floor_fails_the_fit(tmp_path, monkeypatch, capsys):
     assert man["failing"]["stage"] == "decay_fit"
 
 
+def test_build_wavelet_defaults_are_the_run_config_defaults():
+    # point_eval's default wavelet, build_wavelet(), is the one `all` builds
+    params = inspect.signature(lambertwave.build_wavelet).parameters
+    cfg = RunConfig()
+    assert ([params[name].default for name in ("sigma", "a", "L", "N")]
+            == [cfg.sigma, cfg.a, cfg.period, cfg.samples])
+
+
 def test_config_ranges_admit_their_ends():
-    # every power of two from 2^12 to 2^24: rows of at most 2^18 points
+    # every power of two from 2^12 to 2^24, the only samples admitted
     for k in range(12, 25):
         cli._validate(RunConfig(samples=2 ** k), ("decay_fit",))
 
@@ -763,7 +776,7 @@ def test_fuzzed_lattice_argvs_validate_or_refuse(argv):
     except InputError:
         return
     assert 1.0 < cfg.sigma and 0.0 < cfg.a < math.pi / 3.0
-    assert cfg.samples % 2 == 0 and 2 ** 12 <= cfg.samples <= 2 ** 24
+    assert cfg.samples & (cfg.samples - 1) == 0 and 2 ** 12 <= cfg.samples <= 2 ** 24
     assert 0.0 < cfg.period < math.inf
 
 

@@ -223,10 +223,12 @@ def _lambert_table(x, n_usable):
 
 def test_fit_decay_input_gates(wavelet, fit_grid):
     # too few usable points, or too short a span of them, is a numeric
-    # limit of the wavelet above the floor: the fit fails (exit 1)
-    fit_decay(_lambert_table(fit_grid, 36), 2.0)
+    # limit of the wavelet above the floor: the fit fails (exit 1); all of
+    # the stage's points usable pass, one under the count gate fails
+    fit_decay(_lambert_table(fit_grid, verify.FIT_X[2]), 2.0)
+    few = verify.FIT_POINTS_MIN - 1
     for table, match in (
-        (_lambert_table(fit_grid, 29), "need >= 30 usable envelope points, got 29"),
+        (_lambert_table(fit_grid, few), f"need >= 30 usable envelope points, got {few}"),
         (_lambert_table(np.logspace(2, 2.5, 40), 40), "span 0.50 decades"),
         # 48 points over 2 decades, the last 12 under the floor
         (_lambert_table(np.logspace(2, 4, 48), 36), "span 1.49 decades"),
