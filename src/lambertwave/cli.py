@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bell import BellEvaluator, WaveletBuild, build_wavelet, check_rows
@@ -533,7 +532,6 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
         "versions": {
             "lambertwave": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bell import BellEvaluator
-from .errors import InputError, VerificationError
+from .errors import DomainError, InputError, VerificationError
 from .gevrey import lambert_regressor
 from .grids import GridFunction
 
@@ -491,6 +490,37 @@ class MixedBoundReport:
     log_b: float
 
 
+def linprog(c, A_ub, b_ub, bounds) -> List[float]:
+    """The optimum x of: minimize c . x subject to A_ub x <= b_ub and the
+    ``bounds`` (lo, hi) on each unknown, for the one shape of LP the mixed
+    audit solves, in closed form.  The premise: c puts a positive weight on
+    x_0 alone, x_0 is free with coefficient -1 in every row, and every other
+    unknown lies in a finite box with coefficients <= 0 in every row.  Then
+    row i reads x_0 >= sum_j A_ij x_j - b_i, each such sum is least with
+    every x_j at its upper end, and so
+
+        x_0 = max_i (sum_{j >= 1} A_ij hi_j - b_i),   x_j = hi_j,
+
+    an optimum of every such LP: x_0 is free, so none is infeasible.  Any
+    other LP raises DomainError, rather than be solved as if it had this
+    shape.
+    """
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A_ub, dtype=float)
+    (free, *box) = bounds
+    lo, hi = np.array(box, dtype=float).reshape(-1, 2).T
+    premise = (
+        A.shape == (len(b_ub), len(c)) and len(box) == len(c) - 1
+        and c[0] > 0.0 and not np.any(c[1:]) and tuple(free) == (None, None)
+        and np.all(A[:, 0] == -1.0) and np.all(A[:, 1:] <= 0.0)
+        and np.all(np.isfinite(lo) & np.isfinite(hi) & (lo <= hi))
+    )
+    if not premise:
+        raise DomainError("linprog solves only: minimize x_0 subject to -x_0 + A x <= b, "
+                          "with A <= 0 and x in a finite box")
+    return [float(np.max(A[:, 1:] @ hi - b_ub)), *map(float, hi)]
+
+
 def mixed_bound_audit(
     fronts: Iterable[Tuple[np.ndarray, np.ndarray]],
     sigma: float,
@@ -514,9 +544,10 @@ def mixed_bound_audit(
 
         log C = max over (k, q) of [log S(k, q) - slack(k, q) - 40 (k + q)],
 
-    slack(k, q) = log k! + q^sigma log q; HiGHS returns it to every printed
-    digit.  A gate on the box edge alone would always fail: a mixed
-    certificate that can fail must change the objective.
+    slack(k, q) = log k! + q^sigma log q, which ``linprog`` returns in closed
+    form.  A gate on the box edge alone would always fail: a mixed
+    certificate that can fail must change the objective, and ``linprog``
+    refuses any other.
     """
     n = MIXED_MAX + 1
     fronts = list(itertools.islice(fronts, n))
@@ -543,24 +574,15 @@ def mixed_bound_audit(
             )
             rows.append([-1.0, -float(k), -float(q)])
             rhs.append(slack - math.log(sup_table[k, q]))
-    res = linprog(
+    log_c, log_a, log_b = linprog(
         c=[1.0, 0.0, 0.0],
         A_ub=rows,
         b_ub=rhs,
         bounds=[(None, None), (-40.0, 40.0), (-40.0, 40.0)],
-        method="highs",
     )
-    if res.status != 0:
-        slacks = np.array(rhs)
-        worst = np.argsort(slacks)[:3]
-        pairs = [(int(i // n), int(i % n)) for i in worst]
-        raise VerificationError(
-            f"mixed bound system infeasible; tightest constraints at {pairs}",
-            detail=pairs,
-        )
     return MixedBoundReport(
         sup_table=sup_table,
-        log_c=float(res.x[0]),
-        log_a=float(res.x[1]),
-        log_b=float(res.x[2]),
+        log_c=log_c,
+        log_a=log_a,
+        log_b=log_b,
     )

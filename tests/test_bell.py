@@ -444,6 +444,21 @@ def test_point_eval_far_out_returns_at_fixed_cost(wavelet):
         assert abs(eval_psi_point(wavelet.ph, x)) <= 1e-12 * sup
 
 
+def test_point_moments_match_scipy():
+    # the Filon moments' j_k, against scipy's spherical_jn kept as an
+    # independent oracle, on both sides of the rule/recurrence split and out
+    # to the largest omega point_eval reaches at |x| = 3e4
+    from scipy.special import spherical_jn
+
+    cut = bell_module._MOMENT_CUT
+    omega = np.unique(np.concatenate([
+        [0.0, 1e-300, cut, np.nextafter(cut, np.inf)],
+        np.linspace(0.0, 20.0, 20001), np.linspace(20.0, 3e3, 20001)]))
+    k = np.arange(bell_module._POINT_NODES)
+    err = np.abs(bell_module._spherical_j(omega) - spherical_jn(k, omega[:, None]))
+    assert np.max(err) <= 2e-15
+
+
 def _rule_interpolation_error(ph):
     """max |b - p| on each panel of ``ph.point_rule()``, on 2001 points:
     b from ``bell_at`` at each sample xi, p the panel's Legendre series at
@@ -627,10 +642,11 @@ def _peak_above_import(module: str, statement: str, *argv: str) -> float:
 
 
 # build_wavelet()'s peak RSS above an import-only process, in MB, at the
-# defaults: 89.7 measured as VmHWM (88.0 as ru_maxrss in a process started
-# from a shell), with the bell's ramps taken only where they vary
-# (101.0 with ramps and sines over the whole band), 107.5 with one FFT call
-# per group of four rows, 235 with two N/2-point rows on two threads
+# defaults: 95.4 measured as VmHWM with numpy's FFT and no scipy in the
+# process (89.7 with scipy's, whose freed import memory the build reused),
+# with the bell's ramps taken only where they vary (101.0 with ramps and
+# sines over the whole band, scipy), 107.5 with one FFT call per group of
+# four rows, 235 with two N/2-point rows on two threads
 BUILD_PEAK_MB = 128.0
 
 
@@ -641,8 +657,9 @@ def test_build_wavelet_peak_memory():
 
 
 # `lambertwave all`'s peak RSS above an import-only process, in MB, at the
-# defaults: 121.2 measured with psi's lattice let go before the decay fit's
-# first derivative pair (152.9 with it held through the mixed audit)
+# defaults: 118.4 measured with psi's lattice let go before the decay fit's
+# first derivative pair (121.2 with scipy in the process; 152.9 with the
+# lattice held through the mixed audit)
 ALL_PEAK_MB = 136.0
 
 

@@ -390,14 +390,18 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # the set-up cost of a run is this import: no heavier scipy subpackage
+def test_cli_runs_without_scipy(tmp_path):
+    # the set-up cost of a run is this import: numpy alone, no scipy module,
+    # neither after the import nor after every stage of `all` has run
     src = str(Path(lambertwave.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lambertwave.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False False"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "rc = lambertwave.cli.main(['all', '--a', '0.9', '--samples', str(2 ** 19), "
+            "'--period', str(2 ** 17), '--out-dir', sys.argv[2]]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[-3:] == ["[]", "0 []", ""]
 
 
 LATTICE = {

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lambertwave import (
     ConvergenceError,
     DomainError,
+    lambert,
     lambert_w0,
 )
 
@@ -121,14 +122,27 @@ def test_domain_errors():
 
 def test_convergence_error_carries_residual(monkeypatch):
     # a W off by 1e-12 relative misses the 1e-13 residual certificate
-    exact = scipy.special.lambertw
-    monkeypatch.setattr(scipy.special, "lambertw", lambda x: exact(x) * (1.0 + 1e-12))
+    exact = lambert._halley
+    monkeypatch.setattr(lambert, "_halley", lambda x: exact(x) * (1.0 + 1e-12))
     xs = np.array([0.5, 10.0])
     with pytest.raises(ConvergenceError) as exc:
         lambert_w0(xs)
-    w = exact(xs).real * (1.0 + 1e-12)
+    w = exact(xs) * (1.0 + 1e-12)
     worst = np.max(np.abs(w * np.exp(w) - xs) / np.maximum(1.0, xs))
     assert exc.value.residual == worst > 1e-13
+
+
+def test_matches_scipy_within_two_ulp():
+    # scipy's lambertw is kept as an independent oracle: the package's own
+    # Halley iteration lands within 2 ulp of it over the whole float range
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([np.logspace(-300, 300, 60001), 10.0 ** rng.uniform(-300, 300, 20000),
+                         rng.uniform(0.0, 20.0, 20000), [1.0, 1.5, math.e]])
+    w, ref = lambert_w0(xs), scipy.special.lambertw(xs).real
+    assert np.max(np.abs(w - ref) / np.spacing(ref)) <= 2.0
+    assert lambert_w0(0.0) == 0.0 == scipy.special.lambertw(0.0).real
+    # any shape, value by value
+    assert np.array_equal(lambert_w0(xs[:120].reshape(2, 3, 20)), w[:120].reshape(2, 3, 20))
 
 
 @given(st.floats(min_value=0.0, max_value=1e12, allow_nan=False))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lambertwave import (
     BellEvaluator,
+    DomainError,
     EnvelopeTable,
     GridFunction,
     InputError,
@@ -304,6 +305,32 @@ def test_mixed_audit_sits_on_the_box_corner():
                     for k in range(n) for q in range(n))
         assert (rep.log_a, rep.log_b) == (40.0, 40.0)
         assert rep.log_c == pytest.approx(log_c, rel=1e-12, abs=1e-12)
+
+
+def test_linprog_refuses_an_lp_outside_its_premise(monkeypatch):
+    # the closed form holds for one LP shape only: min x_0 over rows
+    # -x_0 + A x <= b with A <= 0 on boxed unknowns.  The audit solves its
+    # LP through verify.linprog, and a changed objective or row is refused
+    calls = []
+    solve = verify.linprog
+    monkeypatch.setattr(verify, "linprog", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    fronts = [(np.array([0.5, 2.0]), np.array([1.0, 0.25]))] * (verify.MIXED_MAX + 1)
+    rep = mixed_bound_audit(fronts, 2.0)
+    assert calls == [1] and (rep.log_a, rep.log_b) == (40.0, 40.0)
+
+    box = [(None, None), (-40.0, 40.0), (-40.0, 40.0)]
+    rows, rhs = [[-1.0, -1.0, -2.0], [-1.0, 0.0, -1.0]], [0.5, 1.0]
+    assert solve([1.0, 0.0, 0.0], rows, rhs, box) == [-41.0, 40.0, 40.0]
+    for c, A, bounds in (
+        ([1.0, 0.0, 1.0], rows, box),  # an objective on log B too
+        ([-1.0, 0.0, 0.0], rows, box),  # maximizing x_0: unbounded
+        ([1.0, 0.0, 0.0], [[-1.0, 1.0, -2.0], [-1.0, 0.0, -1.0]], box),  # a positive weight
+        ([1.0, 0.0, 0.0], [[-2.0, -1.0, -2.0], [-1.0, 0.0, -1.0]], box),  # x_0's weight not -1
+        ([1.0, 0.0, 0.0], rows, [(0.0, None)] + box[1:]),  # x_0 bounded
+        ([1.0, 0.0, 0.0], rows, box[:2] + [(-40.0, None)]),  # an open box
+    ):
+        with pytest.raises(DomainError, match="linprog solves only"):
+            solve(c, A, rhs, bounds)
 
 
 def test_mixed_audit_domain(monkeypatch):
