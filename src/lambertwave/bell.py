@@ -120,11 +120,12 @@ class BellEvaluator:
 
     ``band`` = (pi - a, 2 (pi + a)) is the admissible envelope, not the
     support of b: b is exactly 0 for |xi| <= pi - w and for
-    |xi| >= 2 (pi + w).  At the default a, 65,542 of the 611,675 lattice
-    band samples lie past 2 (pi + w), and a quarter of the Gram and
-    completeness quadrature nodes fall where b = 0.  The envelope sets M
-    of ``lattice_band``, the grid of ``psi_hat.csv`` and the quadrature
-    ranges, and ``wavelet_manifest.json`` writes it as ``support``.
+    |xi| >= 2 (pi + w), and a quarter of the Gram and completeness
+    quadrature nodes fall where b = 0.  The envelope sets the grid of
+    ``psi_hat.csv`` and the quadrature ranges, and
+    ``wavelet_manifest.json`` writes it as ``support``.  b's support sets
+    M of ``lattice_band`` (``lattice_m``): 273,069 at the defaults, where
+    the envelope would give 305,837.
     """
 
     def __init__(self, a: float):
@@ -195,8 +196,9 @@ class BellEvaluator:
         return out if out.ndim else out[()]
 
     def lattice_m(self, L: float) -> int:
-        """M of ``lattice_band(L)``: two steps of 2 pi / L past the band edge."""
-        return int(np.ceil(self.band[1] / (2.0 * np.pi / L))) + 2
+        """M of ``lattice_band(L)``: two steps of 2 pi / L past 2 (pi + w),
+        the end of b's support."""
+        return int(np.ceil(2.0 * (np.pi + self.ramp_half_width) / (2.0 * np.pi / L))) + 2
 
     def lattice_band(self, L: float) -> np.ndarray:
         """psi_hat at the frequencies j 2 pi / L, j = -M..M (``lattice_m``).

@@ -236,12 +236,13 @@ def stage_build_mollifier(run: Run) -> list:
     phi_path = out / "phi.csv"
     write_csv(phi_path, ["x", "phi"], [build.phi.x(), build.phi.values])
     audit = derivative_bound_audit(build)
+    mass = build.phi.integral()
     prov = {
         "sigma": cfg.sigma,
         "thresholds": build.thresholds,
         "scales": build.scales,
         "trunc_index": build.trunc_index,
-        "mass": build.phi.integral(),
+        "mass": mass,
         "evenness": build.evenness,
         "discarded_tail_mass": build.discarded_tail_mass,
         "bounds_table": [
@@ -252,7 +253,7 @@ def stage_build_mollifier(run: Run) -> list:
     prov_path = out / "phi.provenance.json"
     write_json(prov_path, prov)
     run.report["mollifier"] = {
-        "mass": build.phi.integral(),
+        "mass": mass,
         "evenness": build.evenness,
         "trunc_index": build.trunc_index,
         "audit_n_max": audit.n_max,

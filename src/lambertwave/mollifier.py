@@ -15,12 +15,20 @@ mass; the infinite cascade is C^infinity with support [-S, S], S = sum a_p
 cone's first-derivative L1 norms yields certified sup bounds on each
 derivative of the result.
 
-The cone of half-width a has the transform sinc^2(a w / 2), so the cascade's
-transform is the closed-form product phi_hat(w) = prod_p sinc^2(a_p w / 2).
-The build keeps one exact factor for every a_p of at least one grid cell
-and folds all narrower ones into exp(-(w/2)^2 sum a^2/3 - (w/2)^4 sum
-a^4/90), the first two terms of their log sinc^2; the samples are one
-inverse transform of that product on the grid's period.
+The cone of half-width a has the transform sinc^2(a w / 2), so the
+cascade's transform is the closed-form product phi_hat(w) = prod_p
+sinc^2(a_p w / 2).  It passes below 1e-308 well inside the bins the
+build reads (at sigma = 1.5 from bin 6,300 of the 2^17 grid's 65,537 on),
+so it is formed in log space (``log_cascade_spectrum``): one exact log
+sinc^2 term for every a_p of at least one grid cell, and the narrower
+ones folded into the bracket
+
+    -x^2/3 - x^4/45 <= log sinc^2 x <= -x^2/3 - x^4/90,   0 < x <= 2.5,
+
+summed over their sums of a^2 and a^4 (the Taylor coefficients of
+log(sin x / x) are all negative; Abramowitz & Stegun, ch. 4).  The
+samples are one inverse transform of exp of the bracket's upper end on
+the grid's period.
 
 This module is what ``build-mollifier`` builds and certifies.  The
 wavelet's ramps use only the cone of half-width a_1 = 1/4 (the cascade's
@@ -33,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,12 +53,12 @@ _TAIL_FLOOR = 1e-30
 _M_MAX = 8  # blocks whose thresholds fix the cascade scales
 _CHUNK = 2 ** 16  # block terms summed per numpy call
 _P_MAX = 2 ** 27  # cap on the index where a block's terms reach the floor
-_PRODUCTS = 2 ** 18  # scale-by-bin sinc^2 factors formed per numpy call
 AUDIT_N_MAX = 8  # highest derivative order of the bound audit
 _AUDIT_SLACK = 1e-3  # a measured derivative sup may pass its bound B_n by this fraction
 _SAMPLE_FLOOR = -1e-12  # least cutoff sample within the support, before the clamp
-# -log of 2^-1075, half the least subnormal double: a product below it
-# rounds to 0
+_FOLD_X = 2.5  # the fold's bracket holds for x = pi f a <= this, a any folded scale
+# -log of 2^-1075, half the least subnormal double: exp of a log below
+# minus this rounds to 0
 _UNDERFLOW = 1075.0 * math.log(2.0)
 
 
@@ -90,6 +98,7 @@ class ScaleSequence:
     discarded_tail_mass: float  # sum of the discarded a_p
     discarded_a2: float         # sum of their squares
     discarded_a4: float         # sum of their fourth powers
+    discarded_max: float        # the largest of them, 0 when none is
 
 
 def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
@@ -98,12 +107,13 @@ def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
     down.  The first index (from above) whose running tail reaches 2^-m is
     N_m - 1, clamped to N_m <= N_{m+1}; the same terms on [N_m, N_{m+1})
     (block 8: up to its floor index) are block m's scales.  A scale below
-    the cutoff goes into the discarded sums, save a_{N_1}, always kept."""
+    the cutoff goes into the discarded sums and maximum, save a_{N_1},
+    always kept."""
     if not SIGMA_MIN <= sigma < SIGMA_MAX:  # p^(sigma - 1) stays finite up to p = 2
         raise DomainError(f"sigma must lie in [{SIGMA_MIN!r}, {SIGMA_MAX:g}), got {sigma}")
     if not (np.isfinite(cutoff) and cutoff > 0):
         raise InputError(f"cutoff must be positive, got {cutoff}")
-    thresholds, kept, p_end = [], [], 0
+    thresholds, kept, p_end, widest = [], [], 0, 0.0
     sums = [0.0, 0.0, 0.0]  # of the discarded a_p, a_p^2 and a_p^4
     for m in range(_M_MAX, 0, -1):
         top, tail = _last_index(sigma, m) + 1, 0.0
@@ -122,10 +132,11 @@ def cascade_scales(sigma: float, cutoff: float) -> ScaleSequence:
             p_end = int(np.max(p, where=keep, initial=p_end))
             drop, sq = ~keep, a * a
             sums = [t + float(np.sum(v, where=drop)) for t, v in zip(sums, (a, sq, sq * sq))]
+            widest = float(np.max(a, where=drop, initial=widest))
             if reached.size:
                 break
         thresholds.append(N)
-    return ScaleSequence(thresholds[::-1], p_end, np.concatenate(kept[::-1]), *sums)
+    return ScaleSequence(thresholds[::-1], p_end, np.concatenate(kept[::-1]), *sums, widest)
 
 
 # ---------------------------------------------------------------------------
@@ -146,51 +157,61 @@ class MollifierBuild:
     discarded_tail_mass: float
 
 
-def cascade_spectrum(
-    scales: np.ndarray,
-    freq: np.ndarray,
-    discarded_a2: float = 0.0,
-    discarded_a4: float = 0.0,
-) -> np.ndarray:
-    """The cascade's transform at the ascending frequencies ``freq`` >= 0
-    (cycles per unit, w = 2 pi f): prod_p sinc^2(a_p w / 2) over ``scales``,
-    with np.sinc(a f) = sinc(a w / 2), times the fold
+def log_cascade_spectrum(scales: np.ndarray, freq: np.ndarray, discarded_a2: float = 0.0,
+                         discarded_a4: float = 0.0, discarded_max: float = 0.0
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """The pair (lo, hi) that brackets log phi_hat at the ascending
+    frequencies ``freq`` >= 0 (cycles per unit, w = 2 pi f, h = w / 2 =
+    pi f): the kept factors' sum_p 2 log|sinc(a_p f)| over ``scales``,
+    with np.sinc's sinc(a f) = sin(pi a f) / (pi a f), plus the fold of the
+    discarded ones,
 
-        exp(-(w/2)^2 discarded_a2 / 3 - (w/2)^4 discarded_a4 / 90)
+        lo: -h^2 discarded_a2 / 3 - h^4 discarded_a4 / 45,
+        hi: -h^2 discarded_a2 / 3 - h^4 discarded_a4 / 90,
 
-    of the discarded factors, the first two terms of their log sinc^2.
-
-    Each factor is at most min(1, (pi a f)^-2), and so is their product: at
-    every frequency from the first where that bound falls below 2^-1075 on,
-    the product rounds to 0 and is not formed.  The factors are multiplied
-    in chunks of scales, at most 2^18 scale-by-bin factors at a time, each
-    chunk's sinc^2 formed in place in two buffers reused across the chunks,
-    bitwise the values of ``np.sinc(...) ** 2``.
+    the sum over those factors of the bracket of log sinc^2 x, x = h a,
+    which holds on 0 < x <= ``_FOLD_X`` (2.5).  Where pi f times
+    ``discarded_max``, the widest discarded scale, passes it, the call is
+    a DomainError.  The kept sum is formed one scale at a time over the
+    bins f > 0, into one accumulator; f = 0 has log phi_hat = 0.  A log
+    does not underflow: hi stays finite where phi_hat is far below the
+    least double.
     """
-    scales = np.asarray(scales, dtype=float)
-    live = bisect.bisect_left(
-        range(len(freq)), True,
-        key=lambda k: 2.0 * np.sum(np.log(np.maximum(np.pi * scales * freq[k], 1.0)))
-        > _UNDERFLOW,
-    )
-    f = freq[:live]
-    h2 = (np.pi * f) ** 2  # (w/2)^2
-    out = np.zeros(len(freq))
-    out[:live] = np.exp(-h2 * (discarded_a2 / 3.0) - h2 ** 2 * (discarded_a4 / 90.0))
-    step = max(1, _PRODUCTS // max(live, 1))
-    buf = np.empty((2, min(step, len(scales)), live))
-    for lo in range(0, len(scales), step):
-        a = scales[lo:lo + step]
-        y, s = buf[:, :len(a)]
-        # np.sinc(a f) ** 2, as np.sinc forms it: y = pi a f, with a zero
-        # replaced by a tiny value whose sine over itself is exactly 1
-        np.multiply.outer(a, f, out=y)
-        y *= np.pi
-        y[y == 0.0] = 1e-20
+    if np.pi * discarded_max * np.max(freq, initial=0.0) > _FOLD_X:
+        raise DomainError(f"pi f a passes {_FOLD_X} at the discarded scale {discarded_max:.3e}, "
+                          f"f = {np.max(freq):.6g}: the fold's bracket is unchecked there")
+    z = int(np.searchsorted(freq, 0.0, side="right"))
+    f, kept = freq[z:], np.zeros(len(freq))
+    y, s = np.empty((2, len(f)))
+    for a in scales:
+        np.multiply(f, np.pi * a, out=y)
         np.sin(y, out=s)
         s /= y
-        np.square(s, out=s)
-        out[:live] *= np.prod(s, axis=0)
+        kept[z:] += np.log(np.abs(s, out=s), out=s)
+    h2 = (np.pi * freq) ** 2
+    kept = 2.0 * kept - h2 * (discarded_a2 / 3.0)
+    h4 = h2 ** 2 * discarded_a4
+    return kept - h4 / 45.0, kept - h4 / 90.0
+
+
+def cascade_spectrum(scales: np.ndarray, freq: np.ndarray, discarded_a2: float = 0.0,
+                     discarded_a4: float = 0.0, discarded_max: float = 0.0) -> np.ndarray:
+    """The cascade's transform at the ascending frequencies ``freq`` >= 0:
+    exp of the upper end of ``log_cascade_spectrum``'s bracket, the kept
+    factors times exp(-h^2 discarded_a2 / 3 - h^4 discarded_a4 / 90).
+
+    Each factor is at most min(1, (pi a f)^-2), and so is their product:
+    from the first frequency where that bound of the kept factors falls
+    below 2^-1075 on, exp of the log rounds to 0, so the transform is 0
+    there and its log is not formed (over every bin of the cutoff stage's
+    grid the log takes 3.8 times as long at sigma = 1.5, 16 at 1.2).
+    """
+    scales = np.asarray(scales, dtype=float)
+    live = bisect.bisect_left(range(len(freq)), True, key=lambda k: 2.0 * np.sum(
+        np.log(np.maximum(np.pi * scales * freq[k], 1.0))) > _UNDERFLOW)
+    out = np.zeros(len(freq))
+    out[:live] = np.exp(log_cascade_spectrum(scales, freq[:live], discarded_a2,
+                                             discarded_a4, discarded_max)[1])
     return out
 
 
@@ -202,10 +223,10 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
     grid is one period of P = n - 1 samples, and the samples are one
     inverse rfft of phi_hat on that period's rfft bins
     (``cascade_spectrum``): one exact sinc^2 factor for every a_p of at
-    least one grid cell, and the fold for all narrower ones.  The samples
-    beyond the kept scales' sum plus the lesser of dx and the discarded tail
-    mass are cleared: past the true support, sum a_p over every scale, phi
-    is 0.  A value below ``_SAMPLE_FLOOR`` (-1e-12) inside that bound
+    least one grid cell, and the upper end of the fold's bracket for all
+    narrower ones.  The samples beyond the kept scales' sum plus the lesser
+    of dx and the discarded tail mass are cleared: past the true support,
+    sum a_p over every scale, phi is 0.  A value below ``_SAMPLE_FLOOR`` (-1e-12) inside that bound
     aborts, and the roundoff around 0 is clamped.  The mass is
     phi_hat(0) = 1.
     """
@@ -222,8 +243,8 @@ def build_mollifier(sigma: float, spec: GridSpec) -> MollifierBuild:
 
     seq = cascade_scales(sigma, dx)
     period = spec.n - 1
-    spectrum = cascade_spectrum(seq.scales, np.fft.rfftfreq(period, dx),
-                                seq.discarded_a2, seq.discarded_a4)
+    spectrum = cascade_spectrum(seq.scales, np.fft.rfftfreq(period, dx), seq.discarded_a2,
+                                seq.discarded_a4, seq.discarded_max)
     # the period's sample k sits at x = k dx; the grid's last sample is its first
     phi = np.resize(np.roll(np.fft.irfft(spectrum, period) / dx, center), spec.n)
     support = float(np.sum(seq.scales)) + min(dx, seq.discarded_tail_mass)

@@ -695,6 +695,31 @@ def test_paired_synthesis_matches_solo(q, q2):
         assert np.max(np.abs(grid.values - solo.values)[inner]) <= 1e-15 * solo.sup()
 
 
+def test_lattice_m_at_the_bell_support_keeps_the_lattices(monkeypatch):
+    # M sized from b's support, 2 (pi + w), not from the envelope
+    # 2 (pi + a): b is exactly 0 in between, so psi's lattice, its
+    # periodization residual and the (4, 8) pair with its imaginary residue
+    # are bitwise those of the envelope's larger M
+    from lambertwave.bell import _periodization_diff
+
+    def lattices():
+        ph = BellEvaluator(A)
+        psi = synthesize_psi_lattice(ph, L=PAIR_L, N=PAIR_N, check_periodization=False)
+        pair = synthesize_psi_lattice(ph, L=PAIR_L, N=PAIR_N, check_periodization=False,
+                                      q=4, q2=8)
+        residual = _periodization_diff(ph, PAIR_L, PAIR_N, 0, psi.grid.values)
+        return (ph.lattice_m(PAIR_L), psi.grid.values, residual, pair.grid.values,
+                pair.grid2.values, pair.imag_max)
+
+    M, *ours = lattices()
+    monkeypatch.setattr(BellEvaluator, "lattice_m", lambda self, L: int(
+        np.ceil(self.band[1] / (2.0 * np.pi / L))) + 2)
+    envelope_M, *theirs = lattices()
+    assert M < envelope_M
+    for got, ref in zip(ours, theirs):
+        assert _same_bits(np.asarray(got), np.asarray(ref))
+
+
 # the smallest lattice whose certified synthesis passes at the default a:
 # 2^20 samples, period 2^18
 RELEASE_L, RELEASE_N = 2.0 ** 18, 2 ** 20

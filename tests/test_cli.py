@@ -103,9 +103,15 @@ def test_assoc_func_scaled_asymptote_underflow(tmp_path):
         assert row[4] == "nan"
 
 
-def test_build_mollifier(tmp_path):
+def test_build_mollifier(tmp_path, monkeypatch):
+    # the cutoff is integrated once, for the provenance and the report alike
+    integrals, integral = [], lambertwave.GridFunction.integral
+    monkeypatch.setattr(lambertwave.GridFunction, "integral",
+                        lambda self: integrals.append(integral(self)) or integrals[-1])
     rc = main(["build-mollifier", "--sigma", "2", "--out-dir", str(tmp_path)])
     assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(integrals) == 1
     header, rows = read_csv(tmp_path / "phi.csv")
     assert header == ["x", "phi"]
     prov = json.loads((tmp_path / "phi.provenance.json").read_text())
@@ -118,7 +124,8 @@ def test_build_mollifier(tmp_path):
         dx=float(rows[1][0]) - float(rows[0][0]),
     )
     assert abs(mass - 1.0) <= 1e-8
-    assert "grids" not in json.loads((tmp_path / "report.json").read_text())
+    assert prov["mass"] == report["assertions"]["mollifier"]["mass"] == integrals[0]
+    assert "grids" not in report
 
 
 def test_build_mollifier_skipped_audit(tmp_path):

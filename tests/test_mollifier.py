@@ -1,10 +1,10 @@
 """Cutoff cascade: thresholds, scales, construction certificates, and
 derivative bounds."""
 
-import bisect
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,7 +34,7 @@ def explicit_spectrum(scales, f):
 def all_scales(sigma):
     """Every block-formula scale down to the 1e-30 floor: none discarded."""
     seq = cascade_scales(sigma, 1e-300)
-    assert seq.discarded_tail_mass == 0.0
+    assert seq.discarded_tail_mass == seq.discarded_max == 0.0
     return seq.scales
 
 
@@ -133,6 +133,7 @@ def test_scale_sequence_values_and_mass():
     assert seq.discarded_tail_mass == pytest.approx(np.sum(tail), rel=1e-13)
     assert seq.discarded_a2 == pytest.approx(np.sum(tail ** 2), rel=1e-13)
     assert seq.discarded_a4 == pytest.approx(np.sum(tail ** 4), rel=1e-13)
+    assert seq.discarded_max == pytest.approx(np.max(tail), rel=1e-13)
 
 
 def test_truncation_keeps_every_scale_above_the_cutoff():
@@ -348,33 +349,100 @@ def test_dilate_domain_errors():
             BellEvaluator(a)
 
 
-def sinc_form_spectrum(scales, freq, a2, a4):
-    """``cascade_spectrum`` with each chunk's factors as ``np.sinc(...) ** 2``:
-    the same live bins, fold and chunks of scales."""
-    live = bisect.bisect_left(
-        range(len(freq)), True,
-        key=lambda k: 2.0 * np.sum(np.log(np.maximum(np.pi * scales * freq[k], 1.0)))
-        > mollifier._UNDERFLOW,
-    )
-    f = freq[:live]
-    h2 = (np.pi * f) ** 2
-    out = np.zeros(len(freq))
-    out[:live] = np.exp(-h2 * (a2 / 3.0) - h2 ** 2 * (a4 / 90.0))
-    step = max(1, mollifier._PRODUCTS // max(live, 1))
-    for lo in range(0, len(scales), step):
-        out[:live] *= np.prod(np.sinc(np.multiply.outer(scales[lo:lo + step], f)) ** 2,
-                              axis=0)
-    return out
+def bracket_ends(x):
+    """The fold's bracket of log sinc^2 x, -x^2/3 - x^4/45 and -x^2/3 - x^4/90."""
+    return -x ** 2 / 3 - x ** 4 / 45, -x ** 2 / 3 - x ** 4 / 90
 
 
-@pytest.mark.parametrize("sigma", [1.2, 1.5, 1.8806, 2.0, 2.9085])
-def test_cascade_spectrum_in_place_matches_np_sinc(sigma):
-    # the in-place sinc^2 is np.sinc's arithmetic, bit for bit (signed
-    # zeros and the guarded f = 0 bin included), on the cutoff stage's grid
+def test_log_sinc_bracket_against_mpmath():
+    # both ends hold at 5,000 points over (0, 2.5], at 40 digits: the margins
+    # shrink as x^4/90 (lower) and 2 x^6/2835 (upper) towards 0
+    xs = np.linspace(mollifier._FOLD_X / 5000, mollifier._FOLD_X, 5000)
+    lower, upper = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, xs.tolist()):
+            exact = 2 * mpmath.log(mpmath.sin(x) / x)
+            lo, hi = bracket_ends(x)
+            lower.append(exact - lo)
+            upper.append(hi - exact)
+        # negative control: past the range the lower end fails by x = 2.8
+        x = mpmath.mpf(2.8)
+        assert 2 * mpmath.log(mpmath.sin(x) / x) < bracket_ends(x)[0]
+    assert min(lower) > 0 and min(upper) > 0
+    assert float(min(lower)) == pytest.approx(6.9e-16, rel=0.05)
+    assert float(min(upper)) == pytest.approx(1.1e-23, rel=0.05)
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_fold_brackets_the_full_cascade(sigma):
+    # the log transform of every scale down to the 1e-30 floor lies inside
+    # the bracket of the build's kept factors and fold, on SPEC_13's bins;
+    # every log sinc^2 term is <= 0, so summing P of them rounds by at most
+    # about P eps (1 + |sum|)
+    full, same = mollifier.log_cascade_spectrum(all_scales(sigma), FREQ_13)
+    assert np.array_equal(full, same)  # nothing discarded, nothing folded
+    seq = cascade_scales(sigma, SPEC_13.dx)
+    lo, hi = mollifier.log_cascade_spectrum(seq.scales, FREQ_13, seq.discarded_a2,
+                                            seq.discarded_a4, seq.discarded_max)
+    tol = len(all_scales(sigma)) * np.finfo(float).eps * (1.0 + np.abs(full))
+    assert np.all(lo <= hi)
+    assert np.all(lo - tol <= full) and np.all(full <= hi + tol)
+    # negative control: the kept factors alone lie above the full cascade
+    kept, _ = mollifier.log_cascade_spectrum(seq.scales, FREQ_13)
+    assert np.any(full < kept - tol)
+
+
+def test_fold_past_its_range_is_a_domain_error():
+    # the sums cannot bound the widest discarded scale, so it is recorded: at
+    # sigma = 1.2 on SPEC_13, a4^(1/4) would put x past the range at the
+    # Nyquist bin, where the widest discarded scale keeps it under pi/2
+    seq = cascade_scales(1.2, SPEC_13.dx)
+    h = np.pi * FREQ_13[-1]
+    assert h * seq.discarded_max < np.pi / 2 < mollifier._FOLD_X < h * seq.discarded_a4 ** 0.25
+    mollifier.log_cascade_spectrum(seq.scales, FREQ_13, seq.discarded_a2, seq.discarded_a4,
+                                   seq.discarded_max)
+    # one discarded scale of 0.45 at f = 2: x = 0.9 pi = 2.83
+    freq, a = np.array([0.0, 1.0, 2.0]), 0.45
+    mollifier.log_cascade_spectrum([0.25], freq[:2], a ** 2, a ** 4, a)
+    for spectrum in (mollifier.log_cascade_spectrum, mollifier.cascade_spectrum):
+        with pytest.raises(DomainError, match="bracket"):
+            spectrum([0.25], freq, a ** 2, a ** 4, a)
+
+
+@pytest.mark.parametrize("sigma", [1.2, 1.5, 2.0, 3.0])
+def test_live_edge_is_exact(sigma):
+    # on the cutoff stage's grid, the upper log is below log 2^-1075 at
+    # every bin past the last nonzero value of the transform, so at every
+    # bin from the live edge on, and the transform is exp of it at every
+    # bin (at sigma >= 2 every bin is live)
     spec = GridSpec.symmetric(1.5, 17)
     freq = np.fft.rfftfreq(spec.n - 1, spec.dx)
     seq = cascade_scales(sigma, spec.dx)
-    got = mollifier.cascade_spectrum(seq.scales, freq, seq.discarded_a2, seq.discarded_a4)
-    ref = sinc_form_spectrum(seq.scales, freq, seq.discarded_a2, seq.discarded_a4)
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    assert got[0] == 1.0 and np.count_nonzero(got) > 1
+    fold = (seq.discarded_a2, seq.discarded_a4, seq.discarded_max)
+    spectrum = mollifier.cascade_spectrum(seq.scales, freq, *fold)
+    _, hi = mollifier.log_cascade_spectrum(seq.scales, freq, *fold)
+    assert np.array_equal(spectrum, np.exp(hi))
+    past = np.flatnonzero(spectrum)[-1] + 1
+    assert np.all(hi[past:] < -mollifier._UNDERFLOW)
+    assert (past < len(freq)) == (sigma < 2.0)
+
+
+@pytest.mark.parametrize("sigma, k18, k50", [(1.5, 51, 185), (2.0, 96, 993), (3.0, 806, None)])
+def test_series_coefficients_reach_past_the_underflow(sigma, k18, k50):
+    # c_n = phi_hat(pi n / S), S = sum a_p, for the series of the cutoff on
+    # [-S, S], with scales of 1e-6 or more kept and the rest folded: the
+    # last n with c_n >= 1e-18 and 1e-50
+    seq = cascade_scales(sigma, 1e-6)
+    S = float(np.sum(seq.scales)) + seq.discarded_tail_mass
+    n = np.arange(4501)
+    fold = (seq.discarded_a2, seq.discarded_a4, seq.discarded_max)
+    c = mollifier.cascade_spectrum(seq.scales, n / (2.0 * S), *fold)
+    assert n[c >= 1e-18][-1] == k18
+    if k50 is not None:
+        assert n[c >= 1e-50][-1] == k50
+    if sigma == 1.5:
+        # below 1e-308 from n = 4,137 on, and 0 in doubles at n = 4,420, yet
+        # the log stays finite
+        _, hi = mollifier.log_cascade_spectrum(seq.scales, n / (2.0 * S), *fold)
+        assert n[c < 1e-308][0] == 4137 and n[c == 0.0][0] == 4420
+        assert np.all(np.isfinite(hi[4137:])) and hi[4420] < -mollifier._UNDERFLOW
