@@ -35,12 +35,17 @@ group of rows with the block of psi it matches (``_periodization_diff``).
 Off the lattice, ``eval_psi_point`` evaluates one value
 psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
 (Filon 1928; Iserles & Norsett 2005): b is interpolated on nodes that do
-not depend on x, built once per evaluator (``BellEvaluator.point_rule``),
-and the cosine is integrated exactly, so a point costs the same at every x.
+not depend on x, and the cosine is integrated exactly, so a point costs the
+same at every x.  The Gauss-Legendre tables depend on neither x nor a and
+are made once per process (``_legendre_rule``); the interpolant depends on
+a alone and is made once per evaluator (``BellEvaluator.point_rule``), so
+a point does only the work that depends on x.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -54,6 +59,7 @@ _CHUNK = 2 ** 16  # points per chunk of the periodization check
 _ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
 _GROUP = 4  # rows per transform call
 _PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
+_SUPPORT_SAMPLES = 2 ** 12  # fewest frequency samples across b's support
 _IMAG_TOL = 1e-12  # largest imaginary residue of a synthesized order, relative to max(1, sup)
 _PERIODIZATION_TOL = 1e-13  # largest periodization residual against the 2L lattice
 
@@ -136,6 +142,7 @@ class BellEvaluator:
         self.ramp_half_width = a / 4.0
         self._lattice_band = None  # (L, psi_hat at the frequencies of L)
         self._point_rule = None  # eval_psi_point's panels and coefficients
+        self._point_terms = None  # point_rule as eval_psi_point reads it
 
     def theta_a(self, v):
         return _ramp(v, self.ramp_half_width)
@@ -217,23 +224,32 @@ class BellEvaluator:
         the midpoints of its ``_POINT_PANELS`` equal panels (4, P) and, on
         each panel, the Legendre coefficients of b(mid + h t), t in
         [-1, 1], from its values at ``_POINT_NODES`` Gauss-Legendre nodes
-        (4, P, n).  Built on the first call, with one ``bell_at`` call, and
-        kept: the ramps are fixed when the evaluator is constructed, so
-        the coefficients cannot go stale."""
+        (4, P, n).  Built on the first call, with one ``bell_at`` call and
+        one product with the discrete Legendre transform of
+        ``_legendre_rule`` (made once per process), and kept: the ramps are
+        fixed when the evaluator is constructed, so the coefficients cannot
+        go stale."""
         if self._point_rule is None:
             w = self.ramp_half_width
             lo = np.array([np.pi - w, np.pi, 2.0 * (np.pi - w), 2.0 * np.pi])
             hi = np.array([np.pi, np.pi + w, 2.0 * np.pi, 2.0 * (np.pi + w)])
             half = (hi - lo) / (2 * _POINT_PANELS)
             mid = lo[:, None] + (2 * np.arange(_POINT_PANELS) + 1) * half[:, None]
-            t, wt = np.polynomial.legendre.leggauss(_POINT_NODES)
-            vals = self.bell_at(mid[:, :, None] + half[:, None, None] * t)
-            # discrete Legendre transform: exact for the degree n - 1
-            # interpolant at the nodes
-            coef = ((vals * wt) @ np.polynomial.legendre.legvander(t, _POINT_NODES - 1)
-                    * (np.arange(_POINT_NODES) + 0.5))
+            t, transform, _ = _legendre_rule(_POINT_NODES)
+            coef = self.bell_at(mid[:, :, None] + half[:, None, None] * t) @ transform
             self._point_rule = (half, mid, coef)
         return self._point_rule
+
+    def point_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``point_rule`` as ``eval_psi_point`` reads it: the half-widths h
+        (4,), the Filon weights h 2 i^k c_k of each panel's Legendre
+        coefficients c_k (4, P, n, complex) and the phases -i mid (4, P).
+        Made from the rule on the first call and kept."""
+        if self._point_terms is None:
+            half, mid, coef = self.point_rule()
+            unit = _legendre_rule(coef.shape[-1])[2]
+            self._point_terms = (half, half[:, None, None] * coef * unit, -1j * mid)
+        return self._point_terms
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +447,12 @@ def synthesize_psi_lattice(
     (``_centred``), the check compares each group of odd-frequency rows with
     psi, and ``l2_norm`` is summed once the transform's buffers are gone.
     """
-    # resolve the bell across its support: at least 2^12 samples
-    if (2.0 * ph.band[1]) / (2.0 * np.pi / L) < 2 ** 12:
+    dxi = 2.0 * np.pi / L
+    # resolve the bell across its support [-2 (pi + w), 2 (pi + w)], the
+    # span lattice_m samples
+    if 4.0 * (np.pi + ph.ramp_half_width) / dxi < _SUPPORT_SAMPLES:
         raise ResolutionError("frequency sampling too coarse across the band")
 
-    dxi = 2.0 * np.pi / L
     M = ph.lattice_m(L)
     if 2 * M + 1 >= N:  # checked before the band is sampled
         raise ResolutionError("lattice too small for the spectral bandwidth")
@@ -548,22 +565,39 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
 # (1/pi) sum over panels of 2 h max|b - p|.
 _POINT_PANELS = 6
 _POINT_NODES = 10
-_UNIT_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^k by k mod 4, exactly
 # _spherical_j's split: a Gauss-Legendre rule of _MOMENT_NODES nodes up to
 # omega = _MOMENT_CUT, the upward recurrence above it
 _MOMENT_NODES = 20
 _MOMENT_CUT = 8.0
 
 
-def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule's positive nodes t (n even), and the
-    tables (K = ``_POINT_NODES``) with j_k(omega) = cos(omega t) @ C +
-    sin(omega t) @ S: entry (i, k) is +-w_i P_k(t_i), in C for even k and
-    in S for odd k, the sign that of i^{-k} or i^{1-k}.  The nodes get two
-    Newton steps on P_n, and the weights and P_k are formed, in numpy's
-    longdouble (80-bit on x86-64) before rounding: from ``leggauss``'s own
-    weights the rule's floor was 1.5e-15, not 3.3e-16, and it stays there
-    where longdouble is double."""
+@functools.cache
+def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes t, the discrete Legendre transform D
+    (n, n) and the factors 2 i^k (k < n, complex, exact): the values v of a
+    polynomial of degree n - 1 at t have Legendre coefficients v @ D, with
+    D = w_i P_k(t_i) (k + 1/2).  Made once per process and node count, so
+    no evaluator repeats ``leggauss``'s eigen-solve."""
+    leg = np.polynomial.legendre
+    t, wt = leg.leggauss(n)
+    k = np.arange(n)
+    transform = wt[:, None] * leg.legvander(t, n - 1) * (k + 0.5)
+    return t, transform, 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4]
+
+
+_legendre_rule(_POINT_NODES)
+
+
+def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """i t for the n-point Gauss-Legendre rule's positive nodes t (n even),
+    and the table T (K = ``_POINT_NODES`` columns) with j_k(omega) =
+    [cos(omega t_0), sin(omega t_0), cos(omega t_1), ...] @ T: row 2i
+    holds +-w_i P_k(t_i) for even k and row 2i + 1 for odd k, the sign that
+    of i^{-k} or i^{1-k}, and the rest are 0.  The nodes get two Newton
+    steps on P_n, and the weights and P_k are formed, in numpy's longdouble
+    (80-bit on x86-64) before rounding: from ``leggauss``'s own weights the
+    rule's floor was 1.5e-15, not 3.3e-16, and it stays there where
+    longdouble is double."""
     leg = np.polynomial.legendre
     t = leg.leggauss(n)[0][n // 2:].astype(np.longdouble)
     c = np.zeros(n + 1)
@@ -575,10 +609,11 @@ def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = (w[:, None] * leg.legvander(t, _POINT_NODES - 1)).astype(float)
     k = np.arange(_POINT_NODES)
     table *= np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
-    return t.astype(float), np.where(k % 2, 0.0, table), np.where(k % 2, table, 0.0)
+    pairs = np.stack([np.where(k % 2, 0.0, table), np.where(k % 2, table, 0.0)], axis=1)
+    return 1j * t.astype(float), pairs.reshape(n, _POINT_NODES)
 
 
-_MOMENT_T, _MOMENT_COS, _MOMENT_SIN = _moment_rule(_MOMENT_NODES)
+_MOMENT_IT, _MOMENT_TABLE = _moment_rule(_MOMENT_NODES)
 
 
 def _spherical_j(omega: np.ndarray) -> np.ndarray:
@@ -587,11 +622,15 @@ def _spherical_j(omega: np.ndarray) -> np.ndarray:
 
     j_k(omega) = (1 / 2 i^k) Int_{-1}^{1} P_k(t) e^{i omega t} dt.  Up to
     ``_MOMENT_CUT`` that integral is taken by ``_moment_rule``'s
-    ``_MOMENT_NODES``-point rule, two matrix products; above it by the
+    ``_MOMENT_NODES``-point rule: e^{i omega t}, read as (cos, sin) pairs,
+    times its table, one matrix product.  Above it j_k comes from the
     upward recurrence j_{k+1} = (2k + 1) j_k / omega - j_{k-1} from
     j_0 = sin(omega) / omega and j_1 = (j_0 - cos(omega)) / omega, stable
-    while k < omega.  Against 40-digit values (mpmath), on 2,401 omega in
-    [0, 12] and 5,600 in [4, 3e3], the largest error of any j_k was:
+    while k < omega, on Python floats one omega at a time:
+    ``eval_psi_point`` asks for four, where numpy's cost per call would
+    outweigh the arithmetic.  Against 40-digit values (mpmath), on 2,401
+    omega in [0, 12] and 5,600 in [4, 3e3], the largest error of any j_k
+    was:
 
         rule, omega <= 8:   3.3e-16 at 20 nodes; 2.7e-13 at 18
         recurrence, > 8:    1.7e-16; 7.1e-16 above 6, 1.4e-14 above 4
@@ -602,16 +641,14 @@ def _spherical_j(omega: np.ndarray) -> np.ndarray:
     out = np.empty((len(omega), _POINT_NODES))
     low = omega <= _MOMENT_CUT
     if low.any():
-        a = np.multiply.outer(omega[low], _MOMENT_T)
-        out[low] = np.cos(a) @ _MOMENT_COS + np.sin(a) @ _MOMENT_SIN
-    if not low.all():
-        om = omega[~low]
-        j = np.empty((_POINT_NODES, len(om)))
-        j[0] = np.sin(om) / om
-        j[1] = (j[0] - np.cos(om)) / om
+        out[low] = np.exp(np.multiply.outer(omega[low], _MOMENT_IT)).view(float) @ _MOMENT_TABLE
+    high = np.flatnonzero(~low)
+    for i, om in zip(high.tolist(), omega[high].tolist()):
+        j = [math.sin(om) / om]
+        j.append((j[0] - math.cos(om)) / om)
         for k in range(1, _POINT_NODES - 1):
-            j[k + 1] = (2 * k + 1) / om * j[k] - j[k - 1]
-        out[~low] = j.T
+            j.append((2 * k + 1) / om * j[k] - j[k - 1])
+        out[i] = j
     return out
 
 
@@ -630,21 +667,25 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     cosine is integrated exactly and the
     cost and the error bound are the same at every x.  Only |u| enters: the
     value is even in u bit for bit.
+
+    Everything but u is in the evaluator's tables (``point_terms``), so a
+    point is the flat part on Python floats, the j_k at the four omega =
+    u h, the panel sums as one product with the Filon weights h 2 i^k c_k,
+    and the ramps as one reduction against e^{i u mid}.
     """
-    if not np.isfinite(x) or not np.isfinite((x - 0.5) * ph.band[1]):
+    u = abs(float(x) - 0.5)
+    if not math.isfinite(u * ph.band[1]):
         raise DomainError("evaluation point must be finite, with a finite phase")
-    u = abs(x - 0.5)
     w = ph.ramp_half_width
-    alpha, beta = np.pi + w, 2.0 * (np.pi - w)
+    alpha, beta = math.pi + w, 2.0 * (math.pi - w)
     flat = beta - alpha
     if u:
-        flat = 2.0 * np.cos(u * (0.5 * (alpha + beta))) * np.sin(u * (0.5 * flat)) / u
-    half, mid, coef = ph.point_rule()
-    k = np.arange(coef.shape[-1])
-    moments = 2.0 * _UNIT_POWERS[k % 4] * _spherical_j(u * half)
-    sums = np.einsum("pjk,pk->pj", coef, moments)
-    ramps = np.sum(half[:, None] * (np.exp(1j * (u * mid)) * sums).real)
-    return float((flat + ramps) / np.pi)
+        flat = 2.0 * math.cos(u * (0.5 * (alpha + beta))) * math.sin(u * (0.5 * flat)) / u
+    half, weights, phases = ph.point_terms()
+    sums = weights @ _spherical_j(u * half)[:, :, None]
+    # vdot conjugates its first factor: e^{-i u mid} gives back e^{i u mid}
+    ramps = np.vdot(np.exp(u * phases), sums).real
+    return float((flat + ramps) / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +711,11 @@ class WaveletBuild:
     per transform, in the pairs of ``PAIRS`` and in its order, whatever
     order a stage asks for them in; whole derivative lattices (N samples
     each) are not kept, only their fronts.
+
+    ``keep_fronts`` keeps the front of every lattice made, psi's at
+    ``release_psi`` and both channels of each pair, for a later ``fronts``
+    call: unset, a build makes a front only when ``fronts`` asks for it,
+    and psi's is lost with its lattice.
     """
 
     sigma: float
@@ -677,6 +723,7 @@ class WaveletBuild:
     synthesis: LatticeSynthesis
     L: float
     N: int
+    keep_fronts: bool = True
     # q -> moment front of the psi^(q) lattice
     _fronts: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
@@ -692,7 +739,8 @@ class WaveletBuild:
         first order in the real part, its second in the imaginary part)
         with no periodization check, and let go before the next is made
         unless ``visit`` keeps it.  ``visit`` sees the requested orders
-        only, but the moment fronts of both channels are kept."""
+        only, but with ``keep_fronts`` the moment fronts of both channels
+        are kept."""
         orders = list(orders)
         unknown = sorted(set(orders).difference(*PAIRS))
         if unknown:
@@ -704,7 +752,7 @@ class WaveletBuild:
             syn = synthesize_psi_lattice(self.ph, L=self.L, N=self.N,
                                          check_periodization=False, q=pair[0], q2=pair[1])
             for q, grid in zip(pair, (syn.grid, syn.grid2)):
-                if q not in self._fronts:
+                if self.keep_fronts and q not in self._fronts:
                     self._fronts[q] = grid.moment_front()
                 if q in orders:
                     seen[q] = visit(q, grid)
@@ -715,23 +763,29 @@ class WaveletBuild:
         """``moment_front()`` of the psi^(q) lattice for each q of
         ``orders``.  psi's is taken from ``synthesis.grid``, or is the one
         ``release_psi`` kept; the derivative orders with no front yet are
-        made by ``lattices``, in the pairs of ``PAIRS``."""
+        made by ``lattices``, in the pairs of ``PAIRS``.  Every front it
+        gives is kept."""
         orders = list(orders)
         if 0 in orders and 0 not in self._fronts:
             self._fronts[0] = self.synthesis.grid.moment_front()
-        self.lattices([q for q in dict.fromkeys(orders) if q not in self._fronts],
-                      lambda q, grid: None)
+
+        def keep(q: int, grid: GridFunction) -> None:
+            if q not in self._fronts:
+                self._fronts[q] = grid.moment_front()
+
+        self.lattices([q for q in dict.fromkeys(orders) if q not in self._fronts], keep)
         return [self._fronts[q] for q in orders]
 
     def release_psi(self) -> None:
-        """Let psi's N-sample lattice go, keeping its moment front: after
-        this ``synthesis.grid`` is None, the rest of ``synthesis`` (its
-        residues and norm) stays, and ``fronts`` still gives order 0.  A
-        second call does nothing.  The lattice is freed if the caller holds
-        no reference of its own, so a derivative pair made after this does
-        not sit beside it."""
+        """Let psi's N-sample lattice go, keeping its moment front with
+        ``keep_fronts``: after this ``synthesis.grid`` is None, the rest of
+        ``synthesis`` (its residues and norm) stays, and ``fronts`` still
+        gives order 0 if the front was kept.  A second call does nothing.
+        The lattice is freed if the caller holds no reference of its own, so
+        a derivative pair made after this does not sit beside it."""
         if self.synthesis.grid is not None:
-            self.fronts([0])
+            if self.keep_fronts:
+                self.fronts([0])
             self.synthesis = replace(self.synthesis, grid=None)
 
 
@@ -740,8 +794,10 @@ def build_wavelet(
     a: float = np.pi / 6.0,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
+    keep_fronts: bool = True,
 ) -> WaveletBuild:
-    """The wavelet alone: the bell evaluator and its certified synthesis.
+    """The wavelet alone: the bell evaluator and its certified synthesis;
+    ``keep_fronts`` is ``WaveletBuild``'s.
 
     The ramps are those of one cone of the cutoff cascade, its widest
     factor a_1 = 1/4 (for sigma > 1.297, where N_1 = 1): deeper factors
@@ -757,4 +813,5 @@ def build_wavelet(
         synthesis=synthesize_psi_lattice(ph, L=L, N=N),
         L=L,
         N=N,
+        keep_fronts=keep_fronts,
     )

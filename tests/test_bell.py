@@ -444,6 +444,72 @@ def test_point_eval_far_out_returns_at_fixed_cost(wavelet):
         assert abs(eval_psi_point(wavelet.ph, x)) <= 1e-12 * sup
 
 
+def _filon_reference(ph, x):
+    """psi(x) by the Filon-Legendre rule's per-point formula as first
+    written: the moments 2 i^k j_k(|u| h) of each piece, an einsum with
+    ``point_rule()``'s coefficients, the phases e^{i u mid} and the ramp
+    sum weighted by h, in numpy on every step."""
+    u = abs(x - 0.5)
+    w = ph.ramp_half_width
+    alpha, beta = np.pi + w, 2.0 * (np.pi - w)
+    flat = beta - alpha
+    if u:
+        flat = 2.0 * np.cos(u * (0.5 * (alpha + beta))) * np.sin(u * (0.5 * flat)) / u
+    half, mid, coef = ph.point_rule()
+    k = np.arange(coef.shape[-1])
+    moments = 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4] * bell_module._spherical_j(u * half)
+    sums = np.einsum("pjk,pk->pj", coef, moments)
+    ramps = np.sum(half[:, None] * (np.exp(1j * (u * mid)) * sums).real)
+    return float((flat + ramps) / np.pi)
+
+
+def test_point_eval_matches_the_per_point_formula(wavelet):
+    # the lean path (Filon weights, one product, one reduction) against the
+    # formula it replaced, at lattice nodes out to |x| = 3e4 and at 1e12:
+    # omega = |u| h below the moment split for every piece, above it for
+    # every piece, and at 500.0625 on both sides of it at once
+    grid = wavelet.synthesis.grid
+    sup = grid.sup()
+    ph = BellEvaluator(A)
+    half = ph.point_rule()[0]
+    cut = bell_module._MOMENT_CUT
+    nodes = np.concatenate([np.linspace(-6.0, 7.0, 27), [500.0625, -733.5],
+                            np.logspace(1, math.log10(3e4), 12),
+                            -np.logspace(1.3, math.log10(3e4), 12)])
+    nodes = grid.x0 + np.round((nodes - grid.x0) / grid.dx) * grid.dx
+    regimes = set()
+    for x in [*nodes.tolist(), 1e12, -1e12]:
+        omega = abs(x - 0.5) * half
+        regimes.add((bool(np.all(omega <= cut)), bool(np.all(omega > cut))))
+        assert abs(eval_psi_point(ph, x) - _filon_reference(ph, x)) <= 1e-15 * sup, x
+    assert regimes == {(True, False), (False, True), (False, False)}
+
+
+def test_legendre_tables_made_once_per_process(monkeypatch):
+    # the Gauss-Legendre nodes, weights and Vandermonde of the point rule
+    # are module data: a new evaluator's rule needs neither leggauss's
+    # eigen-solve nor legvander
+    leg = np.polynomial.legendre
+    calls = []
+
+    def counted(name):
+        original = getattr(leg, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("leggauss", "legvander"):
+        monkeypatch.setattr(leg, name, counted(name))
+    for _ in range(2):
+        ph = BellEvaluator(A)
+        half, mid, coef = ph.point_rule()
+        eval_psi_point(ph, 7.25)
+    assert calls == []
+    assert coef.shape == (4, bell_module._POINT_PANELS, bell_module._POINT_NODES)
+
+
 def test_point_moments_match_scipy():
     # the Filon moments' j_k, against scipy's spherical_jn kept as an
     # independent oracle, on both sides of the rule/recurrence split and out
@@ -488,7 +554,10 @@ def test_point_rule_interpolates_the_bell(monkeypatch):
     for fewer in ((P - 1, n), (P, n - 1)):
         monkeypatch.setattr(bell_mod, "_POINT_PANELS", fewer[0])
         monkeypatch.setattr(bell_mod, "_POINT_NODES", fewer[1])
-        assert np.max(_rule_interpolation_error(BellEvaluator(A))[1]) > 8e-15, fewer
+        ph = BellEvaluator(A)
+        # the patched counts reach the rule: its tables are kept per node count
+        assert ph.point_rule()[2].shape == (4, *fewer)
+        assert np.max(_rule_interpolation_error(ph)[1]) > 8e-15, fewer
 
 
 def test_member_spectrum_identity_and_support(wavelet):
@@ -543,6 +612,17 @@ def test_synthesis_coarse_sampling_guard(wavelet):
     # 2 pi / 100 frequency spacing leaves ~230 samples across the band
     with pytest.raises(ResolutionError, match="too coarse"):
         synthesize_psi_lattice(wavelet.ph, L=100.0, N=2 ** 10)
+
+
+def test_synthesis_guard_counts_the_support():
+    # at a = 1.0 and L = 1700 the envelope 2 (pi + a) spans 4,482 samples,
+    # enough, but b's support 2 (pi + w), w = a/4, holds only 3,671
+    ph = BellEvaluator(1.0)
+    dxi = 2.0 * math.pi / 1700.0
+    assert 2.0 * ph.band[1] / dxi >= 2 ** 12 > 4.0 * (math.pi + ph.ramp_half_width) / dxi
+    assert 2 * ph.lattice_m(1700.0) + 1 < 2 ** 12  # the lattice itself is long enough
+    with pytest.raises(ResolutionError, match="too coarse"):
+        synthesize_psi_lattice(ph, L=1700.0, N=2 ** 12, check_periodization=False)
 
 
 @pytest.mark.parametrize("N", [2 ** 14 + 2, 6000, 3 * 2 ** 17])
@@ -811,6 +891,21 @@ def test_release_psi_keeps_a_front_taken_before():
     front = wb.fronts([0])[0]
     wb.release_psi()
     assert wb.fronts([0])[0] is front
+
+
+def test_build_without_kept_fronts():
+    # unset, keep_fronts makes no front beside a lattice or at the release;
+    # fronts() still makes the ones it is asked for, the same as a kept one
+    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N, keep_fronts=False)
+    kept = build_wavelet(L=RELEASE_L, N=RELEASE_N)
+    assert wb.lattices([1], lambda q, grid: q) == [1]
+    assert wb._fronts == {}
+    for (ax, av), (bx, bv) in zip(wb.fronts([0, 3, 0]), kept.fronts([0, 3, 0])):
+        assert np.array_equal(ax, bx) and np.array_equal(av, bv)
+    assert sorted(wb._fronts) == [0, 3]
+    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N, keep_fronts=False)
+    wb.release_psi()
+    assert wb.synthesis.grid is None and wb._fronts == {}
 
 
 def test_non_hermitian_band_rejected(monkeypatch):
