@@ -126,11 +126,12 @@ class BellEvaluator:
 
     ``band`` = (pi - a, 2 (pi + a)) is the admissible envelope, not the
     support of b: b is exactly 0 for |xi| <= pi - w and for
-    |xi| >= 2 (pi + w), and a quarter of the Gram and completeness
-    quadrature nodes fall where b = 0.  The envelope sets the grid of
+    |xi| >= ``support_end`` = 2 (pi + w), and a quarter of the Gram and
+    completeness quadrature nodes fall where b = 0.  The envelope sets the grid of
     ``psi_hat.csv`` and the quadrature ranges, and
     ``wavelet_manifest.json`` writes it as ``support``.  b's support sets
-    M of ``lattice_band`` (``lattice_m``): 273,069 at the defaults, where
+    M of ``lattice_band`` (``lattice_m``) and the synthesis's resolution
+    guard: 273,069 at the defaults, where
     the envelope would give 305,837.
     """
 
@@ -140,9 +141,9 @@ class BellEvaluator:
         self.a = a
         self.band = (np.pi - a, 2.0 * (np.pi + a))
         self.ramp_half_width = a / 4.0
+        self.support_end = 2.0 * (np.pi + self.ramp_half_width)
         self._lattice_band = None  # (L, psi_hat at the frequencies of L)
-        self._point_rule = None  # eval_psi_point's panels and coefficients
-        self._point_terms = None  # point_rule as eval_psi_point reads it
+        self._point_rule = None  # eval_psi_point's panels, coefficients and weights
 
     def theta_a(self, v):
         return _ramp(v, self.ramp_half_width)
@@ -203,9 +204,9 @@ class BellEvaluator:
         return out if out.ndim else out[()]
 
     def lattice_m(self, L: float) -> int:
-        """M of ``lattice_band(L)``: two steps of 2 pi / L past 2 (pi + w),
-        the end of b's support."""
-        return int(np.ceil(2.0 * (np.pi + self.ramp_half_width) / (2.0 * np.pi / L))) + 2
+        """M of ``lattice_band(L)``: two steps of 2 pi / L past
+        ``support_end``, the end of b's support."""
+        return int(np.ceil(self.support_end / (2.0 * np.pi / L))) + 2
 
     def lattice_band(self, L: float) -> np.ndarray:
         """psi_hat at the frequencies j 2 pi / L, j = -M..M (``lattice_m``).
@@ -217,39 +218,29 @@ class BellEvaluator:
             self._lattice_band = (L, self.psi_hat_at(np.arange(-M, M + 1) * dxi))
         return self._lattice_band[1]
 
-    def point_rule(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def point_rule(self) -> Tuple[np.ndarray, ...]:
         """The x-independent data of ``eval_psi_point``: for each of the
         four ramp pieces between the knots pi - w, pi, pi + w and
         2 pi - 2w, 2 pi, 2 pi + 2w, the panel half-width h (shape (4,)),
         the midpoints of its ``_POINT_PANELS`` equal panels (4, P) and, on
-        each panel, the Legendre coefficients of b(mid + h t), t in
+        each panel, the Legendre coefficients c_k of b(mid + h t), t in
         [-1, 1], from its values at ``_POINT_NODES`` Gauss-Legendre nodes
-        (4, P, n).  Built on the first call, with one ``bell_at`` call and
-        one product with the discrete Legendre transform of
-        ``_legendre_rule`` (made once per process), and kept: the ramps are
-        fixed when the evaluator is constructed, so the coefficients cannot
-        go stale."""
+        (4, P, n); then, as ``eval_psi_point`` reads them, the Filon weights
+        h 2 i^k c_k (4, P, n, complex) and the phases -i mid (4, P).
+        Built on the first call, with one ``bell_at`` call and one product
+        with the discrete Legendre transform of ``_legendre_rule`` (made
+        once per process), and kept: the ramps are fixed when the evaluator
+        is constructed, so the coefficients cannot go stale."""
         if self._point_rule is None:
             w = self.ramp_half_width
             lo = np.array([np.pi - w, np.pi, 2.0 * (np.pi - w), 2.0 * np.pi])
             hi = np.array([np.pi, np.pi + w, 2.0 * np.pi, 2.0 * (np.pi + w)])
             half = (hi - lo) / (2 * _POINT_PANELS)
             mid = lo[:, None] + (2 * np.arange(_POINT_PANELS) + 1) * half[:, None]
-            t, transform, _ = _legendre_rule(_POINT_NODES)
+            t, transform, unit = _legendre_rule(_POINT_NODES)
             coef = self.bell_at(mid[:, :, None] + half[:, None, None] * t) @ transform
-            self._point_rule = (half, mid, coef)
+            self._point_rule = (half, mid, coef, half[:, None, None] * coef * unit, -1j * mid)
         return self._point_rule
-
-    def point_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``point_rule`` as ``eval_psi_point`` reads it: the half-widths h
-        (4,), the Filon weights h 2 i^k c_k of each panel's Legendre
-        coefficients c_k (4, P, n, complex) and the phases -i mid (4, P).
-        Made from the rule on the first call and kept."""
-        if self._point_terms is None:
-            half, mid, coef = self.point_rule()
-            unit = _legendre_rule(coef.shape[-1])[2]
-            self._point_terms = (half, half[:, None, None] * coef * unit, -1j * mid)
-        return self._point_terms
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +439,8 @@ def synthesize_psi_lattice(
     psi, and ``l2_norm`` is summed once the transform's buffers are gone.
     """
     dxi = 2.0 * np.pi / L
-    # resolve the bell across its support [-2 (pi + w), 2 (pi + w)], the
-    # span lattice_m samples
-    if 4.0 * (np.pi + ph.ramp_half_width) / dxi < _SUPPORT_SAMPLES:
+    # resolve the bell across its support, the span lattice_m samples
+    if 2.0 * ph.support_end / dxi < _SUPPORT_SAMPLES:
         raise ResolutionError("frequency sampling too coarse across the band")
 
     M = ph.lattice_m(L)
@@ -573,19 +563,43 @@ _MOMENT_CUT = 8.0
 
 @functools.cache
 def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre nodes t, the discrete Legendre transform D
-    (n, n) and the factors 2 i^k (k < n, complex, exact): the values v of a
-    polynomial of degree n - 1 at t have Legendre coefficients v @ D, with
-    D = w_i P_k(t_i) (k + 1/2).  Made once per process and node count, so
-    no evaluator repeats ``leggauss``'s eigen-solve."""
-    leg = np.polynomial.legendre
-    t, wt = leg.leggauss(n)
+    """The n-point Gauss-Legendre nodes t (ascending), the discrete Legendre
+    transform D (n, n) and the factors 2 i^k (k < n, complex, exact): the
+    values v of a polynomial of degree n - 1 at t have Legendre coefficients
+    v @ D, with D = w_i P_k(t_i) (k + 1/2).  Made on first use, once per
+    process and node count.
+
+    Each positive node is Newton's iteration on P_n from
+    cos(pi (i + 3/4) / (n + 1/2)), on Python floats, with P_k from the
+    three-term recurrence; the negative nodes are their mirror images.  The
+    weight w = 2 / ((1 - t^2) P_n'(t)^2) takes P_n' = n (P_{n-1} - t P_n) /
+    (1 - t^2) with the residual P_n(t) of the rounded node kept: at n = 10
+    D is then within 1.2e-15 of 40-digit values (of its largest entry),
+    against 7.5e-15 from w = 2 (1 - t^2) / (n P_{n-1}(t))^2 and 1.0e-15 from
+    ``leggauss`` and ``legvander``, which take 3 to 5 times as long."""
+
+    def legendre(x: float) -> List[float]:  # P_0(x) .. P_n(x)
+        p = [1.0, x]
+        for k in range(1, n):
+            p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+        return p
+
+    positive = []
+    for i in range(n // 2):
+        x, dx = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        while abs(dx) > 1e-12:  # quadratic: the last step leaves an ulp
+            p = legendre(x)
+            dx = p[n] * (1.0 - x * x) / (n * (p[n - 1] - x * p[n]))
+            x -= dx
+        positive.append(x)
+    t = [-x for x in positive] + [0.0] * (n % 2) + positive[::-1]
+    transform = []
+    for x in t:
+        p = legendre(x)
+        w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p[n - 1] - x * p[n])) ** 2
+        transform.append([w * p[k] * (k + 0.5) for k in range(n)])
     k = np.arange(n)
-    transform = wt[:, None] * leg.legvander(t, n - 1) * (k + 0.5)
-    return t, transform, 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4]
-
-
-_legendre_rule(_POINT_NODES)
+    return np.array(t), np.array(transform), 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4]
 
 
 def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -668,7 +682,7 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     cost and the error bound are the same at every x.  Only |u| enters: the
     value is even in u bit for bit.
 
-    Everything but u is in the evaluator's tables (``point_terms``), so a
+    Everything but u is in the evaluator's tables (``point_rule``), so a
     point is the flat part on Python floats, the j_k at the four omega =
     u h, the panel sums as one product with the Filon weights h 2 i^k c_k,
     and the ramps as one reduction against e^{i u mid}.
@@ -681,7 +695,7 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     flat = beta - alpha
     if u:
         flat = 2.0 * math.cos(u * (0.5 * (alpha + beta))) * math.sin(u * (0.5 * flat)) / u
-    half, weights, phases = ph.point_terms()
+    half, _, _, weights, phases = ph.point_rule()
     sums = weights @ _spherical_j(u * half)[:, :, None]
     # vdot conjugates its first factor: e^{-i u mid} gives back e^{i u mid}
     ramps = np.vdot(np.exp(u * phases), sums).real
@@ -711,11 +725,6 @@ class WaveletBuild:
     per transform, in the pairs of ``PAIRS`` and in its order, whatever
     order a stage asks for them in; whole derivative lattices (N samples
     each) are not kept, only their fronts.
-
-    ``keep_fronts`` keeps the front of every lattice made, psi's at
-    ``release_psi`` and both channels of each pair, for a later ``fronts``
-    call: unset, a build makes a front only when ``fronts`` asks for it,
-    and psi's is lost with its lattice.
     """
 
     sigma: float
@@ -723,7 +732,6 @@ class WaveletBuild:
     synthesis: LatticeSynthesis
     L: float
     N: int
-    keep_fronts: bool = True
     # q -> moment front of the psi^(q) lattice
     _fronts: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False
@@ -739,8 +747,7 @@ class WaveletBuild:
         first order in the real part, its second in the imaginary part)
         with no periodization check, and let go before the next is made
         unless ``visit`` keeps it.  ``visit`` sees the requested orders
-        only, but with ``keep_fronts`` the moment fronts of both channels
-        are kept."""
+        only, but the moment fronts of both channels are kept."""
         orders = list(orders)
         unknown = sorted(set(orders).difference(*PAIRS))
         if unknown:
@@ -752,7 +759,7 @@ class WaveletBuild:
             syn = synthesize_psi_lattice(self.ph, L=self.L, N=self.N,
                                          check_periodization=False, q=pair[0], q2=pair[1])
             for q, grid in zip(pair, (syn.grid, syn.grid2)):
-                if self.keep_fronts and q not in self._fronts:
+                if q not in self._fronts:
                     self._fronts[q] = grid.moment_front()
                 if q in orders:
                     seen[q] = visit(q, grid)
@@ -763,29 +770,23 @@ class WaveletBuild:
         """``moment_front()`` of the psi^(q) lattice for each q of
         ``orders``.  psi's is taken from ``synthesis.grid``, or is the one
         ``release_psi`` kept; the derivative orders with no front yet are
-        made by ``lattices``, in the pairs of ``PAIRS``.  Every front it
-        gives is kept."""
+        made by ``lattices``, in the pairs of ``PAIRS``."""
         orders = list(orders)
         if 0 in orders and 0 not in self._fronts:
             self._fronts[0] = self.synthesis.grid.moment_front()
-
-        def keep(q: int, grid: GridFunction) -> None:
-            if q not in self._fronts:
-                self._fronts[q] = grid.moment_front()
-
-        self.lattices([q for q in dict.fromkeys(orders) if q not in self._fronts], keep)
+        self.lattices([q for q in dict.fromkeys(orders) if q not in self._fronts],
+                      lambda q, grid: None)
         return [self._fronts[q] for q in orders]
 
     def release_psi(self) -> None:
-        """Let psi's N-sample lattice go, keeping its moment front with
-        ``keep_fronts``: after this ``synthesis.grid`` is None, the rest of
-        ``synthesis`` (its residues and norm) stays, and ``fronts`` still
-        gives order 0 if the front was kept.  A second call does nothing.
-        The lattice is freed if the caller holds no reference of its own, so
-        a derivative pair made after this does not sit beside it."""
+        """Let psi's N-sample lattice go, keeping its moment front: after
+        this ``synthesis.grid`` is None, the rest of ``synthesis`` (its
+        residues and norm) stays, and ``fronts`` still gives order 0.  A
+        second call does nothing.  The lattice is freed if the caller holds
+        no reference of its own, so a derivative pair made after this does
+        not sit beside it."""
         if self.synthesis.grid is not None:
-            if self.keep_fronts:
-                self.fronts([0])
+            self.fronts([0])
             self.synthesis = replace(self.synthesis, grid=None)
 
 
@@ -794,10 +795,8 @@ def build_wavelet(
     a: float = np.pi / 6.0,
     L: float = 2.0 ** 18,
     N: int = 2 ** 22,
-    keep_fronts: bool = True,
 ) -> WaveletBuild:
-    """The wavelet alone: the bell evaluator and its certified synthesis;
-    ``keep_fronts`` is ``WaveletBuild``'s.
+    """The wavelet alone: the bell evaluator and its certified synthesis.
 
     The ramps are those of one cone of the cutoff cascade, its widest
     factor a_1 = 1/4 (for sigma > 1.297, where N_1 = 1): deeper factors
@@ -813,5 +812,4 @@ def build_wavelet(
         synthesis=synthesize_psi_lattice(ph, L=L, N=N),
         L=L,
         N=N,
-        keep_fronts=keep_fronts,
     )

@@ -193,11 +193,10 @@ class Run:
     """What the stages of one run share.  Each stage reads ``cfg``, writes
     its artifacts under ``out`` and its assertions into ``report``, and
     returns the artifact paths; the wavelet build is left in ``wb`` for the
-    stages after it.  ``stages`` are the command's stages, in run order."""
+    stages after it."""
 
     cfg: RunConfig
     out: Path
-    stages: Tuple[str, ...]
     report: dict = field(default_factory=dict)
     wb: Optional[WaveletBuild] = None
 
@@ -264,13 +263,11 @@ def stage_build_mollifier(run: Run) -> list:
 
 def stage_build_wavelet(run: Run) -> list:
     cfg = run.cfg
-    # the moment fronts are the mixed audit's input alone
     run.wb = build_wavelet(
         sigma=cfg.sigma,
         a=cfg.a,
         L=cfg.period,
         N=cfg.samples,
-        keep_fronts="mixed_audit" in run.stages,
     )
     return []
 
@@ -504,7 +501,7 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     except OSError as exc:  # a file in the way, a name too long, no permission
         raise InputError(f"config field 'out_dir': cannot make the output "
                          f"directory: {exc}; got {cfg.out_dir}") from exc
-    run = Run(cfg, out, stages)
+    run = Run(cfg, out)
     artifacts: list = []
     timings: dict = {}
     cpu_s: dict = {}

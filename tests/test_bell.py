@@ -214,7 +214,7 @@ def test_bell_ramp_only_at_knots(a):
 def test_bell_ramp_only_keeps_shapes():
     # point_rule's (4, P, n) node array, a strided view and 0-d scalars
     ph = BellEvaluator(A)
-    half, mid, _ = ph.point_rule()
+    half, mid = ph.point_rule()[:2]
     t, _ = np.polynomial.legendre.leggauss(10)
     nodes = mid[:, :, None] + half[:, None, None] * t
     assert nodes.shape == (4, 6, 10)
@@ -455,7 +455,7 @@ def _filon_reference(ph, x):
     flat = beta - alpha
     if u:
         flat = 2.0 * np.cos(u * (0.5 * (alpha + beta))) * np.sin(u * (0.5 * flat)) / u
-    half, mid, coef = ph.point_rule()
+    half, mid, coef = ph.point_rule()[:3]
     k = np.arange(coef.shape[-1])
     moments = 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4] * bell_module._spherical_j(u * half)
     sums = np.einsum("pjk,pk->pj", coef, moments)
@@ -487,8 +487,11 @@ def test_point_eval_matches_the_per_point_formula(wavelet):
 
 def test_legendre_tables_made_once_per_process(monkeypatch):
     # the Gauss-Legendre nodes, weights and Vandermonde of the point rule
-    # are module data: a new evaluator's rule needs neither leggauss's
-    # eigen-solve nor legvander
+    # are made once per process: once one evaluator has built its rule, a
+    # new evaluator's reads them from the cache, and no evaluator calls
+    # leggauss's eigen-solve or legvander
+    BellEvaluator(A).point_rule()
+    tables = bell_module._legendre_rule(bell_module._POINT_NODES)
     leg = np.polynomial.legendre
     calls = []
 
@@ -504,10 +507,30 @@ def test_legendre_tables_made_once_per_process(monkeypatch):
         monkeypatch.setattr(leg, name, counted(name))
     for _ in range(2):
         ph = BellEvaluator(A)
-        half, mid, coef = ph.point_rule()
+        coef = ph.point_rule()[2]
         eval_psi_point(ph, 7.25)
     assert calls == []
+    # a rebuild would have put new arrays in the cache
+    assert bell_module._legendre_rule(bell_module._POINT_NODES) is tables
     assert coef.shape == (4, bell_module._POINT_PANELS, bell_module._POINT_NODES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 11])
+def test_legendre_rule_matches_leggauss(n):
+    # the Newton-built rule against numpy's eigen-solve and Vandermonde, at
+    # the node counts the point rule runs with: nodes within an ulp, the
+    # transform within 4e-15 of its largest entry (both are within 1.5e-15
+    # of 40-digit values at n = 9..11)
+    leg = np.polynomial.legendre
+    t, transform, unit = bell_module._legendre_rule(n)
+    ref_t, ref_w = leg.leggauss(n)
+    ref = ref_w[:, None] * leg.legvander(ref_t, n - 1) * (np.arange(n) + 0.5)
+    assert np.all(np.diff(t) > 0) and np.array_equal(t, -t[::-1])
+    assert np.max(np.abs(t - ref_t)) <= 1.2e-16
+    assert np.max(np.abs(transform - ref)) <= 4e-15 * np.max(np.abs(ref))
+    assert np.array_equal(unit, 2.0 * np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4])
+    # D inverts the Legendre series at the nodes: coefficients of P_j are e_j
+    assert np.max(np.abs(leg.legvander(t, n - 1).T @ transform - np.eye(n))) <= 1e-14
 
 
 def test_point_moments_match_scipy():
@@ -529,7 +552,7 @@ def _rule_interpolation_error(ph):
     """max |b - p| on each panel of ``ph.point_rule()``, on 2001 points:
     b from ``bell_at`` at each sample xi, p the panel's Legendre series at
     t = (xi - mid) / h."""
-    half, mid, coef = ph.point_rule()
+    half, mid, coef = ph.point_rule()[:3]
     worst = np.empty(mid.shape)
     for p in range(mid.shape[0]):
         for j in range(mid.shape[1]):
@@ -891,21 +914,6 @@ def test_release_psi_keeps_a_front_taken_before():
     front = wb.fronts([0])[0]
     wb.release_psi()
     assert wb.fronts([0])[0] is front
-
-
-def test_build_without_kept_fronts():
-    # unset, keep_fronts makes no front beside a lattice or at the release;
-    # fronts() still makes the ones it is asked for, the same as a kept one
-    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N, keep_fronts=False)
-    kept = build_wavelet(L=RELEASE_L, N=RELEASE_N)
-    assert wb.lattices([1], lambda q, grid: q) == [1]
-    assert wb._fronts == {}
-    for (ax, av), (bx, bv) in zip(wb.fronts([0, 3, 0]), kept.fronts([0, 3, 0])):
-        assert np.array_equal(ax, bx) and np.array_equal(av, bv)
-    assert sorted(wb._fronts) == [0, 3]
-    wb = build_wavelet(L=RELEASE_L, N=RELEASE_N, keep_fronts=False)
-    wb.release_psi()
-    assert wb.synthesis.grid is None and wb._fronts == {}
 
 
 def test_non_hermitian_band_rejected(monkeypatch):

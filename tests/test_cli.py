@@ -286,18 +286,8 @@ def test_mixed_audit(tmp_path):
 def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     # derivative orders ride two per synthesis, in the pairs of bell.PAIRS
     # and in its order, whichever command asks: the decay fit's (1, 2),
-    # (4, 8), then the mixed audit's (3, 5), (6, 7); a moment front is made
-    # once per lattice, and only for the mixed audit
+    # (4, 8), then the mixed audit's (3, 5), (6, 7)
     n_calls = {"all": 5, "decay-fit": 3, "mixed-audit": 5}[command]
-    n_fronts = {"all": 9, "decay-fit": 0, "mixed-audit": 9}[command]
-    front = lambertwave.GridFunction.moment_front
-    fronts = []
-
-    def counted_front(self):
-        fronts.append(self.n)
-        return front(self)
-
-    monkeypatch.setattr(lambertwave.GridFunction, "moment_front", counted_front)
     bell_mod = importlib.import_module("lambertwave.bell")
     synthesize = bell_mod.synthesize_psi_lattice
     calls = []
@@ -318,7 +308,6 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     assert len(calls) == n_calls
     pairs = [(q, q2) for q, q2, check in calls if not check]
     assert pairs == list(importlib.import_module("lambertwave.bell").PAIRS[:n_calls - 1])
-    assert len(fronts) == n_fronts
 
 
 def test_mixed_audit_alone_writes_alls_table(tmp_path):
