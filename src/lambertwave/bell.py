@@ -13,7 +13,10 @@ half-width 2w, so theta_2a(2v) = theta_a(v) bitwise, which is what makes
 the quadrature-free dyadic identities hold to rounding error.  b vanishes
 for |xi| <= pi - w and |xi| >= 2 (pi + w) and is identically 1 on
 [pi + w, 2 (pi - w)]; the admissible range 0 < a < pi/3 keeps the two
-ramps apart even at half-width a (pi + a < 2 (pi - a)).  So ``bell_at``
+ramps apart even at half-width a (pi + a < 2 (pi - a)).  The envelope,
+the knots and the flat part are formed from a once, by ``BellEvaluator``
+(``band``, ``support_end``, ``pieces``, ``flat``), and every other reader
+takes them from it.  So ``bell_at``
 evaluates the ramps and sines only at the samples where one varies
 (``_ramp_samples``), 10.7% of the default lattice band, and gives every
 other sample the formula's exact 1 or +0.  Nothing here depends on sigma,
@@ -37,9 +40,12 @@ psi(x) = (1/pi) Int b(xi) cos((x - 1/2) xi) d xi by a Filon-Legendre rule
 (Filon 1928; Iserles & Norsett 2005): b is interpolated on nodes that do
 not depend on x, and the cosine is integrated exactly, so a point costs the
 same at every x.  The Gauss-Legendre tables depend on neither x nor a and
-are made once per process (``_legendre_rule``); the interpolant depends on
-a alone and is made once per evaluator (``BellEvaluator.point_rule``), so
-a point does only the work that depends on x.
+are made once per process by the one generator, ``_legendre_rule``: the
+point rule's in Python floats on first use, and the 20-node table of the
+spherical Bessel functions (``_moment_rule``) in longdouble at import,
+about 1 ms.  The interpolant depends on a alone and is made once per
+evaluator (``BellEvaluator.point_rule``), so a point does only the work
+that depends on x.
 """
 
 from __future__ import annotations
@@ -133,6 +139,13 @@ class BellEvaluator:
     M of ``lattice_band`` (``lattice_m``) and the synthesis's resolution
     guard: 273,069 at the defaults, where
     the envelope would give 305,837.
+
+    ``pieces`` = (lo, hi) holds the ends of the four ramp pieces between
+    the knots, (pi - w, pi), (pi, pi + w), (2 (pi - w), 2 pi) and
+    (2 pi, 2 (pi + w)), each a (4,) array, and ``flat`` = (pi + w,
+    2 (pi - w)) the flat part, where b = 1.  These four, ``band`` and
+    ``support_end`` are formed from a here alone; every other reader takes
+    them from the evaluator.
     """
 
     def __init__(self, a: float):
@@ -140,8 +153,11 @@ class BellEvaluator:
             raise DomainError(f"half-width a must lie in (0, pi/3), with a/4 > 0, got {a}")
         self.a = a
         self.band = (np.pi - a, 2.0 * (np.pi + a))
-        self.ramp_half_width = a / 4.0
-        self.support_end = 2.0 * (np.pi + self.ramp_half_width)
+        w = self.ramp_half_width = a / 4.0
+        self.support_end = 2.0 * (np.pi + w)
+        self.pieces = (np.array([np.pi - w, np.pi, 2.0 * (np.pi - w), 2.0 * np.pi]),
+                       np.array([np.pi, np.pi + w, 2.0 * np.pi, 2.0 * (np.pi + w)]))
+        self.flat = (np.pi + w, 2.0 * (np.pi - w))
         self._lattice_band = None  # (L, psi_hat at the frequencies of L)
         self._point_rule = None  # eval_psi_point's panels, coefficients and weights
 
@@ -220,8 +236,8 @@ class BellEvaluator:
 
     def point_rule(self) -> Tuple[np.ndarray, ...]:
         """The x-independent data of ``eval_psi_point``: for each of the
-        four ramp pieces between the knots pi - w, pi, pi + w and
-        2 pi - 2w, 2 pi, 2 pi + 2w, the panel half-width h (shape (4,)),
+        four ramp pieces of ``pieces``, between the knots pi - w, pi, pi + w
+        and 2 pi - 2w, 2 pi, 2 pi + 2w, the panel half-width h (shape (4,)),
         the midpoints of its ``_POINT_PANELS`` equal panels (4, P) and, on
         each panel, the Legendre coefficients c_k of b(mid + h t), t in
         [-1, 1], from its values at ``_POINT_NODES`` Gauss-Legendre nodes
@@ -232,9 +248,7 @@ class BellEvaluator:
         once per process), and kept: the ramps are fixed when the evaluator
         is constructed, so the coefficients cannot go stale."""
         if self._point_rule is None:
-            w = self.ramp_half_width
-            lo = np.array([np.pi - w, np.pi, 2.0 * (np.pi - w), 2.0 * np.pi])
-            hi = np.array([np.pi, np.pi + w, 2.0 * np.pi, 2.0 * (np.pi + w)])
+            lo, hi = self.pieces
             half = (hi - lo) / (2 * _POINT_PANELS)
             mid = lo[:, None] + (2 * np.arange(_POINT_PANELS) + 1) * half[:, None]
             t, transform, unit = _legendre_rule(_POINT_NODES)
@@ -562,23 +576,25 @@ _MOMENT_CUT = 8.0
 
 
 @functools.cache
-def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _legendre_rule(n: int, dtype=float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes t (ascending), the discrete Legendre
     transform D (n, n) and the factors 2 i^k (k < n, complex, exact): the
     values v of a polynomial of degree n - 1 at t have Legendre coefficients
-    v @ D, with D = w_i P_k(t_i) (k + 1/2).  Made on first use, once per
-    process and node count.
+    v @ D, with D = w_i P_k(t_i) (k + 1/2).  t and D are of ``dtype``,
+    float for the point rule and numpy's longdouble for ``_moment_rule``.
+    Made on first use, once per process, node count and dtype.
 
     Each positive node is Newton's iteration on P_n from
-    cos(pi (i + 3/4) / (n + 1/2)), on Python floats, with P_k from the
-    three-term recurrence; the negative nodes are their mirror images.  The
-    weight w = 2 / ((1 - t^2) P_n'(t)^2) takes P_n' = n (P_{n-1} - t P_n) /
-    (1 - t^2) with the residual P_n(t) of the rounded node kept: at n = 10
-    D is then within 1.2e-15 of 40-digit values (of its largest entry),
-    against 7.5e-15 from w = 2 (1 - t^2) / (n P_{n-1}(t))^2 and 1.0e-15 from
-    ``leggauss`` and ``legvander``, which take 3 to 5 times as long."""
+    cos(pi (i + 3/4) / (n + 1/2)), with P_k from the three-term recurrence,
+    on scalars of ``dtype`` (Python floats for float); the negative nodes
+    are their mirror images.  The weight w = 2 / ((1 - t^2) P_n'(t)^2)
+    takes P_n' = n (P_{n-1} - t P_n) / (1 - t^2) with the residual P_n(t)
+    of the rounded node kept: at n = 10 D is then within 1.2e-15 of
+    40-digit values (of its largest entry), against 7.5e-15 from
+    w = 2 (1 - t^2) / (n P_{n-1}(t))^2 and 1.0e-15 from ``leggauss`` and
+    ``legvander``, which take 3 to 5 times as long."""
 
-    def legendre(x: float) -> List[float]:  # P_0(x) .. P_n(x)
+    def legendre(x) -> list:  # P_0(x) .. P_n(x)
         p = [1.0, x]
         for k in range(1, n):
             p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
@@ -586,7 +602,7 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     positive = []
     for i in range(n // 2):
-        x, dx = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        x, dx = dtype(math.cos(math.pi * (i + 0.75) / (n + 0.5))), 1.0
         while abs(dx) > 1e-12:  # quadratic: the last step leaves an ulp
             p = legendre(x)
             dx = p[n] * (1.0 - x * x) / (n * (p[n - 1] - x * p[n]))
@@ -599,7 +615,8 @@ def _legendre_rule(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p[n - 1] - x * p[n])) ** 2
         transform.append([w * p[k] * (k + 0.5) for k in range(n)])
     k = np.arange(n)
-    return np.array(t), np.array(transform), 2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4]
+    return (np.array(t, dtype=dtype), np.array(transform, dtype=dtype),
+            2.0 * np.array([1.0, 1j, -1.0, -1j])[k % 4])
 
 
 def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -607,24 +624,18 @@ def _moment_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     and the table T (K = ``_POINT_NODES`` columns) with j_k(omega) =
     [cos(omega t_0), sin(omega t_0), cos(omega t_1), ...] @ T: row 2i
     holds +-w_i P_k(t_i) for even k and row 2i + 1 for odd k, the sign that
-    of i^{-k} or i^{1-k}, and the rest are 0.  The nodes get two Newton
-    steps on P_n, and the weights and P_k are formed, in numpy's longdouble
-    (80-bit on x86-64) before rounding: from ``leggauss``'s own weights the
-    rule's floor was 1.5e-15, not 3.3e-16, and it stays there where
-    longdouble is double."""
-    leg = np.polynomial.legendre
-    t = leg.leggauss(n)[0][n // 2:].astype(np.longdouble)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    dc = leg.legder(c)
-    for _ in range(2):
-        t -= leg.legval(t, c) / leg.legval(t, dc)
-    w = 2.0 / ((1.0 - t * t) * leg.legval(t, dc) ** 2)
-    table = (w[:, None] * leg.legvander(t, _POINT_NODES - 1)).astype(float)
+    of i^{-k} or i^{1-k}, and the rest are 0.  The nodes and w_i P_k(t_i)
+    are ``_legendre_rule``'s in numpy's longdouble (80-bit on x86-64),
+    rounded to double once: each entry is within half an ulp of its
+    40-digit value (0.509 at worst, longdouble's own error), and j_k errs
+    by 3.2e-16 on [0, 8].  Where longdouble is double, the table has the
+    float rule's rounding error, and j_k errs by 6.2e-16."""
+    t, transform, _ = _legendre_rule(n, np.longdouble)
     k = np.arange(_POINT_NODES)
+    table = (transform[n // 2:, :_POINT_NODES] / (k + 0.5)).astype(float)
     table *= np.array([1.0, 1.0, -1.0, -1.0])[k % 4]
     pairs = np.stack([np.where(k % 2, 0.0, table), np.where(k % 2, table, 0.0)], axis=1)
-    return 1j * t.astype(float), pairs.reshape(n, _POINT_NODES)
+    return 1j * t[n // 2:].astype(float), pairs.reshape(n, _POINT_NODES)
 
 
 _MOMENT_IT, _MOMENT_TABLE = _moment_rule(_MOMENT_NODES)
@@ -642,15 +653,17 @@ def _spherical_j(omega: np.ndarray) -> np.ndarray:
     j_0 = sin(omega) / omega and j_1 = (j_0 - cos(omega)) / omega, stable
     while k < omega, on Python floats one omega at a time:
     ``eval_psi_point`` asks for four, where numpy's cost per call would
-    outweigh the arithmetic.  Against 40-digit values (mpmath), on 2,401
-    omega in [0, 12] and 5,600 in [4, 3e3], the largest error of any j_k
-    was:
+    outweigh the arithmetic.  Against 40-digit values (mpmath), on 80,001
+    omega in [0, 8] for the rule and 5,600 in [4, 3e3] for the recurrence,
+    the largest error of any j_k was:
 
-        rule, omega <= 8:   3.3e-16 at 20 nodes; 2.7e-13 at 18
+        rule, omega <= 8:   3.2e-16 at 20 nodes; 2.7e-13 at 18
         recurrence, > 8:    1.7e-16; 7.1e-16 above 6, 1.4e-14 above 4
 
-    so the split errs by at most 3.3e-16, with 20 nodes the least that
-    reaches omega = 8.  scipy's ``spherical_jn`` errs by up to 5.1e-16.
+    so the split errs by at most 3.2e-16, with 20 nodes the least that
+    reaches omega = 8.  The rule's error peaks at small omega in j_0, where
+    the 10 nonzero products of its sum round.  scipy's ``spherical_jn``
+    errs by up to 5.1e-16.
     """
     out = np.empty((len(omega), _POINT_NODES))
     low = omega <= _MOMENT_CUT
@@ -677,7 +690,7 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     each ramp panel b is replaced by its
     Legendre series sum_k c_k P_k(t) (``BellEvaluator.point_rule``), and
     Int_{-1}^{1} P_k(t) e^{i omega t} dt = 2 i^k j_k(omega) with j_k the
-    spherical Bessel function (``_spherical_j``, within 3.3e-16), so the
+    spherical Bessel function (``_spherical_j``, within 3.2e-16), so the
     cosine is integrated exactly and the
     cost and the error bound are the same at every x.  Only |u| enters: the
     value is even in u bit for bit.
@@ -690,8 +703,7 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
     u = abs(float(x) - 0.5)
     if not math.isfinite(u * ph.band[1]):
         raise DomainError("evaluation point must be finite, with a finite phase")
-    w = ph.ramp_half_width
-    alpha, beta = math.pi + w, 2.0 * (math.pi - w)
+    alpha, beta = ph.flat
     flat = beta - alpha
     if u:
         flat = 2.0 * math.cos(u * (0.5 * (alpha + beta))) * math.sin(u * (0.5 * flat)) / u

@@ -16,7 +16,8 @@ process's RSS high-water mark.  Exit codes (the ``EXITS`` table):
 resolution error, and 1 for any other error.  Config errors exit before
 any stage runs and write nothing; once the stages start, every exit, an
 exception of any class included, leaves both JSON files, and the manifest
-records its exit code.
+records its exit code.  An artifact that cannot be created is an input
+error (exit 2) that names it, ``report.json`` included.
 """
 
 from __future__ import annotations
@@ -97,21 +98,19 @@ def _validate(cfg: RunConfig, stages: Iterable[str] = ()) -> None:
     for name, ok, msg in checks:
         if not ok:
             raise InputError(f"config field '{name}': {msg}; got {getattr(cfg, name)}")
-    # the lattice transform's own rule for samples, the weight sequence's for tau
+    # the lattice transform's own rule for samples, the weight sequence's for
+    # tau and the wavelet's for a
     for name, rule in (("samples", lambda: check_rows(cfg.samples)),
-                       ("tau", lambda: SequenceParams(cfg.tau, cfg.sigma))):
+                       ("tau", lambda: SequenceParams(cfg.tau, cfg.sigma)),
+                       ("a", lambda: BellEvaluator(cfg.a))):
         try:
             rule()
         except DomainError as exc:
             raise InputError(f"config field '{name}': {exc}") from exc
-    try:
-        bell = BellEvaluator(cfg.a)  # the wavelet's own rule for a
-    except DomainError as exc:
-        raise InputError(f"config field 'a': {exc}") from exc
     if "decay_fit" in stages:
         xg = _log_grid(*FIT_X)
         # decay_envelope's windows on the synthesis lattice x0 = -L/2, dx = L/N
-        window = envelope_window(bell)
+        window = envelope_window(BellEvaluator(cfg.a))
         x0, dx = -cfg.period / 2.0, cfg.period / cfg.samples
         try:
             window_indices(xg, window, GridSpec(x0, dx, cfg.samples))
@@ -140,6 +139,16 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 _CSV_ROWS = 4096  # rows per format operation of write_csv
 
 
+def _created(path: Path):
+    """``path`` opened for writing with LF line endings.  An OSError on
+    opening it (a directory in its place, no such directory, no
+    permission) is an InputError that names it."""
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_csv(path: Path, header, columns) -> None:
     """One row per entry of the equal-length ``columns``: integer columns
     as integers, every other column at 17 significant digits.
@@ -157,7 +166,7 @@ def write_csv(path: Path, header, columns) -> None:
     for i, c in enumerate(columns):
         values[i::width] = c.tolist()
     step = width * _CSV_ROWS
-    with open(path, "w", newline="\n") as fh:
+    with _created(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(values), step):
             block = tuple(values[start:start + step])
@@ -171,7 +180,7 @@ def _sha256(path: Path) -> str:
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _created(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
@@ -278,7 +287,7 @@ PSI_XMAX = 512.0  # psi.csv: the lattice samples with |x| <= 512
 
 def stage_wavelet_artifacts(run: Run) -> list:
     wb, out = run.wb, run.out
-    band = 2.0 * (np.pi + wb.ph.a) + 1.0
+    band = wb.ph.band[1] + 1.0
     freq = GridSpec(-band, 2.0 * band / 2 ** PSI_HAT_POW, 2 ** PSI_HAT_POW + 1)
     xi = freq.points()
     ph = wb.ph.psi_hat_at(xi)
@@ -488,6 +497,9 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     the stage (status "fail" for a VerificationError, "error" with the
     exception's class and message for any other), the manifest the exit
     code ``EXITS`` gives it (0 on pass), and the exception propagates.
+    A ``report.json`` that cannot be created ends a run that no stage
+    failed the same way: the manifest records status "error", the file
+    under ``failing``'s "artifact" and exit code 2.
     Each stage that completes gets its wall time (``timings``), its CPU
     time (``cpu_s``, all threads) and the process's resident-set
     high-water mark after it (``rss_high_water_mb``: the peak of the whole
@@ -539,8 +551,13 @@ def run_pipeline(command: str, cfg: RunConfig) -> dict:
     if "build_wavelet" in stages:  # the lattice this run built
         report["grids"] = {"period": cfg.period, "samples": cfg.samples}
     report_path = out / "report.json"
-    write_json(report_path, report)
-    artifacts.append(report_path)
+    try:
+        write_json(report_path, report)
+        artifacts.append(report_path)
+    except InputError as exc:
+        if raised is None:  # else a stage's failure is the run's
+            failing = {"artifact": report_path.name, "exception": "InputError", "message": str(exc)}
+            status, raised = "error", exc
 
     manifest = {
         "command": command,

@@ -91,14 +91,13 @@ def gram_matrix(ph: BellEvaluator) -> GramReport:
     once.  A deviation from the identity above ``_GRAM_TOL`` raises
     VerificationError naming the worst pair.
     """
-    a = ph.a
     m_lo, m_hi = _GRAM_M
     n_lo, n_hi = _GRAM_N
     n_count = n_hi - n_lo + 1
 
     # same scale: (1/pi) Re Int_+ b^2 e^{i d u} du at d = n2 - n1 >= 0; the
     # pair's value is its conjugate, of imaginary part -0
-    band = np.linspace(np.pi - a, 2.0 * (np.pi + a), _BAND_QUAD)
+    band = np.linspace(*ph.band, _BAND_QUAD)
     b2 = ph.bell_at(band) ** 2
     du = band[1] - band[0]
     same = np.array([
@@ -108,7 +107,7 @@ def gram_matrix(ph: BellEvaluator) -> GramReport:
 
     # adjacent scales: (2^{-1/2}/pi) Re Int_+ b(u) b(u/2) e^{i(mu + 1/4)u} du,
     # mu = n1 - n2/2; u runs over the upper band where both bells live
-    band2 = np.linspace(2.0 * (np.pi - a), 2.0 * (np.pi + a), _BAND_QUAD)
+    band2 = np.linspace(2.0 * ph.band[0], ph.band[1], _BAND_QUAD)
     bb = ph.bell_at(band2) * ph.bell_at(band2 / 2.0)
     du2 = band2[1] - band2[0]
     key_lo = 2 * n_lo - n_hi  # key = 2 n1 - n2
@@ -164,9 +163,8 @@ def dyadic_sum_check(
     """s(xi) = sum_{|m| <= _DYADIC_M} |psi_hat(2^m xi)|^2 must equal 1 to
     ``_DYADIC_TOL`` on the covered dyadic range (xi = 0 is excluded: the
     sum vanishes there)."""
-    a = ph.a
     if xi_grid is None:
-        base = np.linspace(np.pi - a + 1e-3, 2.0 * (np.pi + a) - 1e-3, 601)
+        base = np.linspace(ph.band[0] + 1e-3, ph.band[1] - 1e-3, 601)
         xi_grid = np.concatenate([base * 2.0 ** j for j in range(-5, 6)])
     xi_grid = np.asarray(xi_grid, dtype=float)
     if np.any(np.abs(xi_grid) < 1e-9):
@@ -242,7 +240,6 @@ def completeness_check(
     """
     if f_hat is None:
         f_hat = gaussian_spectrum()
-    a = ph.a
     if not hasattr(f_hat, "band"):  # ||f||^2 is integrated over |xi| <= band[1] + 1
         raise InputError("f_hat has no band = (lo, hi) to integrate ||f||^2 over")
     ug = np.linspace(-f_hat.band[1] - 1.0, f_hat.band[1] + 1.0, 2 ** 16 + 1)
@@ -250,7 +247,7 @@ def completeness_check(
         np.trapezoid(np.abs(f_hat(ug)) ** 2, dx=ug[1] - ug[0]) / (2.0 * np.pi)
     )
 
-    u_pos = np.linspace(np.pi - a, 2.0 * (np.pi + a), _BAND_QUAD)
+    u_pos = np.linspace(*ph.band, _BAND_QUAD)
     du = u_pos[1] - u_pos[0]
     weights = np.full(_BAND_QUAD, du)
     weights[[0, -1]] = du / 2.0

@@ -1,5 +1,6 @@
 """Bell structure, wavelet transform, synthesis, and point evaluation."""
 
+import ast
 import dataclasses
 import math
 import subprocess
@@ -9,6 +10,7 @@ import warnings
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -546,6 +548,121 @@ def test_point_moments_match_scipy():
     k = np.arange(bell_module._POINT_NODES)
     err = np.abs(bell_module._spherical_j(omega) - spherical_jn(k, omega[:, None]))
     assert np.max(err) <= 2e-15
+
+
+def _spherical_j_exact(omega):
+    """j_k(omega), k < ``_POINT_NODES``, each as a pair of doubles (hi, lo)
+    with hi + lo the value: the upward recurrence from sin and cos, in
+    mpmath at 120 digits.  The recurrence loses digits as omega falls, but
+    from omega = 4e-4 up its error stays below 1e-32 (against 60-digit
+    ``besselj``), far under the 1e-16 the rule is checked to."""
+    K = bell_module._POINT_NODES
+    hi, lo = np.zeros((2, len(omega), K))
+    with mpmath.workdps(120):
+        for i, om in enumerate(omega.tolist()):
+            if om == 0.0:
+                hi[i, 0] = 1.0
+                continue
+            x = mpmath.mpf(om)
+            s, c = mpmath.sin(x), mpmath.cos(x)
+            j = [s / x, (s / x - c) / x]
+            for k in range(1, K - 1):
+                j.append((2 * k + 1) / x * j[k] - j[k - 1])
+            for k, v in enumerate(j):
+                hi[i, k] = float(v)
+                lo[i, k] = float(v - hi[i, k])
+    return hi, lo
+
+
+# _moment_rule's table is rounded once from an extended longdouble; where
+# longdouble is double it carries the float rule's rounding, and j_k errs by
+# 6.2e-16 (the float rule's table, on 80,001 omega in [0, 8])
+_EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                               reason="longdouble is double on this platform")
+
+
+@_EXTENDED
+def test_spherical_j_rule_against_mpmath():
+    # the rule's side of the split, omega <= 8, at steps of 1e-3 against
+    # 40-digit values: 3.0e-16 (3.2e-16 at steps of 1e-4), peaking at small
+    # omega in j_0, where the 10 nonzero products of its sum round; a table
+    # whose entries are not rounded once (Clenshaw sums begun in double)
+    # errs by 3.3e-16 here
+    omega = np.linspace(0.0, bell_module._MOMENT_CUT, 8001)
+    hi, lo = _spherical_j_exact(omega)
+    # J - hi is exact: the two are doubles within a few ulps
+    err = np.abs((bell_module._spherical_j(omega) - hi) - lo)
+    assert np.max(err) <= 3.3e-16
+
+
+@_EXTENDED
+def test_moment_rule_is_rounded_once():
+    # _moment_rule's nodes and w_i P_k(t_i) are longdouble values rounded
+    # to double once: each within half an ulp of its 40-digit value, up to
+    # longdouble's own error (0.509 ulp at worst), and the longdouble rule's
+    # nodes are the float rule's within an ulp
+    n, K = bell_module._MOMENT_NODES, bell_module._POINT_NODES
+    t = bell_module._MOMENT_IT.imag
+    table = bell_module._MOMENT_TABLE.reshape(n // 2, 2, K).sum(axis=1)
+    table *= np.array([1.0, 1.0, -1.0, -1.0])[np.arange(K) % 4]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i, ti in enumerate(t.tolist()):
+            x = mpmath.mpf(ti)
+            for _ in range(3):  # Newton's iteration on P_n from the double node
+                p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                x -= p * (1 - x * x) / (n * (q - x * p))
+            p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            w = 2 * (1 - x * x) / (n * (q - x * p)) ** 2
+            worst = max(worst, float(abs(ti - x)) / math.ulp(ti))
+            for k in range(K):
+                v = table[i, k]
+                worst = max(worst, float(abs(v - w * mpmath.legendre(k, x))) / math.ulp(v))
+    assert worst <= 0.51
+    t_long = bell_module._legendre_rule(n, np.longdouble)[0]
+    t_float = bell_module._legendre_rule(n)[0]
+    assert t_long.dtype == np.longdouble and t_float.dtype == float
+    assert np.all(np.abs(t_long - t_float) <= np.spacing(np.abs(t_float)))
+
+
+def _knot_expressions(path):
+    """The lines of ``path`` outside ``BellEvaluator.__init__`` that form
+    pi +- a or pi +- w: a sum or difference of pi and an expression that
+    names the half-width a or the ramp half-width w."""
+    tree = ast.parse(path.read_text())
+    owner = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "BellEvaluator":
+            init = next(f for f in cls.body
+                        if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+            owner = {id(n) for n in ast.walk(init)}
+
+    def is_pi(n):
+        return isinstance(n, ast.Attribute) and n.attr == "pi" or (
+            isinstance(n, ast.Name) and n.id == "pi")
+
+    def names_width(n):
+        return any(isinstance(m, ast.Name) and m.id in ("a", "w")
+                   or isinstance(m, ast.Attribute) and m.attr in ("a", "ramp_half_width")
+                   for m in ast.walk(n))
+
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in owner and isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and any(map(is_pi, (node.left, node.right)))
+        and any(map(names_width, (node.left, node.right)))
+    })
+
+
+def test_bell_geometry_has_one_owner():
+    # the envelope (pi - a, 2 (pi + a)), the knots pi +- w and 2 (pi +- w)
+    # and the flat part are formed in BellEvaluator.__init__ alone
+    # (band, support_end, pieces, flat); every other line reads them
+    src = Path(bell_module.__file__).parent
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _knot_expressions(path))}
+    assert found == {}
 
 
 def _rule_interpolation_error(ph):

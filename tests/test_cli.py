@@ -398,14 +398,17 @@ def test_write_csv_matches_per_value_format(tmp_path):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # the set-up cost of a run is this import: numpy alone, no scipy module,
+    # the set-up cost of a run is this import: numpy alone, no scipy module
+    # and no numpy.polynomial (the Gauss-Legendre rules are bell's own),
     # neither after the import nor after every stage of `all` has run
     src = str(Path(lambertwave.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lambertwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "alien = lambda: sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'numpy.polynomial'))); "
+            "print(alien()); "
             "rc = lambertwave.cli.main(['all', '--a', '0.9', '--samples', str(2 ** 19), "
             "'--period', str(2 ** 17), '--out-dir', sys.argv[2]]); "
-            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(rc, alien())")
     out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "out")],
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[-3:] == ["[]", "0 []", ""]
@@ -839,6 +842,35 @@ def test_every_stage_exit_leaves_both_json_files(tmp_path, monkeypatch, exc, cod
         assert man["status"] == "error"
         assert man["failing"]["exception"] == type(exc).__name__
         assert man["failing"]["message"] == str(exc)
+
+
+def test_unwritable_artifact_exits_2_with_a_manifest(tmp_path, capsys):
+    # a directory where a stage's CSV goes: one message line naming the
+    # file and exit 2, not a traceback, and the manifest records it
+    (tmp_path / "lambert_table.csv").mkdir()
+    assert main(["lambert-table", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {tmp_path / 'lambert_table.csv'}: Is a directory"]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["exit_code"] == 2 and man["status"] == "error"
+    assert man["failing"] == {"stage": "lambert_table", "exception": "InputError",
+                              "message": err[0].removeprefix("error: ")}
+    assert json.loads((tmp_path / "report.json").read_text())["failing"] == man["failing"]
+
+
+def test_unwritable_report_still_leaves_a_manifest(tmp_path, capsys):
+    # every stage passes but report.json cannot be written: the manifest is
+    # still written, names the file and records exit 2
+    (tmp_path / "report.json").mkdir()
+    assert main(["lambert-table", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {tmp_path / 'report.json'}: Is a directory"]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["exit_code"] == 2 and man["status"] == "error"
+    assert man["failing"] == {"artifact": "report.json", "exception": "InputError",
+                              "message": err[0].removeprefix("error: ")}
+    assert list(man["artifacts"]) == ["lambert_table.csv"]
+    assert "lambert_table" in man["timings"]
 
 
 def test_int_for_float_field_matches_flag_spelling(tmp_path):
