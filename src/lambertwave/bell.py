@@ -24,15 +24,16 @@ so neither does the wavelet.
 
 exp(i xi / 2) * b(xi) is then the Fourier transform of a real orthonormal
 wavelet; synthesis inverts it with the convention
-psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q) is
-real, so one FFT synthesizes two derivative orders, one in its real part and
-one in its imaginary part (``synthesize_psi_lattice`` with ``q2``), in the
-fixed pairs of ``PAIRS`` (``WaveletBuild.lattices``).  N is a power of
-two, the one rule of ``check_rows`` that the CLI's config check and the
-synthesis share.  Each N-point transform is then made as
-R = max(1, N / 2^18) rows of at most 2^18 points on one thread, one FFT
-call per row (``_lattice_fft``), and consumed a few rows at a time: no
-N-point complex buffer is made.  The periodization check compares each
+psi(x) = (1/2pi) Int b(xi) e^{i xi / 2} e^{-i x xi} d xi.  Every psi^(q)
+is real and its band Hermitian, so each order is synthesized alone
+(``synthesize_psi_lattice``; ``WaveletBuild.lattices`` makes the
+derivative orders one at a time) from half of its transform's input.  N is a power of two, the one
+rule of ``check_rows`` that the CLI's config check and the synthesis
+share.  Each N-point transform is then made as R = max(1, N / 2^18) rows
+of at most 2^18 points on one thread, each row's input formed on half its
+slots and mirrored, two rows per FFT call, one in the real part and one in
+the imaginary part (``_lattice_fft``), and consumed a few rows at a time:
+no N-point complex buffer is made.  The periodization check compares each
 group of rows with the block of psi it matches (``_periodization_diff``).
 
 Off the lattice, ``eval_psi_point`` evaluates one value
@@ -63,8 +64,9 @@ from .grids import GridFunction, abs_max
 HALF_PI = np.pi / 2.0
 _CHUNK = 2 ** 16  # points per chunk of the periodization check
 _ROW = 2 ** 18  # longest transform row (4 MiB of complex values)
-_GROUP = 4  # rows per transform call
+_GROUP = 4  # FFT calls per group of rows, each on two rows packed in one
 _PASS = 2 ** 12  # row slots per pass of the row assembly, a multiple of 512
+_MAX_ORDER = 40  # highest derivative order of psi_hat_at and of the lattices
 _SUPPORT_SAMPLES = 2 ** 12  # fewest frequency samples across b's support
 _IMAG_TOL = 1e-12  # largest imaginary residue of a synthesized order, relative to max(1, sup)
 _PERIODIZATION_TOL = 1e-13  # largest periodization residual against the 2L lattice
@@ -93,8 +95,10 @@ def _ramp_samples(u: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~clamped), flat
 
 
-def _derivative_factor(xi: np.ndarray, q: int, z: np.ndarray) -> np.ndarray:
-    """(-i xi)^q z, as i^{-q} xi^q z in real arithmetic.
+def _derivative_factor(xi: np.ndarray, q: int, z: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(-i xi)^q z, as i^{-q} xi^q z in real arithmetic, into ``out`` (a
+    new array by default, never z itself).
 
     xi^q is formed by binary powering from 1, the repeated squaring of
     numpy's integer complex power (``npy_cpow``): every partial product of
@@ -110,7 +114,7 @@ def _derivative_factor(xi: np.ndarray, q: int, z: np.ndarray) -> np.ndarray:
         if q:
             sq = sq * sq
     # i^{-turn} z: the parts swap at an odd turn, and i^{-1} = -i
-    out = np.empty_like(z)
+    out = np.empty_like(z) if out is None else out
     re, im = (z.imag, z.real) if turn % 2 else (z.real, z.imag)
     np.multiply(p, re, out=out.real)
     np.multiply(p, im, out=out.imag)
@@ -201,8 +205,8 @@ class BellEvaluator:
         """
         if abs(m) > 30:
             raise DomainError(f"scale |m| > 30 rejected (overflow guard), got {m}")
-        if q < 0 or q > 40:
-            raise DomainError(f"derivative order must be in [0, 40], got {q}")
+        if q < 0 or q > _MAX_ORDER:
+            raise DomainError(f"derivative order must be in [0, {_MAX_ORDER}], got {q}")
         xi = np.asarray(xi, dtype=float)
         u = 2.0 ** (-m) * xi if m else xi
         # e^{i u/2} b(u), formed in place once b is made
@@ -263,21 +267,18 @@ class BellEvaluator:
 
 @dataclass
 class LatticeSynthesis:
-    """Samples of psi^(q) on the lattice x = j L / N with diagnostics; a
-    paired synthesis carries the second order's samples in ``grid2``.
+    """Samples of psi^(q) on the lattice x = j L / N with diagnostics.
 
-    ``imag_max`` is the imaginary residue: measured when the order is
-    synthesized alone, and for a pair the larger of the two channels'
-    Hermitian bounds.  ``l2_norm`` is computed for q = 0 only.  ``grid``
-    is None in a ``WaveletBuild`` whose psi lattice ``release_psi`` has
-    let go.
+    ``imag_max`` is the band's Hermitian bound, which bounds the imaginary
+    part the synthesis drops (``synthesize_psi_lattice``).  ``l2_norm`` is
+    computed for q = 0 only.  ``grid`` is None in a ``WaveletBuild`` whose
+    psi lattice ``release_psi`` has let go.
     """
 
     grid: Optional[GridFunction]
     imag_max: float
     periodization_diff: float
     l2_norm: Optional[float]
-    grid2: Optional[GridFunction] = None
 
 
 def _row_count(N: int) -> int:
@@ -308,94 +309,124 @@ def _roots(Q: int) -> np.ndarray:
     return w
 
 
-def _lattice_fft(band: np.ndarray, N: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """N-point DFT X_k = sum_j band[j] e^{-2 pi i j k / N} of samples at the
-    centred indices j = -M..M (band has 2M + 1 entries) or j = -M..M-1
-    (2M entries), as R rows of S = N / R points (``_row_count``), X_{Rs+r} =
-    row r at s.  N is a power of two (``check_rows``) longer than the band,
-    and S a multiple of ``_PASS``.  The rows come a group at a time:
-    (r0, rows) has in rows[i] the row r = r0 + i, and the next group
-    overwrites it.
+def _lattice_fft(band: np.ndarray, N: int, q: int = 0,
+                 dxi: float = 0.0) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """The real N-point DFT of a Hermitian band, band[i] = conj(band[-1 - i]),
+    as R rows of S = N / R points (``_row_count``), X_{Rs+r} = row r at s,
+    two rows per FFT.  With 2M + 1 entries the band sits at the centred
+    indices j = -M..M, and X_k = sum_j band[j] e^{-2 pi i j k / N}; with 2M
+    entries (the odd frequencies of the periodization check) at the
+    half-integers j + 1/2, j = -M..M-1, and X_{Rs+r} is row r at s times
+    T[s] = e^{-i pi s / S}, s signed.  N is a power of two (``check_rows``)
+    longer than the band.  The rows come a group at a time: (firsts, rows)
+    has row firsts[0] + i in rows[i].real and, where R > 1, row
+    firsts[1] + i in rows[i].imag; the next group overwrites them.  With
+    q > 0 the transform is that of the derivative band (-i xi)^q band, xi
+    the band's index times ``dxi``, formed (``_derivative_factor``) on the
+    samples the rows read and nowhere else.
 
     Decimated in time once (Cooley & Tukey 1965), in Bailey's four-step
-    form (J. Supercomputing 4, 1990).  Write j = vS + t, with t in
-    [-S/2, S/2), and place band[j] in slot t of the block Y_v, v taken mod
-    R: the band is shorter than N, so no two samples share a slot.  Then
+    form (J. Supercomputing 4, 1990).  Write the band's index as vS + t,
+    with t in (-S/2, S/2], and place its sample in slot t of the block Y_v,
+    v taken mod R: the band is shorter than N, so no two samples share a
+    slot.  Then
 
-        row r at s = sum_t e^{-2 pi i t s / S} e^{-2 pi i t r / N}
-                           sum_v e^{-2 pi i v r / R} Y_v[t]:
+        row r at s = sum_t e^{-2 pi i t s / S} z_r[t],
+        z_r[t] = e^{-2 pi i t r / N} sum_v e^{-2 pi i v r / R} Y_v[t]:
 
-    each row is a sum over the blocks with a nonzero sample in its slots
-    (the column pass, ``_PASS`` slots at a time), a twiddle and an S-point
-    transform.  No N-point buffer is made, only the blocks that hold a
-    sample and a group of rows.  At R = 1 the one row is the plain FFT.
-    t and v are signed, and the phases at j and -j are exact negatives, so
-    a Hermitian band gives exactly Hermitian rows: a real channel's
-    imaginary residue is the row transforms' own rounding.  The twiddle is
-    a product of two short tables, at t's nearest multiple of B = 512 and
-    at the rest.
-
-    Each row is transformed in place by its own ``np.fft.fft`` call (numpy's
-    pocketfft, one thread), bit for bit what scipy's pocketfft gave: a
-    call on the whole group makes a larger scratch at S = 2^18, for the
-    same rows.  The band is let go once its samples are placed in the
-    blocks, so a caller that drops its own reference frees it before the
-    first row is made.
+    each row input is a sum over the blocks with a nonzero sample in its
+    slots (the column pass, ``_PASS`` slots at a time) and a twiddle, a
+    product of two short tables, at t's nearest multiple of B = 512 and at
+    the rest.  For the half-integer t of the odd band, slot t - 1/2 holds
+    it, its e^{-i pi s / S} is T[s] and its e^{-i pi r / N} is folded into
+    the row's coefficients.  A Hermitian band gives z_r[-t] = conj z_r[t],
+    so every row is real, and its input is formed on t in [0, S/2] only
+    and mirrored; at t = 0 and S/2 of the centred band, each its own
+    mirror image, the real part is kept.  Rows r and r + G of a group of
+    2G rows share one in-place ``np.fft.fft`` call (numpy's pocketfft, one
+    thread) on z_r + i z_{r+G}, whose real part is row r and imaginary
+    part row r + G; at R = 1 the one row is a plain FFT.  Packing trusts the
+    mirror: a band that is not Hermitian gives wrong rows, which the
+    synthesis's residue gate refuses.  No N-point buffer is made, only the
+    blocks' formed halves and a group of rows.  The band is let go once
+    its samples are placed in the blocks, so a caller that drops its own
+    reference frees it before the first row is made.
     """
     R = _row_count(N)
     S = N // R
     H = S // 2
     M = len(band) // 2
-    G = min(_GROUP, max(1, R // 2))
-    # the half-blocks h = floor(j / H) that hold a sample: j is in the block
-    # of v = (h + 1) // 2, at slot j mod S
-    held = range(-M // H, (len(band) - M - 1) // H + 1)
-    blocks = sorted({(h + 1) // 2 % R for h in held})
-    Y = np.zeros((len(blocks), S), dtype=complex)
-    for h in held:
-        lo, hi = max(h * H, -M), min(h * H + H, len(band) - M)
-        Y[blocks.index((h + 1) // 2 % R), lo % S:lo % S + hi - lo] = band[lo + M:hi + M]
+    odd = 1 - len(band) % 2
+    G = max(1, min(_GROUP, R // 2))
+    P = min(_PASS, H)
+    # the blocks v that hold a sample at a formed slot t in [0, S/2]
+    # (S/2 - 1 for the odd band), j = vS + t in [-M, len(band) - M)
+    held = range(-((M + H) // S), (len(band) - M - 1) // S + 1)
+    blocks = sorted({v % R for v in held})
+    # the blocks that hold a sample in each pass of P slots; the slots of
+    # no sample are never touched, so their pages are never made
+    live = [[] for _ in range(H // P)]
+    Y = np.zeros((len(blocks), H + 1), dtype=complex)
+    for v in held:
+        lo, hi = max(v * S, -M), min(v * S + H + 1 - odd, len(band) - M)
+        b = blocks.index(v % R)
+        slots = Y[b, lo - v * S:hi - v * S]
+        if q:
+            _derivative_factor((np.arange(lo, hi) + 0.5 * odd) * dxi, q, band[lo + M:hi + M],
+                               out=slots)
+        else:
+            slots[...] = band[lo + M:hi + M]
+        for p in range((lo - v * S) // P, min(hi - v * S - 1, H - 1) // P + 1):
+            live[p].append(b)
     del band
     blocks = np.array(blocks)
-    # the blocks with a nonzero sample in each pass of _PASS slots
-    live = Y.reshape(len(blocks), S // _PASS, _PASS).any(axis=2)
-    live = [np.flatnonzero(col) for col in live.T]
     roots = _roots(R)
-    # t = base + l, base a multiple of B and l in [-B/2, B/2): a base for
-    # each half of a cell of B slots
     B = 512
-    cells = np.arange(0, S, B)
-    signed = lambda t: np.where(t < S // 2, t, t - S)
-    bases = (signed(cells), signed(cells + B // 2) + B // 2)
+    cells = np.arange(0, H, B)
     offsets = np.arange(B)
     offsets = np.where(offsets < B // 2, offsets, offsets - B)
     rows = np.empty((G, S), dtype=complex)
-    tmp, tw = np.empty((2, G, _PASS), dtype=complex)
-    for r0 in range(0, R, G):
-        r = np.arange(r0, r0 + G)[:, None]
-        coef = roots[r * blocks % R]
-        # row r = 0 has twiddle 1: the twiddled rows start at row i
+    z, tmp = np.empty((2, 2 * G, P), dtype=complex)
+    for r0 in range(0, R, 2 * G):
+        r = np.arange(r0, r0 + 2 * G)[:, None]
+        # the roots of the blocks, e^{-i pi r / N} for the odd band, and i
+        # for the rows of the imaginary parts; at R = 1 the second row is 0
+        coef = roots[r * blocks % R] * np.exp((-1j * np.pi / N) * r * odd)
+        coef[G:] *= 1j if R > 1 else 0.0
+        # row 0 has twiddle 1: the twiddled rows start at row i
         i = int(r0 == 0)
-        halves = [np.exp((-2j * np.pi / N) * (r[i:] * b))[:, :, None] for b in bases]
+        halves = [np.exp((-2j * np.pi / N) * (r[i:] * b))[:, :, None] for b in (cells, cells + B)]
         rest = np.exp((-2j * np.pi / N) * (r[i:] * offsets))[:, None, :]
-        for s0, vs in zip(range(0, S, _PASS), live):
-            out = rows[:, s0:s0 + _PASS]
+        for s0, vs in zip(range(0, H, P), live):
+            fwd = rows[:, s0:s0 + P]
+            # the mirror image of slot t is -t, -1 - t for the odd band;
+            # slot 0 of the even band is its own
+            k = int(s0 == 0 and not odd)
+            mirror = rows[:, S - odd - s0 - k:S - odd - s0 - P:-1]
             if not len(vs):
-                out[...] = 0.0
+                fwd[...] = 0.0
+                mirror[...] = 0.0
                 continue
-            np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s0 + _PASS], out=out)
+            np.multiply(coef[:, vs[0], None], Y[vs[0], s0:s0 + P], out=z)
             for v in vs[1:]:
-                np.multiply(coef[:, v, None], Y[v, s0:s0 + _PASS], out=tmp)
-                out += tmp
-            if i < G:
-                c = slice(s0 // B, (s0 + _PASS) // B)
-                cell = tw[i:].reshape(G - i, -1, B)
-                np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
-                np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
-                out[i:] *= tw[i:]
+                np.multiply(coef[:, v, None], Y[v, s0:s0 + P], out=tmp)
+                z += tmp
+            c = slice(s0 // B, (s0 + P) // B)
+            cell = tmp[i:].reshape(2 * G - i, -1, B)
+            np.multiply(halves[0][:, c], rest[:, :, :B // 2], out=cell[:, :, :B // 2])
+            np.multiply(halves[1][:, c], rest[:, :, B // 2:], out=cell[:, :, B // 2:])
+            z[i:] *= tmp[i:]
+            np.add(z[:G], z[G:], out=fwd)
+            np.subtract(z[:G, k:], z[G:, k:], out=mirror)
+            np.conjugate(mirror, out=mirror)
+            if k:
+                rows[:, 0] = z[:G, 0].real + 1j * z[G:, 0].imag
+        if not odd:  # slot S/2, twiddled by e^{-i pi r / R}
+            zh = (coef @ Y[:, H]) * np.exp((-1j * np.pi / R) * r[:, 0])
+            rows[:, H] = zh[:G].real + 1j * zh[G:].imag
         for j in range(G):
             np.fft.fft(rows[j], out=rows[j])
-        yield r0, rows
+        yield (r0, r0 + G)[:min(R, 2)], rows
 
 
 def _centred(out: np.ndarray, r0: int, part: np.ndarray, scale: float) -> None:
@@ -419,10 +450,9 @@ def synthesize_psi_lattice(
     N: int,
     check_periodization: bool = True,
     q: int = 0,
-    q2: Optional[int] = None,
 ) -> LatticeSynthesis:
     """Inverse transform of psi^(q) onto the lattice {j L / N} via a
-    zero-padded DFT; with ``q2`` set, psi^(q2) rides in the same transform.
+    zero-padded DFT.
 
     Sampling the spectrum at 2 pi / L computes the L-periodization psi_L of
     the wavelet.  The wraparound on the reporting range |x| <= L/4 is
@@ -434,23 +464,16 @@ def synthesize_psi_lattice(
     (j + 1/2) 2 pi / L, twiddled by e^{-i pi k / N}.  psi_2L - psi_L is
     therefore that part minus psi_L / 2, and no 2N-point synthesis is made.
 
-    Every psi^(q) is real, so a pair is synthesized as psi^(q) + i c
-    psi^(q2) (Sorensen et al., IEEE TASSP 1987), with c = 2^e the power of
-    two that brings the q2 band to the magnitude of the q band: unbalanced,
-    the smaller order would inherit the larger one's roundoff floor.  The
-    imaginary channel is unscaled by 2^-e, exactly.
+    psi^(q) is real, and the transform keeps only the real part of its
+    Hermitian band's synthesis (``_lattice_fft``): the part it drops is at
+    most the band B's Hermitian bound sum_j |B_j - conj(B_-j)| dxi / (4 pi),
+    which must be within ``_IMAG_TOL`` (1e-12) of the order's sup (at least
+    1) and is reported as ``imag_max``.
 
-    The Hermitian spectrum must synthesize real, to ``_IMAG_TOL`` (1e-12) of
-    each channel's sup (at least 1).  Alone, the imaginary residue is
-    measured; in a pair it cannot be, so each channel's band B must pass
-    the Hermitian bound sum_j |B_j - conj(B_-j)| dxi / (4 pi), which bounds
-    the residue the channel would have had alone.  The periodization check
-    covers order q.
-
-    The transform comes a group of short rows at a time (``_lattice_fft``):
-    each real channel is written group by group into its centred N-array
-    (``_centred``), the check compares each group of odd-frequency rows with
-    psi, and ``l2_norm`` is summed once the transform's buffers are gone.
+    The transform comes a group of short rows at a time (``_lattice_fft``),
+    written group by group into the centred N-array (``_centred``); the
+    check compares each group of odd-frequency rows with psi, and
+    ``l2_norm`` is summed once the transform's buffers are gone.
     """
     dxi = 2.0 * np.pi / L
     # resolve the bell across its support, the span lattice_m samples
@@ -462,48 +485,28 @@ def synthesize_psi_lattice(
         raise ResolutionError("lattice too small for the spectral bandwidth")
     check_rows(N)
     band = ph.lattice_band(L)
-    # psi_hat_at's factor on the same samples: the FFT input is bit-identical
-    # to sampling psi_hat^(q) directly
-    xi = np.arange(-M, M + 1) * dxi if q or q2 else None
-    bands = [_derivative_factor(xi, p, band) if p else band for p in (q, q2) if p is not None]
-    del xi
-    if q2 is None:
-        spectrum = bands[0]
-    else:
-        residues = [float(np.sum(np.abs(b - np.conj(b[::-1])))) * (dxi / (4.0 * np.pi))
-                    for b in bands]
-        e = (np.frexp(np.max(np.abs(bands[0])))[1]
-             - np.frexp(np.max(np.abs(bands[1])))[1])
-        spectrum = bands[0] + 1j * (bands[1] * 2.0 ** e)
-    del bands
+    # (-i xi)^q maps conj(B_-j) to the conjugate of its own value at -j, so
+    # the derivative band's Hermitian defect is |xi_j|^q |B_j - conj(B_-j)|
+    j = np.flatnonzero((band.real != band.real[::-1]) | (band.imag != -band.imag[::-1]))
+    defect = np.abs(band[j] - np.conj(band[2 * M - j])) * np.abs((j - M) * dxi) ** q
+    imag = float(np.sum(defect)) * (dxi / (4.0 * np.pi))
     factor = dxi / (2.0 * np.pi)
-    # centred: x = 0 at index N // 2
-    channels = [np.empty(N) for p in (q, q2) if p is not None]
-    imag = 0.0
-    transform = _lattice_fft(spectrum, N)
-    del spectrum
-    for r0, rows in transform:
-        _centred(channels[0], r0, rows.real, factor)
-        if q2 is None:
-            imag = max(imag, float(abs_max(rows.imag)))
-        else:
-            _centred(channels[1], r0, rows.imag, factor * 2.0 ** -e)
-    del transform, rows
-    psi = channels[0]
-    grids = [GridFunction(x0=-L / 2.0, dx=L / N, values=v) for v in channels]
-    l2 = None
-    if q2 is None:
-        # scaling is monotone, so this is the sup of the scaled channel
-        residues = [imag * factor]
-        if q == 0:
-            l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N)))
-    for p, r, grid in zip((q, q2), residues, grids):
-        scale = max(1.0, grid.sup())
-        if r > _IMAG_TOL * scale:
-            raise ResolutionError(
-                f"imaginary residue {r:.3e} of order {p} exceeds {_IMAG_TOL:.0e} "
-                f"relative to the synthesis scale {scale:.3e}"
-            )
+    # centred: x = 0 at index N // 2; psi_hat_at's factor on the same samples,
+    # so the FFT input is bit-identical to sampling psi_hat^(q) directly
+    psi = np.empty(N)
+    transform = _lattice_fft(band, N, q, dxi)
+    for firsts, rows in transform:
+        for r, part in zip(firsts, (rows.real, rows.imag)):
+            _centred(psi, r, part, factor)
+    del transform, rows, part
+    grid = GridFunction(x0=-L / 2.0, dx=L / N, values=psi)
+    scale = max(1.0, grid.sup())
+    if imag > _IMAG_TOL * scale:
+        raise ResolutionError(
+            f"imaginary residue {imag:.3e} of order {q} exceeds {_IMAG_TOL:.0e} "
+            f"relative to the synthesis scale {scale:.3e}"
+        )
+    l2 = float(np.sqrt(np.sum(psi ** 2) * (L / N))) if q == 0 else None
 
     per_diff = 0.0
     if check_periodization:
@@ -513,26 +516,24 @@ def synthesize_psi_lattice(
                 f"periodization residual {per_diff:.3e} exceeds {_PERIODIZATION_TOL:.0e}"
             )
 
-    return LatticeSynthesis(
-        grid=grids[0], imag_max=max(residues), periodization_diff=per_diff,
-        l2_norm=l2, grid2=grids[1] if q2 is not None else None,
-    )
+    return LatticeSynthesis(grid=grid, imag_max=imag, periodization_diff=per_diff, l2_norm=l2)
 
 
 def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
                         psi: np.ndarray) -> float:
     """max over |k| <= N/4 of |odd part - psi_L / 2| (see
-    ``synthesize_psi_lattice``), a group of odd-frequency rows r0, r0 + 1,
-    ... at a time: no N-point array but psi.
+    ``synthesize_psi_lattice``), a group of odd-frequency rows at a time:
+    no N-point array but psi.
 
-    Write k = Rs + r with s signed: the odd part at k is row r at slot
-    s mod S, twiddled by e^{-i pi k / N} = e^{-i pi r / N} T[s], with
-    T[s] = e^{-i pi s / S} one table for every row, and it is compared with
-    psi[k + N/2], row s + S/2 of psi viewed as (S, R), column r.  A group of
-    G rows is so compared with one (slots, G) block of that view, in chunks
-    of ``_CHUNK`` / G slots.  R divides N/4 (``check_rows``), so with
-    Q = N / 4R every row's range of s over |k| <= N/4 is [-Q, Q - 1], and
-    row 0 has s = Q too: that slot is left out of the other rows."""
+    Write k = Rs + r with s signed: the odd part at k is T[s] times row r
+    of ``_lattice_fft`` at slot s mod S, with T[s] = e^{-i pi s / S} one
+    table for every row, and it is compared with psi[k + N/2], row s + S/2
+    of psi viewed as (S, R), column r.  T times a group's packed rows holds
+    two runs of G rows, one in its real part and one in its imaginary
+    part, and each is compared with one (slots, G) block of that view, in
+    chunks of ``_CHUNK`` / G slots.  R divides N/4 (``check_rows``), so
+    with Q = N / 4R every row's range of s over |k| <= N/4 is [-Q, Q - 1],
+    and row 0 has s = Q too: that slot is left out of the other rows."""
     dxi = 2.0 * np.pi / L
     M = ph.lattice_m(L)
     R = _row_count(N)
@@ -540,26 +541,24 @@ def _periodization_diff(ph: BellEvaluator, L: float, N: int, q: int,
     Q = S // 4
     cols = psi.reshape(S, R)
     T = np.exp((-1j * np.pi / S) * np.arange(-Q, Q + 1))
-    row_tw = np.exp((-1j * np.pi / N) * np.arange(R))[:, None]
     # 2 dev, exactly: (2c) p - psi is the double of c p - psi / 2
     c2 = dxi / (2.0 * np.pi)
     worst = 0.0
-    for r0, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi, q), N):
+    for firsts, rows in _lattice_fft(ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi), N, q, dxi):
         G = len(rows)
-        g = slice(r0, r0 + G)
         step = _CHUNK // G
         # chunks of one sign of s: a slice of the rows
         for a, b in ((-Q, 0), (0, Q + 1)):
             for s0 in range(a, b, step):
                 s1 = min(s0 + step, b)
                 u = s0 % S
-                part = row_tw[g] * T[s0 + Q:s1 + Q]
-                part *= rows[:, u:u + s1 - s0]
-                dev = part.real.T * c2
-                dev -= cols[s0 + S // 2:s1 + S // 2, g]
-                if s1 == Q + 1:
-                    dev[-1, int(r0 == 0):] = 0.0
-                worst = max(worst, float(abs_max(dev)))
+                part = T[s0 + Q:s1 + Q] * rows[:, u:u + s1 - s0]
+                for r, p in zip(firsts, (part.real, part.imag)):
+                    dev = p.T * c2
+                    dev -= cols[s0 + S // 2:s1 + S // 2, r:r + G]
+                    if s1 == Q + 1:
+                        dev[-1, int(r == 0):] = 0.0
+                    worst = max(worst, float(abs_max(dev)))
     return 0.5 * worst
 
 
@@ -718,13 +717,6 @@ def eval_psi_point(ph: BellEvaluator, x: float) -> float:
 # Pipeline bundle
 # ---------------------------------------------------------------------------
 
-# The derivative orders of psi made per transform, in the order they are
-# made: (1, 2) and (4, 8) are the decay fit's orders, and (3, 5) and (6, 7)
-# the rest of the mixed audit's.  Each command makes the pairs that hold
-# an order it reads, so one order's lattice is the same in every command.
-PAIRS = ((1, 2), (4, 8), (3, 5), (6, 7))
-
-
 @dataclass
 class WaveletBuild:
     """Everything the verification stages need, built in one shot, and no
@@ -733,10 +725,9 @@ class WaveletBuild:
 
     psi's own lattice is the certified synthesis, ``synthesis.grid``, kept
     from the build until ``release_psi`` lets it go; its moment front is
-    kept after that.  The derivative lattices are synthesized two orders
-    per transform, in the pairs of ``PAIRS`` and in its order, whatever
-    order a stage asks for them in; whole derivative lattices (N samples
-    each) are not kept, only their fronts.
+    kept after that.  Each derivative lattice is synthesized alone, one
+    transform per order, and let go before the next is made; whole
+    derivative lattices (N samples each) are not kept, only their fronts.
     """
 
     sigma: float
@@ -753,36 +744,31 @@ class WaveletBuild:
         self, orders: Iterable[int], visit: Callable[[int, GridFunction], Any]
     ) -> list:
         """[visit(q, samples of psi^(q) on the lattice {j L / N}) for q in
-        orders], each order one of ``PAIRS``; any other order, psi's 0
-        among them, raises DomainError.  Each pair that holds a requested
-        order is synthesized once, in table order, as one transform (its
-        first order in the real part, its second in the imaginary part)
-        with no periodization check, and let go before the next is made
-        unless ``visit`` keeps it.  ``visit`` sees the requested orders
-        only, but the moment fronts of both channels are kept."""
+        orders], each a derivative order in [1, 40]; any other order,
+        psi's 0 among them, raises DomainError.  Each requested order is
+        synthesized once, alone and in request order, with no periodization
+        check, and its moment front is kept; its lattice is let go before
+        the next order is made unless ``visit`` keeps it."""
         orders = list(orders)
-        unknown = sorted(set(orders).difference(*PAIRS))
+        unknown = sorted(q for q in set(orders) if not 1 <= q <= _MAX_ORDER)
         if unknown:
-            raise DomainError(f"derivative orders {unknown} are in none of the pairs {PAIRS}")
+            raise DomainError(f"derivative orders {unknown} are not in [1, {_MAX_ORDER}]; "
+                              "psi's own lattice is synthesis.grid")
         seen = {}
-        for pair in PAIRS:
-            if not set(pair) & set(orders):
-                continue
-            syn = synthesize_psi_lattice(self.ph, L=self.L, N=self.N,
-                                         check_periodization=False, q=pair[0], q2=pair[1])
-            for q, grid in zip(pair, (syn.grid, syn.grid2)):
-                if q not in self._fronts:
-                    self._fronts[q] = grid.moment_front()
-                if q in orders:
-                    seen[q] = visit(q, grid)
-            del syn, grid
+        for q in dict.fromkeys(orders):
+            grid = synthesize_psi_lattice(self.ph, L=self.L, N=self.N,
+                                          check_periodization=False, q=q).grid
+            if q not in self._fronts:
+                self._fronts[q] = grid.moment_front()
+            seen[q] = visit(q, grid)
+            del grid
         return [seen[q] for q in orders]
 
     def fronts(self, orders: Iterable[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """``moment_front()`` of the psi^(q) lattice for each q of
         ``orders``.  psi's is taken from ``synthesis.grid``, or is the one
         ``release_psi`` kept; the derivative orders with no front yet are
-        made by ``lattices``, in the pairs of ``PAIRS``."""
+        made by ``lattices``."""
         orders = list(orders)
         if 0 in orders and 0 not in self._fronts:
             self._fronts[0] = self.synthesis.grid.moment_front()
@@ -795,8 +781,8 @@ class WaveletBuild:
         this ``synthesis.grid`` is None, the rest of ``synthesis`` (its
         residues and norm) stays, and ``fronts`` still gives order 0.  A
         second call does nothing.  The lattice is freed if the caller holds
-        no reference of its own, so a derivative pair made after this does
-        not sit beside it."""
+        no reference of its own, so a derivative lattice made after this
+        does not sit beside it."""
         if self.synthesis.grid is not None:
             self.fronts([0])
             self.synthesis = replace(self.synthesis, grid=None)

@@ -16,13 +16,15 @@ process's RSS high-water mark.  Exit codes (the ``EXITS`` table):
 resolution error, and 1 for any other error.  Config errors exit before
 any stage runs and write nothing; once the stages start, every exit, an
 exception of any class included, leaves both JSON files, and the manifest
-records its exit code.  An artifact that cannot be created is an input
-error (exit 2) that names it, ``report.json`` included.
+records its exit code.  An artifact that cannot be created or written (a
+full disk) is an input error (exit 2) that names it, ``report.json``
+included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -139,12 +141,15 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 _CSV_ROWS = 4096  # rows per format operation of write_csv
 
 
+@contextlib.contextmanager
 def _created(path: Path):
-    """``path`` opened for writing with LF line endings.  An OSError on
-    opening it (a directory in its place, no such directory, no
-    permission) is an InputError that names it."""
+    """``path`` opened for writing with LF line endings.  An OSError while
+    it is opened (a directory in its place, no such directory, no
+    permission), written or closed (a full disk) is an InputError that
+    names it."""
     try:
-        return open(path, "w", newline="\n")
+        with open(path, "w", newline="\n") as fh:
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -348,8 +353,8 @@ def stage_decay_fit(run: Run) -> list:
     # the n = 0 row is the fit itself: fit_decay has the same slope and r^2
     # gates as derivative_decay_check, on at least as many points
     rows = [DerivativeDecayRow(0, fit.h_fit, fit.intercept, fit.r_squared, grid.sup())]
-    # psi's last reader is done: its front is kept, and no derivative pair
-    # is made beside its lattice
+    # psi's last reader is done: its front is kept, and no derivative
+    # lattice is made beside its lattice
     del grid
     wb.release_psi()
     rows += wb.lattices(

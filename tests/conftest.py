@@ -34,8 +34,8 @@ def fit_grid():
 def lattice_cache(wavelet):
     """Derivative-order -> synthesized lattice, shared by decay and moment
     audits: order 0 is the certified synthesis, and orders 1..8 the
-    lattices the program ships, two per transform in the pairs of
-    ``bell.PAIRS``."""
+    lattices the program ships, each order synthesized alone by
+    ``WaveletBuild.lattices``."""
     orders = range(1, 9)
     return {0: wavelet.synthesis.grid,
             **dict(zip(orders, wavelet.lattices(orders, lambda q, grid: grid)))}

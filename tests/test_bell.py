@@ -27,7 +27,6 @@ from lambertwave import (
     inner_product,
     synthesize_psi_lattice,
 )
-from lambertwave.verify import DERIV_ORDERS, MIXED_MAX
 
 A = math.pi / 6.0
 HALF_PI = math.pi / 2.0
@@ -785,14 +784,22 @@ def _padded_fft(band, N):
     return np.fft.fft(spec)
 
 
-def _transform_rows(band, N):
-    """Every row of ``_lattice_fft``, by row index r: X_{Rs+r} = rows[r, s]."""
+def _transform_rows(band, N, q=0, dxi=0.0):
+    """Every row of ``_lattice_fft``, by row index r, taken out of the real
+    and imaginary parts of its FFT: X_{Rs+r} = rows[r, s].  The rows of an
+    odd-frequency band (2M entries) are first twiddled by
+    T[s] = e^{-i pi s / S}, s signed."""
     from lambertwave.bell import _lattice_fft
 
+    S = N // bell_module._row_count(N)
+    s = np.arange(S)
+    T = np.exp((-1j * math.pi / S) * np.where(s < S // 2, s, s - S))
     got = {}
-    for r0, rows in _lattice_fft(band, N):
-        for r, row in enumerate(rows, r0):
-            got[r] = row.copy()
+    for firsts, rows in _lattice_fft(band, N, q, dxi):
+        packed = rows * T if len(band) % 2 == 0 else rows
+        for r0, part in zip(firsts, (packed.real, packed.imag)):
+            for r, row in enumerate(part, r0):
+                got[r] = row.copy()
     return np.array([got[r] for r in range(len(got))])
 
 
@@ -811,20 +818,30 @@ def _transform_rows(band, N):
     pytest.param(2 ** 21, 2.0 ** 17, 8, id="2097152-L131072"),
 ])
 def test_two_row_transform_matches_padded_fft(N, L, R):
+    # each order alone, its rows formed on half their slots and mirrored,
+    # two rows per FFT: every row is the real padded transform of the
+    # order's band within 1e-15 of its sup
     ph = BellEvaluator(A)
     band = ph.lattice_band(L)
-    ref = _padded_fft(band, N)
-    rows = _transform_rows(band, N)
-    assert rows.shape == (R, N // R)
-    sup = np.max(np.abs(ref))
-    for r in range(R):
-        assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * sup
-    # the odd-frequency band of the periodization check has 2M entries
-    M = len(band) // 2
-    odd = ph.psi_hat_at((np.arange(-M, M) + 0.5) * (2.0 * math.pi / L))
-    ref, rows = _padded_fft(odd, N), _transform_rows(odd, N)
-    for r in range(R):
-        assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * np.max(np.abs(ref))
+    M, dxi = len(band) // 2, 2.0 * math.pi / L
+    xi = np.arange(-M, M + 1) * dxi
+    for q in (0, 1, 5, 8):
+        ref = _padded_fft(bell_module._derivative_factor(xi, q, band), N).real
+        rows = _transform_rows(band, N, q, dxi)
+        assert rows.shape == (R, N // R)
+        sup = np.max(np.abs(ref))
+        for r in range(R):
+            assert np.max(np.abs(rows[r] - ref[r::R])) <= 1e-15 * sup, (q, r)
+    # the odd-frequency band of the periodization check has 2M entries at
+    # (j + 1/2) dxi: its transform at k is e^{-i pi k / N} times the padded
+    # transform at k, k = Rs + r with s signed
+    odd = ph.psi_hat_at((np.arange(-M, M) + 0.5) * dxi)
+    k = R * np.arange(-(N // R // 2), N // R // 2)[None, :] + np.arange(R)[:, None]
+    ref = (np.exp((-1j * math.pi / N) * k) * _padded_fft(odd, N)[k % N]).real
+    rows = _transform_rows(odd, N)
+    k0 = N // R // 2  # slot s = 0 of the rows is column k0 of ref
+    rows = np.roll(rows, k0, axis=1)
+    assert np.max(np.abs(rows - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("N, L", [
@@ -877,59 +894,41 @@ def test_build_wavelet_peak_memory():
 
 
 # `lambertwave all`'s peak RSS above an import-only process, in MB, at the
-# defaults: 118.4 measured with psi's lattice let go before the decay fit's
-# first derivative pair (121.2 with scipy in the process; 152.9 with the
-# lattice held through the mixed audit)
-ALL_PEAK_MB = 136.0
+# defaults: 85.0 measured, with the peak now in build_wavelet (82.7 alone),
+# since each derivative order is synthesized alone after psi's lattice is
+# let go (120.2 with two orders per transform; 152.9 with psi's lattice
+# also held through the mixed audit); about 15% headroom
+ALL_PEAK_MB = 98.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of /proc/self/status")
 def test_all_peak_memory(tmp_path):
-    # the run's peak is set while a derivative pair is alive, and psi's
-    # 32 MB lattice must not be beside it
+    # no derivative lattice may sit beside psi's 32 MB lattice, nor two
+    # derivative lattices beside each other
     run_all = "assert lambertwave.cli.main(['all', '--out-dir', sys.argv[2]]) == 0"
     assert _peak_above_import("lambertwave.cli", run_all, str(tmp_path)) < ALL_PEAK_MB
 
 
-# the short lattice of the paired-synthesis tests: 2^14 samples, period 2^11
-PAIR_L, PAIR_N = 2.0 ** 11, 2 ** 14
-
-
-@pytest.mark.parametrize("q, q2", [(1, 8), (8, 1), (3, 5), (4, 8)])
-def test_paired_synthesis_matches_solo(q, q2):
-    # two real orders in one transform, the second scaled by 2^e to the
-    # first's magnitude: each channel stays within 1e-15 of its sup of the
-    # order synthesized alone on |x| <= L/4 (3.6e-16 at worst; unbalanced,
-    # psi' in the (1, 8) pair is off by 6.7e-12)
-    ph = BellEvaluator(A)
-    pair = synthesize_psi_lattice(
-        ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=q, q2=q2
-    )
-    assert pair.l2_norm is None
-    for order, grid in ((q, pair.grid), (q2, pair.grid2)):
-        solo = synthesize_psi_lattice(
-            ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=order
-        ).grid
-        assert (grid.x0, grid.dx) == (solo.x0, solo.dx)
-        inner = np.abs(solo.x()) <= PAIR_L / 4.0
-        assert np.max(np.abs(grid.values - solo.values)[inner]) <= 1e-15 * solo.sup()
+# the short lattice of the synthesis tests: 2^14 samples, period 2^11
+SHORT_L, SHORT_N = 2.0 ** 11, 2 ** 14
 
 
 def test_lattice_m_at_the_bell_support_keeps_the_lattices(monkeypatch):
     # M sized from b's support, 2 (pi + w), not from the envelope
     # 2 (pi + a): b is exactly 0 in between, so psi's lattice, its
-    # periodization residual and the (4, 8) pair with its imaginary residue
-    # are bitwise those of the envelope's larger M
+    # periodization residual and the lattices of orders 4 and 8 with their
+    # imaginary residues are bitwise those of the envelope's larger M
     from lambertwave.bell import _periodization_diff
 
     def lattices():
         ph = BellEvaluator(A)
-        psi = synthesize_psi_lattice(ph, L=PAIR_L, N=PAIR_N, check_periodization=False)
-        pair = synthesize_psi_lattice(ph, L=PAIR_L, N=PAIR_N, check_periodization=False,
-                                      q=4, q2=8)
-        residual = _periodization_diff(ph, PAIR_L, PAIR_N, 0, psi.grid.values)
-        return (ph.lattice_m(PAIR_L), psi.grid.values, residual, pair.grid.values,
-                pair.grid2.values, pair.imag_max)
+        psi = synthesize_psi_lattice(ph, L=SHORT_L, N=SHORT_N, check_periodization=False)
+        residual = _periodization_diff(ph, SHORT_L, SHORT_N, 0, psi.grid.values)
+        made = [ph.lattice_m(SHORT_L), psi.grid.values, residual]
+        for q in (4, 8):
+            syn = synthesize_psi_lattice(ph, L=SHORT_L, N=SHORT_N, check_periodization=False, q=q)
+            made += [syn.grid.values, syn.imag_max]
+        return made
 
     M, *ours = lattices()
     monkeypatch.setattr(BellEvaluator, "lattice_m", lambda self, L: int(
@@ -945,20 +944,10 @@ def test_lattice_m_at_the_bell_support_keeps_the_lattices(monkeypatch):
 RELEASE_L, RELEASE_N = 2.0 ** 18, 2 ** 20
 
 
-def test_pairs_cover_the_audited_orders():
-    # bell cannot import verify, so this is the tie between the two: the
-    # table holds each order 1..MIXED_MAX once, and its first two pairs are
-    # the decay fit's orders, which every command that reads them makes first
-    orders = [q for pair in bell_module.PAIRS for q in pair]
-    assert sorted(orders) == list(range(1, MIXED_MAX + 1))
-    assert tuple(q for pair in bell_module.PAIRS[:2] for q in pair) == DERIV_ORDERS
-
-
-def test_lattices_make_an_order_in_its_table_pair(wavelet, monkeypatch):
-    # an order is synthesized in its pair of PAIRS, (3, 5) for 3, with no
-    # periodization check; visit sees 3 alone, but the front of 5 is kept
-    # too, so fronts() makes neither again; psi (order 0) and an order in
-    # no pair are refused
+def test_lattices_make_each_order_alone(wavelet, monkeypatch):
+    # an order is synthesized alone, with no periodization check, and its
+    # front is kept, so fronts() does not make it again; psi (order 0) and
+    # an order outside [1, 40] are refused before any synthesis
     bell_mod = sys.modules["lambertwave.bell"]
     calls, synthesize = [], bell_mod.synthesize_psi_lattice
 
@@ -972,35 +961,33 @@ def test_lattices_make_an_order_in_its_table_pair(wavelet, monkeypatch):
     assert len(calls) == 1
     args, kwargs, syn = calls[0]
     assert args == (wavelet.ph,)
-    assert kwargs == {"L": wavelet.L, "N": wavelet.N, "check_periodization": False,
-                      "q": 3, "q2": 5}
+    assert kwargs == {"L": wavelet.L, "N": wavelet.N, "check_periodization": False, "q": 3}
     assert seen == [(3, syn.grid)]
-    assert set(wavelet._fronts) == {3, 5}
-    for q, grid in ((3, syn.grid), (5, syn.grid2)):
-        (ax, av), = wavelet.fronts([q])
-        fx, fv = grid.moment_front()
-        assert np.array_equal(ax, fx) and np.array_equal(av, fv)
+    assert set(wavelet._fronts) == {3}
+    (ax, av), = wavelet.fronts([3])
+    fx, fv = syn.grid.moment_front()
+    assert np.array_equal(ax, fx) and np.array_equal(av, fv)
     assert len(calls) == 1
-    for orders in ([0], [9], [3, 0]):
-        with pytest.raises(DomainError, match="in none of the pairs"):
+    for orders in ([0], [41], [3, 0]):
+        with pytest.raises(DomainError, match=r"not in \[1, 40\]"):
             wavelet.lattices(orders, lambda q, grid: grid)
     assert len(calls) == 1
 
 
 def test_lattices_visit_in_request_order(monkeypatch):
-    # the pairs are made in table order whatever the request order, and the
-    # visits come back in request order
+    # the orders are made once each, in request order, and the visits come
+    # back in request order, a repeated order's visit with it
     wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
     made = []
     synthesize = bell_module.synthesize_psi_lattice
 
     def counted(*args, **kwargs):
-        made.append((kwargs["q"], kwargs["q2"]))
+        made.append(kwargs["q"])
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(bell_module, "synthesize_psi_lattice", counted)
-    assert wb.lattices([7, 2, 6, 1], lambda q, grid: q) == [7, 2, 6, 1]
-    assert made == [(1, 2), (6, 7)]
+    assert wb.lattices([7, 2, 6, 7], lambda q, grid: q) == [7, 2, 6, 7]
+    assert made == [7, 2, 6]
 
 
 def test_release_psi_keeps_the_front():
@@ -1010,7 +997,7 @@ def test_release_psi_keeps_the_front():
     # never makes order 0, before the release or after it
     wb = build_wavelet(L=RELEASE_L, N=RELEASE_N)
     assert isinstance(wb.synthesis.grid, GridFunction) and wb.synthesis.grid.n == RELEASE_N
-    with pytest.raises(DomainError, match="in none of the pairs"):
+    with pytest.raises(DomainError, match=r"not in \[1, 40\]"):
         wb.lattices([0], lambda q, grid: grid)
     values = weakref.ref(wb.synthesis.grid.values)
     fx, fv = wb.synthesis.grid.moment_front()
@@ -1021,7 +1008,7 @@ def test_release_psi_keeps_the_front():
     wb.release_psi()
     (ax, av), = wb.fronts([0])
     assert np.array_equal(ax, fx) and np.array_equal(av, fv)
-    with pytest.raises(DomainError, match="in none of the pairs"):
+    with pytest.raises(DomainError, match=r"not in \[1, 40\]"):
         wb.lattices([0], lambda q, grid: grid)
 
 
@@ -1034,19 +1021,21 @@ def test_release_psi_keeps_a_front_taken_before():
 
 
 def test_non_hermitian_band_rejected(monkeypatch):
-    # a band with B_j != conj(B_-j) synthesizes a complex psi: alone, the
-    # imaginary residue is measured; in a pair each channel's band must pass
-    # the bound sum_j |B_j - conj(B_-j)| dxi / (4 pi)
+    # a band with B_j != conj(B_-j) synthesizes a complex psi, whose
+    # imaginary part the mirrored transform drops: every order's band must
+    # pass the bound sum_j |B_j - conj(B_-j)| dxi / (4 pi), which the
+    # Hermitian band of the program passes at 0
     ph = BellEvaluator(A)
-    band = ph.lattice_band(PAIR_L).copy()
-    j = len(band) // 2 + int(1.5 * PAIR_L / 2.0)  # xi near 1.5 pi, where b = 1
+    for q in (0, 5):
+        assert synthesize_psi_lattice(ph, L=SHORT_L, N=SHORT_N, check_periodization=False,
+                                      q=q).imag_max == 0.0
+    band = ph.lattice_band(SHORT_L).copy()
+    j = len(band) // 2 + int(1.5 * SHORT_L / 2.0)  # xi near 1.5 pi, where b = 1
     band[j] += 1e-3
     monkeypatch.setattr(ph, "lattice_band", lambda L: band)
-    for q, q2 in ((0, None), (1, None), (1, 2), (8, 3)):
-        with pytest.raises(ResolutionError, match="imaginary residue"):
-            synthesize_psi_lattice(
-                ph, L=PAIR_L, N=PAIR_N, check_periodization=False, q=q, q2=q2
-            )
+    for q in (0, 1, 5, 8):
+        with pytest.raises(ResolutionError, match=f"imaginary residue .* of order {q} "):
+            synthesize_psi_lattice(ph, L=SHORT_L, N=SHORT_N, check_periodization=False, q=q)
 
 
 def test_build_wavelet_profile_flags(wavelet):

@@ -2,10 +2,12 @@
 
 import argparse
 import dataclasses
+import errno
 import importlib
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -284,10 +286,8 @@ def test_mixed_audit(tmp_path):
     ("mixed-audit", range(9)),
 ])
 def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
-    # derivative orders ride two per synthesis, in the pairs of bell.PAIRS
-    # and in its order, whichever command asks: the decay fit's (1, 2),
-    # (4, 8), then the mixed audit's (3, 5), (6, 7)
-    n_calls = {"all": 5, "decay-fit": 3, "mixed-audit": 5}[command]
+    # each derivative order is synthesized exactly once, alone, with no
+    # periodization check, whichever command asks: psi alone is checked
     bell_mod = importlib.import_module("lambertwave.bell")
     synthesize = bell_mod.synthesize_psi_lattice
     calls = []
@@ -295,19 +295,14 @@ def test_each_lattice_synthesized_once(tmp_path, monkeypatch, command, orders):
     def counting(*args, **kwargs):
         bound = inspect.signature(synthesize).bind(*args, **kwargs)
         bound.apply_defaults()
-        calls.append((bound.arguments["q"], bound.arguments["q2"],
-                      bound.arguments["check_periodization"]))
+        calls.append((bound.arguments["q"], bound.arguments["check_periodization"]))
         return synthesize(*args, **kwargs)
 
     monkeypatch.setattr(bell_mod, "synthesize_psi_lattice", counting)
     rc = main([command, *FAST_SYNTH, "--out-dir", str(tmp_path)])
     assert rc == 0
-    made = [q for q, _, _ in calls] + [q2 for _, q2, _ in calls if q2 is not None]
-    assert sorted(made) == list(orders)
-    assert [(q, q2) for q, q2, check in calls if check] == [(0, None)]
-    assert len(calls) == n_calls
-    pairs = [(q, q2) for q, q2, check in calls if not check]
-    assert pairs == list(importlib.import_module("lambertwave.bell").PAIRS[:n_calls - 1])
+    assert sorted(q for q, _ in calls) == list(orders)
+    assert [q for q, check in calls if check] == [0]
 
 
 def test_mixed_audit_alone_writes_alls_table(tmp_path):
@@ -856,6 +851,40 @@ def test_unwritable_artifact_exits_2_with_a_manifest(tmp_path, capsys):
     assert man["failing"] == {"stage": "lambert_table", "exception": "InputError",
                               "message": err[0].removeprefix("error: ")}
     assert json.loads((tmp_path / "report.json").read_text())["failing"] == man["failing"]
+
+
+def test_full_disk_exits_2_with_a_manifest(tmp_path, capsys, monkeypatch):
+    # a disk that fills while a stage's CSV is written, after it was opened:
+    # one message line naming the file and exit 2, not a traceback, and the
+    # manifest records it
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def opening(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FullDisk(fh) if Path(path).name == "lambert_table.csv" else fh
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    assert main(["lambert-table", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {tmp_path / 'lambert_table.csv'}: "
+                   f"{os.strerror(errno.ENOSPC)}"]
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["exit_code"] == 2 and man["status"] == "error"
+    assert man["failing"] == {"stage": "lambert_table", "exception": "InputError",
+                              "message": err[0].removeprefix("error: ")}
 
 
 def test_unwritable_report_still_leaves_a_manifest(tmp_path, capsys):
